@@ -1,0 +1,120 @@
+"""Golden CLI artifacts, compared byte for byte.
+
+Every command in ``COMMANDS`` runs in process through ``cli.main`` with
+``tests/golden`` as the working directory, because the Monte Carlo
+artifacts echo their relative ``--config`` path. Its exit code, stdout
+and stderr must equal ``<name>.rc``, ``<name>.out`` and ``<name>.err``
+there, byte for byte. This is the gate for refactors that must not move
+any artifact.
+
+``python tests/test_golden.py`` rewrites the goldens from this command
+list; review the diff before committing it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import os
+import sys
+import warnings
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+COMMANDS = {
+    "classify_bowl3": ["classify", "--gallery", "bowl3"],
+    "classify_twogauss": ["classify", "--gallery", "twogauss"],
+    "classify_tilt": ["classify", "--gallery", "tilt"],
+    "classify_fig13a_csv": ["classify", "--gallery", "fig13a", "--n", "4",
+                            "--format", "csv"],
+    "classify_fig10": ["classify", "--gallery", "fig10", "--n", "4"],
+    "classify_fig4b": ["classify", "--gallery", "fig4b", "--n", "4"],
+    "classify_fig4c": ["classify", "--gallery", "fig4c", "--n", "4"],
+    "classify_fig8a": ["classify", "--gallery", "fig8a", "--n", "4"],
+    "classify_fig4a": ["classify", "--gallery", "fig4a", "--n", "4"],
+    "classify_saddle_point": ["classify", "--gallery", "saddle", "--point",
+                              "0,0", "--eps", "0.1"],
+    "classify_bowl_point": ["classify", "--gallery", "bowl", "--point",
+                            "0.1,0.2"],
+    "audit_monkey": ["audit", "--gallery", "monkey"],
+    "audit_bowl3": ["audit", "--gallery", "bowl3"],
+    "audit_fig13a": ["audit", "--gallery", "fig13a", "--n", "4"],
+    "audit_saddle_box_csv": ["audit", "--gallery", "saddle", "--domain",
+                             "box:-1,-1:1,1", "--format", "csv"],
+    "flow_bowl3": ["flow", "--gallery", "bowl3", "--seed", "777"],
+    "flow_saddle_csv": ["flow", "--gallery", "saddle", "--seed", "777",
+                        "--format", "csv"],
+    "mountain_twogauss": ["mountain", "--gallery", "twogauss"],
+    "mountain_twogauss_pit_csv": ["mountain", "--gallery", "twogauss_pit",
+                                  "--format", "csv"],
+    "mountain_twogauss_box": ["mountain", "--gallery", "twogauss",
+                              "--domain", "box:-1,-1:1,1"],
+    "sequence_fig4c_csv": ["sequence", "--gallery", "fig4c", "--n", "4,16",
+                           "--format", "csv"],
+    "sequence_fig10": ["sequence", "--gallery", "fig10", "--n", "4,16"],
+    "gallery_json": ["gallery"],
+    "gallery_csv": ["gallery", "--format", "csv"],
+    # --threads is pinned because the artifact echoes the worker count
+    "montecarlo_d1": ["montecarlo", "--config", "mc_d1.json", "--grid", "64",
+                      "--threads", "1"],
+    "montecarlo_d2": ["montecarlo", "--config", "mc_d2.json", "--grid", "16",
+                      "--threads", "1"],
+}
+
+STREAMS = ("rc", "out", "err")
+
+
+def run_command(argv: list[str]) -> dict[str, bytes]:
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    from critsense.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        # warnings are routed by the process-wide filter state (pytest
+        # captures them, a plain run prints each once), so they are kept
+        # out of the compared streams
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            rc = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return {"rc": f"{rc}\n".encode(), "out": out.getvalue().encode(),
+            "err": err.getvalue().encode()}
+
+
+def first_difference(want: bytes, got: bytes) -> str:
+    pairs = itertools.zip_longest(want.decode().splitlines(keepends=True),
+                                  got.decode().splitlines(keepends=True))
+    for lineno, (a, b) in enumerate(pairs, start=1):
+        if a != b:
+            return f"line {lineno}: expected {a!r}, got {b!r}"
+    return "no line differs"
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_artifact(name):
+    got = run_command(COMMANDS[name])
+    for stream in STREAMS:
+        want = (GOLDEN / f"{name}.{stream}").read_bytes()
+        assert got[stream] == want, (
+            f"critsense {' '.join(COMMANDS[name])}: {stream} differs from "
+            f"{name}.{stream}, {first_difference(want, got[stream])}")
+
+
+def regenerate() -> None:
+    for name, argv in sorted(COMMANDS.items()):
+        for stream, data in run_command(argv).items():
+            (GOLDEN / f"{name}.{stream}").write_bytes(data)
+        print(f"wrote {name}")
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    regenerate()
