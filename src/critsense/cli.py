@@ -26,7 +26,7 @@ from .domains import Ball, Box, Domain, Interval
 from .errors import CritsenseError, PreconditionError, UsageError
 from .gallery import catalogue, entry as gallery_entry, gallery
 from .homindex import classify_by_index, homological_index, \
-    poincare_hopf_audit
+    poincare_hopf_audit, probe_radius
 from .morse import make_chart, morse_flow_trajectory, verify_morse_chart
 from .mountainpass import mountain_pass_point
 from .randfield import BasisSpec, monte_carlo_convergence, worker_count
@@ -127,11 +127,16 @@ def parse_domain(text: str) -> Domain:
                      "(expected interval, box, or ball)")
 
 
-def _floats(text: str) -> np.ndarray:
+def _point(text: str, dim: int) -> np.ndarray:
+    """Comma-separated coordinates of a point in the field's dimension."""
     try:
-        return np.array([float(t) for t in text.split(",")])
+        z = np.array([float(t) for t in text.split(",")])
     except ValueError:
         raise UsageError(f"expected comma-separated reals, got {text!r}")
+    if len(z) != dim:
+        raise UsageError(f"point {text!r} has dimension {len(z)}; the "
+                         f"field has dimension {dim}")
+    return z
 
 
 def _resolve(args):
@@ -177,9 +182,9 @@ def _cmd_classify(args) -> int:
     grid = args.grid or (1024 if ent.dim == 1 else 64)
     tol = args.tol or 1e-9
     if args.point:
-        z = _floats(args.point)
-        idx = homological_index(field, z, domain=dom, eps=args.eps)
-        probe = args.eps or 0.25 * min(1.0, float(dom.boundary_distance(z)))
+        z = _point(args.point, field.dim)
+        probe = args.eps or probe_radius(z, (), dom)
+        idx = homological_index(field, z, eps=probe)
         cls = classify_by_index(field, z, probe, index=idx)
         result = {"point": {"location": z.tolist(), "hom_index": idx,
                             "classification": cls}}
@@ -231,7 +236,8 @@ def _cmd_flow(args) -> int:
     tol = args.tol or 1e-9
     ode_step = args.ode_step or 1e-3
     lo, hi = dom.bounding_box()
-    seed_pt = _floats(args.point) if args.point else 0.5 * (lo + hi)
+    seed_pt = (_point(args.point, field.dim) if args.point
+               else 0.5 * (lo + hi))
     center = detect.refine_newton(field, seed_pt, tol=tol)
     cap = max(float(dom.boundary_distance(center)), 1e-6)
     chart = make_chart(field, center, search_cap=cap, ode_step=ode_step)
@@ -240,7 +246,7 @@ def _cmd_flow(args) -> int:
     result = {"chart": chart.as_record(), "verification": ver}
     art = _artifact("flow", args, result, tol=tol, ode_step=ode_step)
     if args.format == "csv":
-        offset = _floats(args.sample) if args.sample else \
+        offset = _point(args.sample, field.dim) if args.sample else \
             0.5 * chart.radius * np.eye(ent.dim)[0]
         ts, path = morse_flow_trajectory(field, chart, center + offset,
                                          ode_step=ode_step)
@@ -268,7 +274,7 @@ def _cmd_mountain(args) -> int:
     grid = args.grid or 64
     tol = args.tol or 1e-6
     if args.p1 and args.p2:
-        p1, p2 = _floats(args.p1), _floats(args.p2)
+        p1, p2 = _point(args.p1, field.dim), _point(args.p2, field.dim)
     elif args.p1 or args.p2:
         raise UsageError("give both --p1 and --p2, or neither")
     else:
@@ -470,16 +476,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as err:
-        sys.stderr.write(dumps({"error": {
-            "type": type(err).__name__, "message": str(err),
-            "context": err.context}}) + "\n")
-        return 2
     except CritsenseError as err:
         sys.stderr.write(dumps({"error": {
             "type": type(err).__name__, "message": str(err),
             "context": err.context}}) + "\n")
-        return 1
+        return 2 if isinstance(err, UsageError) else 1
 
 
 if __name__ == "__main__":

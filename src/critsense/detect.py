@@ -10,7 +10,7 @@ never dropped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as _dcfield
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -21,6 +21,7 @@ from .errors import (DegenerateError, NoConvergenceError,
                      NonIsolatedZeroError, UnderSampledError,
                      UnsupportedError, UsageError)
 from .fields import ScalarField
+from .morse import morse_classify
 from . import homindex
 
 _SIGN_SLACK = 0.5  # relaxed cell test: catches touch zeros like 3x^2
@@ -101,7 +102,7 @@ def _newton_polish(field: ScalarField, x: np.ndarray, gn: float,
 
 
 def refine_newton(field: ScalarField, s0, tol: float = 1e-9,
-                  max_iter: int = 80, domain: Domain | None = None):
+                  max_iter: int = 80):
     """Drive the gradient to ``tol`` from ``s0``.
 
     Newton steps while the Hessian is comfortably nonsingular; otherwise a
@@ -210,14 +211,12 @@ def _candidate_cells(g: np.ndarray, inside: np.ndarray) -> np.ndarray:
 def find_critical_points(field: ScalarField, domain: Domain,
                          grid_res: int = 32, newton_tol: float = 1e-9,
                          dedupe_radius: float | None = None,
-                         boundary_margin: float | None = None,
-                         max_iter: int = 80,
-                         classify: bool = True) -> DetectionResult:
+                         max_iter: int = 80) -> DetectionResult:
     """Grid scan for gradient sign-change cells, Newton refinement,
     dedupe, and classification.
 
-    Points landing within one grid cell of the boundary (default margin)
-    are flagged near_boundary. Ordering is lexicographic by location.
+    Points landing within one grid cell of the boundary are flagged
+    near_boundary. Ordering is lexicographic by location.
     """
     if grid_res < 8:
         raise UsageError("grid_res must be at least 8")
@@ -236,8 +235,7 @@ def find_critical_points(field: ScalarField, domain: Domain,
     cell_diag = float(np.linalg.norm(spacing))
     if dedupe_radius is None:
         dedupe_radius = 2.0 * cell_diag
-    if boundary_margin is None:
-        boundary_margin = float(np.max(spacing))
+    boundary_margin = float(np.max(spacing))
 
     refined = []
     unresolved = []
@@ -259,28 +257,24 @@ def find_critical_points(field: ScalarField, domain: Domain,
         gn = float(np.linalg.norm(field.grad(x)))
         scored.append((gn, tuple(x.tolist()), x))
     scored.sort(key=lambda t: (t[0], t[1]))
-    kept: list[np.ndarray] = []
-    for _, _, x in scored:
-        if all(np.linalg.norm(x - y) >= dedupe_radius for y in kept):
-            kept.append(x)
-    kept.sort(key=lambda x: tuple(x.tolist()))
+    kept: list[tuple[float, np.ndarray]] = []
+    for gn, _, x in scored:
+        if all(np.linalg.norm(x - y) >= dedupe_radius for _, y in kept):
+            kept.append((gn, x))
+    kept.sort(key=lambda k: tuple(k[1].tolist()))
 
     points = []
-    for x in kept:
-        gn = float(np.linalg.norm(field.grad(x)))
+    for gn, x in kept:
         H = field.hess(x)
         spec = np.sort(np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2))))
         near = bool(domain.boundary_distance(x) < boundary_margin)
         points.append(CriticalPoint(x, float(field.value(x)), gn, spec,
                                     near_boundary=near))
-    if classify:
-        _classify_all(field, points, domain)
+    _classify_all(field, points, domain)
     return DetectionResult(points, unresolved, grid_res, dedupe_radius)
 
 
 def _classify_all(field: ScalarField, points: list, domain: Domain):
-    from .morse import morse_classify
-
     locs = [p.location for p in points]
     for i, p in enumerate(points):
         # At a degenerate zero the refined point sits a residual-sized
@@ -289,27 +283,15 @@ def _classify_all(field: ScalarField, points: list, domain: Domain):
         p.morse_index = morse_classify(field, p.location,
                                        degeneracy_tol=dtol)
         others = [l for j, l in enumerate(locs) if j != i]
+        probe = homindex.probe_radius(p.location, others, domain)
         try:
-            p.hom_index = homindex.homological_index(
-                field, p.location, domain=domain, others=others)
+            p.hom_index = homindex.homological_index(field, p.location,
+                                                     eps=probe)
         except (DegenerateError, UnsupportedError, NonIsolatedZeroError,
                 UnderSampledError):
             p.hom_index = None
-        probe = _probe_radius(p.location, others, domain)
         p.classification = homindex.classify_by_index(
             field, p.location, probe, index=p.hom_index)
-
-
-def _probe_radius(z, others, domain: Domain) -> float:
-    cands = [0.25]
-    bd = float(domain.boundary_distance(z))
-    if bd > 0:
-        cands.append(0.25 * bd)
-    for o in others:
-        dd = float(np.linalg.norm(np.asarray(o) - z))
-        if dd > 0:
-            cands.append(0.25 * dd)
-    return max(min(cands), 1e-10)
 
 
 def resolution(points) -> float:

@@ -12,14 +12,32 @@ import numpy as np
 from .errors import UsageError
 
 
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    """Deterministic quasi-uniform sample of the unit 2-sphere."""
-    i = np.arange(n, dtype=float) + 0.5
-    phi = np.arccos(1.0 - 2.0 * i / n)
-    theta = np.pi * (1.0 + 5.0**0.5) * i
-    return np.column_stack(
-        [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
-    )
+def sphere_directions(d: int, n: int) -> np.ndarray:
+    """Deterministic unit vectors ``(m, d)`` for probing around a point.
+
+    ``d = 1``: the two directions +1, -1 (``n`` is ignored). ``d = 2``: a
+    ring of ``n`` angles offset by half a step, which keeps symmetric
+    fields off exact sample zeros. ``d = 3``: a Fibonacci lattice of ``n``
+    points. Higher ``d``: ``n`` normalized normals from a fixed seed.
+    """
+    if d == 1:
+        return np.array([[1.0], [-1.0]])
+    if d == 2:
+        theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+    if d == 3:
+        i = np.arange(n, dtype=float) + 0.5
+        phi = np.arccos(1.0 - 2.0 * i / n)
+        theta = np.pi * (1.0 + 5.0**0.5) * i
+        return np.column_stack([np.sin(phi) * np.cos(theta),
+                                np.sin(phi) * np.sin(theta), np.cos(phi)])
+    raw = np.random.default_rng(7).standard_normal((n, d))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+def _endpoint_frames(a: float, b: float):
+    """The boundary {a, b} of a 1-d domain with its outward normals."""
+    return np.array([[a], [b]]), np.array([[-1.0], [1.0]])
 
 
 class Domain:
@@ -45,7 +63,7 @@ class Domain:
 
     def boundary_points(self, n: int) -> np.ndarray:
         """``(m, dim)`` sample of the boundary, exact to machine precision."""
-        raise NotImplementedError
+        return self.boundary_frames(n)[0]
 
     def boundary_frames(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Boundary samples with outward unit normals, ``(m, dim)`` each."""
@@ -66,13 +84,6 @@ class Domain:
         axes = self.axes(res)
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack(grids, axis=-1)
-
-    def interior_grid(self, res: int, margin: float = 0.0) -> np.ndarray:
-        """Lattice nodes strictly inside the domain with the given margin,
-        flattened to ``(m, dim)``."""
-        pts = self.lattice(res).reshape(-1, self.dim)
-        keep = self.boundary_distance(pts) > margin
-        return pts[keep]
 
 
 class Interval(Domain):
@@ -107,13 +118,8 @@ class Interval(Domain):
     def bounding_box(self):
         return np.array([self.a]), np.array([self.b])
 
-    def boundary_points(self, n: int) -> np.ndarray:
-        return np.array([[self.a], [self.b]])
-
     def boundary_frames(self, n: int):
-        pts = self.boundary_points(n)
-        normals = np.array([[-1.0], [1.0]])
-        return pts, normals
+        return _endpoint_frames(self.a, self.b)
 
 
 class Box(Domain):
@@ -163,16 +169,8 @@ class Box(Domain):
         ]
 
     def boundary_points(self, n: int) -> np.ndarray:
-        if self.dim == 1:
-            return np.array([[self.lo[0]], [self.hi[0]]])
-        if self.dim == 2:
-            per = max(2, n // 4)
-            pts = []
-            for start, tang, _ in self.edges():
-                length = np.abs(self.hi - self.lo) @ np.abs(tang)
-                t = np.linspace(0.0, length, per, endpoint=False)
-                pts.append(start[None, :] + t[:, None] * tang[None, :])
-            return np.concatenate(pts, axis=0)
+        if self.dim <= 2:
+            return super().boundary_points(n)
         # faces sampled on a coarse lattice for dim >= 3
         per_axis = max(2, int(round(n ** (1.0 / (self.dim - 1)))))
         pts = []
@@ -188,7 +186,7 @@ class Box(Domain):
 
     def boundary_frames(self, n: int):
         if self.dim == 1:
-            return np.array([[self.lo[0]], [self.hi[0]]]), np.array([[-1.0], [1.0]])
+            return _endpoint_frames(self.lo[0], self.hi[0])
         if self.dim != 2:
             raise UsageError("boundary_frames supports dim <= 2 boxes")
         per = max(2, n // 4)
@@ -236,51 +234,16 @@ class Ball(Domain):
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
 
-    def boundary_points(self, n: int) -> np.ndarray:
-        pts, _ = self.boundary_frames(n)
-        return pts
-
     def boundary_frames(self, n: int):
         if self.dim == 1:
-            pts = np.array([[self.center[0] - self.radius],
-                            [self.center[0] + self.radius]])
-            return pts, np.array([[-1.0], [1.0]])
-        if self.dim == 2:
-            # half-step offset keeps symmetric fields off exact sample zeros
-            theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-            normals = np.column_stack([np.cos(theta), np.sin(theta)])
-        elif self.dim == 3:
-            normals = _fibonacci_sphere(n)
-        else:
+            return _endpoint_frames(self.center[0] - self.radius,
+                                    self.center[0] + self.radius)
+        if self.dim > 3:
             raise UsageError("ball boundaries sampled for dim <= 3 only")
+        normals = sphere_directions(self.dim, n)
         return self.center + self.radius * normals, normals
 
     def angle_point(self, theta: float) -> np.ndarray:
         """2-d only: boundary point at polar angle ``theta``."""
         return self.center + self.radius * np.array([np.cos(theta), np.sin(theta)])
 
-
-def parse_domain(text: str) -> Domain:
-    """Parse the CLI mini-grammar.
-
-    ``interval:a,b`` | ``box:lo1,lo2:hi1,hi2`` | ``ball:c1,c2:r``
-    """
-    try:
-        kind, _, rest = text.partition(":")
-        if kind == "interval":
-            a, b = (float(v) for v in rest.split(","))
-            return Interval(a, b)
-        if kind == "box":
-            lo_s, hi_s = rest.split(":")
-            lo = [float(v) for v in lo_s.split(",")]
-            hi = [float(v) for v in hi_s.split(",")]
-            return Box(lo, hi)
-        if kind == "ball":
-            c_s, r_s = rest.split(":")
-            center = [float(v) for v in c_s.split(",")]
-            return Ball(center, float(r_s))
-    except UsageError:
-        raise
-    except Exception as exc:
-        raise UsageError(f"bad domain spec {text!r}: {exc}") from None
-    raise UsageError(f"unknown domain kind {kind!r} (interval|box|ball)")

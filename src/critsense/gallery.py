@@ -43,6 +43,29 @@ def _wrap(name, dim, fn, grad, hess=None, smooth="C2", **meta) -> ScalarField:
     return f
 
 
+def _wrap1d(name, parts, **meta) -> ScalarField:
+    """1-d field from ``parts(x) -> (value, f', f'')``, elementwise in x."""
+    return _wrap(name, 1, lambda s: parts(s[..., 0])[0],
+                 lambda s: parts(s[..., 0])[1][..., None],
+                 lambda s: parts(s[..., 0])[2][..., None, None], **meta)
+
+
+def _linear(name, dim, axis) -> ScalarField:
+    """f = s[axis]: a constant gradient, no critical points."""
+    def fn(s):
+        return s[..., axis].copy()
+
+    def grad(s):
+        g = np.zeros_like(np.asarray(s, dtype=float))
+        g[..., axis] = 1.0
+        return g
+
+    def hess(s):
+        return np.zeros(np.asarray(s).shape[:-1] + (dim, dim))
+
+    return _wrap(name, dim, fn, grad, hess)
+
+
 # ---------------------------------------------------------------- #
 # static surfaces
 # ---------------------------------------------------------------- #
@@ -120,22 +143,6 @@ def _undulation(n):
         return out
 
     return _wrap("undulation", 2, fn, grad, hess)
-
-
-def _tilt(n):
-    # no critical points at all
-    def fn(s):
-        return s[..., 0].copy()
-
-    def grad(s):
-        g = np.zeros_like(np.asarray(s, dtype=float))
-        g[..., 0] = 1.0
-        return g
-
-    def hess(s):
-        return np.zeros(np.asarray(s).shape[:-1] + (2, 2))
-
-    return _wrap("tilt", 2, fn, grad, hess)
 
 
 def _peano(n):
@@ -264,55 +271,23 @@ def _singlemax(n):
     return _wrap("singlemax", 2, fn, grad, smooth="C1", n=n)
 
 
-def _singlemax_limit():
-    def fn(s):
-        return s[..., 1].copy()
-
-    def grad(s):
-        g = np.zeros_like(np.asarray(s, dtype=float))
-        g[..., 1] = 1.0
-        return g
-
-    def hess(s):
-        return np.zeros(np.asarray(s).shape[:-1] + (2, 2))
-
-    return _wrap("singlemax_limit", 2, fn, grad, hess)
-
-
 def _fig13a(n):
     """x^2 plus a one-sided bump: f_n(x) = x^2 + b(nx+1)/sqrt(n) - 5/n."""
     rn = np.sqrt(float(n))
 
-    def fn(s):
-        x = s[..., 0]
-        b, _, _ = bump1_vgh(n * x + 1.0)
-        return x * x + b / rn - 5.0 / n
+    def parts(x):
+        b, bd1, bd2 = bump1_vgh(n * x + 1.0)
+        return x * x + b / rn - 5.0 / n, 2.0 * x + rn * bd1, 2.0 + n * rn * bd2
 
-    def grad(s):
-        x = s[..., 0]
-        _, bd1, _ = bump1_vgh(n * x + 1.0)
-        return (2.0 * x + rn * bd1)[..., None]
-
-    def hess(s):
-        x = s[..., 0]
-        _, _, bd2 = bump1_vgh(n * x + 1.0)
-        return (2.0 + n * rn * bd2)[..., None, None]
-
-    return _wrap("fig13a", 1, fn, grad, hess, n=n)
+    return _wrap1d("fig13a", parts, n=n)
 
 
 def _parabola_limit(name, sign):
-    def fn(s):
-        x = s[..., 0]
-        return sign * x * x + (1.0 if sign < 0 else 0.0)
+    def parts(x):
+        return (sign * x * x + (1.0 if sign < 0 else 0.0), 2.0 * sign * x,
+                np.full_like(x, 2.0 * sign))
 
-    def grad(s):
-        return 2.0 * sign * s[..., 0][..., None]
-
-    def hess(s):
-        return np.full(np.asarray(s).shape[:-1] + (1, 1), 2.0 * sign)
-
-    return _wrap(name, 1, fn, grad, hess)
+    return _wrap1d(name, parts)
 
 
 def _fig13b(n):
@@ -343,22 +318,12 @@ def _fig13b(n):
 
 def _fig10(n):
     """Maxima merging: 1 - x^2 + (4/n^2) b(nx - 2); two maxima at every n."""
-    def fn(s):
-        x = s[..., 0]
-        b, _, _ = bump1_vgh(n * x - 2.0)
-        return 1.0 - x * x + 4.0 * b / (n * n)
+    def parts(x):
+        b, bd1, bd2 = bump1_vgh(n * x - 2.0)
+        return (1.0 - x * x + 4.0 * b / (n * n), -2.0 * x + 4.0 * bd1 / n,
+                -2.0 + 4.0 * bd2)
 
-    def grad(s):
-        x = s[..., 0]
-        _, bd1, _ = bump1_vgh(n * x - 2.0)
-        return (-2.0 * x + 4.0 * bd1 / n)[..., None]
-
-    def hess(s):
-        x = s[..., 0]
-        _, _, bd2 = bump1_vgh(n * x - 2.0)
-        return (-2.0 + 4.0 * bd2)[..., None, None]
-
-    return _wrap("fig10", 1, fn, grad, hess, n=n)
+    return _wrap1d("fig10", parts, n=n)
 
 
 def _fig4a(n):
@@ -379,79 +344,33 @@ def _fig4a(n):
         d2 = np.sign(x) * 2.0 * a * t * (3.0 * a - t * t) / den**3
         return val, d1, d2
 
-    def fn(s):
-        return parts(s[..., 0])[0]
-
-    def grad(s):
-        return parts(s[..., 0])[1][..., None]
-
-    def hess(s):
-        return parts(s[..., 0])[2][..., None, None]
-
-    return _wrap("fig4a", 1, fn, grad, hess, n=n)
+    return _wrap1d("fig4a", parts, n=n)
 
 
 def _fig4b(n):
     """x + sin(n^2 x)/n: oscillating approximants with ~n^2 critical points."""
     k = float(n * n)
 
-    def fn(s):
-        x = s[..., 0]
-        return x + np.sin(k * x) / n
+    def parts(x):
+        return (x + np.sin(k * x) / n, 1.0 + n * np.cos(k * x),
+                -n**3 * np.sin(k * x))
 
-    def grad(s):
-        x = s[..., 0]
-        return (1.0 + n * np.cos(k * x))[..., None]
-
-    def hess(s):
-        x = s[..., 0]
-        return (-n**3 * np.sin(k * x))[..., None, None]
-
-    return _wrap("fig4b", 1, fn, grad, hess, n=n)
+    return _wrap1d("fig4b", parts, n=n)
 
 
 def _line_limit():
-    def fn(s):
-        return s[..., 0].copy()
-
-    def grad(s):
-        return np.ones(np.asarray(s).shape[:-1] + (1,))
-
-    def hess(s):
-        return np.zeros(np.asarray(s).shape[:-1] + (1, 1))
-
-    return _wrap("line", 1, fn, grad, hess)
+    return _linear("line", 1, 0)
 
 
 def _fig4c(n):
     """x^3 - x/n^2: two nondegenerate critical points collapsing onto one."""
     c = 1.0 / (n * n)
-
-    def fn(s):
-        x = s[..., 0]
-        return x**3 - c * x
-
-    def grad(s):
-        x = s[..., 0]
-        return (3.0 * x * x - c)[..., None]
-
-    def hess(s):
-        return (6.0 * s[..., 0])[..., None, None]
-
-    return _wrap("fig4c", 1, fn, grad, hess, n=n)
+    return _wrap1d("fig4c", lambda x: (x**3 - c * x, 3.0 * x * x - c, 6.0 * x),
+                   n=n)
 
 
 def _cubic_limit():
-    def fn(s):
-        return s[..., 0] ** 3
-
-    def grad(s):
-        return (3.0 * s[..., 0] ** 2)[..., None]
-
-    def hess(s):
-        return (6.0 * s[..., 0])[..., None, None]
-
-    return _wrap("cubic", 1, fn, grad, hess)
+    return _wrap1d("cubic", lambda x: (x**3, 3.0 * x**2, 6.0 * x))
 
 
 def _twist(n):
@@ -505,16 +424,7 @@ def _fig8a(n):
         d2 = -e * (4.0 * x * x / w**4 - 8.0 * x * x / w**3 + 2.0 / w**2)
         return -e, d1, d2
 
-    def fn(s):
-        return parts(s[..., 0])[0]
-
-    def grad(s):
-        return parts(s[..., 0])[1][..., None]
-
-    def hess(s):
-        return parts(s[..., 0])[2][..., None, None]
-
-    return _wrap("fig8a", 1, fn, grad, hess, n=n)
+    return _wrap1d("fig8a", parts, n=n)
 
 
 def _fig8a_limit():
@@ -528,16 +438,7 @@ def _fig8a_limit():
             d2 = np.where(nz, -e * (4.0 / safe**3 - 6.0 / safe**2), 0.0)
         return -e, d1, d2
 
-    def fn(s):
-        return parts(s[..., 0])[0]
-
-    def grad(s):
-        return parts(s[..., 0])[1][..., None]
-
-    def hess(s):
-        return parts(s[..., 0])[2][..., None, None]
-
-    return _wrap("fig8a_limit", 1, fn, grad, hess)
+    return _wrap1d("fig8a_limit", parts)
 
 
 _TRIO_W = (1.3, 0.7, 0.5)
@@ -610,7 +511,8 @@ _ENTRIES = [
                  "x^3 - 3 x y^2; three-pronged saddle, index -2"),
     GalleryEntry("undulation", 2, False, _undulation, _B2, "classical",
                  "x^3 + y^2; degenerate isolated zero, index 0"),
-    GalleryEntry("tilt", 2, False, _tilt, _B2, "classical",
+    GalleryEntry("tilt", 2, False, lambda n: _linear("tilt", 2, 0), _B2,
+                 "classical",
                  "f = x; no critical points"),
     GalleryEntry("peano", 2, False, _peano, _B2, "classical",
                  "(2x^2 - y)(y - x^2); min along every line, not a min"),
@@ -623,7 +525,7 @@ _ENTRIES = [
     GalleryEntry("singlemax", 2, True, _singlemax, Box((-1.0, -1.0), (1.0, 1.0)),
                  "classical",
                  "one interior maximum at every n; limit f = y has none",
-                 _singlemax_limit, "C1"),
+                 lambda: _linear("singlemax_limit", 2, 1), "C1"),
     GalleryEntry("fig13a", 1, True, _fig13a, _I2, "classical",
                  "parabola plus one-sided bump scaled by 1/sqrt(n); extra "
                  "max/min pair at every n, C0 limit x^2",

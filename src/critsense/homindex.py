@@ -14,11 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import Ball, Box, Domain, Interval
+from .domains import Ball, Box, Domain, sphere_directions
 from .errors import (DegenerateError, NonGenericBoundaryError,
                      NonIsolatedZeroError, PreconditionError,
                      UnderSampledError, UnsupportedError, UsageError)
 from .fields import ScalarField
+from .morse import morse_classify
 
 _MIN_CIRCLE_GRAD = 1e-6
 _EPS_HALVINGS = 6
@@ -113,13 +114,13 @@ def sign_index_nondegenerate(field: ScalarField, z,
     """(-1)^(number of negative Hessian eigenvalues); needs |det H| away
     from zero."""
     z = np.asarray(z, dtype=float)
-    H = field.hess(z)
-    eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
-    hnorm = float(np.max(np.abs(eigs)))
-    if float(np.min(np.abs(eigs))) <= degeneracy_tol * max(1.0, hnorm):
-        raise DegenerateError("Hessian is numerically singular",
-                              point=z.tolist(), eigenvalues=eigs.tolist())
-    return int((-1) ** int(np.sum(eigs < 0)))
+    k = morse_classify(field, z, degeneracy_tol)
+    if k is None:
+        H = field.hess(z)
+        raise DegenerateError(
+            "Hessian is numerically singular", point=z.tolist(),
+            eigenvalues=np.linalg.eigvalsh(0.5 * (H + H.T)).tolist())
+    return (-1) ** k
 
 
 def _index_1d(field: ScalarField, z, eps: float) -> int:
@@ -135,6 +136,23 @@ def _index_1d(field: ScalarField, z, eps: float) -> int:
                                point=z.tolist(), eps=eps)
 
 
+def probe_radius(z, others, domain: Domain | None) -> float:
+    """A quarter of the distance from ``z`` to the nearest other known zero
+    or to the boundary, at most 0.25. Nonpositive boundary distances (``z``
+    on or outside the boundary) are skipped."""
+    z = np.asarray(z, dtype=float)
+    cands = [0.25]
+    if domain is not None:
+        bd = float(domain.boundary_distance(z))
+        if bd > 0:
+            cands.append(0.25 * bd)
+    for o in others:
+        d = float(np.linalg.norm(np.asarray(o, dtype=float) - z))
+        if d > 0:
+            cands.append(0.25 * d)
+    return max(min(cands), 1e-12)
+
+
 def homological_index(field: ScalarField, z, domain: Domain | None = None,
                       eps: float | None = None, n_samples: int = 256,
                       others=None) -> int:
@@ -142,20 +160,12 @@ def homological_index(field: ScalarField, z, domain: Domain | None = None,
 
     Dimension dispatch: sign comparison in 1-d, winding number in 2-d,
     Hessian sign for nondegenerate zeros in higher dimension. ``eps``
-    defaults to a quarter of the distance to the nearest other known zero
-    or to the boundary, halved up to 6 times if the circle check fails.
+    defaults to :func:`probe_radius`, halved up to 6 times if the circle
+    check fails.
     """
     z = np.asarray(z, dtype=float)
     if eps is None:
-        cands = [0.25]
-        if domain is not None:
-            cands.append(0.25 * float(domain.boundary_distance(z)))
-        if others is not None:
-            for o in others:
-                d = float(np.linalg.norm(np.asarray(o, dtype=float) - z))
-                if d > 0:
-                    cands.append(0.25 * d)
-        eps = max(min(cands), 1e-12)
+        eps = probe_radius(z, others or (), domain)
     if field.dim == 1:
         return _index_1d(field, z, eps)
     if field.dim == 2:
@@ -184,15 +194,7 @@ def classify_by_index(field: ScalarField, z, probe_radius: float,
     """
     z = np.asarray(z, dtype=float)
     d = field.dim
-    if d == 1:
-        offs = np.array([[-probe_radius], [probe_radius]])
-    elif d == 2:
-        t = 2.0 * np.pi * (np.arange(n_probe) + 0.5) / n_probe
-        offs = probe_radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
-    else:
-        rng = np.random.default_rng(7)
-        raw = rng.standard_normal((n_probe, d))
-        offs = probe_radius * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    offs = probe_radius * sphere_directions(d, n_probe)
     fz = float(field.value(z))
     vals = np.asarray(field.value(z + offs), dtype=float) - fz
     tau = 1e-12 * max(1.0, abs(fz), float(np.max(np.abs(vals))))
@@ -283,8 +285,9 @@ def _has_zero_run(flags: np.ndarray, run: int = 3, cyclic: bool = True) -> bool:
     return False
 
 
-def _bisect_scalar(fn, a: float, b: float, fa: float, iters: int = 80) -> float:
-    """Root of a scalar function by bisection; fa = fn(a) supplied."""
+def bisect_root(fn, a: float, b: float, fa: float, iters: int = 80) -> float:
+    """Root of a scalar function bracketed by a sign change on ``[a, b]``,
+    by bisection; ``fa = fn(a)`` is supplied. An exact zero ends early."""
     for _ in range(iters):
         m = 0.5 * (a + b)
         fm = fn(m)
@@ -297,34 +300,51 @@ def _bisect_scalar(fn, a: float, b: float, fa: float, iters: int = 80) -> float:
     return 0.5 * (a + b)
 
 
-def _scalar_boundary_zeros(param, vpar, point_of, vpar_at, zero_tol,
-                           cyclic: bool):
-    """Sign-change zeros of a sampled scalar tangential component.
+def sign_change_brackets(param, vals, zero_tol: float, cyclic: bool) -> list:
+    """Brackets ``(a, b, f(a), index)`` around the sign changes of a scalar
+    sampled as ``vals`` at the strictly increasing ``param``.
 
-    ``param`` strictly increasing samples; near-zero samples are skipped so
-    touch zeros (no sign change) contribute nothing, as their 1-d index is 0.
+    Samples within ``zero_tol`` of zero are skipped, so touch zeros (no
+    sign change) contribute nothing, as their 1-d index is 0. ``index`` is
+    the 1-d crossing index: +1 upward, -1 downward. ``cyclic`` also pairs
+    the last sample with the first, one period on.
     """
-    keep = np.abs(vpar) > zero_tol
-    idx = np.flatnonzero(keep)
-    zeros = []
+    idx = np.flatnonzero(np.abs(vals) > zero_tol)
     if len(idx) < 2:
-        return zeros
+        return []
     pairs = list(zip(idx[:-1], idx[1:]))
     if cyclic:
         pairs.append((idx[-1], idx[0]))
-    period = param[-1] - param[0] + (param[1] - param[0]) if len(param) > 1 else 0.0
+    period = param[-1] - param[0] + (param[1] - param[0])
+    out = []
     for i, j in pairs:
-        si, sj = np.sign(vpar[i]), np.sign(vpar[j])
+        si, sj = np.sign(vals[i]), np.sign(vals[j])
         if si == sj:
             continue
         a, b = param[i], param[j]
         if b <= a:
             b = b + period
-        t = _bisect_scalar(vpar_at, a, b, vpar[i])
-        loc = point_of(t)
-        ind = int(sj - si) // 2
-        zeros.append((loc, ind, t))
-    return zeros
+        out.append((a, b, vals[i], int(sj - si) // 2))
+    return out
+
+
+def _weighted_zero(field: ScalarField, loc, index: int, nrm,
+                   zero_tol: float) -> BoundaryZero:
+    """The half-weight rule: a boundary zero counts +1/2 when the full
+    gradient points into the domain (against the outward normal ``nrm``),
+    -1/2 when it points out, and is nongeneric when it is tangent."""
+    radial = float(np.dot(field.grad(loc), nrm))
+    if abs(radial) <= zero_tol:
+        raise NonGenericBoundaryError(
+            "full gradient vanishes on the boundary",
+            location=np.asarray(loc).tolist())
+    return BoundaryZero(np.asarray(loc, dtype=float), index,
+                        HALF if radial < 0 else -HALF)
+
+
+def _tally(zeros: list) -> BoundaryIndexResult:
+    return BoundaryIndexResult(
+        sum((z.contribution for z in zeros), Fraction(0)), zeros)
 
 
 def boundary_index(field: ScalarField, domain: Domain,
@@ -347,17 +367,13 @@ def boundary_index(field: ScalarField, domain: Domain,
     zero_tol = 1e-9 * max(1.0, scale)
 
     if d == 1:
-        zeros = []
-        total = Fraction(0)
-        for p, nrm in zip(pts, normals):
-            radial = float(field.grad(p)[0] * nrm[0])
-            if abs(radial) <= zero_tol:
-                return _boundary_retry(field, domain, n_samples, seed, _retry,
-                                       scale)
-            w = HALF if radial < 0 else -HALF
-            zeros.append(BoundaryZero(np.asarray(p, dtype=float), 1, w))
-            total += w
-        return BoundaryIndexResult(total, zeros)
+        # each endpoint is a zero of the (empty) tangential component
+        if any(abs(float(field.grad(p)[0] * nrm[0])) <= zero_tol
+               for p, nrm in zip(pts, normals)):
+            return _boundary_retry(field, domain, n_samples, seed, _retry,
+                                   scale)
+        return _tally([_weighted_zero(field, p, 1, nrm, zero_tol)
+                       for p, nrm in zip(pts, normals)])
 
     if isinstance(domain, Ball) and d == 2:
         theta = 2.0 * np.pi * (np.arange(n_samples) + 0.5) / n_samples
@@ -372,21 +388,14 @@ def boundary_index(field: ScalarField, domain: Domain,
             gr = field.grad(p)
             return float(-gr[0] * np.sin(t) + gr[1] * np.cos(t))
 
-        found = _scalar_boundary_zeros(
-            theta, vpar, domain.angle_point, vpar_at, zero_tol, True)
         zeros = []
-        total = Fraction(0)
-        for loc, ind, t in found:
-            nrm = np.array([np.cos(t), np.sin(t)])
-            radial = float(np.dot(field.grad(loc), nrm))
-            if abs(radial) <= zero_tol:
-                raise NonGenericBoundaryError(
-                    "full gradient vanishes on the boundary",
-                    location=np.asarray(loc).tolist())
-            w = HALF if radial < 0 else -HALF
-            zeros.append(BoundaryZero(np.asarray(loc, dtype=float), ind, w))
-            total += w * ind
-        return BoundaryIndexResult(total, zeros)
+        for a, b, fa, ind in sign_change_brackets(theta, vpar, zero_tol,
+                                                  True):
+            t = bisect_root(vpar_at, a, b, fa)
+            zeros.append(_weighted_zero(field, domain.angle_point(t), ind,
+                                        np.array([np.cos(t), np.sin(t)]),
+                                        zero_tol))
+        return _tally(zeros)
 
     if isinstance(domain, Box) and d == 2:
         return _box_boundary_index(field, domain, n_samples, seed, _retry,
@@ -420,7 +429,6 @@ def _box_boundary_index(field, domain, n_samples, seed, retry, zero_tol,
     per = max(16, n_samples // 4)
     margin = 2
     zeros = []
-    total = Fraction(0)
     for start, tanv, nrm in domain.edges():
         length = float(np.abs(domain.hi - domain.lo) @ np.abs(tanv))
         t = np.linspace(0.0, length, per + 1)[margin:-margin or None]
@@ -434,21 +442,11 @@ def _box_boundary_index(field, domain, n_samples, seed, retry, zero_tol,
         def vpar_at(u, s=start, tv=tanv):
             return float(field.grad(s + u * tv) @ tv)
 
-        def point_of(u, s=start, tv=tanv):
-            return s + u * tv
-
-        found = _scalar_boundary_zeros(t, vpar, point_of, vpar_at,
-                                       zero_tol, False)
-        for loc, ind, _ in found:
-            radial = float(field.grad(loc) @ nrm)
-            if abs(radial) <= zero_tol:
-                raise NonGenericBoundaryError(
-                    "full gradient vanishes on the boundary",
-                    location=np.asarray(loc).tolist())
-            w = HALF if radial < 0 else -HALF
-            zeros.append(BoundaryZero(np.asarray(loc, dtype=float), ind, w))
-            total += w * ind
-    return BoundaryIndexResult(total, zeros)
+        for a, b, fa, ind in sign_change_brackets(t, vpar, zero_tol, False):
+            u = bisect_root(vpar_at, a, b, fa)
+            zeros.append(_weighted_zero(field, start + u * tanv, ind, nrm,
+                                        zero_tol))
+    return _tally(zeros)
 
 
 def _tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,7 +470,7 @@ def _sphere_boundary_index(field, domain, n_samples, seed, retry, zero_tol,
     g = field.grad(pts)
     vpar = g - np.sum(g * normals, axis=-1, keepdims=True) * normals
     tv = np.linalg.norm(vpar, axis=-1)
-    if _has_zero_run(tv <= zero_tol, cyclic=False) or np.all(tv <= zero_tol):
+    if _has_zero_run(tv <= zero_tol, cyclic=False):
         return _boundary_retry(field, domain, m, seed, retry, scale)
 
     def vpar_of(nrm):
@@ -519,7 +517,6 @@ def _sphere_boundary_index(field, domain, n_samples, seed, retry, zero_tol,
         found_dirs.append(n0)
 
     zeros = []
-    total = Fraction(0)
     for nrm in found_dirs:
         e1, e2 = _tangent_basis(nrm)
         loc = domain.center + R * nrm
@@ -538,15 +535,8 @@ def _sphere_boundary_index(field, domain, n_samples, seed, retry, zero_tol,
         angles = np.arctan2(vecs[:, 1], vecs[:, 0])
         tot = _winding_total(theta, angles, vec_at, floor)
         ind = int(np.round(tot / (2.0 * np.pi)))
-        radial = float(np.dot(field.grad(loc), nrm))
-        if abs(radial) <= zero_tol:
-            raise NonGenericBoundaryError(
-                "full gradient vanishes on the boundary",
-                location=loc.tolist())
-        wgt = HALF if radial < 0 else -HALF
-        zeros.append(BoundaryZero(loc, ind, wgt))
-        total += wgt * ind
-    return BoundaryIndexResult(total, zeros)
+        zeros.append(_weighted_zero(field, loc, ind, nrm, zero_tol))
+    return _tally(zeros)
 
 
 # ---------------------------------------------------------------- #
@@ -650,16 +640,8 @@ def tangency_check(field: ScalarField, p, c: float, delta: float,
     def h_at(t):
         return float(field.value(p + delta * np.array([np.cos(t), np.sin(t)]))) - c
 
-    crossings = []
-    keep = np.flatnonzero(~near)
-    for a, b in zip(keep, np.roll(keep, -1)):
-        sa, sb = np.sign(h[a]), np.sign(h[b])
-        if sa == sb:
-            continue
-        ta, tb = theta[a], theta[b]
-        if tb <= ta:
-            tb += 2.0 * np.pi
-        crossings.append(_bisect_scalar(h_at, ta, tb, h[a]))
+    crossings = [bisect_root(h_at, a, b, fa)
+                 for a, b, fa, _ in sign_change_brackets(theta, h, tau, True)]
     crossings.extend(theta[near].tolist())
     if not crossings:
         return TangencyResult(True, 0, float("nan"), vacuous=True)

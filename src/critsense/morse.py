@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import Domain, _fibonacci_sphere
+from .domains import Domain, sphere_directions
 from .errors import (CoverageError, FlowSingularError, NotMorseError,
                      UsageError)
 from .fields import ScalarField, spectral_norms
@@ -70,19 +70,6 @@ def corollary_constants(H: np.ndarray, m: float = 0.5) -> dict:
     k1 = (1.0 / hi) * min(1.0 - m, m * m * np.log(2.0) / (6.0 * h * hi))
     k2 = m / (4.0 * h * hi)
     return {"K1": k1, "K2": k2, "H_norm": h, "H_inv_norm": hi}
-
-
-def _directions(d: int) -> np.ndarray:
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    if d == 2:
-        t = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
-        return np.stack([np.cos(t), np.sin(t)], axis=-1)
-    if d == 3:
-        return _fibonacci_sphere(128)
-    rng = np.random.default_rng(11)
-    raw = rng.standard_normal((64 * d, d))
-    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
 @dataclass
@@ -146,7 +133,7 @@ def morse_radius(H: np.ndarray, hess_at, p, m: float = 0.5,
     k1, k2 = consts["K1"], consts["K2"]
     hi = consts["H_inv_norm"]
     cap = min(search_cap, k2 * (1.0 - 1e-12))
-    dirs = _directions(d)
+    dirs = sphere_directions(d, 64 if d == 2 else 128)
 
     def variation(r: float) -> float:
         radii = r * (np.arange(1, shells + 1) / shells)
@@ -312,7 +299,7 @@ def flow_pair_distance(field_n: ScalarField, field: ScalarField,
                             r_shared=r_shared, r=chart.radius,
                             r_n=chart_n.radius)
     d = len(p)
-    dirs = _directions(d)
+    dirs = sphere_directions(d, 64 if d == 2 else 128)
     r_use = min(chart.radius, chart_n.radius)
     radii = r_use * (np.arange(1, 9) / 8.0)
     xi = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)

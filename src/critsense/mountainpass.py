@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import refine_newton
-from .domains import Ball, Box, Domain, Interval
+from .domains import Ball, Box, Domain, sphere_directions
 from .errors import (ConvexityError, NoConvergenceError, NoSeparationError,
                      PreconditionError, UsageError)
 from .fields import ScalarField
+from .homindex import bisect_root, sign_change_brackets
 
 _SMOOTH = 0.3
 _BOW_FACTORS = (-0.6, 0.0, 0.6)
@@ -165,18 +166,10 @@ def minimax_over_paths(field: ScalarField, domain: Domain, p1, p2,
 def _probe_local_max(field: ScalarField, domain: Domain, p: np.ndarray,
                      radius: float, n_probe: int = 48) -> bool:
     fp = float(field.value(p))
+    dirs = sphere_directions(field.dim, n_probe)
     r = radius
     for _ in range(5):
-        if field.dim == 1:
-            ring = p[None, :] + np.array([[r], [-r]])
-        elif field.dim == 2:
-            t = 2.0 * np.pi * (np.arange(n_probe) + 0.5) / n_probe
-            ring = p[None, :] + r * np.stack([np.cos(t), np.sin(t)], axis=-1)
-        else:
-            rng = np.random.default_rng(7)
-            raw = rng.standard_normal((n_probe, field.dim))
-            raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-            ring = p[None, :] + r * raw
+        ring = p[None, :] + r * dirs
         ok = np.asarray(domain.contains(ring))
         if np.sum(ok) >= max(2, n_probe // 4):
             return bool(np.all(np.asarray(field.value(ring[ok])) < fp))
@@ -184,78 +177,51 @@ def _probe_local_max(field: ScalarField, domain: Domain, p: np.ndarray,
     return False
 
 
-def _ball_tangency(field: ScalarField, domain: Ball, p_raw: np.ndarray):
-    rel = p_raw - domain.center
-    theta0 = float(np.arctan2(rel[1], rel[0]))
+def _boundary_tangency(field: ScalarField, domain: Ball | Box,
+                       p: np.ndarray):
+    """Boundary point near ``p`` where the level set runs tangent to the
+    boundary of a 2-d ball or box.
 
-    def h(theta: float) -> float:
-        pt = domain.angle_point(theta)
-        t = np.array([-np.sin(theta), np.cos(theta)])
-        return float(np.dot(field.grad(pt), t))
+    h is the tangential derivative along the circle, or along the box edge
+    that holds ``p``; the sign change of h nearest ``p`` in a window around
+    it is bisected. Returns ``(point, |h| there)``, or None when h keeps
+    its sign over the window.
+    """
+    if isinstance(domain, Ball):
+        point = domain.angle_point
 
-    span = 0.6
-    n_scan = 96
-    thetas = theta0 + np.linspace(-span, span, n_scan)
-    hs = np.array([h(t) for t in thetas])
-    best = None
-    for i in range(n_scan - 1):
-        if hs[i] == 0.0:
-            best = (thetas[i], thetas[i])
-            break
-        if hs[i] * hs[i + 1] < 0:
-            mid = 0.5 * (thetas[i] + thetas[i + 1])
-            if best is None or abs(mid - theta0) < abs(
-                    0.5 * (best[0] + best[1]) - theta0):
-                best = (thetas[i], thetas[i + 1])
-    if best is None:
+        def tangent(t):
+            return np.array([-np.sin(t), np.cos(t)])
+
+        rel = p - domain.center
+        t0 = float(np.arctan2(rel[1], rel[0]))
+        ts = t0 + np.linspace(-0.6, 0.6, 96)
+    else:
+        # the edge whose line passes nearest p holds it
+        start, tang, _ = min(domain.edges(),
+                             key=lambda e: abs(float(np.dot(p - e[0], e[2]))))
+        length = float(np.abs(domain.hi - domain.lo) @ np.abs(tang))
+
+        def point(u):
+            return start + u * tang
+
+        def tangent(u):
+            return tang
+
+        t0 = float(np.dot(p - start, tang))
+        ts = np.linspace(max(0.02 * length, t0 - 0.3 * length),
+                         min(0.98 * length, t0 + 0.3 * length), 64)
+
+    def h(t: float) -> float:
+        return float(np.dot(field.grad(point(t)), tangent(t)))
+
+    hs = np.array([h(t) for t in ts])
+    brackets = sign_change_brackets(ts, hs, 0.0, cyclic=False)
+    if not brackets:
         return None
-    a, b = best
-    fa = h(a)
-    for _ in range(90):
-        m = 0.5 * (a + b)
-        fm = h(m)
-        if fm == 0.0:
-            a = b = m
-            break
-        if fa * fm < 0:
-            b = m
-        else:
-            a, fa = m, fm
-    theta = 0.5 * (a + b)
-    return domain.angle_point(theta), abs(h(theta))
-
-
-def _box_tangency(field: ScalarField, domain: Box, p_raw: np.ndarray):
-    best = None
-    for start, tangent, _normal in domain.edges():
-        length = float(np.abs(domain.hi - domain.lo) @ np.abs(tangent))
-        u0 = float(np.dot(p_raw - start, tangent))
-        if u0 < -0.05 * length or u0 > 1.05 * length:
-            continue
-
-        def h(u: float) -> float:
-            return float(np.dot(field.grad(start + u * tangent), tangent))
-
-        lo = max(0.02 * length, u0 - 0.3 * length)
-        hi = min(0.98 * length, u0 + 0.3 * length)
-        us = np.linspace(lo, hi, 64)
-        hs = np.array([h(u) for u in us])
-        for i in range(len(us) - 1):
-            if hs[i] * hs[i + 1] <= 0:
-                a, b, fa = us[i], us[i + 1], hs[i]
-                for _ in range(90):
-                    m = 0.5 * (a + b)
-                    fm = h(m)
-                    if fa * fm <= 0:
-                        b = m
-                    else:
-                        a, fa = m, fm
-                u = 0.5 * (a + b)
-                cand = (start + u * tangent, abs(h(u)))
-                if best is None or cand[1] < best[1]:
-                    best = cand
-                break
-    return best
+    a, b, fa, _ = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - t0))
+    t = bisect_root(h, a, b, fa)
+    return point(t), abs(h(t))
 
 
 def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
@@ -296,10 +262,8 @@ def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
         argmin = inner[int(np.argmin(vals))]
         candidates.append((value, tuple(argmin), path))
     candidates.sort(key=lambda c: (-c[0], c[1]))
-    best_value, _, best_path = candidates[0]
-    inner = best_path[1:-1]
-    vals = np.asarray(field.value(inner), dtype=float)
-    p3_raw = inner[int(np.argmin(vals))].copy()
+    best_value, p3_raw, best_path = candidates[0]
+    p3_raw = np.array(p3_raw)
 
     if best_value >= f1 - path_tol:
         raise NoSeparationError(
@@ -334,15 +298,9 @@ def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
         raise NoConvergenceError(
             "pass point failed both certificates",
             p3_raw=p3_raw.tolist(), best_value=best_value)
-    p_b = domain.project(p3_raw)
-    if isinstance(domain, Ball) and domain.dim == 2:
-        hit = _ball_tangency(field, domain, p_b)
-    elif isinstance(domain, Box) and domain.dim == 2:
-        hit = _box_tangency(field, domain, p_b)
-    elif isinstance(domain, Interval):
-        hit = None
-    else:
-        hit = None
+    hit = None
+    if isinstance(domain, (Ball, Box)) and domain.dim == 2:
+        hit = _boundary_tangency(field, domain, domain.project(p3_raw))
     if hit is not None:
         p3, align = hit
         c = float(field.value(p3))

@@ -24,6 +24,7 @@ from .domains import Box, Domain, Interval
 from .errors import NoConvergenceError, UsageError
 from .fields import ScalarField
 from .morse import morse_statistic
+from .sequence import counts_from_points
 
 HYPOTHESIS_L_TOL = 1e-4
 HYPOTHESIS_R_TOL = 1e-3
@@ -214,15 +215,12 @@ def worker_count(threads: int | None = None) -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _triple(points) -> tuple:
-    c = {"Max": 0, "Min": 0, "Saddle": 0}
-    for p in points:
-        cls = p.classification
-        if cls in ("Max", "Min"):
-            c[cls] += 1
-        elif cls.startswith("Saddle"):
-            c["Saddle"] += 1
-    return (c["Max"], c["Min"], c["Saddle"])
+_TRIPLE = ("N_M", "N_m", "N_S")  # the counts a trial must match
+
+
+def _counts(points) -> dict:
+    c = counts_from_points(points)
+    return {k: c[k] for k in _TRIPLE + ("N_C",)}
 
 
 def _run_trial(spec: BasisSpec, noise_spec: BasisSpec, n_list, seed: int,
@@ -240,11 +238,10 @@ def _run_trial(spec: BasisSpec, noise_spec: BasisSpec, n_list, seed: int,
         rec["failed"] = True
         rec["error"] = {"type": type(err).__name__, "context": err.context}
         return rec
-    triple_G = _triple(pts_G)
+    counts_G = _counts(pts_G)
     rec.update({
         "L": stat_l, "R": stat_r, "M": stat_m,
-        "counts_G": {"N_M": triple_G[0], "N_m": triple_G[1],
-                     "N_S": triple_G[2], "N_C": len(pts_G)},
+        "counts_G": counts_G,
         "hypothesis_ok": bool(stat_l > HYPOTHESIS_L_TOL
                               and stat_r > HYPOTHESIS_R_TOL
                               and stat_m > HYPOTHESIS_M_TOL),
@@ -262,13 +259,12 @@ def _run_trial(spec: BasisSpec, noise_spec: BasisSpec, n_list, seed: int,
                             "context": err.context}
             rec["per_n"].append(row)
             continue
-        triple_n = _triple(pts_n)
+        counts_n = _counts(pts_n)
         row.update({
             "failed": False,
-            "counts": {"N_M": triple_n[0], "N_m": triple_n[1],
-                       "N_S": triple_n[2], "N_C": len(pts_n)},
+            "counts": counts_n,
             "R_hat": detect.resolution(pts_n),
-            "match": bool(triple_n == triple_G),
+            "match": all(counts_n[k] == counts_G[k] for k in _TRIPLE),
         })
         rec["per_n"].append(row)
     return rec

@@ -380,3 +380,13 @@ def test_bad_domain_spec(capsys):
                      "--domain", "pyramid:1")
     assert rc == 2
     assert "unknown domain kind" in json.loads(err)["error"]["message"]
+
+
+def test_point_of_wrong_dimension_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "classify", "--gallery", "bowl",
+                       "--point", "0,0,0")
+    assert rc == 2
+    assert out == ""
+    e = json.loads(err)["error"]
+    assert e["type"] == "UsageError"
+    assert "dimension" in e["message"]

@@ -90,6 +90,25 @@ def test_box_domain_tangency_certificate():
     assert res.c < res.f_p1
 
 
+def test_box_tangency_on_the_edge_the_path_touches():
+    # a non-square box: the tangency must sit on the edge holding the
+    # path minimum, at the sign change nearest to it
+    f = gallery("twogauss_pit")
+    box = Box((-0.9, -0.5), (0.9, 0.5))
+    q1 = refine_newton(f, np.array([0.5, 0.0]))
+    q2 = refine_newton(f, np.array([-0.5, 0.0]))
+    res = mountain_pass_point(f, box, q1, q2)
+    inner = res.path[1:-1]
+    low = inner[int(np.argmin(f.value(inner)))]
+    assert res.kind == "BoundaryTangency"
+    assert abs(res.p3[0]) <= 1e-3
+    assert abs(res.p3[1]) == pytest.approx(0.5, abs=1e-12)
+    assert res.p3[1] * low[1] > 0
+    assert res.c == pytest.approx(-0.08764, abs=1e-5)
+    assert res.c == pytest.approx(float(f.value(np.array([0.0, 0.5]))),
+                                  abs=1e-9)
+
+
 def test_flat_ridge_has_no_separating_dip():
     f = ScalarField(
         lambda s: 1e-12 * np.cos(s[..., 0]) - s[..., 1] ** 2, 2,
