@@ -183,6 +183,8 @@ def _cmd_classify(args) -> int:
     tol = args.tol or 1e-9
     if args.point:
         z = _point(args.point, field.dim)
+        if not args.eps and dom.boundary_distance(z) <= 0:
+            raise UsageError("--point is not inside the domain; give --eps")
         probe = args.eps or probe_radius(z, (), dom)
         idx = homological_index(field, z, eps=probe)
         cls = classify_by_index(field, z, probe, index=idx)

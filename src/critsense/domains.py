@@ -12,6 +12,11 @@ import numpy as np
 from .errors import UsageError
 
 
+def ring_angles(n: int) -> np.ndarray:
+    """``n`` polar angles in ``(0, 2 pi)``, offset by half a step."""
+    return 2.0 * np.pi * (np.arange(n) + 0.5) / n
+
+
 def sphere_directions(d: int, n: int) -> np.ndarray:
     """Deterministic unit vectors ``(m, d)`` for probing around a point.
 
@@ -23,7 +28,7 @@ def sphere_directions(d: int, n: int) -> np.ndarray:
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
-        theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        theta = ring_angles(n)
         return np.column_stack([np.cos(theta), np.sin(theta)])
     if d == 3:
         i = np.arange(n, dtype=float) + 0.5

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import Ball, Box, Domain, sphere_directions
+from .domains import Ball, Box, Domain, ring_angles, sphere_directions
 from .errors import (DegenerateError, NonGenericBoundaryError,
                      NonIsolatedZeroError, PreconditionError,
                      UnderSampledError, UnsupportedError, UsageError)
@@ -154,8 +154,7 @@ def probe_radius(z, others, domain: Domain | None) -> float:
 
 
 def homological_index(field: ScalarField, z, domain: Domain | None = None,
-                      eps: float | None = None, n_samples: int = 256,
-                      others=None) -> int:
+                      eps: float | None = None, n_samples: int = 256) -> int:
     """Index of the isolated interior zero at ``z``.
 
     Dimension dispatch: sign comparison in 1-d, winding number in 2-d,
@@ -165,7 +164,7 @@ def homological_index(field: ScalarField, z, domain: Domain | None = None,
     """
     z = np.asarray(z, dtype=float)
     if eps is None:
-        eps = probe_radius(z, others or (), domain)
+        eps = probe_radius(z, (), domain)
     if field.dim == 1:
         return _index_1d(field, z, eps)
     if field.dim == 2:
@@ -285,10 +284,10 @@ def _has_zero_run(flags: np.ndarray, run: int = 3, cyclic: bool = True) -> bool:
     return False
 
 
-def bisect_root(fn, a: float, b: float, fa: float, iters: int = 80) -> float:
+def bisect_root(fn, a: float, b: float, fa: float) -> float:
     """Root of a scalar function bracketed by a sign change on ``[a, b]``,
-    by bisection; ``fa = fn(a)`` is supplied. An exact zero ends early."""
-    for _ in range(iters):
+    by 80 bisection steps from ``fa = fn(a)``; an exact zero ends early."""
+    for _ in range(80):
         m = 0.5 * (a + b)
         fm = fn(m)
         if fm == 0.0:
@@ -376,8 +375,8 @@ def boundary_index(field: ScalarField, domain: Domain,
                        for p, nrm in zip(pts, normals)])
 
     if isinstance(domain, Ball) and d == 2:
-        theta = 2.0 * np.pi * (np.arange(n_samples) + 0.5) / n_samples
-        tang = np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+        theta = ring_angles(n_samples)  # the angles of boundary_frames
+        tang = normals[:, ::-1] * np.array([-1.0, 1.0])
         vpar = np.sum(g * tang, axis=-1)
         if _has_zero_run(np.abs(vpar) <= zero_tol, cyclic=True):
             return _boundary_retry(field, domain, n_samples, seed, _retry,
@@ -628,7 +627,7 @@ def tangency_check(field: ScalarField, p, c: float, delta: float,
     if delta <= 0:
         raise UsageError("delta must be positive")
     p = np.asarray(p, dtype=float)
-    theta = 2.0 * np.pi * (np.arange(n_samples) + 0.5) / n_samples
+    theta = ring_angles(n_samples)
     ring = p + delta * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     h = np.asarray(field.value(ring), dtype=float) - c
     tau = 1e-12 * max(1.0, float(np.max(np.abs(h))), abs(c))

@@ -116,6 +116,11 @@ class FlowChart:
         }
 
 
+def _chart_dirs(d: int) -> np.ndarray:
+    """Chart-shell directions: 64 in 2-d, 128 in 3-d, 64 per axis above."""
+    return sphere_directions(d, 64 if d == 2 else max(128, 64 * d))
+
+
 def morse_radius(H: np.ndarray, hess_at, p, m: float = 0.5,
                  search_cap: float = 1.0, shells: int = 16,
                  ode_step: float = 1e-3) -> FlowChart:
@@ -133,7 +138,7 @@ def morse_radius(H: np.ndarray, hess_at, p, m: float = 0.5,
     k1, k2 = consts["K1"], consts["K2"]
     hi = consts["H_inv_norm"]
     cap = min(search_cap, k2 * (1.0 - 1e-12))
-    dirs = sphere_directions(d, 64 if d == 2 else 128)
+    dirs = _chart_dirs(d)
 
     def variation(r: float) -> float:
         radii = r * (np.arange(1, shells + 1) / shells)
@@ -299,7 +304,7 @@ def flow_pair_distance(field_n: ScalarField, field: ScalarField,
                             r_shared=r_shared, r=chart.radius,
                             r_n=chart_n.radius)
     d = len(p)
-    dirs = sphere_directions(d, 64 if d == 2 else 128)
+    dirs = _chart_dirs(d)
     r_use = min(chart.radius, chart_n.radius)
     radii = r_use * (np.arange(1, 9) / 8.0)
     xi = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)

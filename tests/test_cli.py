@@ -390,3 +390,23 @@ def test_point_of_wrong_dimension_is_a_usage_error(capsys):
     e = json.loads(err)["error"]
     assert e["type"] == "UsageError"
     assert "dimension" in e["message"]
+
+
+def test_point_outside_the_domain_needs_eps(capsys):
+    rc, out, err = run(capsys, "classify", "--gallery", "bowl",
+                       "--point", "3,0")
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "UsageError"
+    rc, out, _ = run(capsys, "classify", "--gallery", "bowl",
+                     "--point", "3,0", "--eps", "0.1")
+    assert rc == 0
+    assert json.loads(out)["result"]["point"]["hom_index"] == 0
+
+
+def test_mountain_without_movable_knots_is_a_usage_error(capsys):
+    rc, out, err = run(capsys, "mountain", "--gallery", "twogauss",
+                       "--knots", "0")
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "UsageError"
