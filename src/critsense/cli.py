@@ -29,7 +29,7 @@ from .homindex import classify_by_index, homological_index, \
     poincare_hopf_audit, probe_radius
 from .morse import make_chart, morse_flow_trajectory, verify_morse_chart
 from .mountainpass import mountain_pass_point
-from .randfield import BasisSpec, monte_carlo_convergence, worker_count
+from .randfield import BasisSpec, monte_carlo_convergence
 from .sequence import convergence_experiment, counts_from_points
 
 _FLOAT_FMT = ".17g"
@@ -139,9 +139,19 @@ def _point(text: str, dim: int) -> np.ndarray:
     return z
 
 
+def _positive(value, fallback, flag: str):
+    """An option's value, or ``fallback`` when the option is not given.
+    A given value must be positive."""
+    if value is None:
+        return fallback
+    if not value > 0:
+        raise UsageError(f"{flag} must be positive", value=value)
+    return value
+
+
 def _resolve(args):
     ent = gallery_entry(args.gallery)
-    field = gallery(args.gallery, getattr(args, "n", 1) or 1)
+    field = gallery(args.gallery, args.n)
     dom = parse_domain(args.domain) if args.domain else ent.domain
     return ent, field, dom
 
@@ -179,13 +189,16 @@ def _emit(text: str, out: str | None):
 
 def _cmd_classify(args) -> int:
     ent, field, dom = _resolve(args)
-    grid = args.grid or (1024 if ent.dim == 1 else 64)
-    tol = args.tol or 1e-9
+    grid = _positive(args.grid, 1024 if ent.dim == 1 else 64, "--grid")
+    tol = _positive(args.tol, 1e-9, "--tol")
     if args.point:
         z = _point(args.point, field.dim)
-        if not args.eps and dom.boundary_distance(z) <= 0:
-            raise UsageError("--point is not inside the domain; give --eps")
-        probe = args.eps or probe_radius(z, (), dom)
+        probe = _positive(args.eps, None, "--eps")
+        if probe is None:
+            if dom.boundary_distance(z) <= 0:
+                raise UsageError("--point is not inside the domain; "
+                                 "give --eps")
+            probe = probe_radius(z, (), dom)
         idx = homological_index(field, z, eps=probe)
         cls = classify_by_index(field, z, probe, index=idx)
         result = {"point": {"location": z.tolist(), "hom_index": idx,
@@ -215,8 +228,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_audit(args) -> int:
     ent, field, dom = _resolve(args)
-    grid = args.grid or (1024 if ent.dim == 1 else 48)
-    tol = args.tol or 1e-9
+    grid = _positive(args.grid, 1024 if ent.dim == 1 else 48, "--grid")
+    tol = _positive(args.tol, 1e-9, "--tol")
     res = poincare_hopf_audit(field, dom, grid_res=grid, newton_tol=tol)
     art = _artifact("audit", args, res.as_record(), grid=grid, tol=tol)
     if args.format == "csv":
@@ -235,8 +248,8 @@ def _cmd_audit(args) -> int:
 
 def _cmd_flow(args) -> int:
     ent, field, dom = _resolve(args)
-    tol = args.tol or 1e-9
-    ode_step = args.ode_step or 1e-3
+    tol = _positive(args.tol, 1e-9, "--tol")
+    ode_step = _positive(args.ode_step, 1e-3, "--ode-step")
     lo, hi = dom.bounding_box()
     seed_pt = (_point(args.point, field.dim) if args.point
                else 0.5 * (lo + hi))
@@ -273,8 +286,8 @@ def _two_peaks(field, dom, grid, tol):
 
 def _cmd_mountain(args) -> int:
     ent, field, dom = _resolve(args)
-    grid = args.grid or 64
-    tol = args.tol or 1e-6
+    grid = _positive(args.grid, 64, "--grid")
+    tol = _positive(args.tol, 1e-6, "--tol")
     if args.p1 and args.p2:
         p1, p2 = _point(args.p1, field.dim), _point(args.p2, field.dim)
     elif args.p1 or args.p2:
@@ -297,11 +310,15 @@ def _cmd_mountain(args) -> int:
 
 
 def _cmd_sequence(args) -> int:
-    n_list = [int(t) for t in args.n.split(",")]
+    try:
+        n_list = [int(t) for t in args.n.split(",")]
+    except ValueError:
+        raise UsageError(f"--n expects comma-separated integers, "
+                         f"got {args.n!r}") from None
     dom = parse_domain(args.domain) if args.domain else None
     rep = convergence_experiment(args.gallery, n_list, domain=dom,
                                  grid_res=args.grid,
-                                 newton_tol=args.tol or 1e-9)
+                                 newton_tol=_positive(args.tol, 1e-9, "--tol"))
     art = _artifact("sequence", args, rep.as_record())
     if args.format == "csv":
         header = ["n", "N_C", "N_M", "N_m", "N_S", "N_und", "N_unclassified",
@@ -335,6 +352,8 @@ def _load_mc_config(path: str) -> dict:
         raise UsageError(f"cannot read config file: {err}")
     except json.JSONDecodeError as err:
         raise UsageError(f"config file is not valid JSON: {err}")
+    if not isinstance(cfg, dict):
+        raise UsageError("config file must hold a JSON object")
     for key in ("D", "degree", "noise", "n_list", "trials", "seed"):
         if key not in cfg:
             raise UsageError(f"config missing required key {key!r}")
@@ -342,26 +361,30 @@ def _load_mc_config(path: str) -> dict:
     if not isinstance(noise, dict) or "amplitude" not in noise:
         raise UsageError("config key 'noise' must be an object with "
                          "at least 'amplitude'")
+    if not isinstance(cfg["n_list"], list) or not cfg["n_list"]:
+        raise UsageError("config key 'n_list' must be a non-empty list")
     return cfg
 
 
 def _cmd_montecarlo(args) -> int:
     cfg = _load_mc_config(args.config)
-    spec = BasisSpec(dim=int(cfg["D"]), degree=int(cfg["degree"]),
-                     amplitude=float(cfg.get("amplitude", 1.0)),
-                     decay=float(cfg.get("decay", 2.0)))
     noise_cfg = cfg["noise"]
-    noise = BasisSpec(dim=int(cfg["D"]),
-                      degree=int(noise_cfg.get("degree", cfg["degree"])),
-                      amplitude=float(noise_cfg["amplitude"]),
-                      decay=float(noise_cfg.get("decay", 2.0)))
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
-    rep = monte_carlo_convergence(spec, noise, cfg["n_list"],
-                                  trials=int(cfg["trials"]), seed=seed,
-                                  threads=args.threads,
-                                  grid_res=args.grid)
-    art = _artifact("montecarlo", args, rep,
-                    threads=worker_count(args.threads), seed=seed)
+    try:
+        spec = BasisSpec(dim=int(cfg["D"]), degree=int(cfg["degree"]),
+                         amplitude=float(cfg.get("amplitude", 1.0)),
+                         decay=float(cfg.get("decay", 2.0)))
+        noise = BasisSpec(dim=int(cfg["D"]),
+                          degree=int(noise_cfg.get("degree", cfg["degree"])),
+                          amplitude=float(noise_cfg["amplitude"]),
+                          decay=float(noise_cfg.get("decay", 2.0)))
+        n_list = [int(n) for n in cfg["n_list"]]
+        trials = int(cfg["trials"])
+        seed = args.seed if args.seed is not None else int(cfg["seed"])
+    except (TypeError, ValueError) as err:
+        raise UsageError(f"config values must be numbers: {err}") from None
+    rep = monte_carlo_convergence(spec, noise, n_list, trials=trials,
+                                  seed=seed, grid_res=args.grid)
+    art = _artifact("montecarlo", args, rep, seed=seed)
     if args.format == "csv":
         header = ["n", "frequency", "matches", "denominator",
                   "excluded_hypothesis", "failed", "min_R_hat",
@@ -400,12 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, domain=True):
+    def common(sp):
         sp.add_argument("--gallery", required=True,
                         help="gallery field name (see the gallery command)")
-        if domain:
-            sp.add_argument("--domain", help="interval:a,b | "
-                            "box:lo1,lo2:hi1,hi2 | ball:cx,cy:r")
+        sp.add_argument("--domain", help="interval:a,b | "
+                        "box:lo1,lo2:hi1,hi2 | ball:cx,cy:r")
         sp.add_argument("--grid", type=int, help="detection grid resolution")
         sp.add_argument("--tol", type=float, help="refinement tolerance")
         sp.add_argument("--out", help="write the artifact to this path")
@@ -459,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON file: D, degree, decay, amplitude, noise "
                     "{amplitude, degree, decay}, n_list, trials, seed")
     sp.add_argument("--threads", type=int,
-                    help="worker cap (default: CRITSENSE_THREADS or 8)")
+                    help="no effect: trials always run one after another "
+                    "(kept so existing scripts still parse)")
     sp.add_argument("--grid", type=int)
     sp.add_argument("--seed", type=int, help="override the config seed")
     sp.add_argument("--out")

@@ -55,12 +55,9 @@ class CriticalPoint:
 class DetectionResult(list):
     """List of critical points plus the cells that refused to resolve."""
 
-    def __init__(self, points=(), unresolved=None, grid_res=None,
-                 dedupe_radius=None):
+    def __init__(self, points: list, unresolved: list):
         super().__init__(points)
-        self.unresolved = list(unresolved or [])
-        self.grid_res = grid_res
-        self.dedupe_radius = dedupe_radius
+        self.unresolved = unresolved
 
 
 def _newton_polish(field: ScalarField, x: np.ndarray, gn: float,
@@ -209,13 +206,13 @@ def _candidate_cells(g: np.ndarray, inside: np.ndarray) -> np.ndarray:
 
 
 def find_critical_points(field: ScalarField, domain: Domain,
-                         grid_res: int = 32, newton_tol: float = 1e-9,
-                         dedupe_radius: float | None = None,
-                         max_iter: int = 80) -> DetectionResult:
+                         grid_res: int = 32, newton_tol: float = 1e-9
+                         ) -> DetectionResult:
     """Grid scan for gradient sign-change cells, Newton refinement,
     dedupe, and classification.
 
-    Points landing within one grid cell of the boundary are flagged
+    Refined points closer than two cell diagonals are merged. Points
+    landing within one grid cell of the boundary are flagged
     near_boundary. Ordering is lexicographic by location.
     """
     if grid_res < 8:
@@ -232,16 +229,14 @@ def find_critical_points(field: ScalarField, domain: Domain,
 
     lo, hi = domain.bounding_box()
     spacing = (hi - lo) / grid_res
-    cell_diag = float(np.linalg.norm(spacing))
-    if dedupe_radius is None:
-        dedupe_radius = 2.0 * cell_diag
+    dedupe_radius = 2.0 * float(np.linalg.norm(spacing))
     boundary_margin = float(np.max(spacing))
 
     refined = []
     unresolved = []
     for c in cells:
         try:
-            x = refine_newton(field, c, tol=newton_tol, max_iter=max_iter)
+            x = refine_newton(field, c, tol=newton_tol)
         except NoConvergenceError as exc:
             unresolved.append({"cell_center": c.tolist(),
                                "best": exc.context.get("best"),
@@ -271,7 +266,7 @@ def find_critical_points(field: ScalarField, domain: Domain,
         points.append(CriticalPoint(x, float(field.value(x)), gn, spec,
                                     near_boundary=near))
     _classify_all(field, points, domain)
-    return DetectionResult(points, unresolved, grid_res, dedupe_radius)
+    return DetectionResult(points, unresolved)
 
 
 def _classify_all(field: ScalarField, points: list, domain: Domain):
@@ -307,13 +302,10 @@ def resolution(points) -> float:
     return best
 
 
-def boundary_min_gradient(field: ScalarField, domain: Domain,
-                          n_samples: int = 256) -> float:
-    """Infimum of |grad f| over boundary samples; positive certifies the
-    no-boundary-critical-point assumption numerically."""
-    if n_samples < 16:
-        raise UsageError("n_samples must be at least 16")
-    pts = domain.boundary_points(n_samples)
+def boundary_min_gradient(field: ScalarField, domain: Domain) -> float:
+    """Infimum of |grad f| over 256 boundary samples; positive certifies
+    the no-boundary-critical-point assumption numerically."""
+    pts = domain.boundary_points(256)
     g = field.grad(pts)
     return float(np.min(np.linalg.norm(g, axis=-1)))
 

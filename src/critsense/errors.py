@@ -24,10 +24,6 @@ class CatalogueError(UsageError):
     """Unknown gallery name; carries the list of known names."""
 
 
-class MarginError(CritsenseError):
-    """Point too close to the domain boundary for the requested stencil."""
-
-
 class NoConvergenceError(CritsenseError):
     """Iteration budget exhausted; best iterate attached in ``context``."""
 

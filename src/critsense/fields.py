@@ -10,12 +10,12 @@ are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import MarginError, UsageError
+from .errors import UsageError
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -140,7 +140,6 @@ class ScalarField:
     smoothness: str = "C2"
     name: str = ""
     fd_step: float = DEFAULT_FD_STEP
-    meta: dict = _field(default_factory=dict)
 
     def value(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -233,25 +232,13 @@ def fd_hessian(fn, s: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     return out
 
 
-def finite_diff(field: ScalarField, s, h: float | None = None,
-                order: str = "grad", domain=None) -> np.ndarray:
-    """Central-difference derivative of ``field`` at ``s``.
-
-    ``order`` is ``"grad"`` or ``"hess"``. When a ``domain`` is supplied the
-    point must sit at least ``2h``-scaled stencil widths inside it, else
-    :class:`MarginError` is raised.
-    """
+def finite_diff(field: ScalarField, s, order: str = "grad") -> np.ndarray:
+    """Central-difference derivative of ``field`` at ``s`` with the field's
+    ``fd_step``; ``order`` is ``"grad"`` or ``"hess"``."""
     s = np.asarray(s, dtype=float)
-    step = h if h is not None else field.fd_step
+    step = field.fd_step
     if order not in ("grad", "hess"):
         raise UsageError(f"order must be 'grad' or 'hess', got {order!r}")
-    if domain is not None:
-        width = 2.0 * step * (1.0 + float(np.linalg.norm(s)))
-        if order == "hess":
-            width *= 10.0
-        if np.any(np.asarray(domain.boundary_distance(s)) < width):
-            raise MarginError("stencil would cross the domain boundary",
-                              point=s.tolist(), width=width)
     if order == "grad":
         return fd_gradient(field.fn, s, step)
     if field.grad_fn is not None:

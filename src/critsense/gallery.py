@@ -36,18 +36,16 @@ class GalleryEntry:
     smoothness: str = "C2"
 
 
-def _wrap(name, dim, fn, grad, hess=None, smooth="C2", **meta) -> ScalarField:
-    f = ScalarField(fn, dim, grad_fn=grad, hess_fn=hess,
-                    smoothness=smooth, name=name)
-    f.meta.update(meta)
-    return f
+def _wrap(name, dim, fn, grad, hess=None, smooth="C2") -> ScalarField:
+    return ScalarField(fn, dim, grad_fn=grad, hess_fn=hess,
+                       smoothness=smooth, name=name)
 
 
-def _wrap1d(name, parts, **meta) -> ScalarField:
+def _wrap1d(name, parts) -> ScalarField:
     """1-d field from ``parts(x) -> (value, f', f'')``, elementwise in x."""
     return _wrap(name, 1, lambda s: parts(s[..., 0])[0],
                  lambda s: parts(s[..., 0])[1][..., None],
-                 lambda s: parts(s[..., 0])[2][..., None, None], **meta)
+                 lambda s: parts(s[..., 0])[2][..., None, None])
 
 
 def _linear(name, dim, axis) -> ScalarField:
@@ -268,7 +266,7 @@ def _singlemax(n):
         _, gx, gy = pieces(x, y)
         return np.stack([gx / n, gy], axis=-1)
 
-    return _wrap("singlemax", 2, fn, grad, smooth="C1", n=n)
+    return _wrap("singlemax", 2, fn, grad, smooth="C1")
 
 
 def _fig13a(n):
@@ -279,7 +277,7 @@ def _fig13a(n):
         b, bd1, bd2 = bump1_vgh(n * x + 1.0)
         return x * x + b / rn - 5.0 / n, 2.0 * x + rn * bd1, 2.0 + n * rn * bd2
 
-    return _wrap1d("fig13a", parts, n=n)
+    return _wrap1d("fig13a", parts)
 
 
 def _parabola_limit(name, sign):
@@ -313,7 +311,7 @@ def _fig13b(n):
         out[..., 1, 1] = -2.0
         return out + 20.0 * bh
 
-    return _wrap("fig13b", 2, fn, grad, hess, n=n)
+    return _wrap("fig13b", 2, fn, grad, hess)
 
 
 def _fig10(n):
@@ -323,7 +321,7 @@ def _fig10(n):
         return (1.0 - x * x + 4.0 * b / (n * n), -2.0 * x + 4.0 * bd1 / n,
                 -2.0 + 4.0 * bd2)
 
-    return _wrap1d("fig10", parts, n=n)
+    return _wrap1d("fig10", parts)
 
 
 def _fig4a(n):
@@ -344,7 +342,7 @@ def _fig4a(n):
         d2 = np.sign(x) * 2.0 * a * t * (3.0 * a - t * t) / den**3
         return val, d1, d2
 
-    return _wrap1d("fig4a", parts, n=n)
+    return _wrap1d("fig4a", parts)
 
 
 def _fig4b(n):
@@ -355,7 +353,7 @@ def _fig4b(n):
         return (x + np.sin(k * x) / n, 1.0 + n * np.cos(k * x),
                 -n**3 * np.sin(k * x))
 
-    return _wrap1d("fig4b", parts, n=n)
+    return _wrap1d("fig4b", parts)
 
 
 def _line_limit():
@@ -365,8 +363,7 @@ def _line_limit():
 def _fig4c(n):
     """x^3 - x/n^2: two nondegenerate critical points collapsing onto one."""
     c = 1.0 / (n * n)
-    return _wrap1d("fig4c", lambda x: (x**3 - c * x, 3.0 * x * x - c, 6.0 * x),
-                   n=n)
+    return _wrap1d("fig4c", lambda x: (x**3 - c * x, 3.0 * x * x - c, 6.0 * x))
 
 
 def _cubic_limit():
@@ -409,7 +406,7 @@ def _twist(n):
         gy = -2.0 * (c2 * y + s2 * x) + df_dth * dth * y / rsafe
         return np.stack([gx, gy], axis=-1)
 
-    return _wrap("twist", 2, fn, grad, n=n)
+    return _wrap("twist", 2, fn, grad)
 
 
 def _fig8a(n):
@@ -424,7 +421,7 @@ def _fig8a(n):
         d2 = -e * (4.0 * x * x / w**4 - 8.0 * x * x / w**3 + 2.0 / w**2)
         return -e, d1, d2
 
-    return _wrap1d("fig8a", parts, n=n)
+    return _wrap1d("fig8a", parts)
 
 
 def _fig8a_limit():
@@ -483,7 +480,7 @@ def _trio(n):
     """Double well plus a tiny skew ripple; three critical points at any n,
     converging C2 to the clean double well."""
     fn, grad, hess = _trio_base(1.0 / (n * n))
-    return _wrap("trio", 2, fn, grad, hess, n=n)
+    return _wrap("trio", 2, fn, grad, hess)
 
 
 def _trio_limit():
@@ -581,21 +578,14 @@ def gallery(name: str, n: int = 1) -> ScalarField:
     ignored by static entries."""
     if n < 1 or int(n) != n:
         raise UsageError(f"family index must be a positive integer, got {n}")
-    e = entry(name)
-    f = e.make(int(n))
-    f.meta.setdefault("gallery", e.name)
-    f.meta.setdefault("origin", e.origin)
-    f.meta["domain"] = e.domain
-    return f
+    return entry(name).make(int(n))
 
 
 def limit_field(name: str) -> ScalarField:
     e = entry(name)
     if e.limit is None:
         raise CatalogueError(f"gallery entry {name!r} is not a family")
-    f = e.limit()
-    f.meta["domain"] = e.domain
-    return f
+    return e.limit()
 
 
 def names() -> list[str]:

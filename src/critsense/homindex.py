@@ -34,11 +34,12 @@ def _wrap_angle(d: float) -> float:
     return float((d + np.pi) % (2.0 * np.pi) - np.pi)
 
 
-def _winding_total(thetas, angles, vec_at, noise_floor, max_depth=48):
+def _winding_total(thetas, angles, vec_at, noise_floor):
     """Signed angle accumulated over consecutive parameter samples.
 
     ``vec_at(theta)`` supplies the 2-vector between samples when a step
-    of pi/2 or more forces subdivision. Returns the total in radians.
+    of pi/2 or more forces subdivision, at most 48 levels deep. Returns
+    the total in radians.
     """
     total = 0.0
     m = len(thetas)
@@ -53,7 +54,7 @@ def _winding_total(thetas, angles, vec_at, noise_floor, max_depth=48):
             if abs(d) < 0.5 * np.pi:
                 total += d
                 continue
-            if depth >= max_depth:
+            if depth >= 48:
                 raise UnderSampledError(
                     "angle step failed to settle under subdivision",
                     theta=ta, step=d)
@@ -109,12 +110,11 @@ def winding_index_2d(field: ScalarField, z, eps: float,
     return k
 
 
-def sign_index_nondegenerate(field: ScalarField, z,
-                             degeneracy_tol: float = 1e-8) -> int:
+def sign_index_nondegenerate(field: ScalarField, z) -> int:
     """(-1)^(number of negative Hessian eigenvalues); needs |det H| away
     from zero."""
     z = np.asarray(z, dtype=float)
-    k = morse_classify(field, z, degeneracy_tol)
+    k = morse_classify(field, z)
     if k is None:
         H = field.hess(z)
         raise DegenerateError(
@@ -154,7 +154,7 @@ def probe_radius(z, others, domain: Domain | None) -> float:
 
 
 def homological_index(field: ScalarField, z, domain: Domain | None = None,
-                      eps: float | None = None, n_samples: int = 256) -> int:
+                      eps: float | None = None) -> int:
     """Index of the isolated interior zero at ``z``.
 
     Dimension dispatch: sign comparison in 1-d, winding number in 2-d,
@@ -172,7 +172,7 @@ def homological_index(field: ScalarField, z, domain: Domain | None = None,
         for k in range(_EPS_HALVINGS + 1):
             e = eps / 2.0**k
             try:
-                return winding_index_2d(field, z, e, n_samples)
+                return winding_index_2d(field, z, e)
             except (NonIsolatedZeroError, UnderSampledError) as exc:
                 last = exc
         raise last
@@ -184,8 +184,8 @@ def homological_index(field: ScalarField, z, domain: Domain | None = None,
 # ---------------------------------------------------------------- #
 
 def classify_by_index(field: ScalarField, z, probe_radius: float,
-                      index: int | None = None, n_probe: int = 64) -> str:
-    """Classification string from the index plus a probe ring.
+                      index: int | None = None) -> str:
+    """Classification string from the index plus a ring of 64 probes.
 
     Strictly lower values all around give Max, strictly higher Min; index 0
     gives Undulation; negative 2-d index gives Saddle with 1 - index prongs.
@@ -193,7 +193,7 @@ def classify_by_index(field: ScalarField, z, probe_radius: float,
     """
     z = np.asarray(z, dtype=float)
     d = field.dim
-    offs = probe_radius * sphere_directions(d, n_probe)
+    offs = probe_radius * sphere_directions(d, 64)
     fz = float(field.value(z))
     vals = np.asarray(field.value(z + offs), dtype=float) - fz
     tau = 1e-12 * max(1.0, abs(fz), float(np.max(np.abs(vals))))
@@ -270,16 +270,17 @@ def _perturbed(field: ScalarField, delta: float, direction: np.ndarray) -> Scala
                        name=f"{field.name}+linear")
 
 
-def _has_zero_run(flags: np.ndarray, run: int = 3, cyclic: bool = True) -> bool:
+def _has_zero_run(flags: np.ndarray, cyclic: bool) -> bool:
+    """Whether three or more consecutive flags are set."""
     if not np.any(flags):
         return False
     if np.all(flags):
         return True
-    f = np.concatenate([flags, flags[:run]]) if cyclic else flags
+    f = np.concatenate([flags, flags[:3]]) if cyclic else flags
     count = 0
     for v in f:
         count = count + 1 if v else 0
-        if count >= run:
+        if count >= 3:
             return True
     return False
 
@@ -347,10 +348,9 @@ def _tally(zeros: list) -> BoundaryIndexResult:
 
 
 def boundary_index(field: ScalarField, domain: Domain,
-                   n_samples: int = 512, seed: int = 20411,
                    _retry: int = 0) -> BoundaryIndexResult:
     """Half-weighted index sum of the tangential gradient zeros on the
-    domain boundary.
+    domain boundary, sampled at 512 points.
 
     Each sign-change zero contributes its 1-d crossing index times +1/2
     when the full gradient points into the domain there, -1/2 when it
@@ -359,7 +359,7 @@ def boundary_index(field: ScalarField, domain: Domain,
     times the strength before NonGenericBoundary is raised.
     """
     d = field.dim
-    pts, normals = domain.boundary_frames(n_samples)
+    pts, normals = domain.boundary_frames(512)
     g = field.grad(pts)
     gmax = float(np.max(np.linalg.norm(g, axis=-1)))
     scale = max(gmax, 1e-12)
@@ -369,18 +369,16 @@ def boundary_index(field: ScalarField, domain: Domain,
         # each endpoint is a zero of the (empty) tangential component
         if any(abs(float(field.grad(p)[0] * nrm[0])) <= zero_tol
                for p, nrm in zip(pts, normals)):
-            return _boundary_retry(field, domain, n_samples, seed, _retry,
-                                   scale)
+            return _boundary_retry(field, domain, _retry, scale)
         return _tally([_weighted_zero(field, p, 1, nrm, zero_tol)
                        for p, nrm in zip(pts, normals)])
 
     if isinstance(domain, Ball) and d == 2:
-        theta = ring_angles(n_samples)  # the angles of boundary_frames
+        theta = ring_angles(512)  # the angles of boundary_frames
         tang = normals[:, ::-1] * np.array([-1.0, 1.0])
         vpar = np.sum(g * tang, axis=-1)
         if _has_zero_run(np.abs(vpar) <= zero_tol, cyclic=True):
-            return _boundary_retry(field, domain, n_samples, seed, _retry,
-                                   scale)
+            return _boundary_retry(field, domain, _retry, scale)
 
         def vpar_at(t):
             p = domain.angle_point(t)
@@ -397,35 +395,33 @@ def boundary_index(field: ScalarField, domain: Domain,
         return _tally(zeros)
 
     if isinstance(domain, Box) and d == 2:
-        return _box_boundary_index(field, domain, n_samples, seed, _retry,
-                                   zero_tol, scale)
+        return _box_boundary_index(field, domain, _retry, zero_tol, scale)
 
     if isinstance(domain, Ball) and d == 3:
-        return _sphere_boundary_index(field, domain, n_samples, seed, _retry,
-                                      zero_tol, scale)
+        return _sphere_boundary_index(field, domain, _retry, zero_tol,
+                                      scale)
 
     raise UnsupportedError(
         f"boundary index not implemented for dim {d} on {type(domain).__name__}")
 
 
-def _boundary_retry(field, domain, n_samples, seed, retry, scale):
+def _boundary_retry(field, domain, retry, scale):
     if retry >= 2:
         raise NonGenericBoundaryError(
             "tangential component still degenerate after perturbation",
             retries=retry)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20411)
     u = rng.standard_normal(field.dim)
     u /= np.linalg.norm(u)
     delta = 1e-6 * max(scale, 1e-6) * 10.0**retry
     pert = _perturbed(field, delta, u)
-    res = boundary_index(pert, domain, n_samples, seed, _retry=retry + 1)
+    res = boundary_index(pert, domain, _retry=retry + 1)
     return BoundaryIndexResult(res.total, res.zeros, True, delta)
 
 
-def _box_boundary_index(field, domain, n_samples, seed, retry, zero_tol,
-                        scale):
+def _box_boundary_index(field, domain, retry, zero_tol, scale):
     # corner neighborhoods are excluded; the box audit is approximate
-    per = max(16, n_samples // 4)
+    per = 128  # a quarter of the boundary samples per edge
     margin = 2
     zeros = []
     for start, tanv, nrm in domain.edges():
@@ -435,8 +431,7 @@ def _box_boundary_index(field, domain, n_samples, seed, retry, zero_tol,
         g = field.grad(pts)
         vpar = g @ tanv
         if _has_zero_run(np.abs(vpar) <= zero_tol, cyclic=False):
-            return _boundary_retry(field, domain, n_samples, seed, retry,
-                                   scale)
+            return _boundary_retry(field, domain, retry, scale)
 
         def vpar_at(u, s=start, tv=tanv):
             return float(field.grad(s + u * tv) @ tv)
@@ -458,19 +453,17 @@ def _tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _sphere_boundary_index(field, domain, n_samples, seed, retry, zero_tol,
-                           scale):
+def _sphere_boundary_index(field, domain, retry, zero_tol, scale):
     """Tangential zeros on a 2-sphere boundary, located by multi-start
     refinement from the lowest-|v_par| samples and indexed by a chart
     winding number. Heuristic coverage; audited fields keep their zeros
     well separated."""
-    m = max(n_samples, 256)
-    pts, normals = domain.boundary_frames(m)
+    pts, normals = domain.boundary_frames(512)
     g = field.grad(pts)
     vpar = g - np.sum(g * normals, axis=-1, keepdims=True) * normals
     tv = np.linalg.norm(vpar, axis=-1)
     if _has_zero_run(tv <= zero_tol, cyclic=False):
-        return _boundary_retry(field, domain, m, seed, retry, scale)
+        return _boundary_retry(field, domain, retry, scale)
 
     def vpar_of(nrm):
         p = domain.center + domain.radius * nrm
@@ -568,8 +561,8 @@ class IndexResult:
 
 
 def poincare_hopf_audit(field: ScalarField, domain: Domain,
-                        grid_res: int = 48, newton_tol: float = 1e-9,
-                        n_boundary: int = 512) -> IndexResult:
+                        grid_res: int = 48, newton_tol: float = 1e-9
+                        ) -> IndexResult:
     """Interior index sum plus boundary index against the Euler target:
     1 for these contractible domains in even dimension, 0 in odd."""
     from .detect import find_critical_points
@@ -591,7 +584,7 @@ def poincare_hopf_audit(field: ScalarField, domain: Domain,
                 location=p.location.tolist())
         interior += p.hom_index
         per_point.append((p.location, p.hom_index, Fraction(1)))
-    bres = boundary_index(field, domain, n_samples=n_boundary)
+    bres = boundary_index(field, domain)
     for z in bres.zeros:
         per_point.append((z.location, z.index, z.weight))
     total = interior + bres.total
@@ -616,11 +609,10 @@ class TangencyResult:
 
 
 def tangency_check(field: ScalarField, p, c: float, delta: float,
-                   n_samples: int = 256,
-                   angle_tol: float = 1e-3) -> TangencyResult:
+                   n_samples: int = 256) -> TangencyResult:
     """Transversality of the level set f = c against the circle of radius
     ``delta`` around ``p``: at every intersection the gradient must make an
-    angle above ``angle_tol`` with the radius. No intersections at all is
+    angle above 1e-3 rad with the radius. No intersections at all is
     vacuously transversal and flagged."""
     if field.dim != 2:
         raise UnsupportedError("tangency_check is 2-d only")
@@ -656,5 +648,5 @@ def tangency_check(field: ScalarField, p, c: float, delta: float,
         cosang = abs(float(np.dot(g, r)) / (gn * rn))
         ang = float(np.arccos(np.clip(cosang, 0.0, 1.0)))
         min_angle = min(min_angle, ang)
-    return TangencyResult(min_angle > angle_tol, len(crossings),
+    return TangencyResult(min_angle > 1e-3, len(crossings),
                           float(min_angle))

@@ -121,27 +121,27 @@ def _chart_dirs(d: int) -> np.ndarray:
     return sphere_directions(d, 64 if d == 2 else max(128, 64 * d))
 
 
-def morse_radius(H: np.ndarray, hess_at, p, m: float = 0.5,
-                 search_cap: float = 1.0, shells: int = 16,
+def morse_radius(H: np.ndarray, hess_at, p, search_cap: float = 1.0,
                  ode_step: float = 1e-3) -> FlowChart:
     """Largest radius (up to ``search_cap``) on which the sampled Hessian
-    variation stays under the admissible bound.
+    variation stays under the admissible bound for m = 1/2.
 
     ``hess_at`` maps batched points to Hessians. The variation sup is
-    sampled on radial shells times a fixed direction set, and the radius
-    found by bisection. A constant Hessian gives the radius cap itself.
+    sampled on 16 radial shells times a fixed direction set, and the
+    radius found by bisection. A constant Hessian gives the radius cap
+    itself.
     """
     p = np.asarray(p, dtype=float)
     H = np.asarray(H, dtype=float)
     d = len(p)
-    consts = corollary_constants(H, m)
+    consts = corollary_constants(H)
     k1, k2 = consts["K1"], consts["K2"]
     hi = consts["H_inv_norm"]
     cap = min(search_cap, k2 * (1.0 - 1e-12))
     dirs = _chart_dirs(d)
 
     def variation(r: float) -> float:
-        radii = r * (np.arange(1, shells + 1) / shells)
+        radii = r * (np.arange(1, 17) / 16)
         pts = p + radii[:, None, None] * dirs[None, :, :]
         Hs = np.asarray(hess_at(pts.reshape(-1, d)))
         diff = Hs - H
@@ -164,16 +164,15 @@ def morse_radius(H: np.ndarray, hess_at, p, m: float = 0.5,
     c = 1.0 / hi - L
     C = consts["H_norm"] + L
     a1 = (L / c) * (2.0 + 3.0 * C / c) if L > 0 else 0.0
-    return FlowChart(p, H, r, k1, k2, L, c, C, a1, m=m, ode_step=ode_step)
+    return FlowChart(p, H, r, k1, k2, L, c, C, a1, ode_step=ode_step)
 
 
-def make_chart(field: ScalarField, p, m: float = 0.5,
-               search_cap: float = 1.0, shells: int = 16,
+def make_chart(field: ScalarField, p, search_cap: float = 1.0,
                ode_step: float = 1e-3) -> FlowChart:
     p = np.asarray(p, dtype=float)
     H = field.hess(p)
-    return morse_radius(H, field.hess, p, m=m, search_cap=search_cap,
-                        shells=shells, ode_step=ode_step)
+    return morse_radius(H, field.hess, p, search_cap=search_cap,
+                        ode_step=ode_step)
 
 
 # ---------------------------------------------------------------- #
@@ -289,15 +288,13 @@ def verify_morse_chart(field: ScalarField, chart: FlowChart,
 
 
 def flow_pair_distance(field_n: ScalarField, field: ScalarField,
-                       p_n, p, r_shared: float, n_samples: int = 64,
-                       m: float = 0.5, ode_step: float = 1e-3) -> float:
-    """Sup over sampled offsets of the distance between the two flow maps,
-    both recentered at their own critical points."""
+                       p_n, p, r_shared: float) -> float:
+    """Sup over about 64 sampled offsets of the distance between the two
+    flow maps, both recentered at their own critical points."""
     p = np.asarray(p, dtype=float)
     p_n = np.asarray(p_n, dtype=float)
-    chart = make_chart(field, p, m=m, search_cap=r_shared, ode_step=ode_step)
-    chart_n = make_chart(field_n, p_n, m=m, search_cap=r_shared,
-                         ode_step=ode_step)
+    chart = make_chart(field, p, search_cap=r_shared)
+    chart_n = make_chart(field_n, p_n, search_cap=r_shared)
     slack = 1.0 - 1e-9
     if chart.radius < r_shared * slack or chart_n.radius < r_shared * slack:
         raise CoverageError("charts do not cover the shared ball",
@@ -308,9 +305,8 @@ def flow_pair_distance(field_n: ScalarField, field: ScalarField,
     r_use = min(chart.radius, chart_n.radius)
     radii = r_use * (np.arange(1, 9) / 8.0)
     xi = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
-    if n_samples < len(xi):
-        stride = max(1, len(xi) // n_samples)
-        xi = xi[::stride]
-    g_lim = morse_flow_map(field, chart, p + xi, ode_step) - p
-    g_n = morse_flow_map(field_n, chart_n, p_n + xi, ode_step) - p_n
+    if 64 < len(xi):
+        xi = xi[::len(xi) // 64]
+    g_lim = morse_flow_map(field, chart, p + xi) - p
+    g_n = morse_flow_map(field_n, chart_n, p_n + xi) - p_n
     return float(np.max(np.linalg.norm(g_n - g_lim, axis=-1)))

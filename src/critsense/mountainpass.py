@@ -22,6 +22,7 @@ from .homindex import bisect_root, sign_change_brackets
 
 _SMOOTH = 0.3
 _BOW_FACTORS = (-0.6, 0.0, 0.6)
+_PATH_TOL = 1e-9  # how far below f(p1) a pass value must sit
 
 
 @dataclass
@@ -95,17 +96,18 @@ def _resample_path(knots: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ascend_path(field: ScalarField, domain: Domain, knots: np.ndarray,
-                 iters: int, step: float):
+def _ascend_path(field: ScalarField, domain: Domain, knots: np.ndarray):
     """Projected gradient ascent on the minimal knots with neighbor
-    smoothing and arc-length resampling; the path minimum never
-    decreases across accepted iterations. The end knots (the peaks) stay
-    fixed; ``_initial_path`` guarantees at least one movable knot."""
+    smoothing and arc-length resampling: 400 iterations from the step
+    0.02 * diameter. The path minimum never decreases across accepted
+    iterations. The end knots (the peaks) stay fixed; ``_initial_path``
+    guarantees at least one movable knot."""
+    step = 0.02 * domain.diameter
     knots = domain.project(knots)
     vals = np.asarray(field.value(knots), dtype=float)
     cur_min = float(np.min(vals[1:-1]))
     h = step
-    for _ in range(iters):
+    for _ in range(400):
         if np.ptp(vals) == 0.0:
             break  # constant along the path, nothing to improve
         inner = knots[1:-1]
@@ -139,8 +141,7 @@ def _ascend_path(field: ScalarField, domain: Domain, knots: np.ndarray,
 
 
 def minimax_over_paths(field: ScalarField, domain: Domain, p1, p2,
-                       n_knots: int = 16, iters: int = 400,
-                       step: float | None = None):
+                       n_knots: int = 16):
     """Optimize a single straight-initialized path; returns (path, value)
     with value = min of f over the movable knots.
 
@@ -150,21 +151,23 @@ def minimax_over_paths(field: ScalarField, domain: Domain, p1, p2,
         raise ConvexityError("path projection needs a convex domain")
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    if step is None:
-        step = 0.02 * domain.diameter
     knots = _initial_path(p1, p2, n_knots, 0.0)
-    return _ascend_path(field, domain, knots, iters, step)
+    return _ascend_path(field, domain, knots)
 
 
 def _probe_local_max(field: ScalarField, domain: Domain, p: np.ndarray,
-                     radius: float, n_probe: int = 48) -> bool:
+                     radius: float) -> bool:
+    """Whether f is lower at every probe inside the domain on a sphere of
+    48 directions (2 in 1-d) around ``p``. A quarter of the probes, and
+    at least two, must be inside; the radius halves up to four times to
+    get them."""
     fp = float(field.value(p))
-    dirs = sphere_directions(field.dim, n_probe)
+    dirs = sphere_directions(field.dim, 48)
     r = radius
     for _ in range(5):
         ring = p[None, :] + r * dirs
         ok = np.asarray(domain.contains(ring))
-        if np.sum(ok) >= max(2, n_probe // 4):
+        if np.sum(ok) >= max(2, len(dirs) // 4):
             return bool(np.all(np.asarray(field.value(ring[ok])) < fp))
         r *= 0.5
     return False
@@ -218,10 +221,8 @@ def _boundary_tangency(field: ScalarField, domain: Ball | Box,
 
 
 def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
-                        n_knots: int = 16, iters: int = 400,
-                        step: float | None = None, pass_tol: float = 1e-6,
-                        path_tol: float = 1e-9,
-                        probe_radius: float | None = None) -> PassResult:
+                        n_knots: int = 16,
+                        pass_tol: float = 1e-6) -> PassResult:
     """Best pass point between the peaks ``p1`` and ``p2``.
 
     Three initial paths (straight plus two perpendicular bows) are
@@ -234,22 +235,18 @@ def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
         raise ConvexityError("theorem requires a convex domain")
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    if probe_radius is None:
-        probe_radius = 0.02 * domain.diameter
     for name, p in (("p1", p1), ("p2", p2)):
-        if not _probe_local_max(field, domain, p, probe_radius):
+        if not _probe_local_max(field, domain, p, 0.02 * domain.diameter):
             raise PreconditionError(f"{name} is not a probe-verified "
                                     "local maximum", point=p.tolist())
     f1, f2 = float(field.value(p1)), float(field.value(p2))
     if f1 > f2:
         p1, p2, f1, f2 = p2, p1, f2, f1
-    if step is None:
-        step = 0.02 * domain.diameter
 
     candidates = []
     for bow in _BOW_FACTORS:
         knots = _initial_path(p1, p2, n_knots, bow)
-        path, value = _ascend_path(field, domain, knots, iters, step)
+        path, value = _ascend_path(field, domain, knots)
         inner = path[1:-1]
         vals = np.asarray(field.value(inner), dtype=float)
         argmin = inner[int(np.argmin(vals))]
@@ -258,7 +255,7 @@ def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
     best_value, p3_raw, best_path = candidates[0]
     p3_raw = np.array(p3_raw)
 
-    if best_value >= f1 - path_tol:
+    if best_value >= f1 - _PATH_TOL:
         raise NoSeparationError(
             "no path dips below the lower peak",
             best_value=best_value, f_p1=f1)
@@ -272,7 +269,7 @@ def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
                           max_iter=200)
         if (domain.boundary_distance(q) > 1e-9
                 and np.linalg.norm(q - p3_raw) <= 3.0 * spacing
-                and float(field.value(q)) < f1 - path_tol):
+                and float(field.value(q)) < f1 - _PATH_TOL):
             interior = q
     except NoConvergenceError:
         interior = None
@@ -293,7 +290,7 @@ def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
     if hit is not None:
         p3, align = hit
         c = float(field.value(p3))
-        if align <= pass_tol and c < f1 - path_tol:
+        if align <= pass_tol and c < f1 - _PATH_TOL:
             return PassResult(np.asarray(p3), c, "BoundaryTangency",
                               best_path, {"boundary_alignment": align},
                               f1, f2)

@@ -8,13 +8,11 @@ Ghat_n -> G uniform with all derivatives, so the counting theorems'
 hypotheses are checkable per trial.
 
 Randomness is counter-based (Philox keyed by seed, trial, stream), so
-trials are reproducible under any parallel schedule.
+a trial's result does not depend on which trials ran before it.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +92,7 @@ class BasisField(ScalarField):
     index order (1, cos x, sin x, cos 2x, sin 2x, ...).
     """
 
-    def __init__(self, coeffs: np.ndarray, dim: int, seed=None,
-                 name: str = "basis"):
+    def __init__(self, coeffs: np.ndarray, dim: int, name: str = "basis"):
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim != dim or len(set(coeffs.shape)) != 1:
             raise UsageError("coefficient tensor must be (m,)**dim",
@@ -106,7 +103,6 @@ class BasisField(ScalarField):
                          hess_fn=self._hess_at, smoothness="C2", name=name)
         self.coeffs = coeffs
         self.degree = (coeffs.shape[0] - 1) // 2
-        self.seed = seed
 
     def _tables(self, s: np.ndarray):
         return [_axis_tables(s[..., a], self.degree) for a in range(self.dim)]
@@ -166,7 +162,7 @@ def sample_limit_field(spec: BasisSpec, seed: int, trial: int = 0
                        ) -> BasisField:
     """One draw of the limit field G (stream 0 of the trial)."""
     return BasisField(_draw_coeffs(spec, seed, trial, 0), spec.dim,
-                      seed=seed, name=f"G[seed={seed},trial={trial}]")
+                      name=f"G[seed={seed},trial={trial}]")
 
 
 def _embed(coeffs: np.ndarray, m: int) -> np.ndarray:
@@ -194,26 +190,13 @@ def empirical_mean_field(G: BasisField, noise_spec: BasisSpec, n: int,
     for i in range(1, n + 1):
         acc += _embed(_draw_coeffs(noise_spec, seed, trial, i), m)
     coeffs = _embed(G.coeffs, m) + acc / n
-    return BasisField(coeffs, G.dim, seed=seed,
+    return BasisField(coeffs, G.dim,
                       name=f"Ghat[n={n},seed={seed},trial={trial}]")
 
 
 # ---------------------------------------------------------------- #
 # Monte Carlo
 # ---------------------------------------------------------------- #
-
-def worker_count(threads: int | None = None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("CRITSENSE_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError("CRITSENSE_THREADS must be an integer",
-                             value=env)
-    return min(8, os.cpu_count() or 1)
-
 
 _TRIPLE = ("N_M", "N_m", "N_S")  # the counts a trial must match
 
@@ -224,13 +207,12 @@ def _counts(points) -> dict:
 
 
 def _run_trial(spec: BasisSpec, noise_spec: BasisSpec, n_list, seed: int,
-               trial: int, grid_res: int, newton_tol: float) -> dict:
+               trial: int, grid_res: int) -> dict:
     dom = standard_domain(spec.dim)
     G = sample_limit_field(spec, seed, trial)
     rec = {"trial": trial, "failed": False}
     try:
-        pts_G = detect.find_critical_points(G, dom, grid_res=grid_res,
-                                            newton_tol=newton_tol)
+        pts_G = detect.find_critical_points(G, dom, grid_res=grid_res)
         stat_l = detect.boundary_min_gradient(G, dom)
         stat_r = detect.resolution(pts_G)
         stat_m = morse_statistic(G, dom, grid_res=grid_res)
@@ -251,8 +233,7 @@ def _run_trial(spec: BasisSpec, noise_spec: BasisSpec, n_list, seed: int,
         row = {"n": int(n)}
         try:
             Ghat = empirical_mean_field(G, noise_spec, n, seed, trial)
-            pts_n = detect.find_critical_points(Ghat, dom, grid_res=grid_res,
-                                                newton_tol=newton_tol)
+            pts_n = detect.find_critical_points(Ghat, dom, grid_res=grid_res)
         except NoConvergenceError as err:
             row["failed"] = True
             row["error"] = {"type": type(err).__name__,
@@ -272,30 +253,20 @@ def _run_trial(spec: BasisSpec, noise_spec: BasisSpec, n_list, seed: int,
 
 def monte_carlo_convergence(spec: BasisSpec, noise_spec: BasisSpec, n_list,
                             trials: int, seed: int,
-                            threads: int | None = None,
-                            grid_res: int | None = None,
-                            newton_tol: float = 1e-9) -> dict:
+                            grid_res: int | None = None) -> dict:
     """Per-n frequency of exact (N_M, N_m, N_S) agreement between
     Ghat_n and G over hypothesis-passing trials.
 
-    Trials run as independent tasks; the reduction walks records in
-    trial order, so the table is bit-identical for any worker count.
+    Trials run one after another in trial order. Each draws only from its
+    own Philox streams, so the table is bit-identical on every run.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1", trials=trials)
     n_list = [int(n) for n in n_list]
     res = grid_res if grid_res is not None else (
         512 if spec.dim == 1 else 64)
-
-    def task(t):
-        return _run_trial(spec, noise_spec, n_list, seed, t, res, newton_tol)
-
-    workers = worker_count(threads)
-    if workers == 1:
-        records = [task(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(task, range(trials)))
+    records = [_run_trial(spec, noise_spec, n_list, seed, t, res)
+               for t in range(trials)]
 
     per_n = []
     for idx, n in enumerate(n_list):

@@ -173,15 +173,13 @@ def counts_from_points(points) -> dict:
     }
 
 
-def count_report(field: ScalarField, domain: Domain, grid_res: int = 64,
-                 newton_tol: float = 1e-9,
-                 improper_grid_res: int = 256) -> dict:
-    """Full critical point counts plus improper extrema for one field."""
-    pts = detect.find_critical_points(field, domain, grid_res=grid_res,
-                                      newton_tol=newton_tol)
+def count_report(field: ScalarField, domain: Domain) -> dict:
+    """Full critical point counts (detection grid 64) plus improper
+    extrema (lattice 256) for one field."""
+    pts = detect.find_critical_points(field, domain, grid_res=64)
     rec = counts_from_points(pts)
     rec["unresolved"] = len(pts.unresolved)
-    imp = detect.improper_extrema(field, domain, grid_res=improper_grid_res)
+    imp = detect.improper_extrema(field, domain, grid_res=256)
     rec["N_IM"] = imp["n_improper_max"]
     rec["N_Im"] = imp["n_improper_min"]
     return rec
@@ -225,11 +223,7 @@ def _resolve_entry(family) -> GalleryEntry:
 
 def convergence_experiment(family, n_list, domain: Domain | None = None,
                            grid_res: int | None = None,
-                           newton_tol: float = 1e-9,
-                           ck_grid_res: int = 256,
-                           matching_radius: float | None = None,
-                           improper_grid_res: int | None = None
-                           ) -> SequenceReport:
+                           newton_tol: float = 1e-9) -> SequenceReport:
     """Per-n counts, distances, and matchings against the family limit,
     with a consistency verdict.
 
@@ -245,8 +239,7 @@ def convergence_experiment(family, n_list, domain: Domain | None = None,
     dom = domain if domain is not None else ent.domain
     f_limit = limit_field(ent.name)
     lim_res = grid_res if grid_res is not None else _default_grid(ent.dim, 16)
-    imp_res = improper_grid_res if improper_grid_res is not None else (
-        4096 if ent.dim == 1 else 256)
+    imp_res = 4096 if ent.dim == 1 else 256
     pts_limit = detect.find_critical_points(
         f_limit, dom, grid_res=lim_res, newton_tol=newton_tol)
     limit_counts = counts_from_points(pts_limit)
@@ -272,9 +265,8 @@ def convergence_experiment(family, n_list, domain: Domain | None = None,
         imp = detect.improper_extrema(f_n, dom, grid_res=imp_res)
         counts["N_IM"] = imp["n_improper_max"]
         counts["N_Im"] = imp["n_improper_min"]
-        d = ck_distance(f_n, f_limit, dom, k=2, grid_res=ck_grid_res)
-        m = match_critical_points(pts, pts_limit, radius=matching_radius,
-                                  domain=dom)
+        d = ck_distance(f_n, f_limit, dom, k=2, grid_res=256)
+        m = match_critical_points(pts, pts_limit, domain=dom)
         row.update({
             "counts": counts,
             "d0": d[0], "d1": d[1], "d2": d[2],
@@ -329,17 +321,13 @@ def convergence_experiment(family, n_list, domain: Domain | None = None,
         hypothesis=hypothesis, conclusion=conclusion, verdict=verdict)
 
 
-def resolution_sequence(family, n_list, domain: Domain | None = None,
-                        grid_res: int | None = None,
-                        newton_tol: float = 1e-9) -> list:
-    """Per-n resolution estimates [(n, R)]."""
+def resolution_sequence(family, n_list) -> list:
+    """Per-n resolution estimates [(n, R)] on the family's own domain."""
     ent = _resolve_entry(family)
-    dom = domain if domain is not None else ent.domain
     out = []
     for n in n_list:
         f_n = gallery(ent.name, n)
-        res = grid_res if grid_res is not None else _default_grid(ent.dim, n)
-        pts = detect.find_critical_points(f_n, dom, grid_res=res,
-                                          newton_tol=newton_tol)
+        pts = detect.find_critical_points(
+            f_n, ent.domain, grid_res=_default_grid(ent.dim, n))
         out.append((int(n), detect.resolution(pts)))
     return out

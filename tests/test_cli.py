@@ -266,6 +266,17 @@ def test_mountain_needs_two_peaks(capsys):
     assert info["context"]["found"] == 1
 
 
+def test_mountain_pass_in_one_dimension(capsys):
+    # fig10 at n = 4 has maxima at 0 and 0.40992 around the minimum
+    # 0.27311; the 1-d probe sphere is the two points +-1
+    rc, out, _ = run(capsys, "mountain", "--gallery", "fig10", "--n", "4")
+    assert rc == 0
+    res = json.loads(out)["result"]
+    assert res["kind"] == "InteriorCritical"
+    assert res["p3"][0] == pytest.approx(0.27311, abs=1e-5)
+    assert res["c"] == pytest.approx(0.92775, abs=1e-5)
+
+
 def test_mountain_p1_without_p2(capsys):
     rc, _, err = run(capsys, "mountain", "--gallery", "twogauss",
                      "--p1", "0.4,0")
@@ -326,6 +337,46 @@ def test_montecarlo_runs_and_echoes_config(tmp_path, capsys):
                       "--threads", "2")
     assert rc == 0
     assert json.loads(out2)["result"] == art["result"]
+
+
+def test_montecarlo_output_ignores_the_thread_setting(tmp_path, capsys,
+                                                      monkeypatch):
+    path = mc_config(tmp_path)
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CRITSENSE_THREADS", threads)
+        rc, out, _ = run(capsys, "montecarlo", "--config", path)
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "threads" not in json.loads(outs[0])["config"]
+
+
+@pytest.mark.parametrize("case", [
+    ("sequence", "--gallery", "fig10", "--n", "4,x"),
+    "3",  # a montecarlo config whose top level is not an object
+    {"D": "x"},
+    {"degree": "two"},
+    {"trials": [2]},
+    {"seed": None},
+    {"n_list": 3},
+    {"n_list": []},
+    {"n_list": ["x"]},
+    {"noise": {"amplitude": "loud"}},
+])
+def test_malformed_numbers_are_usage_errors(tmp_path, capsys, case):
+    if isinstance(case, tuple):
+        argv = case
+    else:
+        path = tmp_path / "mc.json"
+        if isinstance(case, str):
+            path.write_text(case)
+        else:
+            mc_config(tmp_path, **case)
+        argv = ("montecarlo", "--config", str(path))
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "UsageError"
 
 
 def test_montecarlo_missing_key(tmp_path, capsys):
@@ -402,6 +453,23 @@ def test_point_outside_the_domain_needs_eps(capsys):
                      "--point", "3,0", "--eps", "0.1")
     assert rc == 0
     assert json.loads(out)["result"]["point"]["hom_index"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--gallery", "bowl", "--grid", "0"),
+    ("classify", "--gallery", "bowl", "--n", "0"),
+    ("classify", "--gallery", "bowl", "--tol", "0"),
+    ("classify", "--gallery", "bowl", "--tol=-1e-9"),
+    ("classify", "--gallery", "fig10", "--point", "0", "--eps=-0.1"),
+    ("audit", "--gallery", "bowl", "--grid", "0"),
+    ("flow", "--gallery", "bowl", "--ode-step", "0"),
+    ("mountain", "--gallery", "twogauss", "--tol", "0"),
+    ("sequence", "--gallery", "fig10", "--n", "4", "--tol", "0"),
+])
+def test_explicit_out_of_range_values_are_usage_errors(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "UsageError"
 
 
 def test_mountain_without_movable_knots_is_a_usage_error(capsys):

@@ -58,7 +58,8 @@ COMMANDS = {
     "sequence_fig10": ["sequence", "--gallery", "fig10", "--n", "4,16"],
     "gallery_json": ["gallery"],
     "gallery_csv": ["gallery", "--format", "csv"],
-    # --threads is pinned because the artifact echoes the worker count
+    # --threads has no effect, but the config block echoes a given flag, so
+    # these goldens hold "threads": 1; the pin keeps that echo covered
     "montecarlo_d1": ["montecarlo", "--config", "mc_d1.json", "--grid", "64",
                       "--threads", "1"],
     "montecarlo_d2": ["montecarlo", "--config", "mc_d2.json", "--grid", "16",

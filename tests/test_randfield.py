@@ -9,7 +9,7 @@ from critsense.detect import find_critical_points
 from critsense.morse import morse_statistic
 from critsense.randfield import (BasisField, BasisSpec, empirical_mean_field,
                                  monte_carlo_convergence, sample_limit_field,
-                                 standard_domain, worker_count)
+                                 standard_domain)
 from critsense.randfield import _draw_coeffs
 
 SPEC = BasisSpec(dim=1, degree=4, amplitude=1.0, decay=2.0)
@@ -120,13 +120,10 @@ def test_small_table_frozen_frequencies(small_table):
     assert small_table["grid_res"] == 512
 
 
-def test_table_is_reproducible_across_runs_and_threads(small_table):
+def test_table_is_reproducible_across_runs(small_table):
     again = monte_carlo_convergence(SPEC, NOISE, [10, 100], trials=30,
                                     seed=777)
     assert again == small_table
-    threaded = monte_carlo_convergence(SPEC, NOISE, [10, 100], trials=30,
-                                       seed=777, threads=2)
-    assert threaded == small_table
 
 
 def test_faint_limit_field_matches_less_often(small_table):
@@ -137,18 +134,6 @@ def test_faint_limit_field_matches_less_often(small_table):
     assert low["trials"] > 0
     assert high["trials"] > 0
     assert low["frequency"] < high["frequency"]
-
-
-def test_worker_count_sources(monkeypatch):
-    assert worker_count(3) == 3
-    assert worker_count(0) == 1
-    monkeypatch.setenv("CRITSENSE_THREADS", "5")
-    assert worker_count() == 5
-    monkeypatch.setenv("CRITSENSE_THREADS", "many")
-    with pytest.raises(UsageError):
-        worker_count()
-    monkeypatch.delenv("CRITSENSE_THREADS")
-    assert worker_count() >= 1
 
 
 def test_rejects_invalid_trial_counts():
