@@ -40,6 +40,9 @@ COMMANDS = {
                               "0,0", "--eps", "0.1"],
     "classify_bowl_point": ["classify", "--gallery", "bowl", "--point",
                             "0.1,0.2"],
+    "classify_saddle_point_csv": ["classify", "--gallery", "saddle",
+                                  "--point", "0,0", "--eps", "0.1",
+                                  "--format", "csv"],
     "audit_monkey": ["audit", "--gallery", "monkey"],
     "audit_bowl3": ["audit", "--gallery", "bowl3"],
     "audit_fig13a": ["audit", "--gallery", "fig13a", "--n", "4"],
@@ -64,6 +67,8 @@ COMMANDS = {
                       "--threads", "1"],
     "montecarlo_d2": ["montecarlo", "--config", "mc_d2.json", "--grid", "16",
                       "--threads", "1"],
+    "montecarlo_d1_csv": ["montecarlo", "--config", "mc_d1.json", "--grid",
+                          "64", "--format", "csv"],
 }
 
 STREAMS = ("rc", "out", "err")
@@ -107,6 +112,16 @@ def test_golden_artifact(name):
         assert got[stream] == want, (
             f"critsense {' '.join(COMMANDS[name])}: {stream} differs from "
             f"{name}.{stream}, {first_difference(want, got[stream])}")
+
+
+def test_every_subcommand_has_json_and_csv_goldens():
+    subcommands = ("classify", "audit", "flow", "mountain", "sequence",
+                   "montecarlo", "gallery")
+    formats = {(argv[0], "csv" if "csv" in argv else "json")
+               for argv in COMMANDS.values()}
+    missing = [(cmd, fmt) for cmd in subcommands for fmt in ("json", "csv")
+               if (cmd, fmt) not in formats]
+    assert not missing, f"no golden for {missing}"
 
 
 def regenerate() -> None:
