@@ -1,9 +1,11 @@
 """Command line frontend.
 
 Subcommands: classify, audit, flow, mountain, sequence, montecarlo,
-gallery. Artifacts are JSON (default) or CSV, carry the effective config
-and toolkit version, print every float with 17 significant digits, and
-are byte-identical across runs with the same config.
+gallery. Each builds one artifact, with the effective config and toolkit
+version, and hands it to ``_write``, the one writer: JSON (default) with
+every float in 17 significant digits, or for ``--format csv`` a table
+under a commented preamble. Artifacts are byte-identical across runs with
+the same config.
 
 Exit codes: 0 success, 1 numeric failure (structured error JSON on
 stderr; a failed index audit also exits 1), 2 usage error.
@@ -15,8 +17,9 @@ import argparse
 import csv
 import io
 import json
-import json.encoder
+import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -35,74 +38,51 @@ from .sequence import convergence_experiment, counts_from_points
 _FLOAT_FMT = ".17g"
 
 
-class PrecisionEncoder(json.JSONEncoder):
-    """JSON encoder printing floats with 17 significant digits.
-
-    Reimplements iterencode around the pure-Python serializer because
-    the C fast path hardwires repr() for floats.
-    """
-
-    def default(self, o):
-        if isinstance(o, Fraction):
-            return f"{o.numerator}/{o.denominator}"
-        if isinstance(o, np.integer):
-            return int(o)
-        if isinstance(o, np.floating):
-            return float(o)
-        if isinstance(o, np.bool_):
-            return bool(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        return super().default(o)
-
-    def iterencode(self, o, _one_shot=False):
-        markers = {} if self.check_circular else None
-
-        def floatstr(x, allow_nan=self.allow_nan):
-            if x != x:
-                text = "NaN"
-            elif x == float("inf"):
-                text = "Infinity"
-            elif x == float("-inf"):
-                text = "-Infinity"
-            else:
-                return format(x, _FLOAT_FMT)
-            if not allow_nan:
-                raise ValueError("out of range float: " + repr(x))
-            return text
-
-        walk = json.encoder._make_iterencode(
-            markers, self.default, json.encoder.encode_basestring_ascii,
-            self.indent, floatstr, self.key_separator, self.item_separator,
-            self.sort_keys, self.skipkeys, _one_shot)
-        return walk(o, 0)
+def _json(o, indent, level=0) -> str:
+    """JSON text of ``o``: keys sorted, finite floats in 17 significant
+    digits, ``indent`` spaces per level, or one line with ``", "`` and
+    ``": "`` separators when ``indent`` is None. Numpy scalars and arrays
+    become Python values; a Fraction becomes ``"n/d"``."""
+    if isinstance(o, np.generic):
+        o = o.item()
+    elif isinstance(o, np.ndarray):
+        o = o.tolist()
+    elif isinstance(o, Fraction):
+        o = f"{o.numerator}/{o.denominator}"
+    if isinstance(o, float) and math.isfinite(o):
+        return format(o, _FLOAT_FMT)
+    if isinstance(o, dict):
+        brackets = "{}"
+        items = [json.dumps(k if isinstance(k, str) else _json(k, None))
+                 + ": " + _json(v, indent, level + 1)
+                 for k, v in sorted(o.items())]
+    elif isinstance(o, (list, tuple)):
+        brackets = "[]"
+        items = [_json(v, indent, level + 1) for v in o]
+    else:
+        return json.dumps(o)
+    if not items:
+        return brackets
+    if indent is None:
+        return brackets[0] + ", ".join(items) + brackets[1]
+    pad = "\n" + " " * (indent * level)
+    inner = pad + " " * indent
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, cls=PrecisionEncoder, indent=2, sort_keys=True)
+    """Artifact JSON: two-space indent, sorted keys, 17-digit floats."""
+    return _json(obj, 2)
 
 
 def _cell(v) -> str:
-    if isinstance(v, bool) or isinstance(v, np.bool_):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
     if isinstance(v, (float, np.floating)):
         return format(float(v), _FLOAT_FMT)
     if v is None:
         return ""
     return str(v)
-
-
-def _csv_text(header, rows, preamble) -> str:
-    buf = io.StringIO()
-    for k, v in preamble:
-        buf.write(f"# {k}: {v}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
 
 
 def parse_domain(text: str) -> Domain:
@@ -128,7 +108,8 @@ def parse_domain(text: str) -> Domain:
 
 
 def _point(text: str, dim: int) -> np.ndarray:
-    """Comma-separated coordinates of a point in the field's dimension."""
+    """Comma-separated finite coordinates of a point in the field's
+    dimension."""
     try:
         z = np.array([float(t) for t in text.split(",")])
     except ValueError:
@@ -136,16 +117,18 @@ def _point(text: str, dim: int) -> np.ndarray:
     if len(z) != dim:
         raise UsageError(f"point {text!r} has dimension {len(z)}; the "
                          f"field has dimension {dim}")
+    if not np.isfinite(z).all():
+        raise UsageError(f"point {text!r} has a non-finite coordinate")
     return z
 
 
 def _positive(value, fallback, flag: str):
     """An option's value, or ``fallback`` when the option is not given.
-    A given value must be positive."""
+    A given value must be positive and finite."""
     if value is None:
         return fallback
-    if not value > 0:
-        raise UsageError(f"{flag} must be positive", value=value)
+    if not 0 < value < math.inf:
+        raise UsageError(f"{flag} must be positive and finite", value=value)
     return value
 
 
@@ -168,19 +151,42 @@ def _artifact(command: str, args, result, **extra) -> dict:
             "config": _config(args, **extra), "result": result}
 
 
-def _preamble(artifact) -> list:
-    return [("command", artifact["command"]),
-            ("version", artifact["version"]),
-            ("config", json.dumps(artifact["config"], sort_keys=True,
-                                  cls=PrecisionEncoder))]
+def _coords(dim: int) -> list:
+    return [f"x{i + 1}" for i in range(dim)]
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+def _keyed(header, records, extra=()):
+    """A ``table`` whose rows hold each record's values under ``header``."""
+    return lambda: (header, [[r[k] for k in header] for r in records], extra)
+
+
+def _write(args, art, table, rc=0) -> int:
+    """The one artifact writer: ``art`` as JSON or, for ``--format csv``,
+    ``table()`` = (header, rows, extra preamble) under the artifact's
+    commented preamble, to ``--out`` or stdout. Returns ``rc``."""
+    if args.format == "csv":
+        header, rows, extra = table()
+        buf = io.StringIO()
+        for k, v in [("command", art["command"]),
+                     ("version", art["version"]),
+                     ("config", _json(art["config"], None)), *extra]:
+            buf.write(f"# {k}: {v}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+        text = buf.getvalue()
     else:
+        text = dumps(art) + "\n"
+    if not args.out:
         sys.stdout.write(text)
+        return rc
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise UsageError(f"cannot write --out {args.out!r}: "
+                         f"{err.strerror}") from None
+    return rc
 
 
 # ---------------------------------------------------------------- #
@@ -191,6 +197,8 @@ def _cmd_classify(args) -> int:
     ent, field, dom = _resolve(args)
     grid = _positive(args.grid, 1024 if ent.dim == 1 else 64, "--grid")
     tol = _positive(args.tol, 1e-9, "--tol")
+    cols = ["value", "morse_index", "hom_index", "classification",
+            "near_boundary"]
     if args.point:
         z = _point(args.point, field.dim)
         probe = _positive(args.eps, None, "--eps")
@@ -201,29 +209,19 @@ def _cmd_classify(args) -> int:
             probe = probe_radius(z, (), dom)
         idx = homological_index(field, z, eps=probe)
         cls = classify_by_index(field, z, probe, index=idx)
-        result = {"point": {"location": z.tolist(), "hom_index": idx,
+        result = {"point": {"location": z, "hom_index": idx,
                             "classification": cls}}
-        rows = [(z.tolist(), None, None, idx, cls, False)]
+        rows = [(*z, None, None, idx, cls, False)]
     else:
         pts = detect.find_critical_points(field, dom, grid_res=grid,
                                           newton_tol=tol)
         result = {"points": [p.as_record() for p in pts],
                   "counts": counts_from_points(pts),
                   "unresolved": pts.unresolved}
-        rows = [(p.location.tolist(), p.value, p.morse_index, p.hom_index,
-                 p.classification, p.near_boundary) for p in pts]
+        rows = [(*r["location"], *(r[k] for k in cols))
+                for r in result["points"]]
     art = _artifact("classify", args, result, grid=grid, tol=tol)
-    if args.format == "csv":
-        flat = [tuple(loc) + (val, mi, hi, cls, nb)
-                for loc, val, mi, hi, cls, nb in rows]
-        dim = len(rows[0][0]) if rows else ent.dim
-        header = [f"x{i + 1}" for i in range(dim)] + \
-            ["value", "morse_index", "hom_index", "classification",
-             "near_boundary"]
-        _emit(_csv_text(header, flat, _preamble(art)), args.out)
-    else:
-        _emit(dumps(art) + "\n", args.out)
-    return 0
+    return _write(args, art, lambda: (_coords(field.dim) + cols, rows, []))
 
 
 def _cmd_audit(args) -> int:
@@ -231,19 +229,13 @@ def _cmd_audit(args) -> int:
     grid = _positive(args.grid, 1024 if ent.dim == 1 else 48, "--grid")
     tol = _positive(args.tol, 1e-9, "--tol")
     res = poincare_hopf_audit(field, dom, grid_res=grid, newton_tol=tol)
-    art = _artifact("audit", args, res.as_record(), grid=grid, tol=tol)
-    if args.format == "csv":
-        rows = [tuple(p["location"]) + (p["index"], p["weight"])
-                for p in res.as_record()["per_point"]]
-        dim = ent.dim
-        header = [f"x{i + 1}" for i in range(dim)] + ["index", "weight"]
-        pre = _preamble(art) + [("total", str(res.total)),
-                                ("target", str(res.euler_target)),
-                                ("pass", "true" if res.passed else "false")]
-        _emit(_csv_text(header, rows, pre), args.out)
-    else:
-        _emit(dumps(art) + "\n", args.out)
-    return 0 if res.passed else 1
+    rec = res.as_record()
+    art = _artifact("audit", args, rec, grid=grid, tol=tol)
+    return _write(args, art, lambda: (
+        _coords(ent.dim) + ["index", "weight"],
+        [(*p["location"], p["index"], p["weight"]) for p in rec["per_point"]],
+        [("total", rec["total"]), ("target", rec["target"]),
+         ("pass", _cell(res.passed))]), 0 if res.passed else 1)
 
 
 def _cmd_flow(args) -> int:
@@ -260,17 +252,15 @@ def _cmd_flow(args) -> int:
                              ode_step=ode_step)
     result = {"chart": chart.as_record(), "verification": ver}
     art = _artifact("flow", args, result, tol=tol, ode_step=ode_step)
-    if args.format == "csv":
+
+    def trajectory():
         offset = _point(args.sample, field.dim) if args.sample else \
             0.5 * chart.radius * np.eye(ent.dim)[0]
         ts, path = morse_flow_trajectory(field, chart, center + offset,
                                          ode_step=ode_step)
-        rows = [(t,) + tuple(p) for t, p in zip(ts, path)]
-        header = ["t"] + [f"x{i + 1}" for i in range(ent.dim)]
-        _emit(_csv_text(header, rows, _preamble(art)), args.out)
-    else:
-        _emit(dumps(art) + "\n", args.out)
-    return 0
+        return (["t"] + _coords(ent.dim),
+                [(t, *p) for t, p in zip(ts, path)], [])
+    return _write(args, art, trajectory)
 
 
 def _two_peaks(field, dom, grid, tol):
@@ -296,17 +286,12 @@ def _cmd_mountain(args) -> int:
         p1, p2 = _two_peaks(field, dom, grid, min(tol, 1e-9))
     res = mountain_pass_point(field, dom, p1, p2, n_knots=args.knots,
                               pass_tol=tol)
-    art = _artifact("mountain", args, res.as_record(), grid=grid, tol=tol,
-                    p1=np.asarray(p1).tolist(), p2=np.asarray(p2).tolist())
-    if args.format == "csv":
-        vals = field.value(res.path)
-        rows = [(i,) + tuple(k) + (v,)
-                for i, (k, v) in enumerate(zip(res.path, vals))]
-        header = ["knot"] + [f"x{i + 1}" for i in range(ent.dim)] + ["f"]
-        _emit(_csv_text(header, rows, _preamble(art)), args.out)
-    else:
-        _emit(dumps(art) + "\n", args.out)
-    return 0
+    art = _artifact("mountain", args, asdict(res), grid=grid, tol=tol,
+                    p1=p1, p2=p2)
+    return _write(args, art, lambda: (
+        ["knot"] + _coords(ent.dim) + ["f"],
+        [(i, *k, v) for i, (k, v) in
+         enumerate(zip(res.path, field.value(res.path)))], []))
 
 
 def _cmd_sequence(args) -> int:
@@ -319,29 +304,13 @@ def _cmd_sequence(args) -> int:
     rep = convergence_experiment(args.gallery, n_list, domain=dom,
                                  grid_res=args.grid,
                                  newton_tol=_positive(args.tol, 1e-9, "--tol"))
-    art = _artifact("sequence", args, rep.as_record())
-    if args.format == "csv":
-        header = ["n", "N_C", "N_M", "N_m", "N_S", "N_und", "N_unclassified",
-                  "N_IM", "N_Im", "d0", "d1", "d2", "resolution",
-                  "boundary_min_gradient", "matched", "unmatched_n",
-                  "unmatched_limit", "multi_match", "unresolved"]
-        rows = []
-        for r in rep.rows:
-            if "counts" not in r:
-                continue
-            c = r["counts"]
-            rows.append((r["n"], c["N_C"], c["N_M"], c["N_m"], c["N_S"],
-                         c["N_und"], c["N_unclassified"], c["N_IM"],
-                         c["N_Im"], r["d0"], r["d1"], r["d2"],
-                         r["resolution"], r["boundary_min_gradient"],
-                         r["matched"], r["unmatched_n"],
-                         r["unmatched_limit"], r["multi_match"],
-                         r["unresolved"]))
-        pre = _preamble(art) + [("verdict", rep.verdict)]
-        _emit(_csv_text(header, rows, pre), args.out)
-    else:
-        _emit(dumps(art) + "\n", args.out)
-    return 0
+    header = ["n", "N_C", "N_M", "N_m", "N_S", "N_und", "N_unclassified",
+              "N_IM", "N_Im", "d0", "d1", "d2", "resolution",
+              "boundary_min_gradient", "matched", "unmatched_n",
+              "unmatched_limit", "multi_match", "unresolved"]
+    rows = [{**r, **r["counts"]} for r in rep.rows if "counts" in r]
+    return _write(args, _artifact("sequence", args, asdict(rep)),
+                  _keyed(header, rows, [("verdict", rep.verdict)]))
 
 
 def _load_mc_config(path: str) -> dict:
@@ -369,46 +338,41 @@ def _load_mc_config(path: str) -> dict:
 def _cmd_montecarlo(args) -> int:
     cfg = _load_mc_config(args.config)
     noise_cfg = cfg["noise"]
+
+    def whole(key, value) -> int:
+        n = int(value)
+        if n != value:
+            raise ValueError(f"{key} must be a whole number, got {value!r}")
+        return n
     try:
-        spec = BasisSpec(dim=int(cfg["D"]), degree=int(cfg["degree"]),
+        dim, degree = whole("D", cfg["D"]), whole("degree", cfg["degree"])
+        spec = BasisSpec(dim=dim, degree=degree,
                          amplitude=float(cfg.get("amplitude", 1.0)),
                          decay=float(cfg.get("decay", 2.0)))
-        noise = BasisSpec(dim=int(cfg["D"]),
-                          degree=int(noise_cfg.get("degree", cfg["degree"])),
+        noise_degree = whole("noise.degree", noise_cfg.get("degree", degree))
+        noise = BasisSpec(dim=dim, degree=noise_degree,
                           amplitude=float(noise_cfg["amplitude"]),
                           decay=float(noise_cfg.get("decay", 2.0)))
-        n_list = [int(n) for n in cfg["n_list"]]
-        trials = int(cfg["trials"])
-        seed = args.seed if args.seed is not None else int(cfg["seed"])
-    except (TypeError, ValueError) as err:
+        n_list = [whole("n_list", n) for n in cfg["n_list"]]
+        trials = whole("trials", cfg["trials"])
+        seed = args.seed if args.seed is not None else \
+            whole("seed", cfg["seed"])
+    except (TypeError, ValueError, OverflowError) as err:
         raise UsageError(f"config values must be numbers: {err}") from None
     rep = monte_carlo_convergence(spec, noise, n_list, trials=trials,
                                   seed=seed, grid_res=args.grid)
-    art = _artifact("montecarlo", args, rep, seed=seed)
-    if args.format == "csv":
-        header = ["n", "frequency", "matches", "denominator",
-                  "excluded_hypothesis", "failed", "min_R_hat",
-                  "median_R_gap", "tv_distance_N_M"]
-        rows = [(r["n"], r["frequency"], r["matches"], r["denominator"],
-                 r["excluded_hypothesis"], r["failed"], r["min_R_hat"],
-                 r["median_R_gap"], r["tv_distance_N_M"])
-                for r in rep["per_n"]]
-        _emit(_csv_text(header, rows, _preamble(art)), args.out)
-    else:
-        _emit(dumps(art) + "\n", args.out)
-    return 0
+    header = ["n", "frequency", "matches", "denominator",
+              "excluded_hypothesis", "failed", "min_R_hat",
+              "median_R_gap", "tv_distance_N_M"]
+    return _write(args, _artifact("montecarlo", args, rep, seed=seed),
+                  _keyed(header, rep["per_n"]))
 
 
 def _cmd_gallery(args) -> int:
     rows = catalogue()
-    art = _artifact("gallery", args, rows)
-    if args.format == "csv":
-        header = ["name", "dim", "family", "origin", "domain", "note"]
-        flat = [tuple(r[k] for k in header) for r in rows]
-        _emit(_csv_text(header, flat, _preamble(art)), args.out)
-    else:
-        _emit(dumps(art) + "\n", args.out)
-    return 0
+    header = ["name", "dim", "family", "origin", "domain", "note"]
+    return _write(args, _artifact("gallery", args, rows),
+                  _keyed(header, rows))
 
 
 # ---------------------------------------------------------------- #

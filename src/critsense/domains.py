@@ -97,6 +97,8 @@ class Interval(Domain):
     dim = 1
 
     def __init__(self, a: float, b: float):
+        if not np.isfinite([a, b]).all():
+            raise UsageError(f"interval [{a}, {b}] is not finite")
         if not b > a:
             raise UsageError(f"empty interval [{a}, {b}]")
         self.a = float(a)
@@ -135,6 +137,8 @@ class Box(Domain):
         self.hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise UsageError("box corners must be 1-d and congruent")
+        if not np.isfinite([self.lo, self.hi]).all():
+            raise UsageError("box corners must be finite")
         if not np.all(self.hi > self.lo):
             raise UsageError("box has empty extent on some axis")
         self.dim = len(self.lo)
@@ -210,8 +214,10 @@ class Ball(Domain):
     def __init__(self, center, radius: float):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.radius = float(radius)
-        if self.radius <= 0:
-            raise UsageError("ball radius must be positive")
+        if not np.isfinite(self.center).all():
+            raise UsageError("ball center must be finite")
+        if not 0 < self.radius < np.inf:
+            raise UsageError("ball radius must be positive and finite")
         self.dim = len(self.center)
 
     def __repr__(self):

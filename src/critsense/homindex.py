@@ -240,19 +240,6 @@ class BoundaryIndexResult:
     perturbed: bool = False
     delta: float | None = None
 
-    def as_record(self) -> dict:
-        return {
-            "total": str(self.total),
-            "perturbed": self.perturbed,
-            "delta": self.delta,
-            "zeros": [{
-                "location": z.location.tolist(),
-                "index": z.index,
-                "weight": str(z.weight),
-                "contribution": str(z.contribution),
-            } for z in self.zeros],
-        }
-
 
 def _perturbed(field: ScalarField, delta: float, direction: np.ndarray) -> ScalarField:
     u = np.asarray(direction, dtype=float)

@@ -35,17 +35,6 @@ class PassResult:
     f_p1: float
     f_p2: float
 
-    def as_record(self) -> dict:
-        return {
-            "p3": self.p3.tolist(),
-            "c": self.c,
-            "kind": self.kind,
-            "path": self.path.tolist(),
-            "certificate": dict(self.certificate),
-            "f_p1": self.f_p1,
-            "f_p2": self.f_p2,
-        }
-
 
 def _perp_direction(delta: np.ndarray) -> np.ndarray | None:
     d = len(delta)

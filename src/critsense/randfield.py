@@ -13,7 +13,7 @@ a trial's result does not depend on which trials ran before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,10 +22,9 @@ from .domains import Box, Domain, Interval
 from .errors import NoConvergenceError, UsageError
 from .fields import ScalarField
 from .morse import morse_statistic
-from .sequence import counts_from_points
+from .sequence import HYPOTHESIS_BOUNDARY_TOL, HYPOTHESIS_RESOLUTION_TOL, \
+    counts_from_points
 
-HYPOTHESIS_L_TOL = 1e-4
-HYPOTHESIS_R_TOL = 1e-3
 HYPOTHESIS_M_TOL = 1e-6
 
 _EINSUM_AXES = "ijklmn"
@@ -46,10 +45,8 @@ class BasisSpec:
             raise UsageError("dim must be between 1 and 6", dim=self.dim)
         if self.degree < 1:
             raise UsageError("degree must be >= 1", degree=self.degree)
-
-    def as_record(self) -> dict:
-        return {"dim": self.dim, "degree": self.degree,
-                "amplitude": self.amplitude, "decay": self.decay}
+        if not np.isfinite([self.amplitude, self.decay]).all():
+            raise UsageError("amplitude and decay must be finite")
 
 
 def _harmonics(degree: int) -> np.ndarray:
@@ -144,6 +141,8 @@ def standard_domain(dim: int) -> Domain:
 
 
 def _stream_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
+    if not 0 <= seed < 1 << 64:
+        raise UsageError("seed must be in [0, 2**64)", seed=seed)
     if trial < 0 or stream < 0 or stream >= (1 << 20):
         raise UsageError("trial must be >= 0 and stream in [0, 2**20)")
     key = np.array([np.uint64(seed), np.uint64((trial << 20) | stream)],
@@ -224,8 +223,8 @@ def _run_trial(spec: BasisSpec, noise_spec: BasisSpec, n_list, seed: int,
     rec.update({
         "L": stat_l, "R": stat_r, "M": stat_m,
         "counts_G": counts_G,
-        "hypothesis_ok": bool(stat_l > HYPOTHESIS_L_TOL
-                              and stat_r > HYPOTHESIS_R_TOL
+        "hypothesis_ok": bool(stat_l > HYPOTHESIS_BOUNDARY_TOL
+                              and stat_r > HYPOTHESIS_RESOLUTION_TOL
                               and stat_m > HYPOTHESIS_M_TOL),
         "per_n": [],
     })
@@ -327,8 +326,8 @@ def monte_carlo_convergence(spec: BasisSpec, noise_spec: BasisSpec, n_list,
                 "frequency": (hits / total) if total else None}
 
     report = {
-        "spec": spec.as_record(),
-        "noise": noise_spec.as_record(),
+        "spec": asdict(spec),
+        "noise": asdict(noise_spec),
         "n_list": n_list,
         "trials": trials,
         "seed": int(seed),
@@ -338,7 +337,8 @@ def monte_carlo_convergence(spec: BasisSpec, noise_spec: BasisSpec, n_list,
             "M_below_1e-4": stratum_rate(lambda m: m < 1e-4),
             "M_above_1e-2": stratum_rate(lambda m: m > 1e-2),
         },
-        "hypothesis_tols": {"L": HYPOTHESIS_L_TOL, "R": HYPOTHESIS_R_TOL,
+        "hypothesis_tols": {"L": HYPOTHESIS_BOUNDARY_TOL,
+                            "R": HYPOTHESIS_RESOLUTION_TOL,
                             "M": HYPOTHESIS_M_TOL},
         "records": records,
     }

@@ -18,6 +18,7 @@ from .errors import NoConvergenceError, UsageError
 from .fields import ScalarField, spectral_norms
 from .gallery import GalleryEntry, entry as gallery_entry, gallery, limit_field
 
+# counting-theorem hypotheses, shared with randfield's Monte Carlo trials
 HYPOTHESIS_BOUNDARY_TOL = 1e-4
 HYPOTHESIS_RESOLUTION_TOL = 1e-3
 
@@ -201,18 +202,6 @@ class SequenceReport:
     hypothesis: dict = _dcfield(default_factory=dict)
     conclusion: dict = _dcfield(default_factory=dict)
     verdict: str = ""
-
-    def as_record(self) -> dict:
-        return {
-            "family": self.family,
-            "n_list": list(self.n_list),
-            "rows": list(self.rows),
-            "limit_counts": dict(self.limit_counts),
-            "limit_resolution": self.limit_resolution,
-            "hypothesis": dict(self.hypothesis),
-            "conclusion": dict(self.conclusion),
-            "verdict": self.verdict,
-        }
 
 
 def _resolve_entry(family) -> GalleryEntry:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from critsense import __version__
-from critsense.cli import dumps, main, parse_domain
+from critsense.cli import _json, dumps, main, parse_domain
 from critsense.errors import UsageError
 from critsense.domains import Ball, Box, Interval
 from critsense.gallery import catalogue
@@ -60,6 +60,11 @@ def test_parse_domain_kinds():
     "interval:a,b",
     "ball:0,0",
     "box:1,1",
+    "interval:0,inf",
+    "box:-1,-1:inf,1",
+    "ball:0,0:inf",
+    "ball:0,0:nan",
+    "ball:inf,0:1",
 ])
 def test_parse_domain_rejects(text):
     with pytest.raises(UsageError):
@@ -79,6 +84,14 @@ def test_dumps_handles_fractions_and_numpy():
            "arr": np.arange(2.0)}
     back = json.loads(dumps(obj))
     assert back == {"w": "-1/2", "i": 3, "b": True, "arr": [0.0, 1.0]}
+
+
+def test_dumps_lays_out_like_json():
+    # without floats the printer must match the standard library's layout
+    obj = {"b": [1, (2, "é"), {}], "a": {10: None, -2: True, 9: []},
+           "c": {"x": [[], {"y": False}]}}
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert _json(obj, None) == json.dumps(obj, sort_keys=True)
 
 
 def test_version_flag(capsys):
@@ -363,10 +376,22 @@ def test_montecarlo_output_ignores_the_thread_setting(tmp_path, capsys,
     {"n_list": []},
     {"n_list": ["x"]},
     {"noise": {"amplitude": "loud"}},
+    {"trials": 2.9},
+    {"trials": float("inf")},
+    {"D": 1.5},
+    {"degree": 2.5},
+    {"noise": {"amplitude": 0.4, "degree": 1.5}},
+    {"seed": 11.5},
+    {"n_list": [3.5]},
+    {"seed": -1},
+    {"seed": 2 ** 64},
+    {"amplitude": float("inf")},
+    {"noise": {"amplitude": float("nan")}},
+    ("montecarlo", "--config", "{config}", "--seed", "-1"),
 ])
 def test_malformed_numbers_are_usage_errors(tmp_path, capsys, case):
     if isinstance(case, tuple):
-        argv = case
+        argv = [mc_config(tmp_path) if a == "{config}" else a for a in case]
     else:
         path = tmp_path / "mc.json"
         if isinstance(case, str):
@@ -465,8 +490,20 @@ def test_point_outside_the_domain_needs_eps(capsys):
     ("flow", "--gallery", "bowl", "--ode-step", "0"),
     ("mountain", "--gallery", "twogauss", "--tol", "0"),
     ("sequence", "--gallery", "fig10", "--n", "4", "--tol", "0"),
+    ("classify", "--gallery", "twogauss", "--tol", "inf"),
+    ("classify", "--gallery", "bowl", "--point", "nan,0"),
+    ("classify", "--gallery", "bowl", "--domain", "box:-1,-1:inf,1"),
+    ("audit", "--gallery", "bowl", "--domain", "ball:0,0:inf"),
+    ("classify", "--gallery", "bowl", "--point", "0.1,0.2", "--eps",
+     "inf"),
+    ("mountain", "--gallery", "twogauss", "--tol", "inf"),
+    ("gallery", "--out", "{tmp}/missing/x.json"),
+    ("gallery", "--out", "{tmp}"),
+    ("classify", "--gallery", "bowl", "--format", "csv", "--out", "{tmp}"),
 ])
-def test_explicit_out_of_range_values_are_usage_errors(capsys, argv):
+def test_explicit_out_of_range_values_are_usage_errors(tmp_path, capsys,
+                                                       argv):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "UsageError"
