@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -43,6 +44,12 @@ def _json(o, indent, level=0) -> str:
     digits, ``indent`` spaces per level, or one line with ``", "`` and
     ``": "`` separators when ``indent`` is None. Numpy scalars and arrays
     become Python values; a Fraction becomes ``"n/d"``."""
+    if o is None:
+        return "null"
+    if isinstance(o, bool):
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
     if isinstance(o, np.generic):
         o = o.item()
     elif isinstance(o, np.ndarray):
@@ -460,9 +467,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_POINT_FLAGS = ("--point", "--sample", "--p1", "--p2")
+
+
+def _join_negative_points(argv) -> list:
+    """argparse reads a token like ``-0.4,0`` as an option, so a point
+    flag followed by one becomes the single token ``--p2=-0.4,0``."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _POINT_FLAGS and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_points(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except CritsenseError as err:

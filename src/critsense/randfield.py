@@ -8,12 +8,16 @@ Ghat_n -> G uniform with all derivatives, so the counting theorems'
 hypotheses are checkable per trial.
 
 Randomness is counter-based (Philox keyed by seed, trial, stream), so
-a trial's result does not depend on which trials ran before it.
+a trial's result does not depend on which trials ran before it. A
+trial's streams are drawn from one generator that is re-keyed for each
+stream, not rebuilt: a key and a zero counter fix a Philox state, so
+the bits are those of a freshly keyed generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,15 +58,21 @@ def _harmonics(degree: int) -> np.ndarray:
     return (k + 1) // 2
 
 
+@lru_cache(maxsize=64)
 def _scale_tensor(spec: BasisSpec) -> np.ndarray:
+    """The coefficient scale of ``spec``; cached, so it is read-only."""
     per_axis = (1.0 + _harmonics(spec.degree)) ** (-spec.decay)
     scale = per_axis
     for _ in range(spec.dim - 1):
         scale = np.multiply.outer(scale, per_axis)
-    return spec.amplitude * scale
+    scale = spec.amplitude * scale
+    scale.flags.writeable = False
+    return scale
 
 
 def _axis_tables(x: np.ndarray, degree: int):
+    """Basis values and first and second derivatives along one axis, in
+    the index order (1, cos x, sin x, cos 2x, sin 2x, ...)."""
     shape = x.shape + (2 * degree + 1,)
     b = np.empty(shape)
     db = np.empty(shape)
@@ -70,15 +80,16 @@ def _axis_tables(x: np.ndarray, degree: int):
     b[..., 0] = 1.0
     db[..., 0] = 0.0
     d2b[..., 0] = 0.0
-    for j in range(1, degree + 1):
-        c = np.cos(j * x)
-        s = np.sin(j * x)
-        b[..., 2 * j - 1] = c
-        db[..., 2 * j - 1] = -j * s
-        d2b[..., 2 * j - 1] = -j * j * c
-        b[..., 2 * j] = s
-        db[..., 2 * j] = j * c
-        d2b[..., 2 * j] = -j * j * s
+    j = np.arange(1, degree + 1)
+    jx = x[..., None] * j
+    c = np.cos(jx)
+    s = np.sin(jx)
+    b[..., 1::2] = c
+    db[..., 1::2] = -j * s
+    d2b[..., 1::2] = (-j * j) * c
+    b[..., 2::2] = s
+    db[..., 2::2] = j * c
+    d2b[..., 2::2] = (-j * j) * s
     return b, db, d2b
 
 
@@ -100,15 +111,16 @@ class BasisField(ScalarField):
                          hess_fn=self._hess_at, smoothness="C2", name=name)
         self.coeffs = coeffs
         self.degree = (coeffs.shape[0] - 1) // 2
+        axes = _EINSUM_AXES[:dim]
+        self._subscripts = ",".join("..." + a for a in axes) + "," + axes \
+            + "->..."
 
     def _tables(self, s: np.ndarray):
         return [_axis_tables(s[..., a], self.degree) for a in range(self.dim)]
 
     def _sum(self, tables, which) -> np.ndarray:
-        axes = _EINSUM_AXES[:self.dim]
-        sub = ",".join("..." + a for a in axes) + "," + axes + "->..."
         ops = [tables[a][which[a]] for a in range(self.dim)]
-        return np.einsum(sub, *ops, self.coeffs)
+        return np.einsum(self._subscripts, *ops, self.coeffs)
 
     def _value_at(self, s: np.ndarray) -> np.ndarray:
         return self._sum(self._tables(s), (0,) * self.dim)
@@ -140,21 +152,38 @@ def standard_domain(dim: int) -> Domain:
     return Box([0.0] * dim, [2.0 * np.pi] * dim)
 
 
-def _stream_rng(seed: int, trial: int, stream: int) -> np.random.Generator:
-    if not 0 <= seed < 1 << 64:
-        raise UsageError("seed must be in [0, 2**64)", seed=seed)
-    if trial < 0 or stream < 0 or stream >= (1 << 20):
-        raise UsageError("trial must be >= 0 and stream in [0, 2**20)")
-    key = np.array([np.uint64(seed), np.uint64((trial << 20) | stream)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+class _TrialStreams:
+    """The Philox streams of one (seed, trial): stream k is keyed
+    ``[seed, trial << 20 | k]``. One generator serves every stream; each
+    draw re-keys it to the state a fresh ``Philox(key=...)`` starts in."""
+
+    def __init__(self, seed: int, trial: int):
+        if not 0 <= seed < 1 << 64:
+            raise UsageError("seed must be in [0, 2**64)", seed=seed)
+        if trial < 0:
+            raise UsageError("trial must be >= 0 and stream in [0, 2**20)")
+        self.seed = seed
+        self.trial = trial
+        self.rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, trial << 20], dtype=np.uint64)))
+
+    def draw(self, spec: BasisSpec, stream: int) -> np.ndarray:
+        """Coefficients of ``spec`` from ``stream``."""
+        if not 0 <= stream < 1 << 20:
+            raise UsageError("trial must be >= 0 and stream in [0, 2**20)")
+        self.rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0],
+                      "key": [self.seed, (self.trial << 20) | stream]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        z = self.rng.standard_normal(size=(2 * spec.degree + 1,) * spec.dim)
+        return z * _scale_tensor(spec)
 
 
 def _draw_coeffs(spec: BasisSpec, seed: int, trial: int,
                  stream: int) -> np.ndarray:
-    rng = _stream_rng(seed, trial, stream)
-    z = rng.standard_normal(size=(2 * spec.degree + 1,) * spec.dim)
-    return z * _scale_tensor(spec)
+    return _TrialStreams(seed, trial).draw(spec, stream)
 
 
 def sample_limit_field(spec: BasisSpec, seed: int, trial: int = 0
@@ -185,9 +214,10 @@ def empirical_mean_field(G: BasisField, noise_spec: BasisSpec, n: int,
         raise UsageError("noise dimension must match G",
                          noise_dim=noise_spec.dim, field_dim=G.dim)
     m = 2 * max(G.degree, noise_spec.degree) + 1
+    streams = _TrialStreams(seed, trial)
     acc = np.zeros((m,) * G.dim)
     for i in range(1, n + 1):
-        acc += _embed(_draw_coeffs(noise_spec, seed, trial, i), m)
+        acc += _embed(streams.draw(noise_spec, i), m)
     coeffs = _embed(G.coeffs, m) + acc / n
     return BasisField(coeffs, G.dim,
                       name=f"Ghat[n={n},seed={seed},trial={trial}]")

@@ -290,6 +290,19 @@ def test_mountain_pass_in_one_dimension(capsys):
     assert res["c"] == pytest.approx(0.92775, abs=1e-5)
 
 
+@pytest.mark.parametrize("spaced", [
+    ("mountain", "--gallery", "twogauss", "--p1", "0.4,0", "--p2",
+     "-0.4,0"),
+    ("classify", "--gallery", "bowl", "--point", "-0.1,0"),
+    ("flow", "--gallery", "bowl", "--format", "csv", "--sample", "-.05,0"),
+])
+def test_negative_point_in_the_spaced_form(capsys, spaced):
+    joined = spaced[:-2] + (spaced[-2] + "=" + spaced[-1],)
+    rc, out, err = run(capsys, *spaced)
+    assert (rc, err) == (0, "")
+    assert run(capsys, *joined) == (rc, out, err)
+
+
 def test_mountain_p1_without_p2(capsys):
     rc, _, err = run(capsys, "mountain", "--gallery", "twogauss",
                      "--p1", "0.4,0")

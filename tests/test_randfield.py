@@ -10,7 +10,8 @@ from critsense.morse import morse_statistic
 from critsense.randfield import (BasisField, BasisSpec, empirical_mean_field,
                                  monte_carlo_convergence, sample_limit_field,
                                  standard_domain)
-from critsense.randfield import _draw_coeffs
+from critsense.randfield import (_TrialStreams, _axis_tables, _draw_coeffs,
+                                 _scale_tensor)
 
 SPEC = BasisSpec(dim=1, degree=4, amplitude=1.0, decay=2.0)
 NOISE = BasisSpec(dim=1, degree=4, amplitude=0.6, decay=1.5)
@@ -40,6 +41,73 @@ def test_decay_rescales_draws_exactly():
     steep = _draw_coeffs(BasisSpec(1, 2, amplitude=2.0, decay=3.0), 42, 0, 0)
     harmonics = np.array([0, 1, 1, 2, 2])
     assert np.array_equal(steep, flat * (1.0 + harmonics) ** -3.0)
+
+
+EDGE_KEYS = [(0, 0, 0), (2**64 - 1, 0, 0), (0, 0, 2**20 - 1),
+             (2**64 - 1, 2**44 - 1, 2**20 - 1), (777, 123456789, 17)]
+MIXED_SPECS = [BasisSpec(1, 1), BasisSpec(2, 3, amplitude=0.5),
+               BasisSpec(3, 2, decay=1.0), BasisSpec(1, 7, amplitude=3.0)]
+
+
+def _fresh_philox_draw(spec, seed, trial, stream):
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, trial << 20 | stream], dtype=np.uint64)))
+    z = rng.standard_normal(size=(2 * spec.degree + 1,) * spec.dim)
+    return z * _scale_tensor(spec)
+
+
+def test_draws_equal_a_freshly_keyed_philox():
+    # one re-keyed generator serves a trial's streams; specs of odd and
+    # even sizes alternate, so a buffer left over from the previous
+    # stream would shift the bits
+    for seed, trial, stream in EDGE_KEYS:
+        streams = _TrialStreams(seed, trial)
+        for k, spec in enumerate(MIXED_SPECS * 2):
+            s = (stream + k) % 2**20
+            want = _fresh_philox_draw(spec, seed, trial, s)
+            assert np.array_equal(streams.draw(spec, s), want)
+            assert np.array_equal(_draw_coeffs(spec, seed, trial, s), want)
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0), (2**64, 0, 0), (0, -1, 0),
+                                 (0, 0, -1), (0, 0, 2**20)])
+def test_stream_keys_out_of_range(key):
+    with pytest.raises(UsageError):
+        _draw_coeffs(SPEC, *key)
+
+
+def _per_harmonic_tables(x, degree):
+    shape = x.shape + (2 * degree + 1,)
+    b, db, d2b = np.empty(shape), np.empty(shape), np.empty(shape)
+    b[..., 0], db[..., 0], d2b[..., 0] = 1.0, 0.0, 0.0
+    for j in range(1, degree + 1):
+        c = np.cos(j * x)
+        s = np.sin(j * x)
+        b[..., 2 * j - 1], b[..., 2 * j] = c, s
+        db[..., 2 * j - 1], db[..., 2 * j] = -j * s, j * c
+        d2b[..., 2 * j - 1], d2b[..., 2 * j] = -j * j * c, -j * j * s
+    return b, db, d2b
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (513,), (65, 65)])
+@pytest.mark.parametrize("degree", [1, 4, 7])
+def test_axis_tables_equal_the_per_harmonic_closed_form(shape, degree):
+    pts = np.random.default_rng(9).uniform(-1.0, 8.0, size=shape + (2,))
+    # a field hands each axis over as a strided view of its points
+    for x in (pts[..., 1], np.ascontiguousarray(pts[..., 1])):
+        got = _axis_tables(x, degree)
+        for g, w in zip(got, _per_harmonic_tables(x, degree)):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+
+
+def test_scale_tensor_is_cached_and_read_only():
+    spec = BasisSpec(2, 3, amplitude=0.5, decay=1.5)
+    scale = _scale_tensor(spec)
+    assert _scale_tensor(BasisSpec(2, 3, amplitude=0.5, decay=1.5)) is scale
+    with pytest.raises(ValueError):
+        scale[0, 0] = 1.0
+    assert _draw_coeffs(spec, 1, 0, 0).flags.writeable
 
 
 def test_draws_are_deterministic_and_stream_separated():
