@@ -1,15 +1,18 @@
 """Compact convex domains: intervals, boxes, and balls.
 
 All three are contractible (Euler characteristic 1), which is what the
-index audits target. Points are always length-``dim`` vectors, including
-the one-dimensional case.
+index audits target. An interval is a 1-d box. Points are always
+length-``dim`` vectors, including the one-dimensional case. The 2-d box
+and disk also give their boundary as smooth pieces (``boundary_curves``).
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
-from .errors import UsageError
+from .errors import UnsupportedError, UsageError
 
 
 def ring_angles(n: int) -> np.ndarray:
@@ -45,6 +48,46 @@ def _endpoint_frames(a: float, b: float):
     return np.array([[a], [b]]), np.array([[-1.0], [1.0]])
 
 
+class BoundaryCurve(NamedTuple):
+    """One smooth piece of a 2-d boundary, parametrized on ``[0, length)``.
+
+    ``point(t)``, the unit counter-clockwise ``tangent(t)`` and the outward
+    unit ``normal(t)`` are ``(..., 2)`` for ``t`` of shape ``(...)``;
+    ``locate(p)`` is the parameter of the point nearest ``p`` on the piece
+    or on its extension. A ``cyclic`` piece closes on itself and is
+    parametrized by angle.
+    """
+
+    point: Callable
+    tangent: Callable
+    normal: Callable
+    locate: Callable
+    length: float
+    cyclic: bool
+
+
+def _pair(a, b) -> np.ndarray:
+    """``a`` and ``b`` stacked on a new last axis; a 2-vector for scalars,
+    built without ``np.stack``'s overhead, as bisection calls it often."""
+    if isinstance(a, np.ndarray):
+        return np.stack([a, b], axis=-1)
+    return np.array([a, b])
+
+
+def _constant(v) -> Callable:
+    """``t -> v``, broadcast to the shape of an array ``t``."""
+    v = np.array(v)
+    v.flags.writeable = False
+    return lambda t: np.broadcast_to(v, t.shape + v.shape) if isinstance(
+        t, np.ndarray) else v
+
+
+# the four box edges from the bottom one: unit tangent, tangent(u), normal(u)
+_BOX_EDGES = [(np.array(t), _constant(t), _constant(n)) for t, n in (
+    ((1.0, 0.0), (0.0, -1.0)), ((0.0, 1.0), (1.0, 0.0)),
+    ((-1.0, 0.0), (0.0, 1.0)), ((0.0, -1.0), (-1.0, 0.0)))]
+
+
 class Domain:
     """Base class; concrete domains implement the geometric queries."""
 
@@ -74,6 +117,11 @@ class Domain:
         """Boundary samples with outward unit normals, ``(m, dim)`` each."""
         raise NotImplementedError
 
+    def boundary_curves(self) -> list[BoundaryCurve]:
+        """2-d only: the boundary as smooth pieces, counter-clockwise."""
+        raise UnsupportedError(
+            f"no boundary curves for {self.dim}-d {type(self).__name__}")
+
     @property
     def diameter(self) -> float:
         lo, hi = self.bounding_box()
@@ -89,44 +137,6 @@ class Domain:
         axes = self.axes(res)
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack(grids, axis=-1)
-
-
-class Interval(Domain):
-    """``[a, b]`` on the line."""
-
-    dim = 1
-
-    def __init__(self, a: float, b: float):
-        if not np.isfinite([a, b]).all():
-            raise UsageError(f"interval [{a}, {b}] is not finite")
-        if not b > a:
-            raise UsageError(f"empty interval [{a}, {b}]")
-        self.a = float(a)
-        self.b = float(b)
-
-    def __repr__(self):
-        return f"Interval({self.a}, {self.b})"
-
-    def descriptor(self) -> str:
-        return f"interval:{self.a:g},{self.b:g}"
-
-    def contains(self, s, tol: float = 1e-12):
-        x = np.asarray(s, dtype=float)[..., 0]
-        return (x >= self.a - tol) & (x <= self.b + tol)
-
-    def boundary_distance(self, s):
-        x = np.asarray(s, dtype=float)[..., 0]
-        return np.minimum(x - self.a, self.b - x)
-
-    def project(self, s):
-        x = np.asarray(s, dtype=float)
-        return np.clip(x, self.a, self.b)
-
-    def bounding_box(self):
-        return np.array([self.a]), np.array([self.b])
-
-    def boundary_frames(self, n: int):
-        return _endpoint_frames(self.a, self.b)
 
 
 class Box(Domain):
@@ -153,11 +163,11 @@ class Box(Domain):
 
     def contains(self, s, tol: float = 1e-12):
         p = np.asarray(s, dtype=float)
-        return np.all((p >= self.lo - tol) & (p <= self.hi + tol), axis=-1)
+        return ((p >= self.lo - tol) & (p <= self.hi + tol)).all(axis=-1)
 
     def boundary_distance(self, s):
         p = np.asarray(s, dtype=float)
-        return np.min(np.minimum(p - self.lo, self.hi - p), axis=-1)
+        return np.minimum(p - self.lo, self.hi - p).min(axis=-1)
 
     def project(self, s):
         return np.clip(np.asarray(s, dtype=float), self.lo, self.hi)
@@ -165,17 +175,19 @@ class Box(Domain):
     def bounding_box(self):
         return self.lo.copy(), self.hi.copy()
 
-    def edges(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """2-d only: per-edge (start, tangent, outward normal) with unit frames."""
+    def boundary_curves(self) -> list[BoundaryCurve]:
+        """2-d only: the four edges from the lower-left corner, in arc
+        length."""
         if self.dim != 2:
-            raise UsageError("edges() is for 2-d boxes")
+            return super().boundary_curves()
         (x0, y0), (x1, y1) = self.lo, self.hi
-        return [
-            (np.array([x0, y0]), np.array([1.0, 0.0]), np.array([0.0, -1.0])),
-            (np.array([x1, y0]), np.array([0.0, 1.0]), np.array([1.0, 0.0])),
-            (np.array([x1, y1]), np.array([-1.0, 0.0]), np.array([0.0, 1.0])),
-            (np.array([x0, y1]), np.array([0.0, -1.0]), np.array([-1.0, 0.0])),
-        ]
+        starts = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+        return [BoundaryCurve(lambda u, s=s, v=v: s + np.multiply.outer(u, v),
+                              tangent, normal,
+                              lambda p, s=s, v=v: float(np.dot(p - s, v)),
+                              float(length), False)
+                for s, length, (v, tangent, normal) in zip(
+                    starts, (x1 - x0, y1 - y0) * 2, _BOX_EDGES)]
 
     def boundary_points(self, n: int) -> np.ndarray:
         if self.dim <= 2:
@@ -196,16 +208,31 @@ class Box(Domain):
     def boundary_frames(self, n: int):
         if self.dim == 1:
             return _endpoint_frames(self.lo[0], self.hi[0])
-        if self.dim != 2:
-            raise UsageError("boundary_frames supports dim <= 2 boxes")
-        per = max(2, n // 4)
         pts, normals = [], []
-        for start, tang, nrm in self.edges():
-            length = np.abs(self.hi - self.lo) @ np.abs(tang)
-            t = np.linspace(0.0, length, per, endpoint=False)
-            pts.append(start[None, :] + t[:, None] * tang[None, :])
-            normals.append(np.repeat(nrm[None, :], per, axis=0))
+        for c in self.boundary_curves():
+            t = np.linspace(0.0, c.length, max(2, n // 4), endpoint=False)
+            pts.append(c.point(t))
+            normals.append(c.normal(t))
         return np.concatenate(pts, axis=0), np.concatenate(normals, axis=0)
+
+
+class Interval(Box):
+    """``[a, b]`` on the line: a 1-d box."""
+
+    def __init__(self, a: float, b: float):
+        if not np.isfinite([a, b]).all():
+            raise UsageError(f"interval [{a}, {b}] is not finite")
+        if not b > a:
+            raise UsageError(f"empty interval [{a}, {b}]")
+        super().__init__([a], [b])
+        self.a = float(a)
+        self.b = float(b)
+
+    def __repr__(self):
+        return f"Interval({self.a}, {self.b})"
+
+    def descriptor(self) -> str:
+        return f"interval:{self.a:g},{self.b:g}"
 
 
 class Ball(Domain):
@@ -254,7 +281,15 @@ class Ball(Domain):
         normals = sphere_directions(self.dim, n)
         return self.center + self.radius * normals, normals
 
-    def angle_point(self, theta: float) -> np.ndarray:
-        """2-d only: boundary point at polar angle ``theta``."""
-        return self.center + self.radius * np.array([np.cos(theta), np.sin(theta)])
+    def boundary_curves(self) -> list[BoundaryCurve]:
+        """2-d only: the circle as one cyclic piece in polar angle."""
+        if self.dim != 2:
+            return super().boundary_curves()
+        c, r = self.center, self.radius
+        return [BoundaryCurve(
+            lambda t: c + r * _pair(np.cos(t), np.sin(t)),
+            lambda t: _pair(-np.sin(t), np.cos(t)),
+            lambda t: _pair(np.cos(t), np.sin(t)),
+            lambda p: float(np.arctan2(p[1] - c[1], p[0] - c[0])),
+            2.0 * np.pi, True)]
 

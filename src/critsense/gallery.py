@@ -27,13 +27,16 @@ from .fields import (ScalarField, bump1_vgh, bump_vgh, transition_vgh)
 class GalleryEntry:
     name: str
     dim: int
-    family: bool
     make: Callable[[int], ScalarField]
     domain: Domain
     origin: str  # "classical" or "reconstructed"
     note: str
     limit: Callable[[], ScalarField] | None = None
-    smoothness: str = "C2"
+
+    @property
+    def family(self) -> bool:
+        """Families take a sharpness ``n`` and come with their limit."""
+        return self.limit is not None
 
 
 def _wrap(name, dim, fn, grad, hess=None, smooth="C2") -> ScalarField:
@@ -496,70 +499,62 @@ _B2 = Ball((0.0, 0.0), 1.0)
 _I2 = Interval(-2.0, 2.0)
 
 _ENTRIES = [
-    GalleryEntry("bowl", 2, False, _bowl, _B2, "classical",
+    GalleryEntry("bowl", 2, _bowl, _B2, "classical",
                  "x^2 + y^2; one minimum, radial boundary field"),
-    GalleryEntry("bowl3", 3, False, _bowl3, Ball((0.0, 0.0, 0.0), 1.0),
+    GalleryEntry("bowl3", 3, _bowl3, Ball((0.0, 0.0, 0.0), 1.0),
                  "classical", "x^2 + y^2 + z^2 in three dimensions"),
-    GalleryEntry("dome", 2, False, _dome, _B2, "classical",
+    GalleryEntry("dome", 2, _dome, _B2, "classical",
                  "-(x^2 + y^2); one maximum"),
-    GalleryEntry("saddle", 2, False, _saddle, _B2, "classical",
+    GalleryEntry("saddle", 2, _saddle, _B2, "classical",
                  "x^2 - y^2; hyperbolic saddle, index -1"),
-    GalleryEntry("monkey", 2, False, _monkey, _B2, "classical",
+    GalleryEntry("monkey", 2, _monkey, _B2, "classical",
                  "x^3 - 3 x y^2; three-pronged saddle, index -2"),
-    GalleryEntry("undulation", 2, False, _undulation, _B2, "classical",
+    GalleryEntry("undulation", 2, _undulation, _B2, "classical",
                  "x^3 + y^2; degenerate isolated zero, index 0"),
-    GalleryEntry("tilt", 2, False, lambda n: _linear("tilt", 2, 0), _B2,
-                 "classical",
+    GalleryEntry("tilt", 2, lambda n: _linear("tilt", 2, 0), _B2, "classical",
                  "f = x; no critical points"),
-    GalleryEntry("peano", 2, False, _peano, _B2, "classical",
+    GalleryEntry("peano", 2, _peano, _B2, "classical",
                  "(2x^2 - y)(y - x^2); min along every line, not a min"),
-    GalleryEntry("twogauss", 2, False, _twogauss, _B2, "reconstructed",
+    GalleryEntry("twogauss", 2, _twogauss, _B2, "reconstructed",
                  "two Gaussian peaks; saddle between them at the origin"),
-    GalleryEntry("twogauss_pit", 2, False, _twogauss_pit, _B2,
-                 "reconstructed",
+    GalleryEntry("twogauss_pit", 2, _twogauss_pit, _B2, "reconstructed",
                  "two peaks plus a central pit; lowest connecting path "
                  "leaves the interior"),
-    GalleryEntry("singlemax", 2, True, _singlemax, Box((-1.0, -1.0), (1.0, 1.0)),
+    GalleryEntry("singlemax", 2, _singlemax, Box((-1.0, -1.0), (1.0, 1.0)),
                  "classical",
                  "one interior maximum at every n; limit f = y has none",
-                 lambda: _linear("singlemax_limit", 2, 1), "C1"),
-    GalleryEntry("fig13a", 1, True, _fig13a, _I2, "classical",
+                 lambda: _linear("singlemax_limit", 2, 1)),
+    GalleryEntry("fig13a", 1, _fig13a, _I2, "classical",
                  "parabola plus one-sided bump scaled by 1/sqrt(n); extra "
                  "max/min pair at every n, C0 limit x^2",
                  lambda: _parabola_limit("parabola", 1.0)),
-    GalleryEntry("fig13b", 2, True, _fig13b, Box((-2.0, -2.0), (2.0, 2.0)),
+    GalleryEntry("fig13b", 2, _fig13b, Box((-2.0, -2.0), (2.0, 2.0)),
                  "classical",
                  "saddle plus shrinking bump; bump max and companion saddle "
-                 "persist at every n, C1 limit x^2 - y^2",
-                 lambda: _saddle(1)),
-    GalleryEntry("fig10", 1, True, _fig10, _I2, "reconstructed",
+                 "persist at every n, C1 limit x^2 - y^2", lambda: _saddle(1)),
+    GalleryEntry("fig10", 1, _fig10, _I2, "reconstructed",
                  "1 - x^2 with a side bump; two maxima at every n merging "
-                 "onto the limit's one",
-                 lambda: _parabola_limit("cap", -1.0)),
-    GalleryEntry("fig4a", 1, True, _fig4a, _I2, "reconstructed",
+                 "onto the limit's one", lambda: _parabola_limit("cap", -1.0)),
+    GalleryEntry("fig4a", 1, _fig4a, _I2, "reconstructed",
                  "plateau on [-1/n, 1/n] glued C2 into ramps; limit f = x",
                  _line_limit),
-    GalleryEntry("fig4b", 1, True, _fig4b, _I2, "reconstructed",
+    GalleryEntry("fig4b", 1, _fig4b, _I2, "reconstructed",
                  "x + sin(n^2 x)/n; critical-point count diverges, "
-                 "C0 limit f = x",
-                 _line_limit),
-    GalleryEntry("fig4c", 1, True, _fig4c, _I2, "reconstructed",
+                 "C0 limit f = x", _line_limit),
+    GalleryEntry("fig4c", 1, _fig4c, _I2, "reconstructed",
                  "x^3 - x/n^2; two nondegenerate points collapsing onto "
-                 "the limit's one degenerate point",
-                 _cubic_limit),
-    GalleryEntry("twist", 2, True, _twist, _B2, "classical",
+                 "the limit's one degenerate point", _cubic_limit),
+    GalleryEntry("twist", 2, _twist, _B2, "classical",
                  "saddle through a radius-dependent rotation; C1 limit is "
                  "the plain saddle, second derivatives do not converge",
                  lambda: _saddle(1)),
-    GalleryEntry("fig8a", 1, True, _fig8a, Interval(-1.0, 1.0), "classical",
+    GalleryEntry("fig8a", 1, _fig8a, Interval(-1.0, 1.0), "classical",
                  "-exp(-1/(x^2 + 1/n)); maximum flattening onto the "
-                 "infinitely flat limit -exp(-1/x^2)",
-                 _fig8a_limit),
-    GalleryEntry("trio", 2, True, _trio, Box((-1.6, -1.0), (1.6, 1.0)),
+                 "infinitely flat limit -exp(-1/x^2)", _fig8a_limit),
+    GalleryEntry("trio", 2, _trio, Box((-1.6, -1.0), (1.6, 1.0)),
                  "reconstructed",
                  "double well with a 1/n^2 skew ripple; two minima and a "
-                 "saddle at every n, C2 limit",
-                 _trio_limit),
+                 "saddle at every n, C2 limit", _trio_limit),
 ]
 
 GALLERY: dict[str, GalleryEntry] = {e.name: e for e in _ENTRIES}

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domains import Ball, Box, Domain, ring_angles, sphere_directions
+from .domains import Ball, Domain, ring_angles, sphere_directions
 from .errors import (DegenerateError, NonGenericBoundaryError,
                      NonIsolatedZeroError, PreconditionError,
                      UnderSampledError, UnsupportedError, UsageError)
@@ -84,9 +84,8 @@ def winding_index_2d(field: ScalarField, z, eps: float,
     if eps <= 0 or n_samples < 8:
         raise UsageError("need eps > 0 and n_samples >= 8")
     z = np.asarray(z, dtype=float)
-    theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    ring = z + eps * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    g = field.grad(ring)
+    theta = ring_angles(n_samples)
+    g = field.grad(z + eps * sphere_directions(2, n_samples))
     norms = np.linalg.norm(g, axis=-1)
     gmax = float(np.max(norms))
     floor = 1e-12 * (1.0 + gmax)
@@ -238,7 +237,7 @@ class BoundaryIndexResult:
     total: Fraction
     zeros: list
     perturbed: bool = False
-    delta: float | None = None
+    delta: float | None = None  # total strength of the linear perturbation
 
 
 def _perturbed(field: ScalarField, delta: float, direction: np.ndarray) -> ScalarField:
@@ -258,25 +257,21 @@ def _perturbed(field: ScalarField, delta: float, direction: np.ndarray) -> Scala
 
 
 def _has_zero_run(flags: np.ndarray, cyclic: bool) -> bool:
-    """Whether three or more consecutive flags are set."""
-    if not np.any(flags):
-        return False
-    if np.all(flags):
-        return True
-    f = np.concatenate([flags, flags[:3]]) if cyclic else flags
-    count = 0
-    for v in f:
-        count = count + 1 if v else 0
-        if count >= 3:
-            return True
-    return False
+    """Whether three or more consecutive flags are set, or all of them."""
+    f = np.concatenate([flags, flags[:2]]) if cyclic else flags
+    return bool(np.any(flags) and (
+        np.all(flags) or np.any(f[:-2] & f[1:-1] & f[2:])))
 
 
 def bisect_root(fn, a: float, b: float, fa: float) -> float:
     """Root of a scalar function bracketed by a sign change on ``[a, b]``,
-    by 80 bisection steps from ``fa = fn(a)``; an exact zero ends early."""
+    by up to 80 bisection steps from ``fa = fn(a)``. An exact zero ends
+    early, and so does a bracket of adjacent doubles, whose midpoint is an
+    end: every further step would return that same midpoint."""
     for _ in range(80):
         m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
         fm = fn(m)
         if fm == 0.0:
             return m
@@ -299,19 +294,16 @@ def sign_change_brackets(param, vals, zero_tol: float, cyclic: bool) -> list:
     idx = np.flatnonzero(np.abs(vals) > zero_tol)
     if len(idx) < 2:
         return []
-    pairs = list(zip(idx[:-1], idx[1:]))
-    if cyclic:
-        pairs.append((idx[-1], idx[0]))
+    left, right = (idx, np.roll(idx, -1)) if cyclic else (idx[:-1], idx[1:])
+    sign = np.sign(vals)
+    change = sign[left] != sign[right]
     period = param[-1] - param[0] + (param[1] - param[0])
     out = []
-    for i, j in pairs:
-        si, sj = np.sign(vals[i]), np.sign(vals[j])
-        if si == sj:
-            continue
+    for i, j in zip(left[change], right[change]):
         a, b = param[i], param[j]
         if b <= a:
             b = b + period
-        out.append((a, b, vals[i], int(sj - si) // 2))
+        out.append((a, b, vals[i], int(sign[j] - sign[i]) // 2))
     return out
 
 
@@ -329,105 +321,89 @@ def _weighted_zero(field: ScalarField, loc, index: int, nrm,
                         HALF if radial < 0 else -HALF)
 
 
-def _tally(zeros: list) -> BoundaryIndexResult:
-    return BoundaryIndexResult(
-        sum((z.contribution for z in zeros), Fraction(0)), zeros)
-
-
-def boundary_index(field: ScalarField, domain: Domain,
-                   _retry: int = 0) -> BoundaryIndexResult:
+def boundary_index(field: ScalarField, domain: Domain) -> BoundaryIndexResult:
     """Half-weighted index sum of the tangential gradient zeros on the
     domain boundary, sampled at 512 points.
 
     Each sign-change zero contributes its 1-d crossing index times +1/2
     when the full gradient points into the domain there, -1/2 when it
     points out. Tangential components that vanish along whole sample runs
-    (radial fields) get a seeded linear perturbation and one retry at ten
-    times the strength before NonGenericBoundary is raised.
+    (radial fields) get a seeded linear perturbation, and then one more at
+    ten times the strength, before NonGenericBoundary is raised.
     """
     d = field.dim
+    if d == 2:
+        curves = domain.boundary_curves()
+    elif d != 1 and not (d == 3 and isinstance(domain, Ball)):
+        raise UnsupportedError(f"boundary index not implemented for dim {d} "
+                               f"on {type(domain).__name__}")
     pts, normals = domain.boundary_frames(512)
-    g = field.grad(pts)
-    gmax = float(np.max(np.linalg.norm(g, axis=-1)))
-    scale = max(gmax, 1e-12)
-    zero_tol = 1e-9 * max(1.0, scale)
-
-    if d == 1:
-        # each endpoint is a zero of the (empty) tangential component
-        if any(abs(float(field.grad(p)[0] * nrm[0])) <= zero_tol
-               for p, nrm in zip(pts, normals)):
-            return _boundary_retry(field, domain, _retry, scale)
-        return _tally([_weighted_zero(field, p, 1, nrm, zero_tol)
-                       for p, nrm in zip(pts, normals)])
-
-    if isinstance(domain, Ball) and d == 2:
-        theta = ring_angles(512)  # the angles of boundary_frames
-        tang = normals[:, ::-1] * np.array([-1.0, 1.0])
-        vpar = np.sum(g * tang, axis=-1)
-        if _has_zero_run(np.abs(vpar) <= zero_tol, cyclic=True):
-            return _boundary_retry(field, domain, _retry, scale)
-
-        def vpar_at(t):
-            p = domain.angle_point(t)
-            gr = field.grad(p)
-            return float(-gr[0] * np.sin(t) + gr[1] * np.cos(t))
-
-        zeros = []
-        for a, b, fa, ind in sign_change_brackets(theta, vpar, zero_tol,
-                                                  True):
-            t = bisect_root(vpar_at, a, b, fa)
-            zeros.append(_weighted_zero(field, domain.angle_point(t), ind,
-                                        np.array([np.cos(t), np.sin(t)]),
-                                        zero_tol))
-        return _tally(zeros)
-
-    if isinstance(domain, Box) and d == 2:
-        return _box_boundary_index(field, domain, _retry, zero_tol, scale)
-
-    if isinstance(domain, Ball) and d == 3:
-        return _sphere_boundary_index(field, domain, _retry, zero_tol,
-                                      scale)
-
-    raise UnsupportedError(
-        f"boundary index not implemented for dim {d} on {type(domain).__name__}")
-
-
-def _boundary_retry(field, domain, retry, scale):
-    if retry >= 2:
-        raise NonGenericBoundaryError(
-            "tangential component still degenerate after perturbation",
-            retries=retry)
-    rng = np.random.default_rng(20411)
-    u = rng.standard_normal(field.dim)
+    u = np.random.default_rng(20411).standard_normal(d)
     u /= np.linalg.norm(u)
-    delta = 1e-6 * max(scale, 1e-6) * 10.0**retry
-    pert = _perturbed(field, delta, u)
-    res = boundary_index(pert, domain, _retry=retry + 1)
-    return BoundaryIndexResult(res.total, res.zeros, True, delta)
+    f, delta = field, None
+    for attempt in range(3):
+        g = f.grad(pts)
+        scale = max(float(np.max(np.linalg.norm(g, axis=-1))), 1e-12)
+        zero_tol = 1e-9 * max(1.0, scale)
+        if d == 1:
+            zeros = _endpoint_zeros(f, pts, normals, zero_tol)
+        elif d == 2:
+            zeros = _curve_zeros(f, curves, zero_tol)
+        else:
+            zeros = _sphere_zeros(f, domain, normals, g, zero_tol)
+        if zeros is not None:
+            return BoundaryIndexResult(
+                sum((z.contribution for z in zeros), Fraction(0)), zeros,
+                delta is not None, delta)
+        step = 1e-6 * max(scale, 1e-6) * 10.0**attempt
+        f = _perturbed(f, step, u)
+        delta = step + (delta or 0.0)
+    raise NonGenericBoundaryError(
+        "tangential component still degenerate after perturbation",
+        retries=2)
 
 
-def _box_boundary_index(field, domain, retry, zero_tol, scale):
-    # corner neighborhoods are excluded; the box audit is approximate
-    per = 128  # a quarter of the boundary samples per edge
-    margin = 2
+def _endpoint_zeros(field, pts, normals, zero_tol):
+    """Each endpoint of a 1-d domain is a zero of the (empty) tangential
+    component; None when the derivative vanishes at one."""
+    if any(abs(float(field.grad(p)[0] * nrm[0])) <= zero_tol
+           for p, nrm in zip(pts, normals)):
+        return None
+    return [_weighted_zero(field, p, 1, nrm, zero_tol)
+            for p, nrm in zip(pts, normals)]
+
+
+def _along(g, v):
+    """Row-wise component of the 2-vectors ``g`` along ``v``, summed
+    product by product: a BLAS dot may fuse the multiply-add."""
+    return g[..., 0] * v[..., 0] + g[..., 1] * v[..., 1]
+
+
+def _curve_zeros(field, curves, zero_tol):
+    """Tangential zeros along the smooth pieces of a 2-d boundary; None
+    when the tangential component vanishes over a run of samples."""
     zeros = []
-    for start, tanv, nrm in domain.edges():
-        length = float(np.abs(domain.hi - domain.lo) @ np.abs(tanv))
-        t = np.linspace(0.0, length, per + 1)[margin:-margin or None]
-        pts = start[None, :] + t[:, None] * tanv[None, :]
-        g = field.grad(pts)
-        vpar = g @ tanv
-        if _has_zero_run(np.abs(vpar) <= zero_tol, cyclic=False):
-            return _boundary_retry(field, domain, retry, scale)
+    for c in curves:
+        if c.cyclic:
+            t = ring_angles(512)
+        else:
+            # two samples are skipped at each end: the tangent jumps at a
+            # corner, where the half-weight rule does not hold, and no
+            # corner term replaces it, so the box audit is approximate
+            t = np.linspace(0.0, c.length, 129)[2:-2]
+        vpar = _along(field.grad(c.point(t)), c.tangent(t))
+        if _has_zero_run(np.abs(vpar) <= zero_tol, c.cyclic):
+            return None
 
-        def vpar_at(u, s=start, tv=tanv):
-            return float(field.grad(s + u * tv) @ tv)
+        def vpar_at(s, c=c):
+            return float(_along(field.grad(c.point(s)), c.tangent(s)))
 
-        for a, b, fa, ind in sign_change_brackets(t, vpar, zero_tol, False):
-            u = bisect_root(vpar_at, a, b, fa)
-            zeros.append(_weighted_zero(field, start + u * tanv, ind, nrm,
+        for a, b, fa, ind in sign_change_brackets(t, vpar, zero_tol,
+                                                  c.cyclic):
+            s = bisect_root(vpar_at, a, b, fa)
+            zeros.append(_weighted_zero(field, c.point(s), ind, c.normal(s),
                                         zero_tol))
-    return _tally(zeros)
+    return zeros
 
 
 def _tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -440,48 +416,42 @@ def _tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _sphere_boundary_index(field, domain, retry, zero_tol, scale):
+def _sphere_zeros(field, domain, normals, g, zero_tol):
     """Tangential zeros on a 2-sphere boundary, located by multi-start
     refinement from the lowest-|v_par| samples and indexed by a chart
-    winding number. Heuristic coverage; audited fields keep their zeros
-    well separated."""
-    pts, normals = domain.boundary_frames(512)
-    g = field.grad(pts)
+    winding number; None when v_par vanishes over a run of samples.
+    Heuristic coverage; audited fields keep their zeros well separated."""
     vpar = g - np.sum(g * normals, axis=-1, keepdims=True) * normals
     tv = np.linalg.norm(vpar, axis=-1)
     if _has_zero_run(tv <= zero_tol, cyclic=False):
-        return _boundary_retry(field, domain, retry, scale)
+        return None
 
-    def vpar_of(nrm):
-        p = domain.center + domain.radius * nrm
-        gr = field.grad(p)
-        return gr - np.dot(gr, nrm) * nrm
-
-    order = np.argsort(tv)
-    R = domain.radius
-    found_dirs: list[np.ndarray] = []
-    for i in order[:16]:
-        n0 = normals[i].copy()
+    def chart(n0):
+        """``w -> (n, v_par at n in the basis e1, e2)`` for the boundary
+        normal n = normalize(n0 + w0 e1 + w1 e2)."""
         e1, e2 = _tangent_basis(n0)
+
+        def at(w):
+            nn = n0 + w[0] * e1 + w[1] * e2
+            nn /= np.linalg.norm(nn)
+            gr = field.grad(domain.center + domain.radius * nn)
+            vp = gr - np.dot(gr, nn) * nn
+            return nn, np.array([np.dot(vp, e1), np.dot(vp, e2)])
+        return at
+
+    found_dirs: list[np.ndarray] = []
+    for i in np.argsort(tv)[:16]:
+        at = chart(normals[i])
         w = np.zeros(2)
         ok = False
         for _ in range(60):
-            nn = n0 + w[0] * e1 + w[1] * e2
-            nn /= np.linalg.norm(nn)
-            vp = vpar_of(nn)
-            F = np.array([np.dot(vp, e1), np.dot(vp, e2)])
+            nn, F = at(w)
             if np.linalg.norm(F) <= zero_tol:
-                n0 = nn
                 ok = True
                 break
             h = 1e-6
-            J = np.empty((2, 2))
-            for k, ek in enumerate((e1, e2)):
-                npp = n0 + (w + h * np.eye(2)[k])[0] * e1 \
-                    + (w + h * np.eye(2)[k])[1] * e2
-                npp /= np.linalg.norm(npp)
-                vh = vpar_of(npp)
-                J[:, k] = (np.array([np.dot(vh, e1), np.dot(vh, e2)]) - F) / h
+            J = np.column_stack([(at(w + h * e)[1] - F) / h
+                                 for e in np.eye(2)])
             try:
                 step = np.linalg.solve(J, -F)
             except np.linalg.LinAlgError:
@@ -489,33 +459,25 @@ def _sphere_boundary_index(field, domain, retry, zero_tol, scale):
             if np.linalg.norm(step) > 0.5:
                 step *= 0.5 / np.linalg.norm(step)
             w = w + step
-        if not ok:
-            continue
-        if any(np.linalg.norm(n0 - fd) < 0.05 for fd in found_dirs):
-            continue
-        found_dirs.append(n0)
+        if ok and not any(np.linalg.norm(nn - fd) < 0.05 for fd in found_dirs):
+            found_dirs.append(nn)
 
     zeros = []
+    theta = ring_angles(64)
     for nrm in found_dirs:
-        e1, e2 = _tangent_basis(nrm)
-        loc = domain.center + R * nrm
+        at = chart(nrm)
 
-        def vec_at(t, n0=nrm, a=e1, b=e2):
-            rho = 1e-3
-            nn = n0 + rho * (np.cos(t) * a + np.sin(t) * b)
-            nn /= np.linalg.norm(nn)
-            vp = vpar_of(nn)
-            return np.array([np.dot(vp, a), np.dot(vp, b)])
+        def vec_at(t, at=at):
+            return at(1e-3 * np.array([np.cos(t), np.sin(t)]))[1]
 
-        theta = 2.0 * np.pi * np.arange(64) / 64
         vecs = np.array([vec_at(t) for t in theta])
-        norms = np.linalg.norm(vecs, axis=-1)
-        floor = 1e-12 * (1.0 + float(np.max(norms)))
+        floor = 1e-12 * (1.0 + float(np.max(np.linalg.norm(vecs, axis=-1))))
         angles = np.arctan2(vecs[:, 1], vecs[:, 0])
         tot = _winding_total(theta, angles, vec_at, floor)
-        ind = int(np.round(tot / (2.0 * np.pi)))
-        zeros.append(_weighted_zero(field, loc, ind, nrm, zero_tol))
-    return _tally(zeros)
+        zeros.append(_weighted_zero(field, domain.center + domain.radius * nrm,
+                                    int(np.round(tot / (2.0 * np.pi))), nrm,
+                                    zero_tol))
+    return zeros
 
 
 # ---------------------------------------------------------------- #
@@ -607,8 +569,8 @@ def tangency_check(field: ScalarField, p, c: float, delta: float,
         raise UsageError("delta must be positive")
     p = np.asarray(p, dtype=float)
     theta = ring_angles(n_samples)
-    ring = p + delta * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    h = np.asarray(field.value(ring), dtype=float) - c
+    h = np.asarray(field.value(p + delta * sphere_directions(2, n_samples)),
+                   dtype=float) - c
     tau = 1e-12 * max(1.0, float(np.max(np.abs(h))), abs(c))
     near = np.abs(h) <= tau
     if np.count_nonzero(near) > n_samples // 2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import refine_newton
-from .domains import Ball, Box, Domain, sphere_directions
+from .domains import Domain, sphere_directions
 from .errors import (ConvexityError, NoConvergenceError, NoSeparationError,
                      PreconditionError, UsageError)
 from .fields import ScalarField
@@ -162,43 +162,30 @@ def _probe_local_max(field: ScalarField, domain: Domain, p: np.ndarray,
     return False
 
 
-def _boundary_tangency(field: ScalarField, domain: Ball | Box,
-                       p: np.ndarray):
+def _boundary_tangency(field: ScalarField, curves: list, p: np.ndarray):
     """Boundary point near ``p`` where the level set runs tangent to the
-    boundary of a 2-d ball or box.
+    boundary pieces ``curves`` of a 2-d domain.
 
-    h is the tangential derivative along the circle, or along the box edge
-    that holds ``p``; the sign change of h nearest ``p`` in a window around
-    it is bisected. Returns ``(point, |h| there)``, or None when h keeps
-    its sign over the window.
+    h is the tangential derivative along the piece whose line passes
+    nearest ``p``; the sign change of h nearest ``p`` in a window around
+    it is bisected: +-0.6 rad on a closed curve, +-0.3 of the length,
+    clipped to the piece, on an edge. Returns ``(point, |h| there)``, or
+    None when h keeps its sign over the window.
     """
-    if isinstance(domain, Ball):
-        point = domain.angle_point
+    def offset(c):
+        t = c.locate(p)
+        return abs(float(np.dot(p - c.point(t), c.normal(t))))
 
-        def tangent(t):
-            return np.array([-np.sin(t), np.cos(t)])
-
-        rel = p - domain.center
-        t0 = float(np.arctan2(rel[1], rel[0]))
+    c = min(curves, key=offset)
+    t0 = c.locate(p)
+    if c.cyclic:
         ts = t0 + np.linspace(-0.6, 0.6, 96)
     else:
-        # the edge whose line passes nearest p holds it
-        start, tang, _ = min(domain.edges(),
-                             key=lambda e: abs(float(np.dot(p - e[0], e[2]))))
-        length = float(np.abs(domain.hi - domain.lo) @ np.abs(tang))
-
-        def point(u):
-            return start + u * tang
-
-        def tangent(u):
-            return tang
-
-        t0 = float(np.dot(p - start, tang))
-        ts = np.linspace(max(0.02 * length, t0 - 0.3 * length),
-                         min(0.98 * length, t0 + 0.3 * length), 64)
+        ts = np.linspace(max(0.02 * c.length, t0 - 0.3 * c.length),
+                         min(0.98 * c.length, t0 + 0.3 * c.length), 64)
 
     def h(t: float) -> float:
-        return float(np.dot(field.grad(point(t)), tangent(t)))
+        return float(np.dot(field.grad(c.point(t)), c.tangent(t)))
 
     hs = np.array([h(t) for t in ts])
     brackets = sign_change_brackets(ts, hs, 0.0, cyclic=False)
@@ -206,7 +193,7 @@ def _boundary_tangency(field: ScalarField, domain: Ball | Box,
         return None
     a, b, fa, _ = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - t0))
     t = bisect_root(h, a, b, fa)
-    return point(t), abs(h(t))
+    return c.point(t), abs(h(t))
 
 
 def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
@@ -274,8 +261,9 @@ def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
     near = domain.boundary_distance(p3_raw) <= max(2.0 * spacing,
                                                    1e-3 * domain.diameter)
     hit = None
-    if near and isinstance(domain, (Ball, Box)) and domain.dim == 2:
-        hit = _boundary_tangency(field, domain, domain.project(p3_raw))
+    if near and domain.dim == 2:
+        hit = _boundary_tangency(field, domain.boundary_curves(),
+                                 domain.project(p3_raw))
     if hit is not None:
         p3, align = hit
         c = float(field.value(p3))

@@ -209,6 +209,16 @@ def test_audit_failure_sets_exit_code(capsys):
     assert res["per_point"] == []
 
 
+def test_audit_on_an_unsupported_boundary_exits_1(capsys):
+    # dispatch comes before boundary sampling, whose messages must not leak
+    rc, out, err = run(capsys, "audit", "--gallery", "bowl3",
+                       "--domain", "box:-1,-1,-1:1,1,1")
+    assert rc == 1 and out == ""
+    err = json.loads(err)["error"]
+    assert err["type"] == "UnsupportedError"
+    assert err["message"].startswith("boundary index not implemented")
+
+
 def test_audit_csv_preamble(capsys):
     rc, out, _ = run(capsys, "audit", "--gallery", "bowl", "--format", "csv")
     assert rc == 0

@@ -39,21 +39,51 @@ def test_ball_frames_are_outward_unit_normals():
     assert np.all(np.sum(pts * normals, axis=1) > 0)
 
 
-def test_box_edges_walk_the_rim():
-    dom = Box([0.0, 0.0], [2.0, 1.0])
-    edges = dom.edges()
-    assert len(edges) == 4
-    center = np.array([1.0, 0.5])
-    starts = [e[0] for e in edges]
-    for i, (start, tangent, normal) in enumerate(edges):
-        assert np.linalg.norm(tangent) == pytest.approx(1.0)
-        assert np.linalg.norm(normal) == pytest.approx(1.0)
-        assert abs(float(np.dot(tangent, normal))) < 1e-14
-        nxt = starts[(i + 1) % 4]
-        length = float(np.linalg.norm(nxt - start))
-        assert np.allclose(start + tangent * length, nxt)
-        # outward normal
-        assert float(np.dot(normal, 0.5 * (start + nxt) - center)) > 0
+@pytest.mark.parametrize("dom", [Box([0.0, 0.0], [2.0, 1.0]),
+                                 Ball([0.5, -0.5], 2.0)],
+                         ids=["box", "disk"])
+def test_boundary_curves_walk_the_rim(dom):
+    curves = dom.boundary_curves()
+    center = np.mean(dom.bounding_box(), axis=0)
+    for i, c in enumerate(curves):
+        # closed chain: each piece ends where the next one starts
+        nxt = curves[(i + 1) % len(curves)]
+        assert np.allclose(c.point(c.length), nxt.point(0.0), atol=1e-12)
+        assert c.cyclic == (len(curves) == 1)
+        t = np.linspace(0.0, c.length, 17)
+        tan, nrm = c.tangent(t), c.normal(t)
+        assert np.allclose(np.linalg.norm(tan, axis=-1), 1.0)
+        assert np.allclose(np.linalg.norm(nrm, axis=-1), 1.0)
+        assert np.allclose(np.sum(tan * nrm, axis=-1), 0.0, atol=1e-15)
+        rel = c.point(t) - center
+        assert np.all(np.sum(nrm * rel, axis=-1) > 0)  # outward
+        # counter-clockwise: the tangent turns left of the radius
+        assert np.all(rel[:, 0] * tan[:, 1] - rel[:, 1] * tan[:, 0] > 0)
+        feet = [c.point(c.locate(p)) for p in c.point(t)]
+        assert np.allclose(feet, c.point(t), atol=1e-12)
+    pts, normals = dom.boundary_frames(64)
+    for p, n in zip(pts, normals):
+        # some piece holds p, at a parameter in its range, with n as normal
+        assert any((c.cyclic or 0.0 <= c.locate(p) < c.length)
+                   and np.allclose(c.point(c.locate(p)), p, atol=1e-12)
+                   and np.allclose(c.normal(c.locate(p)), n, atol=1e-12)
+                   for c in curves)
+
+
+def test_interval_is_a_one_dimensional_box():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        a, b = np.sort(rng.uniform(-3, 3, 2))
+        iv, box = Interval(a, b), Box([a], [b])
+        pts = rng.uniform(a - 1, b + 1, size=(50, 1))
+        pts[:2] = [[a], [b]]
+        for meth in ("contains", "boundary_distance", "project"):
+            assert np.array_equal(getattr(iv, meth)(pts),
+                                  getattr(box, meth)(pts))
+        for mine, theirs in zip(iv.boundary_frames(8), box.boundary_frames(8)):
+            assert np.array_equal(mine, theirs)
+        assert (iv.a, iv.b) == (a, b)
+        assert iv.descriptor().startswith("interval:")
 
 
 def test_lattice_has_res_plus_one_nodes_per_axis():

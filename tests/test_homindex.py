@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from critsense.domains import Ball, Interval
-from critsense.errors import (DegenerateError, NonIsolatedZeroError,
-                              UnderSampledError)
+from critsense.domains import Ball, Box, Interval
+from critsense.errors import (DegenerateError, NonGenericBoundaryError,
+                              NonIsolatedZeroError, UnderSampledError,
+                              UnsupportedError)
 from critsense.fields import ScalarField
 from critsense.gallery import gallery
 from critsense.homindex import (boundary_index, classify_by_index,
@@ -135,6 +136,25 @@ def test_boundary_index_interval_and_3d():
     res3 = boundary_index(gallery("bowl3"), Ball((0, 0, 0), 1.0))
     assert res3.total == Fraction(-1)
     assert res3.perturbed
+
+
+def test_boundary_perturbation_gives_up_after_three_attempts():
+    flat = ScalarField(lambda s: np.zeros(s.shape[:-1]), 2,
+                       grad_fn=lambda s: np.zeros_like(s))
+    with pytest.raises(NonGenericBoundaryError) as exc:
+        boundary_index(flat, Ball((0, 0), 1.0))
+    assert exc.value.context["retries"] == 2
+
+
+@pytest.mark.parametrize("domain", [Box([-1.0] * 3, [1.0] * 3),
+                                    Ball([0.0] * 4, 1.0)],
+                         ids=["box3", "ball4"])
+def test_boundary_index_unsupported_domains(domain):
+    d = domain.dim
+    bowl = ScalarField(lambda s: np.sum(s * s, axis=-1), d,
+                       grad_fn=lambda s: 2 * s)
+    with pytest.raises(UnsupportedError):
+        boundary_index(bowl, domain)
 
 
 def test_boundary_weights_are_half_integers():
