@@ -394,12 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, grid=True):
         sp.add_argument("--gallery", required=True,
                         help="gallery field name (see the gallery command)")
         sp.add_argument("--domain", help="interval:a,b | "
                         "box:lo1,lo2:hi1,hi2 | ball:cx,cy:r")
-        sp.add_argument("--grid", type=int, help="detection grid resolution")
+        if grid:
+            sp.add_argument("--grid", type=int,
+                            help="detection grid resolution")
         sp.add_argument("--tol", type=float, help="refinement tolerance")
         sp.add_argument("--out", help="write the artifact to this path")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -419,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("flow", help="Morse chart at a critical point, "
                         "with optional trajectory CSV")
-    common(sp)
+    common(sp, grid=False)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--point", help="Newton seed (defaults to the domain "
                     "center)")
@@ -490,8 +492,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CritsenseError as err:
         sys.stderr.write(dumps({"error": {
-            "type": type(err).__name__, "message": str(err),
-            "context": err.context}}) + "\n")
+            **err.record(), "message": str(err)}}) + "\n")
         return 2 if isinstance(err, UsageError) else 1
 
 

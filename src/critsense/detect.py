@@ -20,7 +20,7 @@ from .domains import Domain
 from .errors import (DegenerateError, NoConvergenceError,
                      NonIsolatedZeroError, UnderSampledError,
                      UnsupportedError, UsageError)
-from .fields import ScalarField
+from .fields import ScalarField, sym_eigvalsh
 from .morse import morse_classify
 from . import homindex
 
@@ -139,10 +139,10 @@ def refine_newton(field: ScalarField, s0, tol: float = 1e-9,
         accepted = False
         for _ in range(25):
             xn = x + delta
-            gn_new = float(np.linalg.norm(field.grad(xn)))
+            g_new = field.grad(xn)
+            gn_new = float(np.linalg.norm(g_new))
             if gn_new < gn:
-                x, gn = xn, gn_new
-                g = field.grad(x)
+                x, g, gn = xn, g_new, gn_new
                 accepted = True
                 break
             delta = 0.5 * delta
@@ -260,8 +260,7 @@ def find_critical_points(field: ScalarField, domain: Domain,
 
     points = []
     for gn, x in kept:
-        H = field.hess(x)
-        spec = np.sort(np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2))))
+        spec = sym_eigvalsh(field.hess(x))
         near = bool(domain.boundary_distance(x) < boundary_margin)
         points.append(CriticalPoint(x, float(field.value(x)), gn, spec,
                                     near_boundary=near))

@@ -15,6 +15,10 @@ class CritsenseError(Exception):
         super().__init__(message)
         self.context = context
 
+    def record(self) -> dict:
+        """The error's type name and context, as artifacts report it."""
+        return {"type": type(self).__name__, "context": self.context}
+
 
 class UsageError(CritsenseError):
     """Malformed input that is the caller's fault (bad grammar, bad shapes)."""

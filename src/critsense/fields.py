@@ -83,13 +83,10 @@ def transition(x) -> float | np.ndarray:
     """Monotone transition ``-e^x / (e^x + e^(1-x))``, elementwise.
 
     Runs from 0 at ``-inf`` to -1 at ``+inf`` through -1/2 at ``x = 1/2``.
-    Evaluated in the overflow-safe form ``-1/(1 + e^(1-2x))``.
+    The value part of :func:`transition_vgh`.
     """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        # exp overflow saturates to -1/inf = -0.0, the correct tail
-        out = -1.0 / (1.0 + np.exp(1.0 - 2.0 * x))
-    return float(out) if out.ndim == 0 else out
+    v = transition_vgh(x)[0]
+    return float(v) if v.ndim == 0 else v
 
 
 def transition_vgh(x: np.ndarray):
@@ -124,8 +121,8 @@ class ScalarField:
     grad_fn, hess_fn : callable, optional
         Analytic derivatives with the same batching convention. Missing
         ones fall back to central differences with step
-        ``h = 1e-5 * (1 + |s|)``; the Hessian differentiates the gradient,
-        so an analytic gradient sharpens it too.
+        ``h = DEFAULT_FD_STEP * (1 + |s|)``; the Hessian differentiates the
+        gradient, so an analytic gradient sharpens it too.
     smoothness : str
         One of ``C0``, ``C1``, ``C2`` (differentiability class the
         derivatives can be trusted to).
@@ -139,7 +136,6 @@ class ScalarField:
     hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
     smoothness: str = "C2"
     name: str = ""
-    fd_step: float = DEFAULT_FD_STEP
 
     def value(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -151,16 +147,21 @@ class ScalarField:
         self._check_shape(s)
         if self.grad_fn is not None:
             return np.asarray(self.grad_fn(s), dtype=float)
-        return fd_gradient(self.fn, s, self.fd_step)
+        return fd_gradient(self.fn, s)
 
     def hess(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         self._check_shape(s)
         if self.hess_fn is not None:
             return np.asarray(self.hess_fn(s), dtype=float)
+        return self._fd_hess(s)
+
+    def _fd_hess(self, s: np.ndarray) -> np.ndarray:
+        """Differentiated gradient, or second differences of values when
+        there is no gradient."""
         if self.grad_fn is not None:
-            return fd_jacobian_sym(self.grad_fn, s, self.fd_step)
-        return fd_hessian(self.fn, s, self.fd_step)
+            return fd_jacobian_sym(self.grad_fn, s)
+        return fd_hessian(self.fn, s)
 
     def _check_shape(self, s: np.ndarray):
         if s.ndim == 0 or s.shape[-1] != self.dim:
@@ -171,47 +172,39 @@ class ScalarField:
         g = None if self.grad_fn is None else (lambda s, f=self.grad_fn: -f(s))
         h = None if self.hess_fn is None else (lambda s, f=self.hess_fn: -f(s))
         return ScalarField(lambda s, f=self.fn: -np.asarray(f(s)), self.dim,
-                           g, h, self.smoothness, f"-({self.name})", self.fd_step)
+                           g, h, self.smoothness, f"-({self.name})")
 
 
-def _steps(s: np.ndarray, h: float) -> np.ndarray:
-    return h * (1.0 + np.linalg.norm(s, axis=-1))
+def _steps(s: np.ndarray) -> np.ndarray:
+    return DEFAULT_FD_STEP * (1.0 + np.linalg.norm(s, axis=-1))
 
 
-def fd_gradient(fn, s: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+def fd_gradient(fn, s: np.ndarray) -> np.ndarray:
+    """Central differences of ``fn`` along each coordinate, stacked on a
+    new last axis: the gradient of a scalar ``fn``, the Jacobian of a
+    vector-valued one."""
     s = np.asarray(s, dtype=float)
-    d = s.shape[-1]
-    hh = _steps(s, h)
-    out = np.empty(s.shape, dtype=float)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        step = hh[..., None] * e
-        out[..., i] = (np.asarray(fn(s + step)) - np.asarray(fn(s - step))) / (2.0 * hh)
-    return out
-
-
-def fd_jacobian_sym(grad_fn, s: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central difference of a gradient, symmetrized."""
-    s = np.asarray(s, dtype=float)
-    d = s.shape[-1]
-    hh = _steps(s, h)
+    hh = _steps(s)
     cols = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = 1.0
+    for e in np.eye(s.shape[-1]):
         step = hh[..., None] * e
-        cols.append((np.asarray(grad_fn(s + step)) - np.asarray(grad_fn(s - step)))
-                    / (2.0 * hh[..., None]))
-    jac = np.stack(cols, axis=-1)
-    return 0.5 * (jac + np.swapaxes(jac, -1, -2))
+        diff = np.asarray(fn(s + step)) - np.asarray(fn(s - step))
+        # the step is per point; a vector-valued fn adds trailing axes
+        cols.append(diff / (2.0 * hh).reshape(
+            hh.shape + (1,) * (diff.ndim - hh.ndim)))
+    return np.stack(cols, axis=-1)
 
 
-def fd_hessian(fn, s: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+def fd_jacobian_sym(grad_fn, s: np.ndarray) -> np.ndarray:
+    """Central difference of a gradient, symmetrized."""
+    return _sym(fd_gradient(grad_fn, s))
+
+
+def fd_hessian(fn, s: np.ndarray) -> np.ndarray:
     """Second differences of values; used only when no gradient exists."""
     s = np.asarray(s, dtype=float)
     d = s.shape[-1]
-    hh = _steps(s, h) * 10.0  # wider stencil: second differences lose precision
+    hh = _steps(s) * 10.0  # wider stencil: second differences lose precision
     f0 = np.asarray(fn(s), dtype=float)
     out = np.empty(s.shape[:-1] + (d, d), dtype=float)
     eyes = np.eye(d)
@@ -233,27 +226,37 @@ def fd_hessian(fn, s: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
 
 
 def finite_diff(field: ScalarField, s, order: str = "grad") -> np.ndarray:
-    """Central-difference derivative of ``field`` at ``s`` with the field's
-    ``fd_step``; ``order`` is ``"grad"`` or ``"hess"``."""
+    """Finite-difference derivative of ``field`` at ``s``, as ``grad`` or
+    ``hess`` computes it without the analytic one; ``order`` is ``"grad"``
+    or ``"hess"``."""
     s = np.asarray(s, dtype=float)
-    step = field.fd_step
-    if order not in ("grad", "hess"):
-        raise UsageError(f"order must be 'grad' or 'hess', got {order!r}")
     if order == "grad":
-        return fd_gradient(field.fn, s, step)
-    if field.grad_fn is not None:
-        return fd_jacobian_sym(field.grad_fn, s, step)
-    return fd_hessian(field.fn, s, step)
+        return fd_gradient(field.fn, s)
+    if order == "hess":
+        return field._fd_hess(s)
+    raise UsageError(f"order must be 'grad' or 'hess', got {order!r}")
 
 
-def spectral_norm(H: np.ndarray) -> float:
-    """Largest |eigenvalue| of a symmetric matrix."""
-    H = np.asarray(H, dtype=float)
-    return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (H + H.T)))))
+# ---------------------------------------------------------------- #
+# symmetric Hessian spectrum
+# ---------------------------------------------------------------- #
+
+def _sym(H: np.ndarray) -> np.ndarray:
+    return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
-def spectral_norms(H: np.ndarray) -> np.ndarray:
-    """Batched largest |eigenvalue| for symmetric matrices ``(..., d, d)``."""
-    H = np.asarray(H, dtype=float)
-    Hs = 0.5 * (H + np.swapaxes(H, -1, -2))
-    return np.max(np.abs(np.linalg.eigvalsh(Hs)), axis=-1)
+def sym_eigvalsh(H) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric part ``(H + H')/2``,
+    batched over ``(..., d, d)``."""
+    return np.linalg.eigvalsh(_sym(np.asarray(H, dtype=float)))
+
+
+def spectral_norms(H) -> np.ndarray:
+    """Largest |eigenvalue| of the symmetric part, batched over
+    ``(..., d, d)``."""
+    return np.max(np.abs(sym_eigvalsh(H)), axis=-1)
+
+
+def spectral_norm(H) -> float:
+    """Largest |eigenvalue| of the symmetric part of one matrix."""
+    return float(spectral_norms(H))

@@ -51,6 +51,27 @@ def _wrap1d(name, parts) -> ScalarField:
                  lambda s: parts(s[..., 0])[2][..., None, None])
 
 
+def _wrap2d(name, value, grad, hess=None, smooth="C2") -> ScalarField:
+    """2-d field from closed forms in ``(x, y)``, elementwise: ``value``,
+    ``grad -> (f_x, f_y)`` and ``hess -> (f_xx, f_xy, f_yy)``. Three
+    callables, so a value or gradient call computes nothing more."""
+    def fn(s):
+        return value(s[..., 0], s[..., 1])
+
+    def gfn(s):
+        return np.stack(grad(s[..., 0], s[..., 1]), axis=-1)
+
+    def hfn(s):
+        fxx, fxy, fyy = hess(s[..., 0], s[..., 1])
+        out = np.empty(s.shape[:-1] + (2, 2))
+        out[..., 0, 0] = fxx
+        out[..., 0, 1] = out[..., 1, 0] = fxy
+        out[..., 1, 1] = fyy
+        return out
+
+    return _wrap(name, 2, fn, gfn, None if hess is None else hfn, smooth)
+
+
 def _linear(name, dim, axis) -> ScalarField:
     """f = s[axis]: a constant gradient, no critical points."""
     def fn(s):
@@ -107,67 +128,25 @@ def _saddle(n):
 
 def _monkey(n):
     # x^3 - 3 x y^2: three-valley saddle
-    def fn(s):
-        x, y = s[..., 0], s[..., 1]
-        return x**3 - 3.0 * x * y * y
-
-    def grad(s):
-        x, y = s[..., 0], s[..., 1]
-        return np.stack([3.0 * x * x - 3.0 * y * y, -6.0 * x * y], axis=-1)
-
-    def hess(s):
-        x, y = s[..., 0], s[..., 1]
-        out = np.empty(s.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 6.0 * x
-        out[..., 0, 1] = out[..., 1, 0] = -6.0 * y
-        out[..., 1, 1] = -6.0 * x
-        return out
-
-    return _wrap("monkey", 2, fn, grad, hess)
+    return _wrap2d("monkey", lambda x, y: x**3 - 3.0 * x * y * y,
+                   lambda x, y: (3.0 * x * x - 3.0 * y * y, -6.0 * x * y),
+                   lambda x, y: (6.0 * x, -6.0 * y, -6.0 * x))
 
 
 def _undulation(n):
     # x^3 + y^2: degenerate along x, still isolated at the origin
-    def fn(s):
-        x, y = s[..., 0], s[..., 1]
-        return x**3 + y * y
-
-    def grad(s):
-        x, y = s[..., 0], s[..., 1]
-        return np.stack([3.0 * x * x, 2.0 * y], axis=-1)
-
-    def hess(s):
-        x = s[..., 0]
-        out = np.zeros(s.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 6.0 * x
-        out[..., 1, 1] = 2.0
-        return out
-
-    return _wrap("undulation", 2, fn, grad, hess)
+    return _wrap2d("undulation", lambda x, y: x**3 + y * y,
+                   lambda x, y: (3.0 * x * x, 2.0 * y),
+                   lambda x, y: (6.0 * x, 0.0, 2.0))
 
 
 def _peano(n):
     # (2x^2 - y)(y - x^2): origin is a min along every line through it
     # yet not a local min; homological index 0
-    def fn(s):
-        x, y = s[..., 0], s[..., 1]
-        return (2.0 * x * x - y) * (y - x * x)
-
-    def grad(s):
-        x, y = s[..., 0], s[..., 1]
-        gx = 6.0 * x * y - 8.0 * x**3
-        gy = 3.0 * x * x - 2.0 * y
-        return np.stack([gx, gy], axis=-1)
-
-    def hess(s):
-        x, y = s[..., 0], s[..., 1]
-        out = np.empty(s.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 6.0 * y - 24.0 * x * x
-        out[..., 0, 1] = out[..., 1, 0] = 6.0 * x
-        out[..., 1, 1] = -2.0
-        return out
-
-    return _wrap("peano", 2, fn, grad, hess)
+    return _wrap2d("peano", lambda x, y: (2.0 * x * x - y) * (y - x * x),
+                   lambda x, y: (6.0 * x * y - 8.0 * x**3,
+                                 3.0 * x * x - 2.0 * y),
+                   lambda x, y: (6.0 * y - 24.0 * x * x, 6.0 * x, -2.0))
 
 
 def _two_gauss_terms(centers, weights, inv_var):
@@ -259,17 +238,12 @@ def _singlemax(n):
         ], default=np.ones_like(x))
         return val, gx, gy
 
-    def fn(s):
-        x, y = s[..., 0], n * s[..., 1]
-        val, _, _ = pieces(x, y)
-        return val / n
+    def grad(x, y):
+        _, gx, gy = pieces(x, n * y)
+        return gx / n, gy
 
-    def grad(s):
-        x, y = s[..., 0], n * s[..., 1]
-        _, gx, gy = pieces(x, y)
-        return np.stack([gx / n, gy], axis=-1)
-
-    return _wrap("singlemax", 2, fn, grad, smooth="C1")
+    return _wrap2d("singlemax", lambda x, y: pieces(x, n * y)[0] / n, grad,
+                   smooth="C1")
 
 
 def _fig13a(n):
@@ -293,28 +267,15 @@ def _parabola_limit(name, sign):
 
 def _fig13b(n):
     """Saddle plus a shrinking bump: x^2 - y^2 + 20 b(nx+1, ny+1)/n^2."""
-    def fn(s):
-        u = n * s + 1.0
-        b, _, _ = bump_vgh(u)
-        x, y = s[..., 0], s[..., 1]
-        return x * x - y * y + 20.0 * b / (n * n)
+    saddle = _saddle(n)
 
-    def grad(s):
-        u = n * s + 1.0
-        _, bg, _ = bump_vgh(u)
-        x, y = s[..., 0], s[..., 1]
-        base = np.stack([2.0 * x, -2.0 * y], axis=-1)
-        return base + (20.0 / n) * bg
+    def bump(s):
+        return bump_vgh(n * s + 1.0)
 
-    def hess(s):
-        u = n * s + 1.0
-        *_, bh = bump_vgh(u)
-        out = np.zeros(s.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 2.0
-        out[..., 1, 1] = -2.0
-        return out + 20.0 * bh
-
-    return _wrap("fig13b", 2, fn, grad, hess)
+    return _wrap("fig13b", 2,
+                 lambda s: saddle.fn(s) + 20.0 * bump(s)[0] / (n * n),
+                 lambda s: saddle.grad_fn(s) + (20.0 / n) * bump(s)[1],
+                 lambda s: saddle.hess_fn(s) + 20.0 * bump(s)[2])
 
 
 def _fig10(n):
@@ -389,15 +350,13 @@ def _twist(n):
         dth = np.where(th > 0.0, th * n / safe2, 0.0)
         return th, dth
 
-    def fn(s):
-        x, y = s[..., 0], s[..., 1]
+    def fn(x, y):
         r = np.sqrt(x * x + y * y)
         th, _ = theta_parts(r)
         c2, s2 = np.cos(2.0 * th), np.sin(2.0 * th)
         return c2 * (x * x - y * y) - s2 * 2.0 * x * y
 
-    def grad(s):
-        x, y = s[..., 0], s[..., 1]
+    def grad(x, y):
         r = np.sqrt(x * x + y * y)
         th, dth = theta_parts(r)
         c2, s2 = np.cos(2.0 * th), np.sin(2.0 * th)
@@ -407,9 +366,9 @@ def _twist(n):
         rsafe = np.where(r > 0, r, 1.0)
         gx = 2.0 * (c2 * x - s2 * y) + df_dth * dth * x / rsafe
         gy = -2.0 * (c2 * y + s2 * x) + df_dth * dth * y / rsafe
-        return np.stack([gx, gy], axis=-1)
+        return gx, gy
 
-    return _wrap("twist", 2, fn, grad)
+    return _wrap2d("twist", fn, grad)
 
 
 def _fig8a(n):
@@ -444,51 +403,44 @@ def _fig8a_limit():
 _TRIO_W = (1.3, 0.7, 0.5)
 
 
-def _trio_base(shift_scale):
+def _trio_field(name, shift_scale):
+    """Double well ``x^4/4 - x^2/2 + y^2`` plus ``shift_scale`` times a
+    skew sine ripple."""
     wx, wy, w0 = _TRIO_W
 
-    def fn(s):
-        x, y = s[..., 0], s[..., 1]
+    def fn(x, y):
         base = 0.25 * x**4 - 0.5 * x * x + y * y
         if shift_scale == 0.0:
             return base
         return base + shift_scale * np.sin(wx * x + wy * y + w0)
 
-    def grad(s):
-        x, y = s[..., 0], s[..., 1]
+    def grad(x, y):
         gx = x**3 - x
         gy = 2.0 * y
         if shift_scale != 0.0:
             c = shift_scale * np.cos(wx * x + wy * y + w0)
             gx = gx + wx * c
             gy = gy + wy * c
-        return np.stack([gx, gy], axis=-1)
+        return gx, gy
 
-    def hess(s):
-        x, y = s[..., 0], s[..., 1]
-        out = np.zeros(s.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 3.0 * x * x - 1.0
-        out[..., 1, 1] = 2.0
-        if shift_scale != 0.0:
-            sn = shift_scale * np.sin(wx * x + wy * y + w0)
-            out[..., 0, 0] -= wx * wx * sn
-            out[..., 0, 1] = out[..., 1, 0] = -wx * wy * sn
-            out[..., 1, 1] -= wy * wy * sn
-        return out
+    def hess(x, y):
+        hxx = 3.0 * x * x - 1.0
+        if shift_scale == 0.0:
+            return hxx, 0.0, 2.0
+        sn = shift_scale * np.sin(wx * x + wy * y + w0)
+        return hxx - wx * wx * sn, -wx * wy * sn, 2.0 - wy * wy * sn
 
-    return fn, grad, hess
+    return _wrap2d(name, fn, grad, hess)
 
 
 def _trio(n):
     """Double well plus a tiny skew ripple; three critical points at any n,
     converging C2 to the clean double well."""
-    fn, grad, hess = _trio_base(1.0 / (n * n))
-    return _wrap("trio", 2, fn, grad, hess)
+    return _trio_field("trio", 1.0 / (n * n))
 
 
 def _trio_limit():
-    fn, grad, hess = _trio_base(0.0)
-    return _wrap("trio_limit", 2, fn, grad, hess)
+    return _trio_field("trio_limit", 0.0)
 
 
 # ---------------------------------------------------------------- #

@@ -18,10 +18,9 @@ from .domains import Ball, Domain, ring_angles, sphere_directions
 from .errors import (DegenerateError, NonGenericBoundaryError,
                      NonIsolatedZeroError, PreconditionError,
                      UnderSampledError, UnsupportedError, UsageError)
-from .fields import ScalarField
+from .fields import ScalarField, sym_eigvalsh
 from .morse import morse_classify
 
-_MIN_CIRCLE_GRAD = 1e-6
 _EPS_HALVINGS = 6
 
 
@@ -115,10 +114,9 @@ def sign_index_nondegenerate(field: ScalarField, z) -> int:
     z = np.asarray(z, dtype=float)
     k = morse_classify(field, z)
     if k is None:
-        H = field.hess(z)
         raise DegenerateError(
             "Hessian is numerically singular", point=z.tolist(),
-            eigenvalues=np.linalg.eigvalsh(0.5 * (H + H.T)).tolist())
+            eigenvalues=sym_eigvalsh(field.hess(z)).tolist())
     return (-1) ** k
 
 

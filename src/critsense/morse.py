@@ -16,15 +16,14 @@ import numpy as np
 from .domains import Domain, sphere_directions
 from .errors import (CoverageError, FlowSingularError, NotMorseError,
                      UsageError)
-from .fields import ScalarField, spectral_norms
+from .fields import ScalarField, spectral_norms, sym_eigvalsh
 
 
 def morse_classify(field: ScalarField, z,
                    degeneracy_tol: float = 1e-8) -> int | None:
     """Number of negative Hessian eigenvalues, or None when the smallest
     |eigenvalue| sits below the degeneracy tolerance."""
-    H = field.hess(np.asarray(z, dtype=float))
-    eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
+    eigs = sym_eigvalsh(field.hess(np.asarray(z, dtype=float)))
     hnorm = float(np.max(np.abs(eigs)))
     if float(np.min(np.abs(eigs))) <= degeneracy_tol * max(1.0, hnorm):
         return None
@@ -44,9 +43,7 @@ def morse_statistic(field: ScalarField, domain: Domain,
     lat = domain.lattice(grid_res)
     inside = np.asarray(domain.contains(lat))
     g = np.linalg.norm(field.grad(lat), axis=-1)
-    H = np.asarray(field.hess(lat))
-    eigs = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
-    h_min = np.min(np.abs(eigs), axis=-1)
+    h_min = np.min(np.abs(sym_eigvalsh(field.hess(lat))), axis=-1)
     stat = np.maximum(g, h_min)
     return float(np.min(stat[inside]))
 
@@ -60,8 +57,7 @@ def corollary_constants(H: np.ndarray, m: float = 0.5) -> dict:
     norms of H and its inverse."""
     if not 0.0 < m < 1.0:
         raise UsageError("m must lie in (0, 1)")
-    H = np.asarray(H, dtype=float)
-    eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
+    eigs = sym_eigvalsh(H)
     lo = float(np.min(np.abs(eigs)))
     if lo == 0.0:
         raise NotMorseError("Hessian is singular")

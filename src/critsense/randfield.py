@@ -247,7 +247,7 @@ def _run_trial(spec: BasisSpec, noise_spec: BasisSpec, n_list, seed: int,
         stat_m = morse_statistic(G, dom, grid_res=grid_res)
     except NoConvergenceError as err:
         rec["failed"] = True
-        rec["error"] = {"type": type(err).__name__, "context": err.context}
+        rec["error"] = err.record()
         return rec
     counts_G = _counts(pts_G)
     rec.update({
@@ -265,8 +265,7 @@ def _run_trial(spec: BasisSpec, noise_spec: BasisSpec, n_list, seed: int,
             pts_n = detect.find_critical_points(Ghat, dom, grid_res=grid_res)
         except NoConvergenceError as err:
             row["failed"] = True
-            row["error"] = {"type": type(err).__name__,
-                            "context": err.context}
+            row["error"] = err.record()
             rec["per_n"].append(row)
             continue
         counts_n = _counts(pts_n)

@@ -174,15 +174,24 @@ def counts_from_points(points) -> dict:
     }
 
 
+def _detect_and_count(field: ScalarField, domain: Domain, grid_res: int,
+                      imp_res: int, newton_tol: float = 1e-9):
+    """Detected points, and their counts plus the improper extrema
+    ``N_IM``/``N_Im`` on an ``imp_res`` lattice."""
+    pts = detect.find_critical_points(field, domain, grid_res=grid_res,
+                                      newton_tol=newton_tol)
+    counts = counts_from_points(pts)
+    imp = detect.improper_extrema(field, domain, grid_res=imp_res)
+    counts["N_IM"] = imp["n_improper_max"]
+    counts["N_Im"] = imp["n_improper_min"]
+    return pts, counts
+
+
 def count_report(field: ScalarField, domain: Domain) -> dict:
     """Full critical point counts (detection grid 64) plus improper
     extrema (lattice 256) for one field."""
-    pts = detect.find_critical_points(field, domain, grid_res=64)
-    rec = counts_from_points(pts)
+    pts, rec = _detect_and_count(field, domain, 64, 256)
     rec["unresolved"] = len(pts.unresolved)
-    imp = detect.improper_extrema(field, domain, grid_res=256)
-    rec["N_IM"] = imp["n_improper_max"]
-    rec["N_Im"] = imp["n_improper_min"]
     return rec
 
 
@@ -229,12 +238,8 @@ def convergence_experiment(family, n_list, domain: Domain | None = None,
     f_limit = limit_field(ent.name)
     lim_res = grid_res if grid_res is not None else _default_grid(ent.dim, 16)
     imp_res = 4096 if ent.dim == 1 else 256
-    pts_limit = detect.find_critical_points(
-        f_limit, dom, grid_res=lim_res, newton_tol=newton_tol)
-    limit_counts = counts_from_points(pts_limit)
-    imp = detect.improper_extrema(f_limit, dom, grid_res=imp_res)
-    limit_counts["N_IM"] = imp["n_improper_max"]
-    limit_counts["N_Im"] = imp["n_improper_min"]
+    pts_limit, limit_counts = _detect_and_count(f_limit, dom, lim_res,
+                                                imp_res, newton_tol)
     limit_resolution = detect.resolution(pts_limit)
 
     rows = []
@@ -243,17 +248,12 @@ def convergence_experiment(family, n_list, domain: Domain | None = None,
         res = grid_res if grid_res is not None else _default_grid(ent.dim, n)
         row = {"n": int(n)}
         try:
-            pts = detect.find_critical_points(f_n, dom, grid_res=res,
-                                              newton_tol=newton_tol)
+            pts, counts = _detect_and_count(f_n, dom, res, imp_res,
+                                            newton_tol)
         except NoConvergenceError as err:
-            row["error"] = {"type": type(err).__name__,
-                            "context": err.context}
+            row["error"] = err.record()
             rows.append(row)
             continue
-        counts = counts_from_points(pts)
-        imp = detect.improper_extrema(f_n, dom, grid_res=imp_res)
-        counts["N_IM"] = imp["n_improper_max"]
-        counts["N_Im"] = imp["n_improper_min"]
         d = ck_distance(f_n, f_limit, dom, k=2, grid_res=256)
         m = match_critical_points(pts, pts_limit, domain=dom)
         row.update({

@@ -258,6 +258,14 @@ def test_flow_trajectory_csv(capsys):
     assert float(rows[-1][2]) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_flow_has_no_grid_option(capsys):
+    # flow refines from one seed point; it scans no detection grid
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--gallery", "bowl", "--grid", "7"])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
 def test_flow_degenerate_center_exits_1(capsys):
     rc, out, err = run(capsys, "flow", "--gallery", "monkey")
     assert rc == 1 and out == ""

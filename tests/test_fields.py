@@ -6,7 +6,7 @@ import pytest
 from critsense.errors import UsageError
 from critsense.fields import (ScalarField, bump, finite_diff, spectral_norm,
                               spectral_norms, transition)
-from critsense.gallery import gallery
+from critsense.gallery import entry, gallery, limit_field, names
 
 
 def test_bump_center_and_support():
@@ -47,6 +47,25 @@ def test_analytic_derivatives_match_finite_differences(name):
         h_err = np.max(np.abs(finite_diff(f, s, order="hess") - f.hess(s)))
         assert g_err < 1e-6
         assert h_err < 1e-5
+
+
+_EVERY_FIELD = [(name, n) for name in names()
+                for n in ((1, 4, "limit") if entry(name).family else (1,))]
+
+
+@pytest.mark.parametrize("name,n", _EVERY_FIELD,
+                         ids=[f"{g}-{n}" for g, n in _EVERY_FIELD])
+def test_every_gallery_field_matches_finite_differences(name, n):
+    # relative where the derivative exceeds 1: truncation error scales
+    # with the derivative a finite difference approximates
+    f = limit_field(name) if n == "limit" else gallery(name, n)
+    lo, hi = entry(name).domain.bounding_box()
+    rng = np.random.default_rng(0)
+    for s in rng.uniform(lo, hi, size=(8, f.dim)):
+        for order, exact in (("grad", f.grad(s)), ("hess", f.hess(s))):
+            err = np.abs(finite_diff(f, s, order=order) - exact)
+            assert np.all(err <= 1e-5 * np.maximum(1.0, np.abs(exact))), \
+                (order, s)
 
 
 def test_fd_fallback_gradient_on_plain_fn():
