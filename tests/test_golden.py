@@ -40,10 +40,15 @@ COMMANDS = {
                               "0,0", "--eps", "0.1"],
     "classify_bowl_point": ["classify", "--gallery", "bowl", "--point",
                             "0.1,0.2"],
+    "classify_bowl3_point": ["classify", "--gallery", "bowl3", "--point",
+                             "0,0,0"],
+    "classify_fig4a_point": ["classify", "--gallery", "fig4a", "--n", "4",
+                             "--point", "0", "--eps", "0.1"],
     "classify_saddle_point_csv": ["classify", "--gallery", "saddle",
                                   "--point", "0,0", "--eps", "0.1",
                                   "--format", "csv"],
     "audit_monkey": ["audit", "--gallery", "monkey"],
+    "audit_bowl": ["audit", "--gallery", "bowl"],
     "audit_bowl3": ["audit", "--gallery", "bowl3"],
     "audit_fig13a": ["audit", "--gallery", "fig13a", "--n", "4"],
     "audit_saddle_box_csv": ["audit", "--gallery", "saddle", "--domain",
