@@ -29,8 +29,7 @@ from . import __version__, detect
 from .domains import Ball, Box, Domain, Interval
 from .errors import CritsenseError, PreconditionError, UsageError
 from .gallery import catalogue, entry as gallery_entry, gallery
-from .homindex import classify_by_index, homological_index, \
-    poincare_hopf_audit, probe_radius
+from .homindex import classify_by_index, poincare_hopf_audit, probe_radius
 from .morse import make_chart, morse_flow_trajectory, verify_morse_chart
 from .mountainpass import mountain_pass_point
 from .randfield import BasisSpec, monte_carlo_convergence
@@ -214,8 +213,7 @@ def _cmd_classify(args) -> int:
                 raise UsageError("--point is not inside the domain; "
                                  "give --eps")
             probe = probe_radius(z, (), dom)
-        idx = homological_index(field, z, eps=probe)
-        cls = classify_by_index(field, z, probe, index=idx)
+        idx, cls = classify_by_index(field, z, probe)
         result = {"point": {"location": z, "hom_index": idx,
                             "classification": cls}}
         rows = [(*z, None, None, idx, cls, False)]

@@ -17,9 +17,7 @@ from scipy import ndimage
 from scipy.optimize import least_squares
 
 from .domains import Domain
-from .errors import (DegenerateError, NoConvergenceError,
-                     NonIsolatedZeroError, UnderSampledError,
-                     UnsupportedError, UsageError)
+from .errors import NoConvergenceError, UsageError
 from .fields import ScalarField, sym_eigvalsh
 from .morse import morse_classify
 from . import homindex
@@ -258,34 +256,21 @@ def find_critical_points(field: ScalarField, domain: Domain,
             kept.append((gn, x))
     kept.sort(key=lambda k: tuple(k[1].tolist()))
 
+    locs = [x for _, x in kept]
     points = []
-    for gn, x in kept:
+    for i, (gn, x) in enumerate(kept):
         spec = sym_eigvalsh(field.hess(x))
+        value = float(field.value(x))
         near = bool(domain.boundary_distance(x) < boundary_margin)
-        points.append(CriticalPoint(x, float(field.value(x)), gn, spec,
-                                    near_boundary=near))
-    _classify_all(field, points, domain)
-    return DetectionResult(points, unresolved)
-
-
-def _classify_all(field: ScalarField, points: list, domain: Domain):
-    locs = [p.location for p in points]
-    for i, p in enumerate(points):
         # At a degenerate zero the refined point sits a residual-sized
         # step away, leaving spurious eigenvalues of order sqrt(|grad|).
-        dtol = max(1e-8, 10.0 * float(np.sqrt(max(p.grad_norm, 0.0))))
-        p.morse_index = morse_classify(field, p.location,
-                                       degeneracy_tol=dtol)
-        others = [l for j, l in enumerate(locs) if j != i]
-        probe = homindex.probe_radius(p.location, others, domain)
-        try:
-            p.hom_index = homindex.homological_index(field, p.location,
-                                                     eps=probe)
-        except (DegenerateError, UnsupportedError, NonIsolatedZeroError,
-                UnderSampledError):
-            p.hom_index = None
-        p.classification = homindex.classify_by_index(
-            field, p.location, probe, index=p.hom_index)
+        dtol = max(1e-8, 10.0 * float(np.sqrt(max(gn, 0.0))))
+        morse_index = morse_classify(field, x, degeneracy_tol=dtol)
+        probe = homindex.probe_radius(x, locs[:i] + locs[i + 1:], domain)
+        hom_index, cls = homindex.classify_by_index(field, x, probe)
+        points.append(CriticalPoint(x, value, gn, spec, morse_index,
+                                    hom_index, cls, near))
+    return DetectionResult(points, unresolved)
 
 
 def resolution(points) -> float:
@@ -304,8 +289,7 @@ def resolution(points) -> float:
 def boundary_min_gradient(field: ScalarField, domain: Domain) -> float:
     """Infimum of |grad f| over 256 boundary samples; positive certifies
     the no-boundary-critical-point assumption numerically."""
-    pts = domain.boundary_points(256)
-    g = field.grad(pts)
+    g = field.grad(domain.boundary_frames(256)[0])
     return float(np.min(np.linalg.norm(g, axis=-1)))
 
 

@@ -109,12 +109,9 @@ class Domain:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def boundary_points(self, n: int) -> np.ndarray:
-        """``(m, dim)`` sample of the boundary, exact to machine precision."""
-        return self.boundary_frames(n)[0]
-
     def boundary_frames(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Boundary samples with outward unit normals, ``(m, dim)`` each."""
+        """About ``n`` boundary samples, exact to machine precision, with
+        outward unit normals, ``(m, dim)`` each."""
         raise NotImplementedError
 
     def boundary_curves(self) -> list[BoundaryCurve]:
@@ -189,31 +186,30 @@ class Box(Domain):
                 for s, length, (v, tangent, normal) in zip(
                     starts, (x1 - x0, y1 - y0) * 2, _BOX_EDGES)]
 
-    def boundary_points(self, n: int) -> np.ndarray:
-        if self.dim <= 2:
-            return super().boundary_points(n)
-        # faces sampled on a coarse lattice for dim >= 3
+    def boundary_frames(self, n: int):
+        """The ends of an interval; ``n // 4`` samples along each edge of
+        a 2-d box from its start corner; for dim >= 3, a coarse lattice on
+        each face, with normal -e_axis or +e_axis."""
+        if self.dim == 1:
+            return _endpoint_frames(self.lo[0], self.hi[0])
+        pts, normals = [], []
+        if self.dim == 2:
+            for c in self.boundary_curves():
+                t = np.linspace(0.0, c.length, max(2, n // 4),
+                                endpoint=False)
+                pts.append(c.point(t))
+                normals.append(c.normal(t))
+            return np.concatenate(pts), np.concatenate(normals)
         per_axis = max(2, int(round(n ** (1.0 / (self.dim - 1)))))
-        pts = []
-        for ax in range(self.dim):
+        for ax, e in enumerate(np.eye(self.dim)):
             others = [np.linspace(self.lo[i], self.hi[i], per_axis)
                       for i in range(self.dim) if i != ax]
             mesh = np.meshgrid(*others, indexing="ij")
             flat = np.stack([m.ravel() for m in mesh], axis=-1)
-            for val in (self.lo[ax], self.hi[ax]):
-                face = np.insert(flat, ax, val, axis=1)
-                pts.append(face)
-        return np.concatenate(pts, axis=0)
-
-    def boundary_frames(self, n: int):
-        if self.dim == 1:
-            return _endpoint_frames(self.lo[0], self.hi[0])
-        pts, normals = [], []
-        for c in self.boundary_curves():
-            t = np.linspace(0.0, c.length, max(2, n // 4), endpoint=False)
-            pts.append(c.point(t))
-            normals.append(c.normal(t))
-        return np.concatenate(pts, axis=0), np.concatenate(normals, axis=0)
+            for val, nrm in ((self.lo[ax], -e), (self.hi[ax], e)):
+                pts.append(np.insert(flat, ax, val, axis=1))
+                normals.append(np.broadcast_to(nrm, (len(flat), self.dim)))
+        return np.concatenate(pts), np.concatenate(normals)
 
 
 class Interval(Box):

@@ -123,9 +123,6 @@ class ScalarField:
         ones fall back to central differences with step
         ``h = DEFAULT_FD_STEP * (1 + |s|)``; the Hessian differentiates the
         gradient, so an analytic gradient sharpens it too.
-    smoothness : str
-        One of ``C0``, ``C1``, ``C2`` (differentiability class the
-        derivatives can be trusted to).
     name : str
         Label echoed into reports.
     """
@@ -134,7 +131,6 @@ class ScalarField:
     dim: int
     grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    smoothness: str = "C2"
     name: str = ""
 
     def value(self, s) -> np.ndarray:
@@ -172,7 +168,7 @@ class ScalarField:
         g = None if self.grad_fn is None else (lambda s, f=self.grad_fn: -f(s))
         h = None if self.hess_fn is None else (lambda s, f=self.hess_fn: -f(s))
         return ScalarField(lambda s, f=self.fn: -np.asarray(f(s)), self.dim,
-                           g, h, self.smoothness, f"-({self.name})")
+                           g, h, f"-({self.name})")
 
 
 def _steps(s: np.ndarray) -> np.ndarray:

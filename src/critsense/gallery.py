@@ -39,9 +39,8 @@ class GalleryEntry:
         return self.limit is not None
 
 
-def _wrap(name, dim, fn, grad, hess=None, smooth="C2") -> ScalarField:
-    return ScalarField(fn, dim, grad_fn=grad, hess_fn=hess,
-                       smoothness=smooth, name=name)
+def _wrap(name, dim, fn, grad, hess=None) -> ScalarField:
+    return ScalarField(fn, dim, grad_fn=grad, hess_fn=hess, name=name)
 
 
 def _wrap1d(name, parts) -> ScalarField:
@@ -51,7 +50,7 @@ def _wrap1d(name, parts) -> ScalarField:
                  lambda s: parts(s[..., 0])[2][..., None, None])
 
 
-def _wrap2d(name, value, grad, hess=None, smooth="C2") -> ScalarField:
+def _wrap2d(name, value, grad, hess=None) -> ScalarField:
     """2-d field from closed forms in ``(x, y)``, elementwise: ``value``,
     ``grad -> (f_x, f_y)`` and ``hess -> (f_xx, f_xy, f_yy)``. Three
     callables, so a value or gradient call computes nothing more."""
@@ -69,7 +68,7 @@ def _wrap2d(name, value, grad, hess=None, smooth="C2") -> ScalarField:
         out[..., 1, 1] = fyy
         return out
 
-    return _wrap(name, 2, fn, gfn, None if hess is None else hfn, smooth)
+    return _wrap(name, 2, fn, gfn, None if hess is None else hfn)
 
 
 def _linear(name, dim, axis) -> ScalarField:
@@ -242,8 +241,7 @@ def _singlemax(n):
         _, gx, gy = pieces(x, n * y)
         return gx / n, gy
 
-    return _wrap2d("singlemax", lambda x, y: pieces(x, n * y)[0] / n, grad,
-                   smooth="C1")
+    return _wrap2d("singlemax", lambda x, y: pieces(x, n * y)[0] / n, grad)
 
 
 def _fig13a(n):

@@ -180,36 +180,42 @@ def homological_index(field: ScalarField, z, domain: Domain | None = None,
 # classification
 # ---------------------------------------------------------------- #
 
-def classify_by_index(field: ScalarField, z, probe_radius: float,
-                      index: int | None = None) -> str:
-    """Classification string from the index plus a ring of 64 probes.
+def classify_by_index(field: ScalarField, z, probe_radius: float
+                      ) -> tuple[int | None, str]:
+    """Index and class of the zero at ``z``: the one place where a zero is
+    classified, for detection and ``classify --point`` alike.
 
-    Strictly lower values all around give Max, strictly higher Min; index 0
-    gives Undulation; negative 2-d index gives Saddle with 1 - index prongs.
-    The leftover case (mixed probe at index +1) is Unclassified.
+    The index is :func:`homological_index` at ``probe_radius``, None when
+    it cannot be computed. A ring of 64 probes decides first: strictly
+    lower values all around give Max, strictly higher Min. Otherwise a
+    non-isolated or under-sampled index error is raised, index 0 gives
+    Undulation, a negative index Saddle (with 1 - index prongs in 2-d),
+    and the rest (index +1, degenerate or unsupported) Unclassified.
     """
     z = np.asarray(z, dtype=float)
+    index, held = None, None
+    try:
+        index = homological_index(field, z, eps=probe_radius)
+    except (DegenerateError, UnsupportedError):
+        pass
+    except (NonIsolatedZeroError, UnderSampledError) as exc:
+        held = exc
     d = field.dim
     offs = probe_radius * sphere_directions(d, 64)
     fz = float(field.value(z))
     vals = np.asarray(field.value(z + offs), dtype=float) - fz
     tau = 1e-12 * max(1.0, abs(fz), float(np.max(np.abs(vals))))
     if np.all(vals < -tau):
-        return "Max"
+        return index, "Max"
     if np.all(vals > tau):
-        return "Min"
-    if index is None:
-        try:
-            index = homological_index(field, z, eps=probe_radius)
-        except (DegenerateError, UnsupportedError):
-            return "Unclassified"
+        return index, "Min"
+    if held is not None:
+        raise held
     if index == 0:
-        return "Undulation"
-    if index < 0 and d == 2:
-        return f"Saddle({1 - index})"
-    if index < 0:
-        return "Saddle"
-    return "Unclassified"
+        return index, "Undulation"
+    if index is not None and index < 0:
+        return index, f"Saddle({1 - index})" if d == 2 else "Saddle"
+    return index, "Unclassified"
 
 
 # ---------------------------------------------------------------- #
@@ -235,7 +241,6 @@ class BoundaryIndexResult:
     total: Fraction
     zeros: list
     perturbed: bool = False
-    delta: float | None = None  # total strength of the linear perturbation
 
 
 def _perturbed(field: ScalarField, delta: float, direction: np.ndarray) -> ScalarField:
@@ -250,7 +255,6 @@ def _perturbed(field: ScalarField, delta: float, direction: np.ndarray) -> Scala
     # linear terms leave the Hessian untouched
     return ScalarField(fn, field.dim, grad_fn=grad,
                        hess_fn=lambda s: field.hess(s),
-                       smoothness=field.smoothness,
                        name=f"{field.name}+linear")
 
 
@@ -321,7 +325,8 @@ def _weighted_zero(field: ScalarField, loc, index: int, nrm,
 
 def boundary_index(field: ScalarField, domain: Domain) -> BoundaryIndexResult:
     """Half-weighted index sum of the tangential gradient zeros on the
-    domain boundary, sampled at 512 points.
+    domain boundary, sampled at about 512 points. The largest sampled
+    gradient sets the zero tolerance and the perturbation strength.
 
     Each sign-change zero contributes its 1-d crossing index times +1/2
     when the full gradient points into the domain there, -1/2 when it
@@ -331,31 +336,38 @@ def boundary_index(field: ScalarField, domain: Domain) -> BoundaryIndexResult:
     """
     d = field.dim
     if d == 2:
-        curves = domain.boundary_curves()
-    elif d != 1 and not (d == 3 and isinstance(domain, Ball)):
+        # two samples are skipped at each end of an edge: the tangent jumps
+        # at a corner, where the half-weight rule does not hold, and no
+        # corner term replaces it, so the box audit is approximate
+        pieces = [(c, ring_angles(512) if c.cyclic
+                   else np.linspace(0.0, c.length, 129)[2:-2])
+                  for c in domain.boundary_curves()]
+        samples = [c.point(t) for c, t in pieces]
+    elif d == 1 or (d == 3 and isinstance(domain, Ball)):
+        pts, normals = domain.boundary_frames(512)
+        samples = [pts]
+    else:
         raise UnsupportedError(f"boundary index not implemented for dim {d} "
                                f"on {type(domain).__name__}")
-    pts, normals = domain.boundary_frames(512)
     u = np.random.default_rng(20411).standard_normal(d)
     u /= np.linalg.norm(u)
-    f, delta = field, None
+    f = field
     for attempt in range(3):
-        g = f.grad(pts)
-        scale = max(float(np.max(np.linalg.norm(g, axis=-1))), 1e-12)
+        gs = [f.grad(p) for p in samples]
+        scale = max(float(np.max(np.linalg.norm(np.concatenate(gs),
+                                                axis=-1))), 1e-12)
         zero_tol = 1e-9 * max(1.0, scale)
         if d == 1:
             zeros = _endpoint_zeros(f, pts, normals, zero_tol)
         elif d == 2:
-            zeros = _curve_zeros(f, curves, zero_tol)
+            zeros = _curve_zeros(f, pieces, gs, zero_tol)
         else:
-            zeros = _sphere_zeros(f, domain, normals, g, zero_tol)
+            zeros = _sphere_zeros(f, domain, normals, gs[0], zero_tol)
         if zeros is not None:
             return BoundaryIndexResult(
                 sum((z.contribution for z in zeros), Fraction(0)), zeros,
-                delta is not None, delta)
-        step = 1e-6 * max(scale, 1e-6) * 10.0**attempt
-        f = _perturbed(f, step, u)
-        delta = step + (delta or 0.0)
+                attempt > 0)
+        f = _perturbed(f, 1e-6 * max(scale, 1e-6) * 10.0**attempt, u)
     raise NonGenericBoundaryError(
         "tangential component still degenerate after perturbation",
         retries=2)
@@ -377,19 +389,13 @@ def _along(g, v):
     return g[..., 0] * v[..., 0] + g[..., 1] * v[..., 1]
 
 
-def _curve_zeros(field, curves, zero_tol):
-    """Tangential zeros along the smooth pieces of a 2-d boundary; None
+def _curve_zeros(field, pieces, grads, zero_tol):
+    """Tangential zeros along the smooth pieces ``(curve, params)`` of a
+    2-d boundary, with ``grads`` the gradient at each piece's samples; None
     when the tangential component vanishes over a run of samples."""
     zeros = []
-    for c in curves:
-        if c.cyclic:
-            t = ring_angles(512)
-        else:
-            # two samples are skipped at each end: the tangent jumps at a
-            # corner, where the half-weight rule does not hold, and no
-            # corner term replaces it, so the box audit is approximate
-            t = np.linspace(0.0, c.length, 129)[2:-2]
-        vpar = _along(field.grad(c.point(t)), c.tangent(t))
+    for (c, t), g in zip(pieces, grads):
+        vpar = _along(g, c.tangent(t))
         if _has_zero_run(np.abs(vpar) <= zero_tol, c.cyclic):
             return None
 

@@ -108,7 +108,7 @@ class BasisField(ScalarField):
         if coeffs.shape[0] % 2 != 1:
             raise UsageError("axis length must be odd (1 + 2*degree)")
         super().__init__(self._value_at, dim, grad_fn=self._grad_at,
-                         hess_fn=self._hess_at, smoothness="C2", name=name)
+                         hess_fn=self._hess_at, name=name)
         self.coeffs = coeffs
         self.degree = (coeffs.shape[0] - 1) // 2
         axes = _EINSUM_AXES[:dim]

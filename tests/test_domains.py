@@ -70,6 +70,15 @@ def test_boundary_curves_walk_the_rim(dom):
                    for c in curves)
 
 
+def test_box_faces_have_outward_axis_normals():
+    dom = Box([-1.0, 0.0, 0.5], [1.0, 3.0, 2.0])
+    pts, normals = dom.boundary_frames(256)
+    assert pts.shape == normals.shape == (6 * 16 * 16, 3)
+    assert np.all(dom.boundary_distance(pts) == 0.0)
+    assert np.all(np.sort(np.abs(normals), axis=1) == [0.0, 0.0, 1.0])
+    assert not np.any(dom.contains(pts + 0.01 * normals))
+
+
 def test_interval_is_a_one_dimensional_box():
     rng = np.random.default_rng(11)
     for _ in range(5):

@@ -114,7 +114,27 @@ def test_zero_on_probe_circle_is_rejected():
 def test_classification_strings(name, expected):
     f = gallery(name)
     idx = homological_index(f, ORIGIN, domain=Ball((0, 0), 1.0))
-    assert classify_by_index(f, ORIGIN, 0.25, index=idx) == expected
+    assert classify_by_index(f, ORIGIN, 0.25) == (idx, expected)
+
+
+def test_classification_policy_when_the_index_fails():
+    # a strict probe ring decides even without an index; a mixed ring
+    # re-raises a non-isolated index; a degenerate one is Unclassified
+    def flat_grad(value):
+        return ScalarField(value, 2, grad_fn=lambda s: np.zeros_like(s))
+
+    cap = flat_grad(lambda s: -np.sum(s * s, axis=-1))
+    assert classify_by_index(cap, ORIGIN, 0.1) == (None, "Max")
+    mixed = flat_grad(lambda s: s[..., 0] ** 2 - s[..., 1] ** 2)
+    with pytest.raises(NonIsolatedZeroError):
+        classify_by_index(mixed, ORIGIN, 0.1)
+    sign = np.array([1.0, 1.0, -1.0])
+    quartic = ScalarField(
+        lambda s: np.sum(sign * s ** 4, axis=-1), 3,
+        grad_fn=lambda s: 4.0 * sign * s ** 3,
+        hess_fn=lambda s: 12.0 * (sign * s ** 2)[..., None] * np.eye(3))
+    assert classify_by_index(quartic, np.zeros(3), 0.1) == (None,
+                                                             "Unclassified")
 
 
 @pytest.mark.parametrize("name,total,perturbed", [
