@@ -56,6 +56,13 @@ COMMANDS = {
     "flow_bowl3": ["flow", "--gallery", "bowl3", "--seed", "777"],
     "flow_saddle_csv": ["flow", "--gallery", "saddle", "--seed", "777",
                         "--format", "csv"],
+    # a radius below the cap, so the radius bisection runs
+    "flow_twogauss_point": ["flow", "--gallery", "twogauss", "--point",
+                            "0.4,0", "--seed", "777"],
+    # a non-default RK4 step, through the trajectory
+    "flow_trio_step_csv": ["flow", "--gallery", "trio", "--n", "4",
+                           "--point", "1,0", "--ode-step", "0.01",
+                           "--sample", "0.005,0", "--format", "csv"],
     "mountain_twogauss": ["mountain", "--gallery", "twogauss"],
     "mountain_twogauss_pit_csv": ["mountain", "--gallery", "twogauss_pit",
                                   "--format", "csv"],
