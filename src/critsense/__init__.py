@@ -12,8 +12,7 @@ from .homindex import (boundary_index, homological_index,
                        poincare_hopf_audit, tangency_check, winding_index_2d)
 from .morse import (FlowChart, corollary_constants, flow_pair_distance,
                     make_chart, morse_classify, morse_flow_map,
-                    morse_flow_trajectory, morse_radius, morse_statistic,
-                    verify_morse_chart)
+                    morse_flow_trajectory, morse_statistic, verify_morse_chart)
 from .mountainpass import PassResult, mountain_pass_point
 from .sequence import (Matching, SequenceReport, ck_distance,
                        convergence_experiment, count_report,
@@ -32,7 +31,7 @@ __all__ = [
     "tangency_check", "winding_index_2d",
     "FlowChart", "corollary_constants", "flow_pair_distance", "make_chart",
     "morse_classify", "morse_flow_map", "morse_flow_trajectory",
-    "morse_radius", "morse_statistic", "verify_morse_chart",
+    "morse_statistic", "verify_morse_chart",
     "PassResult", "mountain_pass_point",
     "Matching", "SequenceReport", "ck_distance", "convergence_experiment",
     "count_report", "match_critical_points", "resolution_sequence",

@@ -253,16 +253,14 @@ def _cmd_flow(args) -> int:
     center = detect.refine_newton(field, seed_pt, tol=tol)
     cap = max(float(dom.boundary_distance(center)), 1e-6)
     chart = make_chart(field, center, search_cap=cap, ode_step=ode_step)
-    ver = verify_morse_chart(field, chart, n_samples=100, seed=args.seed,
-                             ode_step=ode_step)
+    ver = verify_morse_chart(field, chart, seed=args.seed)
     result = {"chart": chart.as_record(), "verification": ver}
     art = _artifact("flow", args, result, tol=tol, ode_step=ode_step)
 
     def trajectory():
         offset = _point(args.sample, field.dim) if args.sample else \
             0.5 * chart.radius * np.eye(ent.dim)[0]
-        ts, path = morse_flow_trajectory(field, chart, center + offset,
-                                         ode_step=ode_step)
+        ts, path = morse_flow_trajectory(field, chart, center + offset)
         return (["t"] + _coords(ent.dim),
                 [(t, *p) for t, p in zip(ts, path)], [])
     return _write(args, art, trajectory)

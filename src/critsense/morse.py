@@ -16,7 +16,7 @@ import numpy as np
 from .domains import Domain, sphere_directions
 from .errors import (CoverageError, FlowSingularError, NotMorseError,
                      UsageError)
-from .fields import ScalarField, spectral_norms, sym_eigvalsh
+from .fields import ScalarField, spectral_norm, spectral_norms, sym_eigvalsh
 
 
 def morse_classify(field: ScalarField, z,
@@ -70,8 +70,9 @@ def corollary_constants(H: np.ndarray, m: float = 0.5) -> dict:
 
 @dataclass
 class FlowChart:
-    """Certified Morse neighborhood: center, Hessian, radius, and the
-    constants backing the bi-Lipschitz bounds."""
+    """Certified Morse neighborhood: center, Hessian, radius, the
+    constants backing the bi-Lipschitz bounds, and the RK4 step of its
+    flow. Another step is ``dataclasses.replace(chart, ode_step=h)``."""
 
     center: np.ndarray
     H: np.ndarray
@@ -85,6 +86,10 @@ class FlowChart:
     m: float = 0.5
     ode_step: float = 1e-3
     residual_sup: float | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.ode_step <= 0.5:
+            raise UsageError("ode_step must lie in (0, 0.5]")
 
     @property
     def bilip_hi_bound(self) -> float:
@@ -112,41 +117,41 @@ class FlowChart:
         }
 
 
-def _chart_dirs(d: int) -> np.ndarray:
-    """Chart-shell directions: 64 in 2-d, 128 in 3-d, 64 per axis above."""
-    return sphere_directions(d, 64 if d == 2 else max(128, 64 * d))
+def _shell_sampler(d: int):
+    """Chart-shell offsets in ``d`` dimensions: ``shells(r, k)`` is ``k``
+    radial shells r*j/k, j = 1..k, times one direction set (64 in 2-d,
+    128 in 3-d, 64 per axis above), flattened to ``(k * n_dirs, d)``."""
+    dirs = sphere_directions(d, 64 if d == 2 else max(128, 64 * d))
+
+    def shells(r: float, k: int) -> np.ndarray:
+        return ((r * (np.arange(1, k + 1) / k))[:, None, None]
+                * dirs).reshape(-1, d)
+    return shells
 
 
-def morse_radius(H: np.ndarray, hess_at, p, search_cap: float = 1.0,
-                 ode_step: float = 1e-3) -> FlowChart:
-    """Largest radius (up to ``search_cap``) on which the sampled Hessian
-    variation stays under the admissible bound for m = 1/2.
+def make_chart(field: ScalarField, p, search_cap: float = 1.0,
+               ode_step: float = 1e-3) -> FlowChart:
+    """Morse chart at ``p``: the largest radius (up to ``search_cap``) on
+    which the sampled Hessian variation stays under the admissible bound
+    K1 for m = 1/2.
 
-    ``hess_at`` maps batched points to Hessians. The variation sup is
-    sampled on 16 radial shells times a fixed direction set, and the
-    radius found by bisection. A constant Hessian gives the radius cap
-    itself.
+    The variation sup is sampled on 16 chart shells, and the radius found
+    by bisection. A constant Hessian gives the radius cap itself.
     """
     p = np.asarray(p, dtype=float)
-    H = np.asarray(H, dtype=float)
-    d = len(p)
+    H = np.asarray(field.hess(p), dtype=float)
     consts = corollary_constants(H)
-    k1, k2 = consts["K1"], consts["K2"]
-    hi = consts["H_inv_norm"]
+    k1, k2, hi = consts["K1"], consts["K2"], consts["H_inv_norm"]
     cap = min(search_cap, k2 * (1.0 - 1e-12))
-    dirs = _chart_dirs(d)
+    shells = _shell_sampler(len(p))
 
     def variation(r: float) -> float:
-        radii = r * (np.arange(1, 17) / 16)
-        pts = p + radii[:, None, None] * dirs[None, :, :]
-        Hs = np.asarray(hess_at(pts.reshape(-1, d)))
-        diff = Hs - H
-        return float(np.max(spectral_norms(diff)))
+        Hs = np.asarray(field.hess(p + shells(r, 16)))
+        return float(np.max(spectral_norms(Hs - H)))
 
     v_cap = variation(cap)
     if v_cap < k1:
-        r = cap
-        L = v_cap
+        r, L = cap, v_cap
     else:
         lo_r, hi_r = 0.0, cap
         for _ in range(60):
@@ -163,30 +168,17 @@ def morse_radius(H: np.ndarray, hess_at, p, search_cap: float = 1.0,
     return FlowChart(p, H, r, k1, k2, L, c, C, a1, ode_step=ode_step)
 
 
-def make_chart(field: ScalarField, p, search_cap: float = 1.0,
-               ode_step: float = 1e-3) -> FlowChart:
-    p = np.asarray(p, dtype=float)
-    H = field.hess(p)
-    return morse_radius(H, field.hess, p, search_cap=search_cap,
-                        ode_step=ode_step)
-
-
 # ---------------------------------------------------------------- #
 # the flow
 # ---------------------------------------------------------------- #
 
-def _flow_integrate(field: ScalarField, chart: FlowChart, x,
-                    ode_step: float | None, record: bool):
-    step = float(ode_step if ode_step is not None else chart.ode_step)
-    if not 0.0 < step <= 0.5:
-        raise UsageError("ode_step must lie in (0, 0.5]")
+def _flow_integrate(field: ScalarField, chart: FlowChart, x, record: bool):
     p, H, r = chart.center, chart.H, chart.radius
     xi = np.asarray(x, dtype=float) - p
     if np.any(np.linalg.norm(xi, axis=-1) > r * (1.0 + 1e-9)):
-        raise UsageError("point outside the chart radius",)
+        raise UsageError("point outside the chart radius")
     f_p = float(field.value(p))
-    hnorm = float(np.max(np.abs(np.linalg.eigvalsh(H))))
-    ratio_floor = (1e-14 * max(1.0, hnorm)) ** 2
+    ratio_floor = (1e-14 * max(1.0, spectral_norm(H))) ** 2
 
     def vel(t: float, y: np.ndarray) -> np.ndarray:
         fy = np.asarray(field.value(p + y), dtype=float)
@@ -205,7 +197,7 @@ def _flow_integrate(field: ScalarField, chart: FlowChart, x,
         return np.where(n2[..., None] > 0,
                         -(phi / safe)[..., None] * yt, 0.0)
 
-    n_steps = int(np.ceil(1.0 / step))
+    n_steps = int(np.ceil(1.0 / chart.ode_step))
     dt = 1.0 / n_steps
     state = xi.copy()
     states = [state.copy()] if record else None
@@ -222,24 +214,23 @@ def _flow_integrate(field: ScalarField, chart: FlowChart, x,
     return p, n_steps, state, states
 
 
-def morse_flow_map(field: ScalarField, chart: FlowChart, x,
-                   ode_step: float | None = None) -> np.ndarray:
+def morse_flow_map(field: ScalarField, chart: FlowChart, x) -> np.ndarray:
     """Integrate the homotopy flow from t=0 to 1, carrying ``x`` to the
     point where the field takes its exact quadratic value.
 
-    Accepts batched points. Fixed-step classical RK4; the velocity is
-    -phi(y) y_t(y) / |y_t(y)|^2 with y_t = H y + t grad(phi) and phi the
-    non-quadratic remainder, which vanishes at the center.
+    Accepts batched points. Fixed-step classical RK4 at the chart's
+    ``ode_step``; the velocity is -phi(y) y_t(y) / |y_t(y)|^2 with
+    y_t = H y + t grad(phi) and phi the non-quadratic remainder, which
+    vanishes at the center.
     """
-    p, _, state, _ = _flow_integrate(field, chart, x, ode_step, False)
+    p, _, state, _ = _flow_integrate(field, chart, x, False)
     return p + state
 
 
-def morse_flow_trajectory(field: ScalarField, chart: FlowChart, x,
-                          ode_step: float | None = None):
+def morse_flow_trajectory(field: ScalarField, chart: FlowChart, x):
     """Like :func:`morse_flow_map` but returns the whole integration
     path: (t grid, points), with points[k] the state at t_k."""
-    p, n_steps, _, states = _flow_integrate(field, chart, x, ode_step, True)
+    p, n_steps, _, states = _flow_integrate(field, chart, x, True)
     ts = np.linspace(0.0, 1.0, n_steps + 1)
     return ts, p + np.asarray(states)
 
@@ -253,15 +244,15 @@ def _ball_samples(d: int, r: float, n: int, seed: int) -> np.ndarray:
 
 
 def verify_morse_chart(field: ScalarField, chart: FlowChart,
-                       n_samples: int = 100, seed: int = 0,
-                       ode_step: float | None = None) -> dict:
-    """Sample the chart ball, measure the defining residual and empirical
-    Lipschitz ratios of the flow map, and record them on the chart."""
+                       seed: int = 0) -> dict:
+    """Sample 100 points of the chart ball, measure the defining residual
+    and empirical Lipschitz ratios of the flow map, and record them on
+    the chart."""
     p, H, r = chart.center, chart.H, chart.radius
     d = len(p)
-    xi = _ball_samples(d, r, n_samples, seed)
+    xi = _ball_samples(d, r, 100, seed)
     pts = p + xi
-    out = morse_flow_map(field, chart, pts, ode_step)
+    out = morse_flow_map(field, chart, pts)
     quad = 0.5 * np.einsum("...i,ij,...j->...", xi, H, xi)
     resid = np.abs(np.asarray(field.value(out)) - float(field.value(p)) - quad)
     residual_sup = float(np.max(resid))
@@ -296,11 +287,7 @@ def flow_pair_distance(field_n: ScalarField, field: ScalarField,
         raise CoverageError("charts do not cover the shared ball",
                             r_shared=r_shared, r=chart.radius,
                             r_n=chart_n.radius)
-    d = len(p)
-    dirs = _chart_dirs(d)
-    r_use = min(chart.radius, chart_n.radius)
-    radii = r_use * (np.arange(1, 9) / 8.0)
-    xi = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, d)
+    xi = _shell_sampler(len(p))(min(chart.radius, chart_n.radius), 8)
     if 64 < len(xi):
         xi = xi[::len(xi) // 64]
     g_lim = morse_flow_map(field, chart, p + xi) - p

@@ -1,5 +1,7 @@
 """Morse radius constants, the homotopy flow, and its verification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from critsense.domains import Ball, Box
 from critsense.errors import CoverageError, NotMorseError, UsageError
 from critsense.fields import ScalarField
 from critsense.gallery import gallery
-from critsense.morse import (corollary_constants, flow_pair_distance,
-                             make_chart, morse_classify, morse_flow_map,
+from critsense.morse import (FlowChart, corollary_constants,
+                             flow_pair_distance, make_chart, morse_classify, morse_flow_map,
                              morse_flow_trajectory, morse_statistic,
                              verify_morse_chart)
 
@@ -120,7 +122,7 @@ def test_flow_is_identity_on_a_quadratic():
     pts *= rng.uniform(0, 1, size=(100, 1)) ** 0.5
     out = morse_flow_map(f, chart, pts)
     assert float(np.max(np.linalg.norm(out - pts, axis=-1))) <= 1e-12
-    rep = verify_morse_chart(f, chart, n_samples=100)
+    rep = verify_morse_chart(f, chart)
     assert rep["residual_sup"] <= 1e-12
 
 
@@ -130,7 +132,7 @@ def test_flow_is_identity_on_a_quadratic():
 ])
 def test_flow_straightens_cubic_perturbations(field, dim):
     chart = make_chart(field, np.zeros(dim))
-    rep = verify_morse_chart(field, chart, n_samples=100, seed=1)
+    rep = verify_morse_chart(field, chart, seed=1)
     assert rep["residual_sup"] <= 1e-6
     assert rep["bilip_lo"] > 0.8
     assert rep["bilip_hi"] < 1.2
@@ -140,8 +142,8 @@ def test_flow_step_halving_is_settled():
     field = saddle_cubic2d(0.05)
     chart = make_chart(field, ORIGIN)
     xi = _shell_points(chart.radius * 0.99)
-    out_a = morse_flow_map(field, chart, xi, ode_step=1e-3)
-    out_b = morse_flow_map(field, chart, xi, ode_step=5e-4)
+    out_a = morse_flow_map(field, replace(chart, ode_step=1e-3), xi)
+    out_b = morse_flow_map(field, replace(chart, ode_step=5e-4), xi)
     assert float(np.max(np.linalg.norm(out_a - out_b, axis=-1))) < 1e-9
 
 
@@ -167,7 +169,17 @@ def test_flow_input_validation():
     with pytest.raises(UsageError):
         morse_flow_map(f, chart, np.array([0.2, 0.0]))
     with pytest.raises(UsageError):
-        morse_flow_map(f, chart, np.array([0.01, 0.0]), ode_step=0.7)
+        morse_flow_map(f, replace(chart, ode_step=0.7),
+                       np.array([0.01, 0.0]))
+
+
+@pytest.mark.parametrize("step", [0.7, 0.0, -1e-3, float("nan")])
+def test_chart_rejects_a_bad_step_at_construction(step):
+    with pytest.raises(UsageError, match="ode_step"):
+        FlowChart(ORIGIN, np.eye(2), 0.1, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0,
+                  ode_step=step)
+    with pytest.raises(UsageError, match="ode_step"):
+        make_chart(quad2(np.eye(2)), ORIGIN, ode_step=step)
 
 
 def test_degenerate_center_is_rejected():
