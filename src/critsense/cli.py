@@ -251,7 +251,10 @@ def _cmd_flow(args) -> int:
     seed_pt = (_point(args.point, field.dim) if args.point
                else 0.5 * (lo + hi))
     center = detect.refine_newton(field, seed_pt, tol=tol)
-    cap = max(float(dom.boundary_distance(center)), 1e-6)
+    cap = float(dom.boundary_distance(center))
+    if cap <= 0:
+        raise PreconditionError("refined critical point is not inside the "
+                                "domain", center=center, boundary_distance=cap)
     chart = make_chart(field, center, search_cap=cap, ode_step=ode_step)
     ver = verify_morse_chart(field, chart, seed=args.seed)
     result = {"chart": chart.as_record(), "verification": ver}

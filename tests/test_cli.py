@@ -273,6 +273,20 @@ def test_flow_degenerate_center_exits_1(capsys):
     assert info["type"] == "NotMorseError"
 
 
+@pytest.mark.parametrize("argv", [
+    # Newton leaves the box and settles at about (-11.03, 0.25)
+    ("--gallery", "singlemax", "--n", "4", "--point", "0,0.2"),
+    # the bowl's minimum at the origin lies outside this disk
+    ("--gallery", "bowl", "--domain", "ball:2,2:0.5"),
+])
+def test_flow_center_outside_the_domain_exits_1(capsys, argv):
+    rc, out, err = run(capsys, "flow", *argv)
+    assert rc == 1 and out == ""
+    info = json.loads(err)["error"]
+    assert info["type"] == "PreconditionError"
+    assert info["context"]["boundary_distance"] < 0
+
+
 # ---------------------------------------------------------------- #
 # mountain
 # ---------------------------------------------------------------- #
