@@ -213,7 +213,10 @@ def _cmd_classify(args) -> int:
                 raise UsageError("--point is not inside the domain; "
                                  "give --eps")
             probe = probe_radius(z, (), dom)
-        idx, cls = classify_by_index(field, z, probe)
+        if np.linalg.norm(field.grad(z)) > tol:
+            idx, cls = None, "Regular"
+        else:
+            idx, cls = classify_by_index(field, z, probe)
         result = {"point": {"location": z, "hom_index": idx,
                             "classification": cls}}
         rows = [(*z, None, None, idx, cls, False)]

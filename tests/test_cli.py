@@ -151,6 +151,25 @@ def test_classify_single_point_mode(capsys):
     assert rows[1] == ["0", "0", "", "", "-1", "Saddle(2)", "false"]
 
 
+@pytest.mark.parametrize("extra", [(), ("--eps", "0.5")])
+def test_classify_point_with_a_nonzero_gradient_is_regular(capsys, extra):
+    # |grad f| = 0.45 at (0.1, 0.2) on the bowl x^2 + y^2
+    rc, out, _ = run(capsys, "classify", "--gallery", "bowl", "--point",
+                     "0.1,0.2", *extra)
+    assert rc == 0
+    pt = json.loads(out)["result"]["point"]
+    assert pt == {"location": [0.1, 0.2], "hom_index": None,
+                  "classification": "Regular"}
+
+
+def test_classify_point_below_the_gradient_tolerance_gets_an_index(capsys):
+    rc, out, _ = run(capsys, "classify", "--gallery", "bowl", "--point",
+                     "0.1,0.2", "--tol", "0.5")
+    assert rc == 0
+    pt = json.loads(out)["result"]["point"]
+    assert (pt["hom_index"], pt["classification"]) == (0, "Undulation")
+
+
 def test_classify_csv_table(capsys):
     rc, out, _ = run(capsys, "classify", "--gallery", "twogauss",
                      "--format", "csv")
@@ -522,7 +541,8 @@ def test_point_outside_the_domain_needs_eps(capsys):
     rc, out, _ = run(capsys, "classify", "--gallery", "bowl",
                      "--point", "3,0", "--eps", "0.1")
     assert rc == 0
-    assert json.loads(out)["result"]["point"]["hom_index"] == 0
+    pt = json.loads(out)["result"]["point"]
+    assert (pt["hom_index"], pt["classification"]) == (None, "Regular")
 
 
 @pytest.mark.parametrize("argv", [
