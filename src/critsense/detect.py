@@ -51,11 +51,14 @@ class CriticalPoint:
 
 
 class DetectionResult(list):
-    """List of critical points plus the cells that refused to resolve."""
+    """List of critical points plus the cells that refused to resolve and
+    the cells whose refinement left the domain's box (``escaped``, kept in
+    memory only)."""
 
-    def __init__(self, points: list, unresolved: list):
+    def __init__(self, points: list, unresolved: list, escaped: list = ()):
         super().__init__(points)
         self.unresolved = unresolved
+        self.escaped = list(escaped)
 
 
 def _newton_polish(field: ScalarField, x: np.ndarray, gn: float,
@@ -97,15 +100,42 @@ def _newton_polish(field: ScalarField, x: np.ndarray, gn: float,
 
 
 def refine_newton(field: ScalarField, s0, tol: float = 1e-9,
-                  max_iter: int = 80):
-    """Drive the gradient to ``tol`` from ``s0``.
+                  max_iter: int = 80, box=None):
+    """Drive the gradient to ``tol`` from ``s0``, one seed ``(d,)`` or a
+    batch of seeds ``(m, d)``.
 
     Newton steps while the Hessian is comfortably nonsingular; otherwise a
     Levenberg-damped least-squares step on the gradient, which still
     contracts on degenerate zeros (Peano-type valleys defeat plain damped
-    descent). Raises NoConvergence with the best iterate attached.
+    descent). ``box`` is an optional ``(lo, hi)`` pair: an accepted iterate
+    outside it ends the seed as escaped.
+
+    One seed returns the refined point or raises NoConvergence with the
+    best iterate attached (an escape raises it too). A batch returns one
+    outcome per seed: the point, the NoConvergenceError, or None when the
+    seed escaped.
     """
-    x = np.asarray(s0, dtype=float).copy()
+    s = np.asarray(s0, dtype=float)
+    if s.ndim == 1:
+        x = _refine_seed(field, s, tol, max_iter, box)
+        if x is None:
+            raise NoConvergenceError("iterate left the box",
+                                     box=[np.asarray(b).tolist() for b in box],
+                                     tol=tol)
+        return x
+    outcomes = []
+    for row in s:
+        try:
+            outcomes.append(_refine_seed(field, row, tol, max_iter, box))
+        except NoConvergenceError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _refine_seed(field: ScalarField, s0: np.ndarray, tol: float,
+                 max_iter: int, box):
+    """One seed of :func:`refine_newton`; None when it escaped ``box``."""
+    x = s0.copy()
     d = field.dim
     mu = 1e-3
     force_damped = False
@@ -144,6 +174,9 @@ def refine_newton(field: ScalarField, s0, tol: float = 1e-9,
                 accepted = True
                 break
             delta = 0.5 * delta
+        if accepted and box is not None and (
+                np.any(x < box[0]) or np.any(x > box[1])):
+            return None
         if accepted:
             mu = max(mu / 3.0, 1e-12)
             if gn < best_gn:
@@ -232,17 +265,19 @@ def find_critical_points(field: ScalarField, domain: Domain,
 
     refined = []
     unresolved = []
-    for c in cells:
-        try:
-            x = refine_newton(field, c, tol=newton_tol)
-        except NoConvergenceError as exc:
+    escaped = []
+    outcomes = refine_newton(field, cells, tol=newton_tol,
+                             box=(lo - spacing, hi + spacing))
+    for c, x in zip(cells, outcomes):
+        if x is None:
+            escaped.append(c.tolist())
+        elif isinstance(x, NoConvergenceError):
             unresolved.append({"cell_center": c.tolist(),
-                               "best": exc.context.get("best"),
-                               "grad_norm": exc.context.get("grad_norm")})
-            continue
-        if not bool(domain.contains(x, tol=1e-9)):
-            continue  # the cell's pull was toward a zero outside the domain
-        refined.append(x)
+                               "best": x.context.get("best"),
+                               "grad_norm": x.context.get("grad_norm")})
+        elif bool(domain.contains(x, tol=1e-9)):
+            refined.append(x)
+        # else the cell's pull was toward a zero outside the domain
 
     # dedupe: strongest (smallest gradient) representative wins
     scored = []
@@ -270,7 +305,7 @@ def find_critical_points(field: ScalarField, domain: Domain,
         hom_index, cls = homindex.classify_by_index(field, x, probe)
         points.append(CriticalPoint(x, value, gn, spec, morse_index,
                                     hom_index, cls, near))
-    return DetectionResult(points, unresolved)
+    return DetectionResult(points, unresolved, escaped)
 
 
 def resolution(points) -> float:

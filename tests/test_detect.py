@@ -44,6 +44,33 @@ def test_refine_newton_reports_best_iterate_on_failure():
     assert exc.value.context["grad_norm"] == pytest.approx(np.sqrt(2.0))
 
 
+def test_seeds_that_leave_the_box_are_escaped_not_unresolved():
+    # singlemax's only zero is inside the square; 24 of the seeds that
+    # stall there run off it for good, which is an outcome, not a stall
+    pts = find_critical_points(gallery("singlemax", 4),
+                               Box((-1.0, -1.0), (1.0, 1.0)), 64)
+    assert len(pts.unresolved) == 8
+    assert len(pts.escaped) == 24
+
+
+def test_refine_newton_escape_ends_the_seed():
+    # x^3/3 - x + y^2 has its zeros at (+-1, 0); from (0.4, 0.1) the first
+    # accepted step lands at x = 0.925, outside the box |x|, |y| <= 1/2
+    f = ScalarField(lambda s: s[..., 0] ** 3 / 3 - s[..., 0] + s[..., 1] ** 2,
+                    2, grad_fn=lambda s: np.stack(
+                        [s[..., 0] ** 2 - 1.0, 2.0 * s[..., 1]], axis=-1),
+                    hess_fn=lambda s: np.stack(
+                        [np.stack([2.0 * s[..., 0], 0.0 * s[..., 0]], -1),
+                         np.stack([0.0 * s[..., 0], 2.0 + 0.0 * s[..., 0]],
+                                  -1)], -2))
+    box = (np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
+    seed = np.array([0.4, 0.1])
+    assert np.allclose(refine_newton(f, seed), [1.0, 0.0])
+    assert refine_newton(f, seed[None], box=box) == [None]
+    with pytest.raises(NoConvergenceError, match="left the box"):
+        refine_newton(f, seed, box=box)
+
+
 @pytest.mark.parametrize("name,expected", [
     ("bowl", {"Min": 1}),
     ("monkey", {"Saddle(3)": 1}),
