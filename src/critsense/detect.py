@@ -195,12 +195,17 @@ def _refine_seed(field: ScalarField, s0: np.ndarray, tol: float,
     # Monotone steps stall in curved |grad f| valleys around degenerate
     # zeros. Rescue with a trust-region least-squares pass, then an
     # unsafeguarded Newton polish (the nonmonotone orbit contracts where
-    # line searches cannot).
+    # line searches cannot). The pass stops once |grad f| <= tol.
+    def stop_at_tol(intermediate_result):
+        if np.linalg.norm(intermediate_result.fun) <= tol:
+            raise StopIteration
+
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         res = least_squares(lambda s: field.grad(s), best_x,
                             jac=lambda s: field.hess(s), method="trf",
                             x_scale="jac", xtol=2.3e-16, ftol=2.3e-16,
-                            gtol=None, max_nfev=max(600, 4 * max_iter))
+                            gtol=None, max_nfev=max(600, 4 * max_iter),
+                            callback=stop_at_tol)
     rgn = float(np.linalg.norm(field.grad(res.x)))
     if np.isfinite(rgn) and rgn < best_gn:
         best_x, best_gn = np.asarray(res.x, dtype=float), rgn

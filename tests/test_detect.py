@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from critsense import detect
 from critsense.detect import (boundary_min_gradient, find_critical_points,
                               improper_extrema, refine_newton, resolution)
 from critsense.domains import Ball, Box, Interval
@@ -69,6 +70,23 @@ def test_refine_newton_escape_ends_the_seed():
     assert refine_newton(f, seed[None], box=box) == [None]
     with pytest.raises(NoConvergenceError, match="left the box"):
         refine_newton(f, seed, box=box)
+
+
+def test_rescue_stops_once_the_gradient_meets_tol(monkeypatch):
+    # peano's degenerate zero: the monotone phase stalls in the curved
+    # valley and the trust-region rescue decides the seed; it used to run
+    # all 600 gradient evaluations after meeting tol
+    evals = []
+    real = detect.least_squares
+
+    def rescue(fun, x0, **kwargs):
+        return real(lambda s: evals.append(s) or fun(s), x0, **kwargs)
+
+    monkeypatch.setattr(detect, "least_squares", rescue)
+    f = gallery("peano")
+    z = refine_newton(f, [-0.625, 0.375], tol=1e-9)
+    assert np.linalg.norm(f.grad(z)) <= 1e-9
+    assert 0 < len(evals) < 600
 
 
 @pytest.mark.parametrize("name,expected", [
