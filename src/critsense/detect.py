@@ -191,6 +191,12 @@ def _refine_seed(field: ScalarField, s0: np.ndarray, tol: float,
                 break
     if gn <= tol:
         return x
+    # Where H' grad f = 0 the trust-region model is flat and the polish's
+    # Newton system is singular: no later stage can move the seed.
+    if not np.any(field.hess(best_x).T @ g):
+        raise NoConvergenceError("gradient refinement stalled",
+                                 best=best_x.tolist(), grad_norm=best_gn,
+                                 tol=tol)
 
     # Monotone steps stall in curved |grad f| valleys around degenerate
     # zeros. Rescue with a trust-region least-squares pass, then an

@@ -89,6 +89,23 @@ def test_rescue_stops_once_the_gradient_meets_tol(monkeypatch):
     assert 0 < len(evals) < 600
 
 
+def test_immobile_seed_skips_the_rescue(monkeypatch):
+    # gradient (0, 1) with a zero Hessian: H' grad f = 0, so neither the
+    # trust-region rescue nor the Newton polish can move the seed
+    f = ScalarField(lambda s: s[..., 1], 2,
+                    grad_fn=lambda s: np.broadcast_to([0.0, 1.0], s.shape),
+                    hess_fn=lambda s: np.zeros(s.shape[:-1] + (2, 2)))
+
+    def no_rescue(*args, **kwargs):
+        raise AssertionError("rescue called at an immobile point")
+
+    monkeypatch.setattr(detect, "least_squares", no_rescue)
+    with pytest.raises(NoConvergenceError) as exc:
+        refine_newton(f, [0.3, -0.2], tol=1e-9)
+    assert exc.value.context["grad_norm"] == 1.0
+    assert exc.value.context["best"] == [0.3, -0.2]
+
+
 @pytest.mark.parametrize("name,expected", [
     ("bowl", {"Min": 1}),
     ("monkey", {"Saddle(3)": 1}),
