@@ -1,10 +1,11 @@
 """Critical point location, refinement, and audit statistics.
 
 The detector scans a lattice for cells whose gradient components can all
-plausibly cross zero, refines each candidate by Newton iteration with a
-Levenberg-damped fallback for singular Hessians, deduplicates, and attaches
-index-based classifications. Cells whose refinement diverges are reported,
-never dropped.
+plausibly cross zero, refines all candidates together by Newton iteration
+with a Levenberg-damped fallback for singular Hessians, deduplicates, and
+attaches index-based classifications. Cells whose refinement diverges are
+reported, never dropped; cells whose refinement leaves the domain's box
+are listed apart, as escaped.
 """
 
 from __future__ import annotations
@@ -99,6 +100,31 @@ def _newton_polish(field: ScalarField, x: np.ndarray, gn: float,
     return best_x, best_gn
 
 
+def _norms(G: np.ndarray) -> np.ndarray:
+    """Row norms of ``(m, d)`` with the bits of ``np.linalg.norm`` on each
+    row; ``norm(G, axis=-1)`` sums differently and can differ in the last
+    bit, which would flip a line-search comparison."""
+    return np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])
+
+
+def _solve(A: np.ndarray, b: np.ndarray):
+    """Solve each ``A[i] x = b[i]``; returns ``(x, ok)``. A batched solve
+    raises if any system is singular, so that case goes row by row."""
+    x = np.empty_like(b)
+    ok = np.ones(len(b), dtype=bool)
+    if not len(b):
+        return x, ok
+    try:
+        x[:] = np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        for i in range(len(b)):
+            try:
+                x[i] = np.linalg.solve(A[i], b[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    return x, ok
+
+
 def refine_newton(field: ScalarField, s0, tol: float = 1e-9,
                   max_iter: int = 80, box=None):
     """Drive the gradient to ``tol`` from ``s0``, one seed ``(d,)`` or a
@@ -110,87 +136,125 @@ def refine_newton(field: ScalarField, s0, tol: float = 1e-9,
     descent). ``box`` is an optional ``(lo, hi)`` pair: an accepted iterate
     outside it ends the seed as escaped.
 
+    All seeds step in lockstep, one field call per step for the batch;
+    each keeps its own damping and line search, so a seed's outcome does
+    not depend on the rest of the batch. Seeds that stall above ``tol``
+    go on, one at a time, to the rescue.
+
     One seed returns the refined point or raises NoConvergence with the
     best iterate attached (an escape raises it too). A batch returns one
     outcome per seed: the point, the NoConvergenceError, or None when the
     seed escaped.
     """
     s = np.asarray(s0, dtype=float)
-    if s.ndim == 1:
-        x = _refine_seed(field, s, tol, max_iter, box)
-        if x is None:
-            raise NoConvergenceError("iterate left the box",
-                                     box=[np.asarray(b).tolist() for b in box],
-                                     tol=tol)
-        return x
-    outcomes = []
-    for row in s:
-        try:
-            outcomes.append(_refine_seed(field, row, tol, max_iter, box))
-        except NoConvergenceError as exc:
-            outcomes.append(exc)
-    return outcomes
+    outcomes = _refine_batch(field, np.atleast_2d(s), tol, max_iter, box)
+    if s.ndim == 2:
+        return outcomes
+    out = outcomes[0]
+    if out is None:
+        raise NoConvergenceError("iterate left the box",
+                                 box=[np.asarray(b).tolist() for b in box],
+                                 tol=tol)
+    if isinstance(out, NoConvergenceError):
+        raise out
+    return out
 
 
-def _refine_seed(field: ScalarField, s0: np.ndarray, tol: float,
-                 max_iter: int, box):
-    """One seed of :func:`refine_newton`; None when it escaped ``box``."""
-    x = s0.copy()
-    d = field.dim
-    mu = 1e-3
-    force_damped = False
-    g = field.grad(x)
-    gn = float(np.linalg.norm(g))
-    best_x, best_gn = x.copy(), gn
+def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
+                  max_iter: int, box) -> list:
+    """The outcomes of :func:`refine_newton` for the seeds ``X`` ``(m, d)``.
+
+    The monotone phase keeps only the current iterate: a step is accepted
+    only when it lowers |grad f|, so the current iterate is the best one.
+    """
+    m, d = X.shape
+    X = X.copy()
+    G = np.array(field.grad(X), dtype=float)
+    GN = _norms(G)
+    mu = np.full(m, 1e-3)
+    force_damped = np.zeros(m, dtype=bool)
+    out: list = [None] * m
+    live = np.arange(m)     # seeds still in the monotone phase
+    stalled = []            # seeds that left it above tol
     for _ in range(max_iter):
-        if gn <= tol:
-            return x
+        done = GN[live] <= tol
+        for i in live[done]:
+            out[i] = X[i].copy()
+        live = live[~done]
+        if not live.size:
+            break
+        x, g, gn = X[live], G[live], GN[live]
         H = field.hess(x)
-        hnorm = float(np.max(np.abs(H))) + 1e-300
-        det = float(np.linalg.det(H))
-        use_newton = (not force_damped) and abs(det) >= _DET_FLOOR * hnorm**d
-        delta = None
-        if use_newton:
-            try:
-                delta = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                use_newton = False
-        if not use_newton:
-            A = H.T @ H
-            lam = mu * (float(np.trace(A)) / d + 1e-300)
-            try:
-                delta = np.linalg.solve(A + lam * np.eye(d), -H.T @ g)
-            except np.linalg.LinAlgError:
-                raise NoConvergenceError("normal equations singular",
-                                         best=best_x.tolist(),
-                                         grad_norm=best_gn)
-        accepted = False
+        hnorm = np.max(np.abs(H), axis=(-2, -1)) + 1e-300
+        newton = (~force_damped[live]
+                  & (np.abs(np.linalg.det(H)) >= _DET_FLOOR * hnorm**d))
+        delta = np.empty_like(x)
+        step, ok = _solve(H[newton], -g[newton])
+        delta[newton] = step
+        newton[np.flatnonzero(newton)[~ok]] = False
+        Ht = np.swapaxes(H[~newton], -1, -2)
+        A = Ht @ H[~newton]
+        lam = mu[live[~newton]] * (np.trace(A, axis1=-2, axis2=-1) / d
+                                   + 1e-300)
+        step, ok = _solve(A + lam[:, None, None] * np.eye(d),
+                          (-Ht @ g[~newton][..., None])[..., 0])
+        delta[~newton] = step
+        singular = np.zeros(len(live), dtype=bool)
+        singular[np.flatnonzero(~newton)[~ok]] = True
+        for i in live[singular]:
+            out[i] = NoConvergenceError("normal equations singular",
+                                        best=X[i].tolist(),
+                                        grad_norm=float(GN[i]))
+
+        accepted = np.zeros(len(live), dtype=bool)
+        todo = np.flatnonzero(~singular)
         for _ in range(25):
-            xn = x + delta
+            if not todo.size:
+                break
+            xn = x[todo] + delta[todo]
             g_new = field.grad(xn)
-            gn_new = float(np.linalg.norm(g_new))
-            if gn_new < gn:
-                x, g, gn = xn, g_new, gn_new
-                accepted = True
-                break
-            delta = 0.5 * delta
-        if accepted and box is not None and (
-                np.any(x < box[0]) or np.any(x > box[1])):
-            return None
-        if accepted:
-            mu = max(mu / 3.0, 1e-12)
-            if gn < best_gn:
-                best_x, best_gn = x.copy(), gn
-        elif use_newton:
-            # near-degenerate Hessian the determinant test missed
-            force_damped = True
-            mu = max(mu, 1e-3)
-        else:
-            mu *= 10.0
-            if mu > 1e12:
-                break
-    if gn <= tol:
-        return x
+            gn_new = _norms(g_new)
+            hit = gn_new < gn[todo]
+            rows = todo[hit]
+            x[rows], g[rows], gn[rows] = xn[hit], g_new[hit], gn_new[hit]
+            accepted[rows] = True
+            todo = todo[~hit]
+            delta[todo] = 0.5 * delta[todo]
+        X[live], G[live], GN[live] = x, g, gn
+
+        ended = singular.copy()
+        if box is not None:  # an escaped seed's outcome stays None
+            ended |= accepted & (np.any(x < box[0], axis=-1)
+                                 | np.any(x > box[1], axis=-1))
+        mu_l = mu[live]
+        mu_l[accepted] = np.maximum(mu_l[accepted] / 3.0, 1e-12)
+        rejected = ~accepted & ~singular
+        # near-degenerate Hessian the determinant test missed
+        missed = rejected & newton
+        force_damped[live[missed]] = True
+        mu_l[missed] = np.maximum(mu_l[missed], 1e-3)
+        damped = rejected & ~newton
+        mu_l[damped] *= 10.0
+        mu[live] = mu_l
+        given_up = damped & (mu_l > 1e12)
+        stalled.extend(live[given_up])
+        live = live[~(ended | given_up)]
+    done = GN[live] <= tol
+    for i in live[done]:
+        out[i] = X[i].copy()
+    for i in [*stalled, *live[~done]]:
+        try:
+            out[i] = _rescue(field, X[i].copy(), G[i], float(GN[i]), tol,
+                             max_iter)
+        except NoConvergenceError as exc:
+            out[i] = exc
+    return out
+
+
+def _rescue(field: ScalarField, best_x: np.ndarray, g: np.ndarray,
+            best_gn: float, tol: float, max_iter: int) -> np.ndarray:
+    """Refine one seed the monotone phase left at ``best_x`` with gradient
+    ``g`` and |g| = ``best_gn`` > ``tol``; raises NoConvergence."""
     # Where H' grad f = 0 the trust-region model is flat and the polish's
     # Newton system is singular: no later stage can move the seed.
     if not np.any(field.hess(best_x).T @ g):
@@ -255,7 +319,9 @@ def find_critical_points(field: ScalarField, domain: Domain,
 
     Refined points closer than two cell diagonals are merged. Points
     landing within one grid cell of the boundary are flagged
-    near_boundary. Ordering is lexicographic by location.
+    near_boundary. Ordering is lexicographic by location. A cell whose
+    refinement leaves the bounding box widened by one cell is listed in
+    ``escaped``.
     """
     if grid_res < 8:
         raise UsageError("grid_res must be at least 8")

@@ -106,6 +106,50 @@ def test_immobile_seed_skips_the_rescue(monkeypatch):
     assert exc.value.context["best"] == [0.3, -0.2]
 
 
+def _row_by_row(f, seeds, **kw):
+    """refine_newton's batch outcomes, computed one seed at a time."""
+    outs = []
+    for s in seeds:
+        try:
+            outs.append(refine_newton(f, s, **kw))
+        except NoConvergenceError as exc:
+            outs.append(None if "left the box" in str(exc) else exc)
+    return outs
+
+
+def _same_outcome(a, b):
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.tobytes() == b.tobytes()
+    if isinstance(a, NoConvergenceError) and isinstance(b, NoConvergenceError):
+        return str(a) == str(b) and a.context == b.context
+    return a is None and b is None
+
+
+def test_batched_refinement_matches_one_seed_at_a_time():
+    # every candidate cell of twogauss at grid 64, in the box
+    # find_critical_points passes: converged points and escapes
+    f, dom = gallery("twogauss"), Ball((0, 0), 1.0)
+    lat = dom.lattice(64)
+    cells = 0.5 * (lat[:-1, :-1] + lat[1:, 1:])[
+        detect._candidate_cells(f.grad(lat), dom.contains(lat))]
+    lo, hi = dom.bounding_box()
+    box = (lo - (hi - lo) / 64, hi + (hi - lo) / 64)
+    batch = refine_newton(f, cells, box=box)
+    assert len(batch) == len(cells) > 100
+    assert {type(o) for o in batch} == {np.ndarray, type(None)}
+    assert all(map(_same_outcome, batch, _row_by_row(f, cells, box=box)))
+
+    # failure records: a nowhere-vanishing gradient stalls every seed
+    tilt = ScalarField(lambda s: s[..., 0] + s[..., 1], 2,
+                       grad_fn=lambda s: np.ones_like(s),
+                       hess_fn=lambda s: np.zeros(s.shape[:-1] + (2, 2)))
+    seeds = cells[:5]
+    batch = refine_newton(tilt, seeds, max_iter=10)
+    assert all(isinstance(o, NoConvergenceError) for o in batch)
+    assert all(map(_same_outcome, batch,
+                   _row_by_row(tilt, seeds, max_iter=10)))
+
+
 @pytest.mark.parametrize("name,expected", [
     ("bowl", {"Min": 1}),
     ("monkey", {"Saddle(3)": 1}),
