@@ -250,6 +250,8 @@ def _cmd_flow(args) -> int:
     ent, field, dom = _resolve(args)
     tol = _positive(args.tol, 1e-9, "--tol")
     ode_step = _positive(args.ode_step, 1e-3, "--ode-step")
+    if ode_step > 0.5:  # before the refinement and the chart search
+        raise UsageError("ode_step must lie in (0, 0.5]")
     lo, hi = dom.bounding_box()
     seed_pt = (_point(args.point, field.dim) if args.point
                else 0.5 * (lo + hi))

@@ -11,6 +11,7 @@ import pytest
 from critsense import __version__
 from critsense.cli import _json, dumps, main, parse_domain
 from critsense.errors import UsageError
+from critsense.fields import ScalarField
 from critsense.domains import Ball, Box, Interval
 from critsense.gallery import catalogue
 
@@ -572,6 +573,19 @@ def test_explicit_out_of_range_values_are_usage_errors(tmp_path, capsys,
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "UsageError"
+
+
+def test_flow_rejects_a_large_step_before_any_hessian(capsys, monkeypatch):
+    calls = []
+    hess = ScalarField.hess
+    monkeypatch.setattr(ScalarField, "hess",
+                        lambda self, s: calls.append(s) or hess(self, s))
+    rc, out, err = run(capsys, "flow", "--gallery", "twogauss",
+                       "--point", "0.4,0", "--ode-step", "0.7")
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == \
+        "ode_step must lie in (0, 0.5]"
+    assert calls == []
 
 
 def test_mountain_without_movable_knots_is_a_usage_error(capsys):
