@@ -2,9 +2,9 @@
 
 ``bench/tracer.py`` patches module-level names such as
 ``detect.least_squares`` and ``morse.morse_flow_trajectory``; a rename in
-the package breaks only the traced benchmark run. This test installs the
+the package breaks only the traced benchmark run. These tests install the
 tracer in a fresh interpreter, so its patches do not leak into the other
-tests, and runs one command of each kind through it.
+tests, and run commands through it.
 """
 
 import json
@@ -14,30 +14,51 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# argv: src, bench, then a JSON list of CLI commands and a JSON list of
+# span names; prints the names of the spans that were never entered
 _SCRIPT = """
 import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
-import tracer, workloads
+import tracer
 from critsense import cli
 
 t = tracer.Tracer()
 tracer.install(t)
-for argv in (["classify", "--gallery", "twogauss"],
-             ["audit", "--gallery", "bowl"],
-             ["flow", "--gallery", "bowl"],
-             ["mountain", "--gallery", "twogauss"],
-             ["sequence", "--gallery", "fig10", "--n", "4"]):
+for argv in json.loads(sys.argv[3]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 agg, _ = t.totals()
-spans = workloads.WORKLOADS["gallery_sweep"].required_spans
-print(json.dumps([s for s in spans if agg.get(s, [0])[0] == 0]))
+print(json.dumps([s for s in json.loads(sys.argv[4])
+                  if agg.get(s, [0])[0] == 0]))
 """
 
 
-def test_tracer_records_every_gallery_sweep_span():
+def _missing_spans(commands, spans) -> list:
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, str(ROOT / "src"), str(ROOT / "bench")],
+        [sys.executable, "-c", _SCRIPT, str(ROOT / "src"), str(ROOT / "bench"),
+         json.dumps(commands), json.dumps(list(spans))],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_tracer_records_every_gallery_sweep_span():
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    spans = workloads.WORKLOADS["gallery_sweep"].required_spans
+    assert _missing_spans([["classify", "--gallery", "twogauss"],
+                           ["audit", "--gallery", "bowl"],
+                           ["flow", "--gallery", "bowl"],
+                           ["mountain", "--gallery", "twogauss"],
+                           ["sequence", "--gallery", "fig10", "--n", "4"]],
+                          spans) == []
+
+
+def test_tracer_reaches_batched_refinement_and_its_rescue():
+    # peano's degenerate zero sends seeds from the batched monotone phase
+    # to the least_squares rescue; both spans must stay reachable
+    assert _missing_spans([["classify", "--gallery", "peano", "--grid", "24"]],
+                          ["detect.refine", "detect.rescue"]) == []
