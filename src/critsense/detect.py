@@ -56,10 +56,10 @@ class DetectionResult(list):
     the cells whose refinement left the domain's box (``escaped``, kept in
     memory only)."""
 
-    def __init__(self, points: list, unresolved: list, escaped: list = ()):
+    def __init__(self, points: list, unresolved: list, escaped: list):
         super().__init__(points)
         self.unresolved = unresolved
-        self.escaped = list(escaped)
+        self.escaped = escaped
 
 
 def _newton_polish(field: ScalarField, x: np.ndarray, gn: float,

@@ -57,13 +57,16 @@ def test_seeds_that_leave_the_box_are_escaped_not_unresolved():
 def test_refine_newton_escape_ends_the_seed():
     # x^3/3 - x + y^2 has its zeros at (+-1, 0); from (0.4, 0.1) the first
     # accepted step lands at x = 0.925, outside the box |x|, |y| <= 1/2
+    def hess(s):
+        H = np.zeros(s.shape[:-1] + (2, 2))
+        H[..., 0, 0] = 2.0 * s[..., 0]
+        H[..., 1, 1] = 2.0
+        return H
+
     f = ScalarField(lambda s: s[..., 0] ** 3 / 3 - s[..., 0] + s[..., 1] ** 2,
                     2, grad_fn=lambda s: np.stack(
                         [s[..., 0] ** 2 - 1.0, 2.0 * s[..., 1]], axis=-1),
-                    hess_fn=lambda s: np.stack(
-                        [np.stack([2.0 * s[..., 0], 0.0 * s[..., 0]], -1),
-                         np.stack([0.0 * s[..., 0], 2.0 + 0.0 * s[..., 0]],
-                                  -1)], -2))
+                    hess_fn=hess)
     box = (np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
     seed = np.array([0.4, 0.1])
     assert np.allclose(refine_newton(f, seed), [1.0, 0.0])
