@@ -176,12 +176,12 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
     out: list = [None] * m
     live = np.arange(m)     # seeds still in the monotone phase
     stalled = []            # seeds that left it above tol
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         done = GN[live] <= tol
         for i in live[done]:
             out[i] = X[i].copy()
         live = live[~done]
-        if not live.size:
+        if not live.size or it == max_iter:
             break
         x, g, gn = X[live], G[live], GN[live]
         H = field.hess(x)
@@ -239,10 +239,7 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
         given_up = damped & (mu_l > 1e12)
         stalled.extend(live[given_up])
         live = live[~(ended | given_up)]
-    done = GN[live] <= tol
-    for i in live[done]:
-        out[i] = X[i].copy()
-    for i in [*stalled, *live[~done]]:
+    for i in [*stalled, *live]:
         try:
             out[i] = _rescue(field, X[i].copy(), G[i], float(GN[i]), tol,
                              max_iter)

@@ -77,8 +77,8 @@ def test_refine_newton_escape_ends_the_seed():
 
 def test_rescue_stops_once_the_gradient_meets_tol(monkeypatch):
     # peano's degenerate zero: the monotone phase stalls in the curved
-    # valley and the trust-region rescue decides the seed; it used to run
-    # all 600 gradient evaluations after meeting tol
+    # valley and the trust-region rescue decides the seed, which must end
+    # once |grad f| <= tol rather than at max_nfev = 600
     evals = []
     real = detect.least_squares
 
