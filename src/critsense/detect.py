@@ -19,7 +19,7 @@ from scipy.optimize import least_squares
 
 from .domains import Domain
 from .errors import NoConvergenceError, UsageError
-from .fields import ScalarField, sym_eigvalsh
+from .fields import ScalarField, row_norms, sym_eigvalsh
 from .morse import morse_classify
 from . import homindex
 
@@ -100,13 +100,6 @@ def _newton_polish(field: ScalarField, x: np.ndarray, gn: float,
     return best_x, best_gn
 
 
-def _norms(G: np.ndarray) -> np.ndarray:
-    """Row norms of ``(m, d)`` with the bits of ``np.linalg.norm`` on each
-    row; ``norm(G, axis=-1)`` sums differently and can differ in the last
-    bit, which would flip a line-search comparison."""
-    return np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])
-
-
 def _solve(A: np.ndarray, b: np.ndarray):
     """Solve each ``A[i] x = b[i]``; returns ``(x, ok)``. A batched solve
     raises if any system is singular, so that case goes row by row."""
@@ -170,7 +163,7 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
     m, d = X.shape
     X = X.copy()
     G = np.array(field.grad(X), dtype=float)
-    GN = _norms(G)
+    GN = row_norms(G)
     mu = np.full(m, 1e-3)
     force_damped = np.zeros(m, dtype=bool)
     out: list = [None] * m
@@ -213,7 +206,7 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
                 break
             xn = x[todo] + delta[todo]
             g_new = field.grad(xn)
-            gn_new = _norms(g_new)
+            gn_new = row_norms(g_new)
             hit = gn_new < gn[todo]
             rows = todo[hit]
             x[rows], g[rows], gn[rows] = xn[hit], g_new[hit], gn_new[hit]
@@ -360,12 +353,14 @@ def find_critical_points(field: ScalarField, domain: Domain,
         scored.append((gn, tuple(x.tolist()), x))
     scored.sort(key=lambda t: (t[0], t[1]))
     kept: list[tuple[float, np.ndarray]] = []
+    kept_locs = np.empty((len(scored), d))
     for gn, _, x in scored:
-        if all(np.linalg.norm(x - y) >= dedupe_radius for _, y in kept):
+        if np.all(row_norms(x - kept_locs[:len(kept)]) >= dedupe_radius):
+            kept_locs[len(kept)] = x
             kept.append((gn, x))
     kept.sort(key=lambda k: tuple(k[1].tolist()))
 
-    locs = [x for _, x in kept]
+    locs = np.array([x for _, x in kept]).reshape(-1, d)
     points = []
     for i, (gn, x) in enumerate(kept):
         spec = sym_eigvalsh(field.hess(x))
@@ -375,7 +370,8 @@ def find_critical_points(field: ScalarField, domain: Domain,
         # step away, leaving spurious eigenvalues of order sqrt(|grad|).
         dtol = max(1e-8, 10.0 * float(np.sqrt(max(gn, 0.0))))
         morse_index = morse_classify(field, x, degeneracy_tol=dtol)
-        probe = homindex.probe_radius(x, locs[:i] + locs[i + 1:], domain)
+        probe = homindex.probe_radius(x, np.delete(locs, i, axis=0),
+                                      domain)
         hom_index, cls = homindex.classify_by_index(field, x, probe)
         points.append(CriticalPoint(x, value, gn, spec, morse_index,
                                     hom_index, cls, near))
@@ -388,11 +384,9 @@ def resolution(points) -> float:
             for p in points]
     if len(locs) < 2:
         return float("inf")
-    best = np.inf
-    for i in range(len(locs)):
-        for j in range(i + 1, len(locs)):
-            best = min(best, float(np.linalg.norm(locs[i] - locs[j])))
-    return best
+    locs = np.array(locs).reshape(len(locs), -1)
+    i, j = np.triu_indices(len(locs), 1)
+    return float(np.min(row_norms(locs[i] - locs[j])))
 
 
 def boundary_min_gradient(field: ScalarField, domain: Domain) -> float:

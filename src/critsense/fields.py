@@ -234,7 +234,7 @@ def finite_diff(field: ScalarField, s, order: str = "grad") -> np.ndarray:
 
 
 # ---------------------------------------------------------------- #
-# symmetric Hessian spectrum
+# row norms and the symmetric Hessian spectrum
 # ---------------------------------------------------------------- #
 
 def _sym(H: np.ndarray) -> np.ndarray:
@@ -245,6 +245,15 @@ def sym_eigvalsh(H) -> np.ndarray:
     """Ascending eigenvalues of the symmetric part ``(H + H')/2``,
     batched over ``(..., d, d)``."""
     return np.linalg.eigvalsh(_sym(np.asarray(H, dtype=float)))
+
+
+def row_norms(A) -> np.ndarray:
+    """Euclidean norms of the rows of ``(m, d)``, each with the bits of
+    ``np.linalg.norm`` on that row: a batched ``matmul`` forms each
+    ``a @ a`` as ``norm`` does, where ``norm(A, axis=-1)`` and ``einsum``
+    sum differently and can differ in the last bit."""
+    A = np.asarray(A, dtype=float)
+    return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
 
 
 def spectral_norms(H) -> np.ndarray:

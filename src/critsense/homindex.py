@@ -18,7 +18,7 @@ from .domains import Ball, Domain, ring_angles, sphere_directions
 from .errors import (DegenerateError, NonGenericBoundaryError,
                      NonIsolatedZeroError, PreconditionError,
                      UnderSampledError, UnsupportedError, UsageError)
-from .fields import ScalarField, sym_eigvalsh
+from .fields import ScalarField, row_norms, sym_eigvalsh
 from .morse import morse_classify
 
 _EPS_HALVINGS = 6
@@ -143,10 +143,10 @@ def probe_radius(z, others, domain: Domain | None) -> float:
         bd = float(domain.boundary_distance(z))
         if bd > 0:
             cands.append(0.25 * bd)
-    for o in others:
-        d = float(np.linalg.norm(np.asarray(o, dtype=float) - z))
-        if d > 0:
-            cands.append(0.25 * d)
+    dist = row_norms(np.asarray(others, dtype=float).reshape(-1, z.size) - z)
+    dist = dist[dist > 0]
+    if dist.size:
+        cands.append(0.25 * float(np.min(dist)))
     return max(min(cands), 1e-12)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import detect
 from .domains import Domain
 from .errors import NoConvergenceError, UsageError
-from .fields import ScalarField, spectral_norms
+from .fields import ScalarField, row_norms, spectral_norms
 from .gallery import GalleryEntry, entry as gallery_entry, gallery, limit_field
 
 # counting-theorem hypotheses, shared with randfield's Monte Carlo trials
@@ -102,11 +102,10 @@ def match_critical_points(pts_n, pts_limit, radius: float | None = None,
         raise UsageError("matching radius must be positive")
     pairs_all = []
     for i in range(len(locs_n)):
-        for j in range(len(locs_l)):
-            d = float(np.linalg.norm(locs_n[i] - locs_l[j]))
-            if d <= radius:
-                a, b = sorted([tuple(locs_n[i]), tuple(locs_l[j])])
-                pairs_all.append((d, a, b, i, j))
+        dist = row_norms(locs_n[i] - locs_l)
+        for j in np.flatnonzero(dist <= radius):
+            a, b = sorted([tuple(locs_n[i]), tuple(locs_l[j])])
+            pairs_all.append((float(dist[j]), a, b, i, int(j)))
     pairs_all.sort()
     used_n, used_l, pairs = set(), set(), []
     per_limit = {}

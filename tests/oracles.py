@@ -2,7 +2,8 @@
 
 Nothing here shares code paths with the package: windings come from a
 dense unwrap, roots from scipy brentq on a fine grid, extrema from plain
-neighbor comparisons, assignments from brute-force permutations.
+neighbor comparisons, assignments from brute-force permutations,
+distances from one scalar ``np.linalg.norm`` per pair.
 """
 
 from __future__ import annotations
@@ -72,3 +73,56 @@ def optimal_matching(locs_a, locs_b, radius: float) -> int:
                 if all(dist[r, c] <= radius for r, c in zip(rows, cols)):
                     return k
     return best
+
+
+def brute_resolution(locs) -> float:
+    """Minimum pairwise distance, one scalar norm per pair."""
+    best = np.inf
+    for i in range(len(locs)):
+        for j in range(i + 1, len(locs)):
+            best = min(best, float(np.linalg.norm(locs[i] - locs[j])))
+    return best
+
+
+def brute_probe_radius(z, others, boundary_distance: float) -> float:
+    """A quarter of the distance to the nearest other zero or to a positive
+    boundary distance, at most 0.25 and at least 1e-12."""
+    cands = [0.25]
+    if boundary_distance > 0:
+        cands.append(0.25 * boundary_distance)
+    for o in others:
+        d = float(np.linalg.norm(o - z))
+        if d > 0:
+            cands.append(0.25 * d)
+    return max(min(cands), 1e-12)
+
+
+def brute_dedupe(field, refined, radius: float) -> list:
+    """Greedy merge of refined points, smallest |grad f| (then location)
+    first: a point is kept unless a kept one lies closer than ``radius``.
+    Returns ``(grad_norm, location)`` pairs in lexicographic order."""
+    scored = sorted(((float(np.linalg.norm(field.grad(x))), tuple(x), x)
+                     for x in refined), key=lambda t: t[:2])
+    kept = []
+    for gn, _, x in scored:
+        if all(np.linalg.norm(x - y) >= radius for _, y in kept):
+            kept.append((gn, x))
+    return sorted(kept, key=lambda k: tuple(k[1]))
+
+
+def brute_matching(locs_n, locs_l, radius: float) -> list:
+    """Greedy nearest pairs under the radius cap, ties broken by the sorted
+    location pair: ``[(i_n, i_limit, distance)]`` in matching order."""
+    cands = []
+    for i, a in enumerate(locs_n):
+        for j, b in enumerate(locs_l):
+            d = float(np.linalg.norm(a - b))
+            if d <= radius:
+                cands.append((d, *sorted([tuple(a), tuple(b)]), i, j))
+    used_n, used_l, pairs = set(), set(), []
+    for d, _, _, i, j in sorted(cands):
+        if i not in used_n and j not in used_l:
+            used_n.add(i)
+            used_l.add(j)
+            pairs.append((i, j, d))
+    return pairs

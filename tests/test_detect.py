@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from critsense import detect
+from critsense import detect, homindex
 from critsense.detect import (boundary_min_gradient, find_critical_points,
                               improper_extrema, refine_newton, resolution)
 from critsense.domains import Ball, Box, Interval
 from critsense.errors import NoConvergenceError
 from critsense.fields import ScalarField
-from critsense.gallery import gallery
+from critsense.gallery import entry, gallery
+from critsense.sequence import match_critical_points
 
-from oracles import strict_extrema_2d
+from oracles import (brute_dedupe, brute_matching, brute_probe_radius,
+                     brute_resolution, strict_extrema_2d)
 
 
 def quad2d():
@@ -235,3 +237,48 @@ def test_improper_extrema_downward_parabola():
 def test_boundary_min_gradient_radial_bowl():
     g = boundary_min_gradient(gallery("bowl"), Ball((0, 0), 1.0))
     assert g == pytest.approx(2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("name,n,grid,grid_b", [
+    ("fig4b", 16, 1024, 768),   # 326 points from 542 refined seeds
+    ("twogauss", 1, 64, 48),
+])
+def test_distances_match_scalar_norm_oracles(monkeypatch, name, n, grid,
+                                             grid_b):
+    # every pairwise distance of the resolution assumption, bit for bit
+    # against one np.linalg.norm per pair
+    field, dom = gallery(name, n), entry(name).domain
+    refined = []
+    real = detect.refine_newton
+
+    def capture(*args, **kwargs):
+        outs = real(*args, **kwargs)
+        refined.extend(x for x in outs if isinstance(x, np.ndarray)
+                       and dom.contains(x, tol=1e-9))
+        return outs
+
+    monkeypatch.setattr(detect, "refine_newton", capture)
+    pts = find_critical_points(field, dom, grid_res=grid)
+    monkeypatch.undo()
+    lo, hi = dom.bounding_box()
+    kept = brute_dedupe(field, refined, 2.0 * float(np.linalg.norm(
+        (hi - lo) / grid)))
+    assert len(refined) > len(pts) > 1
+    assert [(p.grad_norm, p.location.tolist()) for p in pts] == \
+        [(gn, x.tolist()) for gn, x in kept]
+
+    locs = [p.location for p in pts]
+    assert resolution(pts) == brute_resolution(locs)
+    for i, z in enumerate(locs):
+        others = locs[:i] + locs[i + 1:]
+        r = homindex.probe_radius(z, others, dom)
+        assert r == brute_probe_radius(z, others,
+                                       float(dom.boundary_distance(z)))
+        # z itself lies at distance 0, which the radius skips
+        assert homindex.probe_radius(z, locs, dom) == r
+
+    pts_b = find_critical_points(field, dom, grid_res=grid_b)
+    m = match_critical_points(pts_b, pts, domain=dom)
+    assert m.pairs == brute_matching([p.location for p in pts_b], locs,
+                                     m.radius)
+    assert m.pairs

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from critsense.fields import ScalarField
+from critsense.fields import ScalarField, row_norms
 from critsense.homindex import sign_index_nondegenerate, winding_index_2d
 from critsense.randfield import BasisSpec, sample_limit_field
 from critsense.sequence import counts_from_points, match_critical_points
@@ -73,6 +73,27 @@ def test_matching_is_symmetric_and_near_optimal(a, b, radius):
         # greedy maximal matching sits within a factor two of the optimum
         opt = optimal_matching(la, lb, radius)
         assert len(m_ab.pairs) <= opt <= 2 * len(m_ab.pairs)
+
+
+@st.composite
+def rows_and_point(draw):
+    """A point b and up to 8 rows in 1-3 dimensions; some rows are b."""
+    d = draw(st.integers(1, 3))
+    vec = st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)
+    b = draw(vec)
+    rows = draw(st.lists(st.one_of(st.just(b), vec), min_size=1,
+                         max_size=8))
+    return np.array(rows), np.array(b)
+
+
+@given(rows_and_point())
+@settings(max_examples=200, deadline=None)
+def test_row_norms_carry_the_bits_of_the_scalar_norm(ab):
+    A, b = ab
+    got = row_norms(A - b)
+    assert got.shape == (len(A),)
+    for a, r in zip(A, got):
+        assert r == float(np.linalg.norm(a - b))
 
 
 synthetic_points = st.lists(
