@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from critsense.domains import Ball, Box
-from critsense.errors import CoverageError, NotMorseError, UsageError
+from critsense.errors import (CoverageError, FlowSingularError,
+                              NotMorseError, UsageError)
 from critsense.fields import ScalarField
 from critsense.gallery import gallery
 from critsense.morse import (FlowChart, corollary_constants,
@@ -161,6 +162,64 @@ def test_trajectory_matches_endpoint():
     assert len(ts) == len(path) == 1001
     assert np.allclose(path[0], x)
     assert np.allclose(path[-1], morse_flow_map(field, chart, x))
+
+
+def _constant_chart(ode_step):
+    """A hand-built chart of f = 0 with H = I: phi = -|y|^2/2 and
+    y_t = (1 - t) y, so the flow denominator vanishes at t = 1."""
+    return FlowChart(ORIGIN, np.eye(2), 0.1, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0,
+                     ode_step=ode_step)
+
+
+CONSTANT = ScalarField(lambda s: np.zeros(np.shape(s)[:-1]), 2,
+                       grad_fn=np.zeros_like)
+
+
+def test_flow_raises_where_its_denominator_vanishes():
+    # a step of 1/4 lands the last RK4 stage on t = 1 exactly
+    chart = _constant_chart(0.25)
+    with pytest.raises(FlowSingularError) as err:
+        morse_flow_map(CONSTANT, chart, np.array([[0.05, 0.0], [0.0, 0.0]]))
+    assert err.value.context == {"t": 1.0, "worst": 0.0}
+    # the centre alone never trips the check: y = 0 is not "away" from it
+    out = morse_flow_map(CONSTANT, chart, np.zeros((1, 2)))
+    assert np.array_equal(out, np.zeros((1, 2)))
+
+
+def test_flow_keeps_a_centre_row_at_the_centre():
+    field = saddle_cubic2d(0.05)
+    chart = make_chart(field, ORIGIN)
+    x = np.array([0.04, -0.03])
+    out = morse_flow_map(field, chart, np.stack([np.zeros(2), x]))
+    assert np.all(np.isfinite(out))
+    assert np.array_equal(out[0], np.zeros(2))
+    np.testing.assert_allclose(out[1], morse_flow_map(field, chart, x),
+                               rtol=0.0, atol=1e-15)
+    ts, path = morse_flow_trajectory(field, chart, np.zeros(2))
+    assert np.array_equal(path, np.zeros((len(ts), 2)))
+
+
+def test_flow_makes_four_evaluations_per_step():
+    field = saddle_cubic2d(0.05)
+    chart = replace(make_chart(field, ORIGIN), ode_step=0.01)
+    calls = {"value": 0, "grad": 0, "hess": 0}
+
+    def counted(kind, fn):
+        def wrapped(s):
+            calls[kind] += 1
+            return fn(s)
+        return wrapped
+
+    counting = ScalarField(counted("value", field.fn), 2,
+                           grad_fn=counted("grad", field.grad_fn),
+                           hess_fn=counted("hess", field.hess_fn))
+    xs = _shell_points(0.5 * chart.radius, n=8)
+    for run in (lambda: morse_flow_map(counting, chart, xs),
+                lambda: morse_flow_trajectory(counting, chart, xs[0])):
+        calls.update(value=0, grad=0, hess=0)
+        run()
+        # 100 RK4 steps of 4 stages, plus f at the centre
+        assert calls == {"value": 401, "grad": 400, "hess": 0}
 
 
 def test_flow_input_validation():
