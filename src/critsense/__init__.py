@@ -15,8 +15,8 @@ from .morse import (FlowChart, corollary_constants, flow_pair_distance,
                     morse_flow_trajectory, morse_statistic, verify_morse_chart)
 from .mountainpass import PassResult, mountain_pass_point
 from .sequence import (Matching, SequenceReport, ck_distance,
-                       convergence_experiment, count_report,
-                       match_critical_points, resolution_sequence)
+                       convergence_experiment, match_critical_points,
+                       resolution_sequence)
 from .randfield import (BasisField, BasisSpec, empirical_mean_field,
                         monte_carlo_convergence, sample_limit_field)
 
@@ -34,7 +34,7 @@ __all__ = [
     "morse_statistic", "verify_morse_chart",
     "PassResult", "mountain_pass_point",
     "Matching", "SequenceReport", "ck_distance", "convergence_experiment",
-    "count_report", "match_critical_points", "resolution_sequence",
+    "match_critical_points", "resolution_sequence",
     "BasisField", "BasisSpec", "empirical_mean_field",
     "monte_carlo_convergence", "sample_limit_field",
 ]

@@ -186,14 +186,6 @@ def _detect_and_count(field: ScalarField, domain: Domain, grid_res: int,
     return pts, counts
 
 
-def count_report(field: ScalarField, domain: Domain) -> dict:
-    """Full critical point counts (detection grid 64) plus improper
-    extrema (lattice 256) for one field."""
-    pts, rec = _detect_and_count(field, domain, 64, 256)
-    rec["unresolved"] = len(pts.unresolved)
-    return rec
-
-
 def _default_grid(dim: int, n: int) -> int:
     if dim == 1:
         return max(1024, 32 * n)

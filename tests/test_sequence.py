@@ -8,8 +8,8 @@ from critsense.domains import Ball, Box, Interval
 from critsense.errors import UsageError
 from critsense.fields import ScalarField
 from critsense.gallery import gallery, limit_field
-from critsense.sequence import (ck_distance, convergence_experiment,
-                                count_report, counts_from_points,
+from critsense.sequence import (_detect_and_count, ck_distance,
+                                convergence_experiment, counts_from_points,
                                 match_critical_points, resolution_sequence)
 
 from oracles import optimal_matching
@@ -107,22 +107,25 @@ def test_greedy_matching_attains_the_optimal_cardinality():
         assert len(m.pairs) == optimal_matching(jitter, base, 0.45) == 4
 
 
-def test_count_report_classifies_the_classics():
-    bowl = count_report(gallery("bowl"), Ball((0.0, 0.0), 1.0))
+def test_detect_and_count_classifies_the_classics():
+    _, bowl = _detect_and_count(gallery("bowl"), Ball((0.0, 0.0), 1.0),
+                                64, 256)
     assert bowl["N_C"] == bowl["N_m"] == 1
     assert bowl["hom"] == {"1": 1}
     assert bowl["morse"] == {"0": 1}
-    monkey = count_report(gallery("monkey"), Ball((0.0, 0.0), 1.0))
+    pts, monkey = _detect_and_count(gallery("monkey"),
+                                    Ball((0.0, 0.0), 1.0), 64, 256)
     assert monkey["N_C"] == monkey["N_S"] == 1
     assert monkey["hom"] == {"-2": 1}
     assert monkey["morse"] == {"degenerate": 1}
-    assert monkey["unresolved"] == 0
+    assert pts.unresolved == []
 
 
-def test_count_report_small_n_bump_pair():
+def test_detect_and_count_small_n_bump_pair():
     # at n = 4 the bump is wide: its max and companion saddle are both
     # present, alongside the base saddle
-    rec = count_report(gallery("fig13b", 4), Box((-2.0, -2.0), (2.0, 2.0)))
+    _, rec = _detect_and_count(gallery("fig13b", 4),
+                               Box((-2.0, -2.0), (2.0, 2.0)), 64, 256)
     assert rec["N_C"] == 3
     assert rec["N_M"] == 1 and rec["N_S"] == 2
     assert rec["hom"] == {"-1": 2, "1": 1}
