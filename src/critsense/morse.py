@@ -181,19 +181,17 @@ def _flow_integrate(field: ScalarField, chart: FlowChart, x, record: bool):
     f_p = float(field.value(p))
     ratio_floor = (1e-14 * max(1.0, spectral_norm(H))) ** 2
 
-    add = np.add.reduce
-
     # Each stage runs thousands of times on few points, so numpy call
-    # overhead dominates: every term is computed once, in a fixed order
-    # (the quadratic term stays an einsum, which rounds as it always has).
+    # overhead dominates: every term is computed once. The quadratic term
+    # is an einsum; (yH * y).sum() would round differently.
     def vel(t: float, y: np.ndarray) -> np.ndarray:
         x = p + y
         yH = y @ H
         phi = field.value(x) - f_p - 0.5 * np.einsum(
             "...i,ij,...j->...", y, H, y)
         yt = yH + t * (field.grad(x) - yH)
-        n2 = add(yt * yt, axis=-1)
-        y2 = add(y * y, axis=-1)
+        n2 = np.add.reduce(yt * yt, axis=-1)
+        y2 = np.add.reduce(y * y, axis=-1)
         bad = n2 < ratio_floor * y2  # n2 >= 0, so this implies y2 > 0
         if bad.any():
             raise FlowSingularError(
