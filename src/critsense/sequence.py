@@ -100,12 +100,12 @@ def match_critical_points(pts_n, pts_limit, radius: float | None = None,
             np.isfinite(c) for c in cands) else np.inf
     if not radius > 0:
         raise UsageError("matching radius must be positive")
+    diff = locs_n[:, None, :] - locs_l[None, :, :]
+    dist = row_norms(diff.reshape(-1, diff.shape[-1])).reshape(diff.shape[:2])
     pairs_all = []
-    for i in range(len(locs_n)):
-        dist = row_norms(locs_n[i] - locs_l)
-        for j in np.flatnonzero(dist <= radius):
-            a, b = sorted([tuple(locs_n[i]), tuple(locs_l[j])])
-            pairs_all.append((float(dist[j]), a, b, i, int(j)))
+    for i, j in zip(*np.nonzero(dist <= radius)):
+        a, b = sorted([tuple(locs_n[i]), tuple(locs_l[j])])
+        pairs_all.append((float(dist[i, j]), a, b, int(i), int(j)))
     pairs_all.sort()
     used_n, used_l, pairs = set(), set(), []
     per_limit = {}
