@@ -355,14 +355,14 @@ def find_critical_points(field: ScalarField, domain: Domain,
     kept: list[tuple[float, np.ndarray]] = []
     kept_locs = np.empty((len(scored), d))
     for gn, _, x in scored:
-        if np.all(row_norms(x - kept_locs[:len(kept)]) >= dedupe_radius):
+        if (row_norms(x - kept_locs[:len(kept)]) >= dedupe_radius).all():
             kept_locs[len(kept)] = x
             kept.append((gn, x))
     kept.sort(key=lambda k: tuple(k[1].tolist()))
 
     locs = np.array([x for _, x in kept]).reshape(-1, d)
     points = []
-    for i, (gn, x) in enumerate(kept):
+    for gn, x in kept:
         spec = sym_eigvalsh(field.hess(x))
         value = float(field.value(x))
         near = bool(domain.boundary_distance(x) < boundary_margin)
@@ -370,8 +370,8 @@ def find_critical_points(field: ScalarField, domain: Domain,
         # step away, leaving spurious eigenvalues of order sqrt(|grad|).
         dtol = max(1e-8, 10.0 * float(np.sqrt(max(gn, 0.0))))
         morse_index = morse_classify(field, x, degeneracy_tol=dtol)
-        probe = homindex.probe_radius(x, np.delete(locs, i, axis=0),
-                                      domain)
+        # x itself is among locs: probe_radius skips zero distances
+        probe = homindex.probe_radius(x, locs, domain)
         hom_index, cls = homindex.classify_by_index(field, x, probe)
         points.append(CriticalPoint(x, value, gn, spec, morse_index,
                                     hom_index, cls, near))
@@ -385,8 +385,8 @@ def resolution(points) -> float:
     if len(locs) < 2:
         return float("inf")
     locs = np.array(locs).reshape(len(locs), -1)
-    i, j = np.triu_indices(len(locs), 1)
-    return float(np.min(row_norms(locs[i] - locs[j])))
+    return min(float(row_norms(locs[i] - locs[i + 1:]).min())
+               for i in range(len(locs) - 1))
 
 
 def boundary_min_gradient(field: ScalarField, domain: Domain) -> float:

@@ -144,9 +144,7 @@ def probe_radius(z, others, domain: Domain | None) -> float:
         if bd > 0:
             cands.append(0.25 * bd)
     dist = row_norms(np.asarray(others, dtype=float).reshape(-1, z.size) - z)
-    dist = dist[dist > 0]
-    if dist.size:
-        cands.append(0.25 * float(np.min(dist)))
+    cands.append(0.25 * float(dist[dist > 0].min(initial=np.inf)))
     return max(min(cands), 1e-12)
 
 
