@@ -350,20 +350,29 @@ def _cmd_montecarlo(args) -> int:
     cfg = _load_mc_config(args.config)
     noise_cfg = cfg["noise"]
 
+    # JSON true/false are Python bools, which int() and float() accept
+    def real(key, value) -> float:
+        if isinstance(value, bool):
+            raise TypeError(f"{key} must be a number, got {value!r}")
+        return float(value)
+
     def whole(key, value) -> int:
         n = int(value)
-        if n != value:
+        if isinstance(value, bool) or n != value:
             raise ValueError(f"{key} must be a whole number, got {value!r}")
         return n
     try:
         dim, degree = whole("D", cfg["D"]), whole("degree", cfg["degree"])
         spec = BasisSpec(dim=dim, degree=degree,
-                         amplitude=float(cfg.get("amplitude", 1.0)),
-                         decay=float(cfg.get("decay", 2.0)))
+                         amplitude=real("amplitude",
+                                        cfg.get("amplitude", 1.0)),
+                         decay=real("decay", cfg.get("decay", 2.0)))
         noise_degree = whole("noise.degree", noise_cfg.get("degree", degree))
         noise = BasisSpec(dim=dim, degree=noise_degree,
-                          amplitude=float(noise_cfg["amplitude"]),
-                          decay=float(noise_cfg.get("decay", 2.0)))
+                          amplitude=real("noise.amplitude",
+                                         noise_cfg["amplitude"]),
+                          decay=real("noise.decay",
+                                     noise_cfg.get("decay", 2.0)))
         n_list = [whole("n_list", n) for n in cfg["n_list"]]
         trials = whole("trials", cfg["trials"])
         seed = args.seed if args.seed is not None else \

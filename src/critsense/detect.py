@@ -378,13 +378,18 @@ def find_critical_points(field: ScalarField, domain: Domain,
     return DetectionResult(points, unresolved, escaped)
 
 
-def resolution(points) -> float:
-    """Minimum pairwise distance; +inf when fewer than two points."""
+def locations(points) -> np.ndarray:
+    """(m, d) coordinates of CriticalPoints or raw points; (0, 1) if none."""
     locs = [np.asarray(getattr(p, "location", p), dtype=float)
             for p in points]
+    return np.array(locs).reshape(len(locs), -1) if locs else np.zeros((0, 1))
+
+
+def resolution(points) -> float:
+    """Minimum pairwise distance; +inf when fewer than two points."""
+    locs = locations(points)
     if len(locs) < 2:
         return float("inf")
-    locs = np.array(locs).reshape(len(locs), -1)
     return min(float(row_norms(locs[i] - locs[i + 1:]).min())
                for i in range(len(locs) - 1))
 

@@ -124,16 +124,11 @@ class Domain:
         lo, hi = self.bounding_box()
         return float(np.linalg.norm(hi - lo))
 
-    def axes(self, res: int) -> list[np.ndarray]:
-        """Per-axis lattice nodes (``res + 1`` each) spanning the bounding box."""
-        lo, hi = self.bounding_box()
-        return [np.linspace(lo[i], hi[i], res + 1) for i in range(self.dim)]
-
     def lattice(self, res: int) -> np.ndarray:
         """Full lattice over the bounding box, shape ``(res+1,)*dim + (dim,)``."""
-        axes = self.axes(res)
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack(grids, axis=-1)
+        lo, hi = self.bounding_box()
+        axes = [np.linspace(lo[i], hi[i], res + 1) for i in range(self.dim)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 class Box(Domain):

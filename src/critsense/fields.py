@@ -164,12 +164,6 @@ class ScalarField:
             raise UsageError(
                 f"point shape {s.shape} does not end in dim={self.dim}")
 
-    def __neg__(self) -> "ScalarField":
-        g = None if self.grad_fn is None else (lambda s, f=self.grad_fn: -f(s))
-        h = None if self.hess_fn is None else (lambda s, f=self.hess_fn: -f(s))
-        return ScalarField(lambda s, f=self.fn: -np.asarray(f(s)), self.dim,
-                           g, h, f"-({self.name})")
-
 
 def _steps(s: np.ndarray) -> np.ndarray:
     return DEFAULT_FD_STEP * (1.0 + np.linalg.norm(s, axis=-1))

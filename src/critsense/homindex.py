@@ -543,61 +543,3 @@ def poincare_hopf_audit(field: ScalarField, domain: Domain,
     return IndexResult(interior, bres.total, total, target, per_point,
                        passed=(total == target), boundary=bres)
 
-
-# ---------------------------------------------------------------- #
-# tangency
-# ---------------------------------------------------------------- #
-
-@dataclass
-class TangencyResult:
-    transversal: bool
-    n_intersections: int
-    min_angle: float
-    vacuous: bool = False
-
-    def __bool__(self) -> bool:
-        return self.transversal
-
-
-def tangency_check(field: ScalarField, p, c: float, delta: float,
-                   n_samples: int = 256) -> TangencyResult:
-    """Transversality of the level set f = c against the circle of radius
-    ``delta`` around ``p``: at every intersection the gradient must make an
-    angle above 1e-3 rad with the radius. No intersections at all is
-    vacuously transversal and flagged."""
-    if field.dim != 2:
-        raise UnsupportedError("tangency_check is 2-d only")
-    if delta <= 0:
-        raise UsageError("delta must be positive")
-    p = np.asarray(p, dtype=float)
-    theta = ring_angles(n_samples)
-    h = np.asarray(field.value(p + delta * sphere_directions(2, n_samples)),
-                   dtype=float) - c
-    tau = 1e-12 * max(1.0, float(np.max(np.abs(h))), abs(c))
-    near = np.abs(h) <= tau
-    if np.count_nonzero(near) > n_samples // 2:
-        # the circle lies inside the level set: collinear everywhere
-        return TangencyResult(False, int(np.count_nonzero(near)), 0.0)
-
-    def h_at(t):
-        return float(field.value(p + delta * np.array([np.cos(t), np.sin(t)]))) - c
-
-    crossings = [bisect_root(h_at, a, b, fa)
-                 for a, b, fa, _ in sign_change_brackets(theta, h, tau, True)]
-    crossings.extend(theta[near].tolist())
-    if not crossings:
-        return TangencyResult(True, 0, float("nan"), vacuous=True)
-    min_angle = np.inf
-    for t in crossings:
-        s = p + delta * np.array([np.cos(t), np.sin(t)])
-        g = field.grad(s)
-        r = s - p
-        gn, rn = np.linalg.norm(g), np.linalg.norm(r)
-        if gn * rn == 0:
-            min_angle = 0.0
-            break
-        cosang = abs(float(np.dot(g, r)) / (gn * rn))
-        ang = float(np.arccos(np.clip(cosang, 0.0, 1.0)))
-        min_angle = min(min_angle, ang)
-    return TangencyResult(min_angle > 1e-3, len(crossings),
-                          float(min_angle))

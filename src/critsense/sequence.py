@@ -16,7 +16,7 @@ from . import detect
 from .domains import Domain
 from .errors import NoConvergenceError, UsageError
 from .fields import ScalarField, row_norms, spectral_norms
-from .gallery import GalleryEntry, entry as gallery_entry, gallery, limit_field
+from .gallery import entry as gallery_entry, gallery, limit_field
 
 # counting-theorem hypotheses, shared with randfield's Monte Carlo trials
 HYPOTHESIS_BOUNDARY_TOL = 1e-4
@@ -72,14 +72,6 @@ class Matching:
         }
 
 
-def _locations(pts) -> np.ndarray:
-    locs = []
-    for p in pts:
-        locs.append(np.asarray(p.location if hasattr(p, "location") else p,
-                               dtype=float))
-    return np.asarray(locs) if locs else np.zeros((0, 1))
-
-
 def match_critical_points(pts_n, pts_limit, radius: float | None = None,
                           domain: Domain | None = None) -> Matching:
     """Greedy nearest-pair matching under a radius cap.
@@ -89,15 +81,11 @@ def match_critical_points(pts_n, pts_limit, radius: float | None = None,
     agree. MultiMatch flags a limit point with two or more family points
     inside its radius: a resolution-assumption violation witness.
     """
-    locs_n = _locations(pts_n)
-    locs_l = _locations(pts_limit)
+    locs_n = detect.locations(pts_n)
+    locs_l = detect.locations(pts_limit)
     if radius is None:
-        r_res = detect.resolution(pts_limit) / 2.0
-        cands = [r_res]
-        if domain is not None:
-            cands.append(domain.diameter / 10.0)
-        radius = min(c for c in cands if np.isfinite(c)) if any(
-            np.isfinite(c) for c in cands) else np.inf
+        cap = domain.diameter / 10.0 if domain is not None else np.inf
+        radius = min(detect.resolution(pts_limit) / 2.0, cap)
     if not radius > 0:
         raise UsageError("matching radius must be positive")
     diff = locs_n[:, None, :] - locs_l[None, :, :]
@@ -204,13 +192,7 @@ class SequenceReport:
     verdict: str = ""
 
 
-def _resolve_entry(family) -> GalleryEntry:
-    if isinstance(family, GalleryEntry):
-        return family
-    return gallery_entry(str(family))
-
-
-def convergence_experiment(family, n_list, domain: Domain | None = None,
+def convergence_experiment(family: str, n_list, domain: Domain | None = None,
                            grid_res: int | None = None,
                            newton_tol: float = 1e-9) -> SequenceReport:
     """Per-n counts, distances, and matchings against the family limit,
@@ -221,7 +203,7 @@ def convergence_experiment(family, n_list, domain: Domain | None = None,
     the documented thresholds) yet the count conclusions fail at the
     largest n; every other combination is "consistent".
     """
-    ent = _resolve_entry(family)
+    ent = gallery_entry(family)
     if ent.limit is None:
         raise UsageError("family has no documented limit",
                          family=ent.name)
@@ -300,14 +282,3 @@ def convergence_experiment(family, n_list, domain: Domain | None = None,
         limit_counts=limit_counts, limit_resolution=limit_resolution,
         hypothesis=hypothesis, conclusion=conclusion, verdict=verdict)
 
-
-def resolution_sequence(family, n_list) -> list:
-    """Per-n resolution estimates [(n, R)] on the family's own domain."""
-    ent = _resolve_entry(family)
-    out = []
-    for n in n_list:
-        f_n = gallery(ent.name, n)
-        pts = detect.find_critical_points(
-            f_n, ent.domain, grid_res=_default_grid(ent.dim, n))
-        out.append((int(n), detect.resolution(pts)))
-    return out

@@ -452,6 +452,12 @@ def test_montecarlo_output_ignores_the_thread_setting(tmp_path, capsys,
     {"seed": 2 ** 64},
     {"amplitude": float("inf")},
     {"noise": {"amplitude": float("nan")}},
+    # JSON true/false load as bools, and int(True) == 1
+    {"D": True},
+    {"trials": True},
+    {"seed": False},
+    {"amplitude": True},
+    {"noise": {"amplitude": True}},
     ("montecarlo", "--config", "{config}", "--seed", "-1"),
 ])
 def test_malformed_numbers_are_usage_errors(tmp_path, capsys, case):

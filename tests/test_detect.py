@@ -216,9 +216,19 @@ def test_resolution_min_pairwise_and_infinite_cases():
     dists = [np.linalg.norm(a - b) for i, a in enumerate(locs)
              for b in locs[i + 1:]]
     assert resolution(pts) == pytest.approx(min(dists))
+    # raw coordinates give the same answer as the points: an (m, d)
+    # array, a list of rows, and bare scalars as 1-d points
+    assert resolution(locs) == resolution(list(locs)) == resolution(pts)
+    assert resolution([0.5, -1.0, 2.0]) == 1.5
     single = find_critical_points(gallery("bowl"), Ball((0, 0), 1.0),
                                   grid_res=32)
     assert resolution(single) == np.inf
+    # singlemax at n = 4 on its grid 64 finds one point
+    lone = find_critical_points(gallery("singlemax", 4),
+                                entry("singlemax").domain, grid_res=64)
+    assert len(lone) == 1
+    assert resolution(lone) == resolution(locs[:1]) == np.inf
+    assert resolution([]) == np.inf
 
 
 def test_improper_extrema_constant_plateau_counts_once():

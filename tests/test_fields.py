@@ -92,15 +92,6 @@ def test_shape_mismatch_is_rejected():
         f.value(np.zeros(3))
 
 
-def test_negation_flips_all_derivatives():
-    f = gallery("twogauss")
-    g = -f
-    s = np.array([0.3, -0.2])
-    assert g.value(s) == pytest.approx(-f.value(s))
-    assert np.allclose(g.grad(s), -f.grad(s))
-    assert np.allclose(g.hess(s), -f.hess(s))
-
-
 def test_spectral_norm_agrees_with_numpy():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((3, 3))

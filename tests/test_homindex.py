@@ -1,4 +1,4 @@
-"""Index machinery: windings, boundary sums, audits, tangency."""
+"""Index machinery: windings, boundary sums, audits."""
 
 from fractions import Fraction
 
@@ -13,8 +13,7 @@ from critsense.fields import ScalarField
 from critsense.gallery import gallery
 from critsense.homindex import (boundary_index, classify_by_index,
                                 homological_index, poincare_hopf_audit,
-                                sign_index_nondegenerate, tangency_check,
-                                winding_index_2d)
+                                sign_index_nondegenerate, winding_index_2d)
 
 from oracles import brute_winding
 
@@ -210,39 +209,3 @@ def test_audit_splits_interior_and_boundary():
     assert res.boundary_index == Fraction(-2)
     assert res.passed
 
-
-def test_tangency_transversal_crossing():
-    slope = ScalarField(lambda s: s[..., 0], 2,
-                        grad_fn=lambda s: np.stack(
-                            [np.ones(s.shape[:-1]), np.zeros(s.shape[:-1])],
-                            axis=-1))
-    res = tangency_check(slope, ORIGIN, 0.0, delta=0.5)
-    assert res.transversal
-    assert res.n_intersections == 2
-    assert res.min_angle == pytest.approx(np.pi / 2, abs=1e-6)
-    assert not res.vacuous
-
-
-def test_tangency_vacuous_and_coincident():
-    bowl = gallery("bowl")
-    missed = tangency_check(bowl, ORIGIN, 1.0, delta=0.5)
-    assert missed.transversal
-    assert missed.vacuous
-    coincident = tangency_check(bowl, ORIGIN, 0.25, delta=0.5)
-    assert not coincident.transversal
-    assert coincident.n_intersections == 256
-
-
-def test_tangency_grazing_level_set():
-    # level set y = 0 grazes the circle around (0, eps - 1): the two
-    # crossings sit at angle ~ sqrt(2 eps) from the radius
-    eps = 2e-7
-    rise = ScalarField(lambda s: s[..., 1], 2,
-                       grad_fn=lambda s: np.stack(
-                           [np.zeros(s.shape[:-1]), np.ones(s.shape[:-1])],
-                           axis=-1))
-    res = tangency_check(rise, np.array([0.0, eps - 1.0]), 0.0,
-                         delta=1.0, n_samples=65536)
-    assert not res.transversal
-    assert res.n_intersections == 2
-    assert res.min_angle == pytest.approx(np.sqrt(2 * eps), rel=0.05)

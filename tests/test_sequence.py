@@ -10,7 +10,7 @@ from critsense.fields import ScalarField
 from critsense.gallery import gallery, limit_field
 from critsense.sequence import (_detect_and_count, ck_distance,
                                 convergence_experiment, counts_from_points,
-                                match_critical_points, resolution_sequence)
+                                match_critical_points)
 
 from oracles import optimal_matching
 
@@ -177,11 +177,3 @@ def test_convergence_trio_is_fully_consistent():
 def test_convergence_needs_a_limit():
     with pytest.raises(UsageError):
         convergence_experiment("bowl", [4])
-
-
-def test_resolution_sequences():
-    seq = resolution_sequence("fig10", [16, 64, 256])
-    rs = [r for _, r in seq]
-    assert rs[0] > rs[1] > rs[2] > 0
-    lone = resolution_sequence("singlemax", [4])
-    assert lone == [(4, float("inf"))]
