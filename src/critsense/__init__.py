@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .domains import Ball, Box, Interval
-from .fields import ScalarField, finite_diff
+from .fields import ScalarField
 from .gallery import catalogue, entry, gallery, limit_field
 from .detect import (CriticalPoint, boundary_min_gradient,
                      find_critical_points, improper_extrema, refine_newton,
@@ -22,7 +22,7 @@ from .randfield import (BasisField, BasisSpec, empirical_mean_field,
 __all__ = [
     "__version__",
     "Ball", "Box", "Interval",
-    "ScalarField", "finite_diff",
+    "ScalarField",
     "catalogue", "entry", "gallery", "limit_field",
     "CriticalPoint", "boundary_min_gradient", "find_critical_points",
     "improper_extrema", "refine_newton", "resolution",

@@ -30,7 +30,8 @@ from .domains import Ball, Box, Domain, Interval
 from .errors import CritsenseError, PreconditionError, UsageError
 from .gallery import catalogue, entry as gallery_entry, gallery
 from .homindex import classify_by_index, poincare_hopf_audit, probe_radius
-from .morse import make_chart, morse_flow_trajectory, verify_morse_chart
+from .morse import (check_ode_step, make_chart, morse_flow_trajectory,
+                    verify_morse_chart)
 from .mountainpass import mountain_pass_point
 from .randfield import BasisSpec, monte_carlo_convergence
 from .sequence import convergence_experiment, counts_from_points
@@ -250,8 +251,7 @@ def _cmd_flow(args) -> int:
     ent, field, dom = _resolve(args)
     tol = _positive(args.tol, 1e-9, "--tol")
     ode_step = _positive(args.ode_step, 1e-3, "--ode-step")
-    if ode_step > 0.5:  # before the refinement and the chart search
-        raise UsageError("ode_step must lie in (0, 0.5]")
+    check_ode_step(ode_step)  # before the refinement and the chart search
     lo, hi = dom.bounding_box()
     seed_pt = (_point(args.point, field.dim) if args.point
                else 0.5 * (lo + hi))
@@ -350,9 +350,10 @@ def _cmd_montecarlo(args) -> int:
     cfg = _load_mc_config(args.config)
     noise_cfg = cfg["noise"]
 
-    # JSON true/false are Python bools, which int() and float() accept
+    # JSON true/false are Python bools, which int() and float() accept;
+    # float() also parses numeric strings
     def real(key, value) -> float:
-        if isinstance(value, bool):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise TypeError(f"{key} must be a number, got {value!r}")
         return float(value)
 

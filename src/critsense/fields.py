@@ -24,28 +24,9 @@ DEFAULT_FD_STEP = 1e-5
 # reference bump and transition functions
 # ---------------------------------------------------------------- #
 
-def _bump_r2(r2: np.ndarray) -> np.ndarray:
-    """exp(1 - 1/(1-r2)) on r2 < 1, else 0; r2 is |s|^2."""
-    r2 = np.asarray(r2, dtype=float)
-    inside = r2 < 1.0
-    safe = np.where(inside, 1.0 - r2, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.where(inside, np.exp(1.0 - 1.0 / safe), 0.0)
-
-
-def bump(s) -> float | np.ndarray:
-    """Reference bump ``exp(1 - 1/(1 - |s|^2))`` for ``|s| < 1``, else 0.
-
-    ``s`` is a single point: a scalar or a coordinate vector. Peak value 1
-    at the origin; identically zero outside the open unit ball, with all
-    derivatives vanishing on the rim.
-    """
-    s = np.asarray(s, dtype=float)
-    return float(_bump_r2(np.sum(s * s)))
-
-
 def bump_vgh(s: np.ndarray):
-    """Value, gradient, Hessian of the bump at points ``(..., d)``.
+    """Value, gradient, Hessian of the reference bump
+    ``exp(1 - 1/(1 - |s|^2))``, 0 outside the unit ball, at ``(..., d)``.
 
     Closed form: with u = 1/(1-r^2), grad log b = -2 u^2 s and
     H = b (g g' - 2 u^2 I - 8 u^3 s s').
@@ -56,7 +37,8 @@ def bump_vgh(s: np.ndarray):
     inside = r2 < 1.0
     safe = np.where(inside, 1.0 - r2, 1.0)
     u = 1.0 / safe
-    b = _bump_r2(r2)
+    with np.errstate(divide="ignore", over="ignore"):
+        b = np.where(inside, np.exp(1.0 - 1.0 / safe), 0.0)
     g_log = -2.0 * u[..., None] ** 2 * s
     grad = b[..., None] * g_log
     eye = np.eye(d)
@@ -79,18 +61,9 @@ def bump1_vgh(x: np.ndarray):
     return b, g[..., 0], h[..., 0, 0]
 
 
-def transition(x) -> float | np.ndarray:
-    """Monotone transition ``-e^x / (e^x + e^(1-x))``, elementwise.
-
-    Runs from 0 at ``-inf`` to -1 at ``+inf`` through -1/2 at ``x = 1/2``.
-    The value part of :func:`transition_vgh`.
-    """
-    v = transition_vgh(x)[0]
-    return float(v) if v.ndim == 0 else v
-
-
 def transition_vgh(x: np.ndarray):
-    """Transition value with first and second derivatives, elementwise."""
+    """Monotone transition ``-e^x / (e^x + e^(1-x))``, from 0 to -1, with
+    its first and second derivatives, elementwise."""
     x = np.asarray(x, dtype=float)
     # s' = -2e/(e^x+e^{1-x})^2, s'' = 4e(e^x-e^{1-x})/(e^x+e^{1-x})^3;
     # branch on sign so the exponential never overflows (q <= 1 always)
@@ -156,7 +129,7 @@ class ScalarField:
         """Differentiated gradient, or second differences of values when
         there is no gradient."""
         if self.grad_fn is not None:
-            return fd_jacobian_sym(self.grad_fn, s)
+            return _sym(fd_gradient(self.grad_fn, s))
         return fd_hessian(self.fn, s)
 
     def _check_shape(self, s: np.ndarray):
@@ -185,11 +158,6 @@ def fd_gradient(fn, s: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def fd_jacobian_sym(grad_fn, s: np.ndarray) -> np.ndarray:
-    """Central difference of a gradient, symmetrized."""
-    return _sym(fd_gradient(grad_fn, s))
-
-
 def fd_hessian(fn, s: np.ndarray) -> np.ndarray:
     """Second differences of values; used only when no gradient exists."""
     s = np.asarray(s, dtype=float)
@@ -213,18 +181,6 @@ def fd_hessian(fn, s: np.ndarray) -> np.ndarray:
             out[..., i, j] = mixed
             out[..., j, i] = mixed
     return out
-
-
-def finite_diff(field: ScalarField, s, order: str = "grad") -> np.ndarray:
-    """Finite-difference derivative of ``field`` at ``s``, as ``grad`` or
-    ``hess`` computes it without the analytic one; ``order`` is ``"grad"``
-    or ``"hess"``."""
-    s = np.asarray(s, dtype=float)
-    if order == "grad":
-        return fd_gradient(field.fn, s)
-    if order == "hess":
-        return field._fd_hess(s)
-    raise UsageError(f"order must be 'grad' or 'hess', got {order!r}")
 
 
 # ---------------------------------------------------------------- #

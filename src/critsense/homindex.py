@@ -21,8 +21,6 @@ from .errors import (DegenerateError, NonGenericBoundaryError,
 from .fields import ScalarField, row_norms, sym_eigvalsh
 from .morse import morse_classify
 
-_EPS_HALVINGS = 6
-
 
 # ---------------------------------------------------------------- #
 # winding machinery
@@ -122,13 +120,10 @@ def sign_index_nondegenerate(field: ScalarField, z) -> int:
 
 def _index_1d(field: ScalarField, z, eps: float) -> int:
     z = np.asarray(z, dtype=float)
-    e = np.array([eps])
-    for _ in range(_EPS_HALVINGS + 1):
-        right = float(field.grad(z + e)[0])
-        left = float(field.grad(z - e)[0])
-        if min(abs(right), abs(left)) >= 1e-14 * (1.0 + abs(right) + abs(left)):
-            return (int(np.sign(right)) - int(np.sign(left))) // 2
-        e = e / 2.0
+    right = float(field.grad(z + eps)[0])
+    left = float(field.grad(z - eps)[0])
+    if min(abs(right), abs(left)) >= 1e-14 * (1.0 + abs(right) + abs(left)):
+        return (int(np.sign(right)) - int(np.sign(left))) // 2
     raise NonIsolatedZeroError("derivative vanishes on both probe sides",
                                point=z.tolist(), eps=eps)
 
@@ -154,8 +149,8 @@ def homological_index(field: ScalarField, z, domain: Domain | None = None,
 
     Dimension dispatch: sign comparison in 1-d, winding number in 2-d,
     Hessian sign for nondegenerate zeros in higher dimension. ``eps``
-    defaults to :func:`probe_radius`, halved up to 6 times if the circle
-    check fails.
+    defaults to :func:`probe_radius`; a probe that meets a zero raises
+    NonIsolatedZero at that ``eps``.
     """
     z = np.asarray(z, dtype=float)
     if eps is None:
@@ -163,14 +158,7 @@ def homological_index(field: ScalarField, z, domain: Domain | None = None,
     if field.dim == 1:
         return _index_1d(field, z, eps)
     if field.dim == 2:
-        last: Exception | None = None
-        for k in range(_EPS_HALVINGS + 1):
-            e = eps / 2.0**k
-            try:
-                return winding_index_2d(field, z, e)
-            except (NonIsolatedZeroError, UnderSampledError) as exc:
-                last = exc
-        raise last
+        return winding_index_2d(field, z, eps)
     return sign_index_nondegenerate(field, z)
 
 
@@ -188,13 +176,13 @@ def classify_by_index(field: ScalarField, z, probe_radius: float
     lower values all around give Max, strictly higher Min. Otherwise a
     non-isolated or under-sampled index error is raised, index 0 gives
     Undulation, a negative index Saddle (with 1 - index prongs in 2-d),
-    and the rest (index +1, degenerate or unsupported) Unclassified.
+    and the rest (index +1 or degenerate) Unclassified.
     """
     z = np.asarray(z, dtype=float)
     index, held = None, None
     try:
         index = homological_index(field, z, eps=probe_radius)
-    except (DegenerateError, UnsupportedError):
+    except DegenerateError:
         pass
     except (NonIsolatedZeroError, UnderSampledError) as exc:
         held = exc
@@ -329,8 +317,8 @@ def boundary_index(field: ScalarField, domain: Domain) -> BoundaryIndexResult:
     Each sign-change zero contributes its 1-d crossing index times +1/2
     when the full gradient points into the domain there, -1/2 when it
     points out. Tangential components that vanish along whole sample runs
-    (radial fields) get a seeded linear perturbation, and then one more at
-    ten times the strength, before NonGenericBoundary is raised.
+    (radial fields) get one seeded linear perturbation before
+    NonGenericBoundary is raised.
     """
     d = field.dim
     if d == 2:
@@ -350,7 +338,7 @@ def boundary_index(field: ScalarField, domain: Domain) -> BoundaryIndexResult:
     u = np.random.default_rng(20411).standard_normal(d)
     u /= np.linalg.norm(u)
     f = field
-    for attempt in range(3):
+    for attempt in range(2):
         gs = [f.grad(p) for p in samples]
         scale = max(float(np.max(np.linalg.norm(np.concatenate(gs),
                                                 axis=-1))), 1e-12)
@@ -365,10 +353,10 @@ def boundary_index(field: ScalarField, domain: Domain) -> BoundaryIndexResult:
             return BoundaryIndexResult(
                 sum((z.contribution for z in zeros), Fraction(0)), zeros,
                 attempt > 0)
-        f = _perturbed(f, 1e-6 * max(scale, 1e-6) * 10.0**attempt, u)
+        f = _perturbed(f, 1e-6 * max(scale, 1e-6), u)
     raise NonGenericBoundaryError(
         "tangential component still degenerate after perturbation",
-        retries=2)
+        retries=1)
 
 
 def _endpoint_zeros(field, pts, normals, zero_tol):

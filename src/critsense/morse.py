@@ -69,6 +69,18 @@ def corollary_constants(H: np.ndarray, m: float = 0.5) -> dict:
     return {"K1": k1, "K2": k2, "H_norm": h, "H_inv_norm": hi}
 
 
+MIN_ODE_STEP = 1e-5  # at most 100,000 RK4 steps per flow
+
+
+def check_ode_step(h: float) -> None:
+    """Raise UsageError unless the RK4 step ``h`` lies in
+    [MIN_ODE_STEP, 0.5]."""
+    if not 0.0 < h <= 0.5:
+        raise UsageError("ode_step must lie in (0, 0.5]")
+    if h < MIN_ODE_STEP:
+        raise UsageError(f"ode_step must be at least {MIN_ODE_STEP:g}")
+
+
 @dataclass
 class FlowChart:
     """Certified Morse neighborhood: center, Hessian, radius, the
@@ -89,8 +101,7 @@ class FlowChart:
     residual_sup: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.ode_step <= 0.5:
-            raise UsageError("ode_step must lie in (0, 0.5]")
+        check_ode_step(self.ode_step)
 
     @property
     def bilip_hi_bound(self) -> float:
@@ -99,9 +110,6 @@ class FlowChart:
     @property
     def bilip_lo_bound(self) -> float:
         return 2.0 - float(np.exp(self.a1))
-
-    def conditions_hold(self) -> bool:
-        return self.L < self.K1 and self.radius < self.K2
 
     def as_record(self) -> dict:
         return {

@@ -129,21 +129,6 @@ def _ascend_path(field: ScalarField, domain: Domain, knots: np.ndarray):
     return knots, cur_min
 
 
-def minimax_over_paths(field: ScalarField, domain: Domain, p1, p2,
-                       n_knots: int = 16):
-    """Optimize a single straight-initialized path; returns (path, value)
-    with value = min of f over the movable knots.
-
-    A constant field terminates immediately with the constant as value.
-    """
-    if not domain.convex:
-        raise ConvexityError("path projection needs a convex domain")
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    knots = _initial_path(p1, p2, n_knots, 0.0)
-    return _ascend_path(field, domain, knots)
-
-
 def _probe_local_max(field: ScalarField, domain: Domain, p: np.ndarray,
                      radius: float) -> bool:
     """Whether f is lower at every probe inside the domain on a sphere of

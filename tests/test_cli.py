@@ -459,6 +459,11 @@ def test_montecarlo_output_ignores_the_thread_setting(tmp_path, capsys,
     {"amplitude": True},
     {"noise": {"amplitude": True}},
     ("montecarlo", "--config", "{config}", "--seed", "-1"),
+    # float() parses numeric strings
+    {"amplitude": "0.5"},
+    {"decay": "2"},
+    {"noise": {"amplitude": "0.4"}},
+    {"noise": {"amplitude": 0.4, "decay": "2"}},
 ])
 def test_malformed_numbers_are_usage_errors(tmp_path, capsys, case):
     if isinstance(case, tuple):
@@ -582,15 +587,17 @@ def test_explicit_out_of_range_values_are_usage_errors(tmp_path, capsys,
 
 
 def test_flow_rejects_a_large_step_before_any_hessian(capsys, monkeypatch):
+    # 1e-300 would ask for about 1e300 RK4 steps
     calls = []
     hess = ScalarField.hess
     monkeypatch.setattr(ScalarField, "hess",
                         lambda self, s: calls.append(s) or hess(self, s))
-    rc, out, err = run(capsys, "flow", "--gallery", "twogauss",
-                       "--point", "0.4,0", "--ode-step", "0.7")
-    assert rc == 2 and out == ""
-    assert json.loads(err)["error"]["message"] == \
-        "ode_step must lie in (0, 0.5]"
+    for step, message in (("0.7", "ode_step must lie in (0, 0.5]"),
+                          ("1e-300", "ode_step must be at least 1e-05")):
+        rc, out, err = run(capsys, "flow", "--gallery", "twogauss",
+                           "--point", "0.4,0", "--ode-step", step)
+        assert rc == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == message
     assert calls == []
 
 

@@ -4,37 +4,54 @@ import numpy as np
 import pytest
 
 from critsense.errors import UsageError
-from critsense.fields import (ScalarField, bump, finite_diff, spectral_norm,
-                              spectral_norms, transition)
+from critsense.fields import (ScalarField, bump_vgh, spectral_norm,
+                              spectral_norms, transition_vgh)
 from critsense.gallery import entry, gallery, limit_field, names
 
 
+def _bump_value(s):
+    return bump_vgh(s)[0]
+
+
+def _transition_value(x):
+    return transition_vgh(x)[0]
+
+
+def _fd(f, s, order):
+    """The central difference that ``grad`` or ``hess`` falls back to
+    without the analytic derivative."""
+    if order == "grad":
+        return ScalarField(f.fn, f.dim).grad(s)
+    return ScalarField(f.fn, f.dim, grad_fn=f.grad_fn).hess(s)
+
+
 def test_bump_center_and_support():
-    assert bump(np.array([0.0, 0.0])) == pytest.approx(1.0)
-    assert bump(np.array([1.0, 0.0])) == 0.0
-    assert bump(np.array([1.7, 0.4])) == 0.0
+    assert _bump_value(np.array([0.0, 0.0])) == pytest.approx(1.0)
+    assert _bump_value(np.array([1.0, 0.0])) == 0.0
+    assert _bump_value(np.array([1.7, 0.4])) == 0.0
     # strictly positive inside
-    assert bump(np.array([0.9, 0.0])) > 0.0
+    assert _bump_value(np.array([0.9, 0.0])) > 0.0
 
 
 def test_bump_vanishes_smoothly_at_rim():
     # value, gradient, and curvature all collapse approaching |s| = 1
-    f = ScalarField(bump, 2)
+    f = ScalarField(_bump_value, 2)
     for r in (0.9, 0.99, 0.999):
-        assert bump(np.array([r, 0.0])) < bump(np.array([r - 0.05, 0.0]))
+        assert _bump_value(np.array([r, 0.0])) < \
+            _bump_value(np.array([r - 0.05, 0.0]))
     g = f.grad(np.array([0.9999, 0.0]))
     assert np.linalg.norm(g) < 1e-4
 
 
 def test_transition_runs_from_zero_to_minus_one():
     xs = np.linspace(-6.0, 7.0, 201)
-    ys = transition(xs)
+    ys = _transition_value(xs)
     assert np.all(np.diff(ys) <= 1e-15)
-    assert transition(0.5) == pytest.approx(-0.5)
-    assert transition(-30.0) == pytest.approx(0.0, abs=1e-12)
-    assert transition(30.0) == pytest.approx(-1.0, abs=1e-12)
+    assert _transition_value(0.5) == pytest.approx(-0.5)
+    assert _transition_value(-30.0) == pytest.approx(0.0, abs=1e-12)
+    assert _transition_value(30.0) == pytest.approx(-1.0, abs=1e-12)
     # overflow-safe far out on both sides
-    assert np.isfinite(transition(np.array([-1e4, 1e4]))).all()
+    assert np.isfinite(_transition_value(np.array([-1e4, 1e4]))).all()
 
 
 @pytest.mark.parametrize("name", ["bowl", "saddle", "monkey", "peano",
@@ -43,8 +60,8 @@ def test_analytic_derivatives_match_finite_differences(name):
     f = gallery(name)
     rng = np.random.default_rng(5)
     for s in rng.uniform(-0.6, 0.6, size=(5, f.dim)):
-        g_err = np.max(np.abs(finite_diff(f, s, order="grad") - f.grad(s)))
-        h_err = np.max(np.abs(finite_diff(f, s, order="hess") - f.hess(s)))
+        g_err = np.max(np.abs(_fd(f, s, "grad") - f.grad(s)))
+        h_err = np.max(np.abs(_fd(f, s, "hess") - f.hess(s)))
         assert g_err < 1e-6
         assert h_err < 1e-5
 
@@ -63,7 +80,7 @@ def test_every_gallery_field_matches_finite_differences(name, n):
     rng = np.random.default_rng(0)
     for s in rng.uniform(lo, hi, size=(8, f.dim)):
         for order, exact in (("grad", f.grad(s)), ("hess", f.hess(s))):
-            err = np.abs(finite_diff(f, s, order=order) - exact)
+            err = np.abs(_fd(f, s, order) - exact)
             assert np.all(err <= 1e-5 * np.maximum(1.0, np.abs(exact))), \
                 (order, s)
 

@@ -93,13 +93,26 @@ def test_discontinuous_gradient_never_settles():
     assert "step" in exc.value.context
 
 
-def test_zero_on_probe_circle_is_rejected():
-    f = ScalarField(
-        lambda s: (np.sum(s ** 2, axis=-1) - 0.01) ** 2, 2,
+def _ring_of_zeros(dim):
+    """(|s|^2 - 0.01)^2: an isolated zero at the origin inside a sphere of
+    zeros of radius 0.1."""
+    return ScalarField(
+        lambda s: (np.sum(s ** 2, axis=-1) - 0.01) ** 2, dim,
         grad_fn=lambda s: (4.0 * (np.sum(s ** 2, axis=-1)
                                   - 0.01))[..., None] * s)
+
+
+def test_zero_on_probe_circle_is_rejected():
     with pytest.raises(NonIsolatedZeroError):
-        winding_index_2d(f, ORIGIN, 0.1)
+        winding_index_2d(_ring_of_zeros(2), ORIGIN, 0.1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_index_probe_that_meets_a_zero_raises_at_the_given_eps(dim):
+    # no smaller radius is tried: the answer would not be at this eps
+    with pytest.raises(NonIsolatedZeroError) as exc:
+        homological_index(_ring_of_zeros(dim), np.zeros(dim), eps=0.1)
+    assert exc.value.context["eps"] == 0.1
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -157,12 +170,12 @@ def test_boundary_index_interval_and_3d():
     assert res3.perturbed
 
 
-def test_boundary_perturbation_gives_up_after_three_attempts():
+def test_boundary_perturbation_gives_up_after_two_attempts():
     flat = ScalarField(lambda s: np.zeros(s.shape[:-1]), 2,
                        grad_fn=lambda s: np.zeros_like(s))
     with pytest.raises(NonGenericBoundaryError) as exc:
         boundary_index(flat, Ball((0, 0), 1.0))
-    assert exc.value.context["retries"] == 2
+    assert exc.value.context["retries"] == 1
 
 
 @pytest.mark.parametrize("domain", [Box([-1.0] * 3, [1.0] * 3),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from critsense.errors import UsageError
-from critsense.fields import finite_diff
+from critsense.fields import ScalarField
 from critsense.detect import find_critical_points
 from critsense.morse import morse_statistic
 from critsense.randfield import (BasisField, BasisSpec, empirical_mean_field,
@@ -124,8 +124,8 @@ def test_derivatives_match_finite_differences():
     G = sample_limit_field(BasisSpec(dim=2, degree=3), seed=5)
     rng = np.random.default_rng(1)
     for s in rng.uniform(0.5, 5.5, size=(5, 2)):
-        g_fd = finite_diff(G, s, order="grad")
-        h_fd = finite_diff(G, s, order="hess")
+        g_fd = ScalarField(G.fn, G.dim).grad(s)
+        h_fd = ScalarField(G.fn, G.dim, grad_fn=G.grad_fn).hess(s)
         assert np.allclose(G.grad(s), g_fd, atol=1e-6)
         assert np.allclose(G.hess(s), h_fd, atol=1e-5)
 
