@@ -319,7 +319,7 @@ def _cmd_sequence(args) -> int:
               "N_IM", "N_Im", "d0", "d1", "d2", "resolution",
               "boundary_min_gradient", "matched", "unmatched_n",
               "unmatched_limit", "multi_match", "unresolved"]
-    rows = [{**r, **r["counts"]} for r in rep.rows if "counts" in r]
+    rows = [{**r, **r["counts"]} for r in rep.rows]
     return _write(args, _artifact("sequence", args, asdict(rep)),
                   _keyed(header, rows, [("verdict", rep.verdict)]))
 

@@ -189,18 +189,14 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
         A = Ht @ H[~newton]
         lam = mu[live[~newton]] * (np.trace(A, axis1=-2, axis2=-1) / d
                                    + 1e-300)
-        step, ok = _solve(A + lam[:, None, None] * np.eye(d),
-                          (-Ht @ g[~newton][..., None])[..., 0])
-        delta[~newton] = step
-        singular = np.zeros(len(live), dtype=bool)
-        singular[np.flatnonzero(~newton)[~ok]] = True
-        for i in live[singular]:
-            out[i] = NoConvergenceError("normal equations singular",
-                                        best=X[i].tolist(),
-                                        grad_norm=float(GN[i]))
+        # A = H'H is positive semidefinite and lam > 0, so A + lam I is
+        # positive definite: the solve cannot meet a singular system
+        delta[~newton] = np.linalg.solve(
+            A + lam[:, None, None] * np.eye(d),
+            -Ht @ g[~newton][..., None])[..., 0]
 
         accepted = np.zeros(len(live), dtype=bool)
-        todo = np.flatnonzero(~singular)
+        todo = np.arange(len(live))
         for _ in range(25):
             if not todo.size:
                 break
@@ -215,13 +211,13 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
             delta[todo] = 0.5 * delta[todo]
         X[live], G[live], GN[live] = x, g, gn
 
-        ended = singular.copy()
+        ended = np.zeros(len(live), dtype=bool)
         if box is not None:  # an escaped seed's outcome stays None
-            ended |= accepted & (np.any(x < box[0], axis=-1)
-                                 | np.any(x > box[1], axis=-1))
+            ended = accepted & (np.any(x < box[0], axis=-1)
+                                | np.any(x > box[1], axis=-1))
         mu_l = mu[live]
         mu_l[accepted] = np.maximum(mu_l[accepted] / 3.0, 1e-12)
-        rejected = ~accepted & ~singular
+        rejected = ~accepted
         # near-degenerate Hessian the determinant test missed
         missed = rejected & newton
         force_damped[live[missed]] = True

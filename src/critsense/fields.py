@@ -96,15 +96,12 @@ class ScalarField:
         ones fall back to central differences with step
         ``h = DEFAULT_FD_STEP * (1 + |s|)``; the Hessian differentiates the
         gradient, so an analytic gradient sharpens it too.
-    name : str
-        Label echoed into reports.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     dim: int
     grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = ""
 
     def value(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -210,8 +207,3 @@ def spectral_norms(H) -> np.ndarray:
     """Largest |eigenvalue| of the symmetric part, batched over
     ``(..., d, d)``."""
     return np.max(np.abs(sym_eigvalsh(H)), axis=-1)
-
-
-def spectral_norm(H) -> float:
-    """Largest |eigenvalue| of the symmetric part of one matrix."""
-    return float(spectral_norms(H))

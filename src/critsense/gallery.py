@@ -39,18 +39,14 @@ class GalleryEntry:
         return self.limit is not None
 
 
-def _wrap(name, dim, fn, grad, hess=None) -> ScalarField:
-    return ScalarField(fn, dim, grad_fn=grad, hess_fn=hess, name=name)
-
-
-def _wrap1d(name, parts) -> ScalarField:
+def _wrap1d(parts) -> ScalarField:
     """1-d field from ``parts(x) -> (value, f', f'')``, elementwise in x."""
-    return _wrap(name, 1, lambda s: parts(s[..., 0])[0],
-                 lambda s: parts(s[..., 0])[1][..., None],
-                 lambda s: parts(s[..., 0])[2][..., None, None])
+    return ScalarField(lambda s: parts(s[..., 0])[0], 1,
+                       lambda s: parts(s[..., 0])[1][..., None],
+                       lambda s: parts(s[..., 0])[2][..., None, None])
 
 
-def _wrap2d(name, value, grad, hess=None) -> ScalarField:
+def _wrap2d(value, grad, hess=None) -> ScalarField:
     """2-d field from closed forms in ``(x, y)``, elementwise: ``value``,
     ``grad -> (f_x, f_y)`` and ``hess -> (f_xx, f_xy, f_yy)``. Three
     callables, so a value or gradient call computes nothing more."""
@@ -68,10 +64,10 @@ def _wrap2d(name, value, grad, hess=None) -> ScalarField:
         out[..., 1, 1] = fyy
         return out
 
-    return _wrap(name, 2, fn, gfn, None if hess is None else hfn)
+    return ScalarField(fn, 2, gfn, None if hess is None else hfn)
 
 
-def _linear(name, dim, axis) -> ScalarField:
+def _linear(dim, axis) -> ScalarField:
     """f = s[axis]: a constant gradient, no critical points."""
     def fn(s):
         return s[..., axis].copy()
@@ -84,14 +80,14 @@ def _linear(name, dim, axis) -> ScalarField:
     def hess(s):
         return np.zeros(np.asarray(s).shape[:-1] + (dim, dim))
 
-    return _wrap(name, dim, fn, grad, hess)
+    return ScalarField(fn, dim, grad, hess)
 
 
 # ---------------------------------------------------------------- #
 # static surfaces
 # ---------------------------------------------------------------- #
 
-def _quadratic(name, dim, diag):
+def _quadratic(dim, diag):
     """f = sum d_i x_i^2 with analytic derivatives."""
     d = np.asarray(diag, dtype=float)
     H = np.diag(2.0 * d)
@@ -106,35 +102,35 @@ def _quadratic(name, dim, diag):
         s = np.asarray(s, dtype=float)
         return np.broadcast_to(H, s.shape[:-1] + (dim, dim)).copy()
 
-    return _wrap(name, dim, fn, grad, hess)
+    return ScalarField(fn, dim, grad, hess)
 
 
 def _bowl(n):
-    return _quadratic("bowl", 2, [1.0, 1.0])
+    return _quadratic(2, [1.0, 1.0])
 
 
 def _bowl3(n):
-    return _quadratic("bowl3", 3, [1.0, 1.0, 1.0])
+    return _quadratic(3, [1.0, 1.0, 1.0])
 
 
 def _dome(n):
-    return _quadratic("dome", 2, [-1.0, -1.0])
+    return _quadratic(2, [-1.0, -1.0])
 
 
 def _saddle(n):
-    return _quadratic("saddle", 2, [1.0, -1.0])
+    return _quadratic(2, [1.0, -1.0])
 
 
 def _monkey(n):
     # x^3 - 3 x y^2: three-valley saddle
-    return _wrap2d("monkey", lambda x, y: x**3 - 3.0 * x * y * y,
+    return _wrap2d(lambda x, y: x**3 - 3.0 * x * y * y,
                    lambda x, y: (3.0 * x * x - 3.0 * y * y, -6.0 * x * y),
                    lambda x, y: (6.0 * x, -6.0 * y, -6.0 * x))
 
 
 def _undulation(n):
     # x^3 + y^2: degenerate along x, still isolated at the origin
-    return _wrap2d("undulation", lambda x, y: x**3 + y * y,
+    return _wrap2d(lambda x, y: x**3 + y * y,
                    lambda x, y: (3.0 * x * x, 2.0 * y),
                    lambda x, y: (6.0 * x, 0.0, 2.0))
 
@@ -142,7 +138,7 @@ def _undulation(n):
 def _peano(n):
     # (2x^2 - y)(y - x^2): origin is a min along every line through it
     # yet not a local min; homological index 0
-    return _wrap2d("peano", lambda x, y: (2.0 * x * x - y) * (y - x * x),
+    return _wrap2d(lambda x, y: (2.0 * x * x - y) * (y - x * x),
                    lambda x, y: (6.0 * x * y - 8.0 * x**3,
                                  3.0 * x * x - 2.0 * y),
                    lambda x, y: (6.0 * y - 24.0 * x * x, 6.0 * x, -2.0))
@@ -188,7 +184,7 @@ def _two_gauss_terms(centers, weights, inv_var):
 def _twogauss(n):
     fn, grad, hess = _two_gauss_terms(
         [(0.4, 0.0), (-0.4, 0.0)], [1.0, 1.0], [20.0, 20.0])
-    return _wrap("twogauss", 2, fn, grad, hess)
+    return ScalarField(fn, 2, grad, hess)
 
 
 def _twogauss_pit(n):
@@ -197,7 +193,7 @@ def _twogauss_pit(n):
     fn, grad, hess = _two_gauss_terms(
         [(0.45, 0.0), (-0.45, 0.0), (0.0, 0.0)],
         [1.0, 1.0, -2.0], [20.0, 20.0, 12.5])
-    return _wrap("twogauss_pit", 2, fn, grad, hess)
+    return ScalarField(fn, 2, grad, hess)
 
 
 # ---------------------------------------------------------------- #
@@ -241,7 +237,7 @@ def _singlemax(n):
         _, gx, gy = pieces(x, n * y)
         return gx / n, gy
 
-    return _wrap2d("singlemax", lambda x, y: pieces(x, n * y)[0] / n, grad)
+    return _wrap2d(lambda x, y: pieces(x, n * y)[0] / n, grad)
 
 
 def _fig13a(n):
@@ -252,15 +248,15 @@ def _fig13a(n):
         b, bd1, bd2 = bump1_vgh(n * x + 1.0)
         return x * x + b / rn - 5.0 / n, 2.0 * x + rn * bd1, 2.0 + n * rn * bd2
 
-    return _wrap1d("fig13a", parts)
+    return _wrap1d(parts)
 
 
-def _parabola_limit(name, sign):
+def _parabola_limit(sign):
     def parts(x):
         return (sign * x * x + (1.0 if sign < 0 else 0.0), 2.0 * sign * x,
                 np.full_like(x, 2.0 * sign))
 
-    return _wrap1d(name, parts)
+    return _wrap1d(parts)
 
 
 def _fig13b(n):
@@ -270,10 +266,10 @@ def _fig13b(n):
     def bump(s):
         return bump_vgh(n * s + 1.0)
 
-    return _wrap("fig13b", 2,
-                 lambda s: saddle.fn(s) + 20.0 * bump(s)[0] / (n * n),
-                 lambda s: saddle.grad_fn(s) + (20.0 / n) * bump(s)[1],
-                 lambda s: saddle.hess_fn(s) + 20.0 * bump(s)[2])
+    return ScalarField(
+        lambda s: saddle.fn(s) + 20.0 * bump(s)[0] / (n * n), 2,
+        lambda s: saddle.grad_fn(s) + (20.0 / n) * bump(s)[1],
+        lambda s: saddle.hess_fn(s) + 20.0 * bump(s)[2])
 
 
 def _fig10(n):
@@ -283,7 +279,7 @@ def _fig10(n):
         return (1.0 - x * x + 4.0 * b / (n * n), -2.0 * x + 4.0 * bd1 / n,
                 -2.0 + 4.0 * bd2)
 
-    return _wrap1d("fig10", parts)
+    return _wrap1d(parts)
 
 
 def _fig4a(n):
@@ -304,7 +300,7 @@ def _fig4a(n):
         d2 = np.sign(x) * 2.0 * a * t * (3.0 * a - t * t) / den**3
         return val, d1, d2
 
-    return _wrap1d("fig4a", parts)
+    return _wrap1d(parts)
 
 
 def _fig4b(n):
@@ -315,21 +311,21 @@ def _fig4b(n):
         return (x + np.sin(k * x) / n, 1.0 + n * np.cos(k * x),
                 -n**3 * np.sin(k * x))
 
-    return _wrap1d("fig4b", parts)
+    return _wrap1d(parts)
 
 
 def _line_limit():
-    return _linear("line", 1, 0)
+    return _linear(1, 0)
 
 
 def _fig4c(n):
     """x^3 - x/n^2: two nondegenerate critical points collapsing onto one."""
     c = 1.0 / (n * n)
-    return _wrap1d("fig4c", lambda x: (x**3 - c * x, 3.0 * x * x - c, 6.0 * x))
+    return _wrap1d(lambda x: (x**3 - c * x, 3.0 * x * x - c, 6.0 * x))
 
 
 def _cubic_limit():
-    return _wrap1d("cubic", lambda x: (x**3, 3.0 * x**2, 6.0 * x))
+    return _wrap1d(lambda x: (x**3, 3.0 * x**2, 6.0 * x))
 
 
 def _twist(n):
@@ -366,7 +362,7 @@ def _twist(n):
         gy = -2.0 * (c2 * y + s2 * x) + df_dth * dth * y / rsafe
         return gx, gy
 
-    return _wrap2d("twist", fn, grad)
+    return _wrap2d(fn, grad)
 
 
 def _fig8a(n):
@@ -381,7 +377,7 @@ def _fig8a(n):
         d2 = -e * (4.0 * x * x / w**4 - 8.0 * x * x / w**3 + 2.0 / w**2)
         return -e, d1, d2
 
-    return _wrap1d("fig8a", parts)
+    return _wrap1d(parts)
 
 
 def _fig8a_limit():
@@ -395,13 +391,13 @@ def _fig8a_limit():
             d2 = np.where(nz, -e * (4.0 / safe**3 - 6.0 / safe**2), 0.0)
         return -e, d1, d2
 
-    return _wrap1d("fig8a_limit", parts)
+    return _wrap1d(parts)
 
 
 _TRIO_W = (1.3, 0.7, 0.5)
 
 
-def _trio_field(name, shift_scale):
+def _trio_field(shift_scale):
     """Double well ``x^4/4 - x^2/2 + y^2`` plus ``shift_scale`` times a
     skew sine ripple."""
     wx, wy, w0 = _TRIO_W
@@ -428,17 +424,17 @@ def _trio_field(name, shift_scale):
         sn = shift_scale * np.sin(wx * x + wy * y + w0)
         return hxx - wx * wx * sn, -wx * wy * sn, 2.0 - wy * wy * sn
 
-    return _wrap2d(name, fn, grad, hess)
+    return _wrap2d(fn, grad, hess)
 
 
 def _trio(n):
     """Double well plus a tiny skew ripple; three critical points at any n,
     converging C2 to the clean double well."""
-    return _trio_field("trio", 1.0 / (n * n))
+    return _trio_field(1.0 / (n * n))
 
 
 def _trio_limit():
-    return _trio_field("trio_limit", 0.0)
+    return _trio_field(0.0)
 
 
 # ---------------------------------------------------------------- #
@@ -461,7 +457,7 @@ _ENTRIES = [
                  "x^3 - 3 x y^2; three-pronged saddle, index -2"),
     GalleryEntry("undulation", 2, _undulation, _B2, "classical",
                  "x^3 + y^2; degenerate isolated zero, index 0"),
-    GalleryEntry("tilt", 2, lambda n: _linear("tilt", 2, 0), _B2, "classical",
+    GalleryEntry("tilt", 2, lambda n: _linear(2, 0), _B2, "classical",
                  "f = x; no critical points"),
     GalleryEntry("peano", 2, _peano, _B2, "classical",
                  "(2x^2 - y)(y - x^2); min along every line, not a min"),
@@ -473,18 +469,18 @@ _ENTRIES = [
     GalleryEntry("singlemax", 2, _singlemax, Box((-1.0, -1.0), (1.0, 1.0)),
                  "classical",
                  "one interior maximum at every n; limit f = y has none",
-                 lambda: _linear("singlemax_limit", 2, 1)),
+                 lambda: _linear(2, 1)),
     GalleryEntry("fig13a", 1, _fig13a, _I2, "classical",
                  "parabola plus one-sided bump scaled by 1/sqrt(n); extra "
                  "max/min pair at every n, C0 limit x^2",
-                 lambda: _parabola_limit("parabola", 1.0)),
+                 lambda: _parabola_limit(1.0)),
     GalleryEntry("fig13b", 2, _fig13b, Box((-2.0, -2.0), (2.0, 2.0)),
                  "classical",
                  "saddle plus shrinking bump; bump max and companion saddle "
                  "persist at every n, C1 limit x^2 - y^2", lambda: _saddle(1)),
     GalleryEntry("fig10", 1, _fig10, _I2, "reconstructed",
                  "1 - x^2 with a side bump; two maxima at every n merging "
-                 "onto the limit's one", lambda: _parabola_limit("cap", -1.0)),
+                 "onto the limit's one", lambda: _parabola_limit(-1.0)),
     GalleryEntry("fig4a", 1, _fig4a, _I2, "reconstructed",
                  "plateau on [-1/n, 1/n] glued C2 into ramps; limit f = x",
                  _line_limit),

@@ -128,33 +128,29 @@ def _index_1d(field: ScalarField, z, eps: float) -> int:
                                point=z.tolist(), eps=eps)
 
 
-def probe_radius(z, others, domain: Domain | None) -> float:
+def probe_radius(z, others, domain: Domain) -> float:
     """A quarter of the distance from ``z`` to the nearest other known zero
     or to the boundary, at most 0.25. Nonpositive boundary distances (``z``
     on or outside the boundary) are skipped."""
     z = np.asarray(z, dtype=float)
     cands = [0.25]
-    if domain is not None:
-        bd = float(domain.boundary_distance(z))
-        if bd > 0:
-            cands.append(0.25 * bd)
+    bd = float(domain.boundary_distance(z))
+    if bd > 0:
+        cands.append(0.25 * bd)
     dist = row_norms(np.asarray(others, dtype=float).reshape(-1, z.size) - z)
     cands.append(0.25 * float(dist[dist > 0].min(initial=np.inf)))
     return max(min(cands), 1e-12)
 
 
-def homological_index(field: ScalarField, z, domain: Domain | None = None,
-                      eps: float | None = None) -> int:
-    """Index of the isolated interior zero at ``z``.
+def homological_index(field: ScalarField, z, eps: float) -> int:
+    """Index of the isolated interior zero at ``z``, probed at radius
+    ``eps`` (see :func:`probe_radius`).
 
     Dimension dispatch: sign comparison in 1-d, winding number in 2-d,
-    Hessian sign for nondegenerate zeros in higher dimension. ``eps``
-    defaults to :func:`probe_radius`; a probe that meets a zero raises
-    NonIsolatedZero at that ``eps``.
+    Hessian sign for nondegenerate zeros in higher dimension. A probe that
+    meets a zero raises NonIsolatedZero at that ``eps``.
     """
     z = np.asarray(z, dtype=float)
-    if eps is None:
-        eps = probe_radius(z, (), domain)
     if field.dim == 1:
         return _index_1d(field, z, eps)
     if field.dim == 2:
@@ -166,13 +162,13 @@ def homological_index(field: ScalarField, z, domain: Domain | None = None,
 # classification
 # ---------------------------------------------------------------- #
 
-def classify_by_index(field: ScalarField, z, probe_radius: float
+def classify_by_index(field: ScalarField, z, eps: float
                       ) -> tuple[int | None, str]:
     """Index and class of the zero at ``z``: the one place where a zero is
     classified, for detection and ``classify --point`` alike.
 
-    The index is :func:`homological_index` at ``probe_radius``, None when
-    it cannot be computed. A ring of 64 probes decides first: strictly
+    The index is :func:`homological_index` at ``eps``, None when it
+    cannot be computed. A ring of 64 probes decides first: strictly
     lower values all around give Max, strictly higher Min. Otherwise a
     non-isolated or under-sampled index error is raised, index 0 gives
     Undulation, a negative index Saddle (with 1 - index prongs in 2-d),
@@ -181,13 +177,13 @@ def classify_by_index(field: ScalarField, z, probe_radius: float
     z = np.asarray(z, dtype=float)
     index, held = None, None
     try:
-        index = homological_index(field, z, eps=probe_radius)
+        index = homological_index(field, z, eps)
     except DegenerateError:
         pass
     except (NonIsolatedZeroError, UnderSampledError) as exc:
         held = exc
     d = field.dim
-    offs = probe_radius * sphere_directions(d, 64)
+    offs = eps * sphere_directions(d, 64)
     fz = float(field.value(z))
     vals = np.asarray(field.value(z + offs), dtype=float) - fz
     tau = 1e-12 * max(1.0, abs(fz), float(np.max(np.abs(vals))))
@@ -240,8 +236,7 @@ def _perturbed(field: ScalarField, delta: float, direction: np.ndarray) -> Scala
 
     # linear terms leave the Hessian untouched
     return ScalarField(fn, field.dim, grad_fn=grad,
-                       hess_fn=lambda s: field.hess(s),
-                       name=f"{field.name}+linear")
+                       hess_fn=lambda s: field.hess(s))
 
 
 def _has_zero_run(flags: np.ndarray, cyclic: bool) -> bool:

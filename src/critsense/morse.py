@@ -16,8 +16,7 @@ import numpy as np
 from .domains import Domain, sphere_directions
 from .errors import (CoverageError, FlowSingularError, NotMorseError,
                      UsageError)
-from .fields import (ScalarField, row_norms, spectral_norm, spectral_norms,
-                     sym_eigvalsh)
+from .fields import ScalarField, row_norms, spectral_norms, sym_eigvalsh
 
 
 def morse_classify(field: ScalarField, z,
@@ -53,19 +52,22 @@ def morse_statistic(field: ScalarField, domain: Domain,
 # radius constants
 # ---------------------------------------------------------------- #
 
-def corollary_constants(H: np.ndarray, m: float = 0.5) -> dict:
-    """Hessian-variation bound K1 and radius cap K2 from the spectral
-    norms of H and its inverse."""
-    if not 0.0 < m < 1.0:
-        raise UsageError("m must lie in (0, 1)")
+# The corollary's m in (0, 1), which splits its Hessian budget; every chart
+# is computed with this one value, and its record reports it.
+_M = 0.5
+
+
+def corollary_constants(H: np.ndarray) -> dict:
+    """Hessian-variation bound K1 and radius cap K2 for m = 1/2 from the
+    spectral norms of H and its inverse."""
     eigs = sym_eigvalsh(H)
     lo = float(np.min(np.abs(eigs)))
     if lo == 0.0:
         raise NotMorseError("Hessian is singular")
     h = float(np.max(np.abs(eigs)))
     hi = 1.0 / lo
-    k1 = (1.0 / hi) * min(1.0 - m, m * m * np.log(2.0) / (6.0 * h * hi))
-    k2 = m / (4.0 * h * hi)
+    k1 = (1.0 / hi) * min(1.0 - _M, _M * _M * np.log(2.0) / (6.0 * h * hi))
+    k2 = _M / (4.0 * h * hi)
     return {"K1": k1, "K2": k2, "H_norm": h, "H_inv_norm": hi}
 
 
@@ -96,7 +98,6 @@ class FlowChart:
     c: float
     C: float
     a1: float
-    m: float = 0.5
     ode_step: float = 1e-3
     residual_sup: float | None = None
 
@@ -118,7 +119,7 @@ class FlowChart:
             "radius": self.radius,
             "constants": {"K1": self.K1, "K2": self.K2, "L": self.L,
                           "c": self.c, "C": self.C, "a1": self.a1},
-            "m": self.m,
+            "m": _M,
             "ode_step": self.ode_step,
             "residual_sup": self.residual_sup,
             "bilip_hi_bound": self.bilip_hi_bound,
@@ -187,7 +188,7 @@ def _flow_integrate(field: ScalarField, chart: FlowChart, x, record: bool):
     if np.any(np.linalg.norm(xi, axis=-1) > r * (1.0 + 1e-9)):
         raise UsageError("point outside the chart radius")
     f_p = float(field.value(p))
-    ratio_floor = (1e-14 * max(1.0, spectral_norm(H))) ** 2
+    ratio_floor = (1e-14 * max(1.0, float(spectral_norms(H)))) ** 2
 
     # Each stage runs thousands of times on few points, so numpy call
     # overhead dominates: every term is computed once. The quadratic term

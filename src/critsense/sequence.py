@@ -14,7 +14,7 @@ import numpy as np
 
 from . import detect
 from .domains import Domain
-from .errors import NoConvergenceError, UsageError
+from .errors import UsageError
 from .fields import ScalarField, row_norms, spectral_norms
 from .gallery import entry as gallery_entry, gallery, limit_field
 
@@ -23,24 +23,16 @@ HYPOTHESIS_BOUNDARY_TOL = 1e-4
 HYPOTHESIS_RESOLUTION_TOL = 1e-3
 
 
-def ck_distance(f: ScalarField, g: ScalarField, domain: Domain, k: int = 2,
+def ck_distance(f: ScalarField, g: ScalarField, domain: Domain,
                 grid_res: int = 128) -> tuple:
-    """Grid sup distances (d0, ..., dk): values, Euclidean gradient gap,
+    """Grid sup distances (d0, d1, d2): values, Euclidean gradient gap,
     spectral Hessian gap."""
-    if k not in (0, 1, 2):
-        raise UsageError("k must be 0, 1, or 2")
     lat = domain.lattice(grid_res)
     inside = np.asarray(domain.contains(lat))
-    out = []
     d0 = np.abs(np.asarray(f.value(lat)) - np.asarray(g.value(lat)))
-    out.append(float(np.max(d0[inside])))
-    if k >= 1:
-        d1 = np.linalg.norm(f.grad(lat) - g.grad(lat), axis=-1)
-        out.append(float(np.max(d1[inside])))
-    if k >= 2:
-        d2 = spectral_norms(f.hess(lat) - g.hess(lat))
-        out.append(float(np.max(d2[inside])))
-    return tuple(out)
+    d1 = np.linalg.norm(f.grad(lat) - g.grad(lat), axis=-1)
+    d2 = spectral_norms(f.hess(lat) - g.hess(lat))
+    return tuple(float(np.max(d[inside])) for d in (d0, d1, d2))
 
 
 # ---------------------------------------------------------------- #
@@ -219,17 +211,11 @@ def convergence_experiment(family: str, n_list, domain: Domain | None = None,
     for n in n_list:
         f_n = gallery(ent.name, n)
         res = grid_res if grid_res is not None else _default_grid(ent.dim, n)
-        row = {"n": int(n)}
-        try:
-            pts, counts = _detect_and_count(f_n, dom, res, imp_res,
-                                            newton_tol)
-        except NoConvergenceError as err:
-            row["error"] = err.record()
-            rows.append(row)
-            continue
-        d = ck_distance(f_n, f_limit, dom, k=2, grid_res=256)
+        pts, counts = _detect_and_count(f_n, dom, res, imp_res, newton_tol)
+        d = ck_distance(f_n, f_limit, dom, grid_res=256)
         m = match_critical_points(pts, pts_limit, domain=dom)
-        row.update({
+        rows.append({
+            "n": int(n),
             "counts": counts,
             "d0": d[0], "d1": d[1], "d2": d[2],
             "resolution": detect.resolution(pts),
@@ -241,14 +227,12 @@ def convergence_experiment(family: str, n_list, domain: Domain | None = None,
             "matching": m.as_record(),
             "unresolved": len(pts.unresolved),
         })
-        rows.append(row)
 
-    good = [r for r in rows if "counts" in r]
-    hyp_boundary = bool(good) and all(
-        r["boundary_min_gradient"] > HYPOTHESIS_BOUNDARY_TOL for r in good)
-    res_seq = [r["resolution"] for r in good]
+    hyp_boundary = bool(rows) and all(
+        r["boundary_min_gradient"] > HYPOTHESIS_BOUNDARY_TOL for r in rows)
+    res_seq = [r["resolution"] for r in rows]
     above_floor = bool(res_seq) and all(
-        r >= HYPOTHESIS_RESOLUTION_TOL for r in res_seq)
+        r > HYPOTHESIS_RESOLUTION_TOL for r in res_seq)
     # A resolution that halves across the tested range is treated as a
     # decreasing-to-zero trend even while still above the floor.
     shrinking = len(res_seq) >= 2 and np.isfinite(res_seq[0]) and \
@@ -263,8 +247,8 @@ def convergence_experiment(family: str, n_list, domain: Domain | None = None,
         "resolution_tol": HYPOTHESIS_RESOLUTION_TOL,
     }
     conclusion = {}
-    if good:
-        last = good[-1]["counts"]
+    if rows:
+        last = rows[-1]["counts"]
         conclusion = {
             "counts_equal": all(
                 last[k] == limit_counts[k]

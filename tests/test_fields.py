@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from critsense.errors import UsageError
-from critsense.fields import (ScalarField, bump_vgh, spectral_norm,
-                              spectral_norms, transition_vgh)
+from critsense.fields import (ScalarField, bump_vgh, spectral_norms,
+                              transition_vgh)
 from critsense.gallery import entry, gallery, limit_field, names
 
 
@@ -113,7 +113,7 @@ def test_spectral_norm_agrees_with_numpy():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((3, 3))
     H = 0.5 * (A + A.T)
-    assert spectral_norm(H) == pytest.approx(
+    assert spectral_norms(H) == pytest.approx(
         np.linalg.norm(H, ord=2), rel=1e-12)
     batch = np.stack([H, np.eye(3)])
-    assert np.allclose(spectral_norms(batch), [spectral_norm(H), 1.0])
+    assert np.allclose(spectral_norms(batch), [spectral_norms(H), 1.0])

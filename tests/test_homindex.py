@@ -52,19 +52,19 @@ def test_winding_radius_independent_until_the_next_zero():
 def test_one_dimensional_sign_indices():
     up = ScalarField(lambda s: s[..., 0] ** 2, 1, grad_fn=lambda s: 2 * s)
     down = ScalarField(lambda s: -s[..., 0] ** 2, 1, grad_fn=lambda s: -2 * s)
-    assert homological_index(up, np.zeros(1)) == 1
-    assert homological_index(down, np.zeros(1)) == -1
+    assert homological_index(up, np.zeros(1), 0.25) == 1
+    assert homological_index(down, np.zeros(1), 0.25) == -1
 
 
 def test_three_dimensional_dispatch():
     bowl3 = gallery("bowl3")
-    assert homological_index(bowl3, np.zeros(3)) == 1
+    assert homological_index(bowl3, np.zeros(3), 0.25) == 1
     flat = ScalarField(lambda s: np.sum(s ** 4, axis=-1), 3,
                        grad_fn=lambda s: 4 * s ** 3,
                        hess_fn=lambda s: 12.0 * s[..., None] ** 2 *
                        np.eye(3))
     with pytest.raises(DegenerateError):
-        homological_index(flat, np.zeros(3))
+        homological_index(flat, np.zeros(3), 0.25)
 
 
 def test_sign_index_matches_winding_on_quadratics():
@@ -125,7 +125,7 @@ def test_index_probe_that_meets_a_zero_raises_at_the_given_eps(dim):
 ])
 def test_classification_strings(name, expected):
     f = gallery(name)
-    idx = homological_index(f, ORIGIN, domain=Ball((0, 0), 1.0))
+    idx = homological_index(f, ORIGIN, 0.25)
     assert classify_by_index(f, ORIGIN, 0.25) == (idx, expected)
 
 

@@ -75,22 +75,18 @@ def test_morse_classify(name, expected):
 
 
 def test_constants_identity_hessian():
-    out = corollary_constants(np.eye(2), m=0.5)
+    out = corollary_constants(np.eye(2))
     assert abs(out["K1"] - np.log(2.0) / 24.0) <= 1e-12
     assert abs(out["K2"] - 0.125) <= 1e-12
 
 
 def test_constants_indefinite_hessian():
-    out = corollary_constants(np.diag([2.0, -1.0]), m=0.5)
+    out = corollary_constants(np.diag([2.0, -1.0]))
     assert abs(out["K1"] - np.log(2.0) / 48.0) <= 1e-12
     assert abs(out["K2"] - 0.0625) <= 1e-12
 
 
-def test_constants_reject_bad_m_and_singular_h():
-    with pytest.raises(UsageError):
-        corollary_constants(np.eye(2), m=0.0)
-    with pytest.raises(UsageError):
-        corollary_constants(np.eye(2), m=1.0)
+def test_constants_reject_a_singular_h():
     with pytest.raises(NotMorseError):
         corollary_constants(np.diag([1.0, 0.0]))
 

@@ -73,7 +73,7 @@ def _boxed_pit():
         diff = s[..., None, :] - centers
         return np.sum(-16.0 * terms(s)[..., None] * diff, axis=-2)
 
-    return ScalarField(val, 2, grad_fn=grad, name="boxed_pit")
+    return ScalarField(val, 2, grad_fn=grad)
 
 
 def test_box_domain_tangency_certificate():

@@ -8,9 +8,9 @@ from critsense.domains import Ball, Box, Interval
 from critsense.errors import UsageError
 from critsense.fields import ScalarField
 from critsense.gallery import gallery, limit_field
-from critsense.sequence import (_detect_and_count, ck_distance,
-                                convergence_experiment, counts_from_points,
-                                match_critical_points)
+from critsense.sequence import (HYPOTHESIS_RESOLUTION_TOL, _detect_and_count,
+                                ck_distance, convergence_experiment,
+                                counts_from_points, match_critical_points)
 
 from oracles import optimal_matching
 
@@ -37,13 +37,11 @@ def test_ck_distance_of_an_oscillation():
     assert 0.06 < d0 <= 1.0 / 16.0 + 1e-15
     assert d1 == pytest.approx(1.0, abs=1e-3)
     assert d2 == pytest.approx(16.0, rel=1e-3)
-    with pytest.raises(UsageError):
-        ck_distance(_parab(), wavy, I2, k=3)
 
 
 def test_ck_distance_family_vs_limit():
-    d0, = ck_distance(gallery("fig13a", 16), limit_field("fig13a"), I2,
-                      k=0, grid_res=128)
+    d0, _, _ = ck_distance(gallery("fig13a", 16), limit_field("fig13a"), I2,
+                           grid_res=128)
     # the bump has sup 9/4 and is scaled by 1 / sqrt(n)
     assert 0.0 < d0 <= 9.0 / 16.0 + 1e-15
     assert d0 == pytest.approx(0.3125, abs=1e-9)
@@ -158,6 +156,15 @@ def test_convergence_fig10_counts_disagree_but_hypothesis_fails():
     assert all(r["boundary_min_gradient"] == pytest.approx(4.0)
                for r in rep.rows)
     assert all(r["multi_match"] for r in rep.rows)
+
+
+def test_resolution_at_the_tolerance_is_not_above_the_floor(monkeypatch):
+    # the hypothesis is R > tol, strictly, as in the Monte Carlo trials
+    monkeypatch.setattr(detect, "resolution",
+                        lambda points: HYPOTHESIS_RESOLUTION_TOL)
+    rep = convergence_experiment("fig10", [4, 16])
+    assert not rep.hypothesis["resolution_above_floor"]
+    assert not rep.hypothesis["resolution_holds"]
 
 
 def test_convergence_trio_is_fully_consistent():
