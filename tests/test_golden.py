@@ -59,6 +59,8 @@ COMMANDS = {
     # a radius below the cap, so the radius bisection runs
     "flow_twogauss_point": ["flow", "--gallery", "twogauss", "--point",
                             "0.4,0", "--seed", "777"],
+    # an off-diagonal Hessian, where FMA and summation order can show
+    "flow_trio": ["flow", "--gallery", "trio", "--n", "4", "--seed", "777"],
     # a non-default RK4 step, through the trajectory
     "flow_trio_step_csv": ["flow", "--gallery", "trio", "--n", "4",
                            "--point", "1,0", "--ode-step", "0.01",
