@@ -30,8 +30,7 @@ from .domains import Ball, Box, Domain, Interval
 from .errors import CritsenseError, PreconditionError, UsageError
 from .gallery import catalogue, entry as gallery_entry, gallery
 from .homindex import classify_by_index, poincare_hopf_audit, probe_radius
-from .morse import (check_ode_step, make_chart, morse_flow_trajectory,
-                    verify_morse_chart)
+from .morse import check_ode_step, make_chart, verify_morse_chart
 from .mountainpass import mountain_pass_point
 from .randfield import BasisSpec, monte_carlo_convergence
 from .sequence import convergence_experiment, counts_from_points
@@ -261,17 +260,19 @@ def _cmd_flow(args) -> int:
         raise PreconditionError("refined critical point is not inside the "
                                 "domain", center=center, boundary_distance=cap)
     chart = make_chart(field, center, search_cap=cap, ode_step=ode_step)
-    ver = verify_morse_chart(field, chart, seed=args.seed)
+    path = None
+    if args.format == "csv":
+        # the trajectory is one more row of the verification batch
+        path = np.empty((chart.n_steps + 1, ent.dim))
+        path[0] = center + (_point(args.sample, field.dim) if args.sample
+                            else 0.5 * chart.radius * np.eye(ent.dim)[0])
+    ver = verify_morse_chart(field, chart, seed=args.seed, path=path)
     result = {"chart": chart.as_record(), "verification": ver}
     art = _artifact("flow", args, result, tol=tol, ode_step=ode_step)
-
-    def trajectory():
-        offset = _point(args.sample, field.dim) if args.sample else \
-            0.5 * chart.radius * np.eye(ent.dim)[0]
-        ts, path = morse_flow_trajectory(field, chart, center + offset)
-        return (["t"] + _coords(ent.dim),
-                [(t, *p) for t, p in zip(ts, path)], [])
-    return _write(args, art, trajectory)
+    return _write(args, art, lambda: (
+        ["t"] + _coords(ent.dim),
+        [(t, *p) for t, p in zip(np.linspace(0.0, 1.0, len(path)), path)],
+        []))
 
 
 def _two_peaks(field, dom, grid, tol):

@@ -365,7 +365,8 @@ def find_critical_points(field: ScalarField, domain: Domain,
         # At a degenerate zero the refined point sits a residual-sized
         # step away, leaving spurious eigenvalues of order sqrt(|grad|).
         dtol = max(1e-8, 10.0 * float(np.sqrt(max(gn, 0.0))))
-        morse_index = morse_classify(field, x, degeneracy_tol=dtol)
+        morse_index = morse_classify(field, x, degeneracy_tol=dtol,
+                                     eigs=spec)
         # x itself is among locs: probe_radius skips zero distances
         probe = homindex.probe_radius(x, locs, domain)
         hom_index, cls = homindex.classify_by_index(field, x, probe)

@@ -19,11 +19,14 @@ from .errors import (CoverageError, FlowSingularError, NotMorseError,
 from .fields import ScalarField, row_norms, spectral_norms, sym_eigvalsh
 
 
-def morse_classify(field: ScalarField, z,
-                   degeneracy_tol: float = 1e-8) -> int | None:
+def morse_classify(field: ScalarField, z, degeneracy_tol: float = 1e-8,
+                   eigs=None) -> int | None:
     """Number of negative Hessian eigenvalues, or None when the smallest
-    |eigenvalue| sits below the degeneracy tolerance."""
-    eigs = sym_eigvalsh(field.hess(np.asarray(z, dtype=float)))
+    |eigenvalue| sits below the degeneracy tolerance. ``eigs``, the
+    Hessian spectrum at ``z`` when the caller already has it, saves
+    computing it again."""
+    if eigs is None:
+        eigs = sym_eigvalsh(field.hess(np.asarray(z, dtype=float)))
     hnorm = float(np.max(np.abs(eigs)))
     if float(np.min(np.abs(eigs))) <= degeneracy_tol * max(1.0, hnorm):
         return None
@@ -105,6 +108,10 @@ class FlowChart:
         check_ode_step(self.ode_step)
 
     @property
+    def n_steps(self) -> int:
+        return int(np.ceil(1.0 / self.ode_step))
+
+    @property
     def bilip_hi_bound(self) -> float:
         return float(np.exp(self.a1))
 
@@ -182,7 +189,20 @@ def make_chart(field: ScalarField, p, search_cap: float = 1.0,
 # the flow
 # ---------------------------------------------------------------- #
 
-def _flow_integrate(field: ScalarField, chart: FlowChart, x, record: bool):
+def _flow_integrate(field: ScalarField, chart: FlowChart, x, path=None):
+    """Offsets from the centre that RK4 carries the rows of ``x`` to.
+
+    With ``path``, an ``(n_steps + 1, d)`` array, the last row's offset
+    at t_k is written to ``path[k]``; no other state is kept.
+
+    Last-bit rule: every row is computed only with operations whose
+    per-row result does not depend on the other rows (rows of ``y @ H``,
+    elementwise ufuncs, ``np.add.reduce`` along the last axis), so with a
+    field that evaluates row by row, as the gallery's do, a row's bits do
+    not depend on its batch. A 3-operand ``einsum`` breaks the rule. With
+    numpy's OpenBLAS, ``y @ H`` keeps its rows for d <= 3, every gallery
+    dimension; a 1-d ``y``, or d >= 4, can round otherwise.
+    """
     p, H, r = chart.center, chart.H, chart.radius
     xi = np.asarray(x, dtype=float) - p
     if np.any(np.linalg.norm(xi, axis=-1) > r * (1.0 + 1e-9)):
@@ -191,13 +211,12 @@ def _flow_integrate(field: ScalarField, chart: FlowChart, x, record: bool):
     ratio_floor = (1e-14 * max(1.0, float(spectral_norms(H)))) ** 2
 
     # Each stage runs thousands of times on few points, so numpy call
-    # overhead dominates: every term is computed once. The quadratic term
-    # is an einsum; (yH * y).sum() would round differently.
+    # overhead dominates: every term is computed once, and the quadratic
+    # term reuses yH.
     def vel(t: float, y: np.ndarray) -> np.ndarray:
         x = p + y
         yH = y @ H
-        phi = field.value(x) - f_p - 0.5 * np.einsum(
-            "...i,ij,...j->...", y, H, y)
+        phi = field.value(x) - f_p - 0.5 * np.add.reduce(yH * y, axis=-1)
         yt = yH + t * (field.grad(x) - yH)
         n2 = np.add.reduce(yt * yt, axis=-1)
         y2 = np.add.reduce(y * y, axis=-1)
@@ -213,43 +232,50 @@ def _flow_integrate(field: ScalarField, chart: FlowChart, x, record: bool):
         return np.where(n2[..., None] > 0,
                         -(phi / safe)[..., None] * yt, 0.0)
 
-    n_steps = int(np.ceil(1.0 / chart.ode_step))
+    n_steps = chart.n_steps
     dt = 1.0 / n_steps
     half = 0.5 * dt
-    state = xi.copy()
-    states = [state] if record else None
+    state = xi
+    if path is not None:
+        path[0] = state[-1]
     t = 0.0
-    for _ in range(n_steps):
+    for k in range(1, n_steps + 1):
         k1 = vel(t, state)
         k2 = vel(t + half, state + half * k1)
         k3 = vel(t + half, state + half * k2)
         k4 = vel(t + dt, state + dt * k3)
         state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += dt
-        if record:
-            states.append(state)
-    return p, n_steps, state, states
+        if path is not None:
+            path[k] = state[-1]
+    return state
 
 
-def morse_flow_map(field: ScalarField, chart: FlowChart, x) -> np.ndarray:
+def morse_flow_map(field: ScalarField, chart: FlowChart, x,
+                   path=None) -> np.ndarray:
     """Integrate the homotopy flow from t=0 to 1, carrying ``x`` to the
     point where the field takes its exact quadratic value.
 
     Accepts batched points. Fixed-step classical RK4 at the chart's
     ``ode_step``; the velocity is -phi(y) y_t(y) / |y_t(y)|^2 with
     y_t = H y + t grad(phi) and phi the non-quadratic remainder, which
-    vanishes at the center.
+    vanishes at the center. With ``path``, an ``(n_steps + 1, d)`` array
+    for ``x`` of shape ``(m, d)``, ``path[k]`` receives the last row's
+    point at t_k: the path that row takes when integrated alone.
     """
-    p, _, state, _ = _flow_integrate(field, chart, x, False)
+    p = chart.center
+    state = _flow_integrate(field, chart, x, path)
+    if path is not None:
+        path += p
     return p + state
 
 
 def morse_flow_trajectory(field: ScalarField, chart: FlowChart, x):
-    """Like :func:`morse_flow_map` but returns the whole integration
-    path: (t grid, points), with points[k] the state at t_k."""
-    p, n_steps, _, states = _flow_integrate(field, chart, x, True)
-    ts = np.linspace(0.0, 1.0, n_steps + 1)
-    return ts, p + np.asarray(states)
+    """The integration path from the one point ``x``, as (t grid,
+    points) with points[k] the state at t_k."""
+    path = np.empty((chart.n_steps + 1, len(chart.center)))
+    morse_flow_map(field, chart, np.reshape(x, (1, -1)), path)
+    return np.linspace(0.0, 1.0, len(path)), path
 
 
 def _ball_samples(d: int, r: float, n: int, seed: int) -> np.ndarray:
@@ -261,15 +287,25 @@ def _ball_samples(d: int, r: float, n: int, seed: int) -> np.ndarray:
 
 
 def verify_morse_chart(field: ScalarField, chart: FlowChart,
-                       seed: int = 0) -> dict:
+                       seed: int = 0, path=None) -> dict:
     """Sample 100 points of the chart ball, measure the defining residual
     and empirical Lipschitz ratios of the flow map, and record them on
-    the chart."""
+    the chart.
+
+    With ``path``, an ``(n_steps + 1, d)`` array whose first row is a
+    start point, that point is integrated as row 101 of the same batch
+    and its path written into ``path``, as by
+    :func:`morse_flow_trajectory`.
+    """
     p, H, r = chart.center, chart.H, chart.radius
     d = len(p)
     xi = _ball_samples(d, r, 100, seed)
     pts = p + xi
-    out = morse_flow_map(field, chart, pts)
+    if path is None:
+        out = morse_flow_map(field, chart, pts)
+    else:
+        out = morse_flow_map(field, chart, np.vstack([pts, path[:1]]),
+                             path)[:100]
     quad = 0.5 * np.einsum("...i,ij,...j->...", xi, H, xi)
     resid = np.abs(np.asarray(field.value(out)) - float(field.value(p)) - quad)
     residual_sup = float(np.max(resid))

@@ -601,6 +601,43 @@ def test_flow_rejects_a_large_step_before_any_hessian(capsys, monkeypatch):
     assert calls == []
 
 
+def _count_rows(monkeypatch, kind):
+    """Row counts of every ``ScalarField.<kind>`` call from now on."""
+    rows = []
+    orig = getattr(ScalarField, kind)
+
+    def counted(self, s):
+        rows.append(int(np.prod(np.shape(s)[:-1])))
+        return orig(self, s)
+    monkeypatch.setattr(ScalarField, kind, counted)
+    return rows
+
+
+def test_flow_csv_integrates_once(capsys, monkeypatch):
+    # the trajectory is one more row of the verification batch
+    grads = _count_rows(monkeypatch, "grad")
+    counts = []
+    for fmt in ("json", "csv"):
+        grads.clear()
+        rc, out, _ = run(capsys, "flow", "--gallery", "bowl", "--seed", "777",
+                         "--format", fmt)
+        assert rc == 0 and out
+        counts.append(len(grads))
+    assert counts[0] == counts[1]
+
+
+def test_flow_sample_outside_the_chart_exits_before_the_batch(capsys,
+                                                              monkeypatch):
+    values =_count_rows(monkeypatch, "value")
+    grads = _count_rows(monkeypatch, "grad")
+    rc, out, err = run(capsys, "flow", "--gallery", "bowl", "--sample",
+                       "0.5,0", "--format", "csv")
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"]["message"] == \
+        "point outside the chart radius"
+    assert max(values + grads) < 100
+
+
 def test_mountain_without_movable_knots_is_a_usage_error(capsys):
     rc, out, err = run(capsys, "mountain", "--gallery", "twogauss",
                        "--knots", "0")

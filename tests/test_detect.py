@@ -180,6 +180,20 @@ def test_detection_trio_finds_all_three():
     assert locs == [[-1.0, -0.0], [0.0, -0.0], [1.0, 0.0]]
 
 
+def test_detection_takes_one_hessian_per_point(monkeypatch):
+    # morse_classify reuses the spectrum that detection records
+    single = []
+    hess = ScalarField.hess
+    monkeypatch.setattr(ScalarField, "hess", lambda self, s: (
+        single.append(s) if np.ndim(s) == 1 else None) or hess(self, s))
+    pts = find_critical_points(gallery("trio", 4),
+                               Box([-1.6, -1.0], [1.6, 1.0]))
+    assert len(pts) == 3
+    assert len(single) == 3
+    for p in pts:
+        assert p.morse_index == int(np.sum(p.hess_spectrum < 0))
+
+
 def test_detection_matches_brute_grid_extrema():
     f = gallery("twogauss")
     dom = Box([-0.99, -0.99], [0.99, 0.99])

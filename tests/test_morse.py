@@ -8,9 +8,10 @@ import pytest
 from critsense.domains import Ball, Box
 from critsense.errors import (CoverageError, FlowSingularError,
                               NotMorseError, UsageError)
+from critsense.detect import refine_newton
 from critsense.fields import ScalarField
 from critsense.gallery import gallery
-from critsense.morse import (FlowChart, corollary_constants,
+from critsense.morse import (FlowChart, _ball_samples, corollary_constants,
                              flow_pair_distance, make_chart, morse_classify, morse_flow_map,
                              morse_flow_trajectory, morse_statistic,
                              verify_morse_chart)
@@ -158,6 +159,77 @@ def test_trajectory_matches_endpoint():
     assert len(ts) == len(path) == 1001
     assert np.allclose(path[0], x)
     assert np.allclose(path[-1], morse_flow_map(field, chart, x))
+
+
+def offdiag_cubic2d():
+    """x^2 + 0.3 x y + y^2/2 + 0.05 x^2 y: an off-diagonal Hessian, with
+    every term elementwise, so a row keeps its bits in any batch."""
+    def hess(s):
+        x, y = s[..., 0], s[..., 1]
+        row0 = np.stack([2.0 + 0.1 * y, 0.3 + 0.1 * x], axis=-1)
+        row1 = np.stack([0.3 + 0.1 * x, np.ones_like(x)], axis=-1)
+        return np.stack([row0, row1], axis=-2)
+
+    return ScalarField(
+        lambda s: s[..., 0] ** 2 + 0.3 * s[..., 0] * s[..., 1]
+        + 0.5 * s[..., 1] ** 2 + 0.05 * s[..., 0] ** 2 * s[..., 1], 2,
+        grad_fn=lambda s: np.stack(
+            [2.0 * s[..., 0] + 0.3 * s[..., 1] + 0.1 * s[..., 0] * s[..., 1],
+             0.3 * s[..., 0] + s[..., 1] + 0.05 * s[..., 0] ** 2], axis=-1),
+        hess_fn=hess)
+
+
+# With the quadratic term as an einsum, the trio start's path differed in
+# 296 of 1,001 states and the cubic start's end point differed too.
+@pytest.mark.parametrize("field,seed_pt,j", [
+    # the trio n = 4 chart at (-1.026, -0.0145), radius 0.00833
+    (gallery("trio", 4), (-1.026, -0.0145), 3),
+    (offdiag_cubic2d(), (0.0, 0.0), 4),
+])
+def test_a_batch_row_keeps_the_bits_of_its_lone_trajectory(field, seed_pt,
+                                                            j):
+    chart = make_chart(field, refine_newton(field, np.array(seed_pt)))
+    xi = _ball_samples(2, chart.radius, 100, 2)
+    start = chart.center + 0.7 * xi[j]
+    ts, lone = morse_flow_trajectory(field, chart, start)
+    batch = np.vstack([chart.center + xi, start])
+    assert np.array_equal(morse_flow_map(field, chart, batch)[-1], lone[-1])
+    path = np.empty_like(lone)
+    path[0] = start
+    # row 101 of the verification batch, recorded state by state
+    verify_morse_chart(field, chart, seed=2, path=path)
+    assert np.array_equal(path, lone)
+    assert len(ts) == chart.n_steps + 1
+
+
+def test_a_singular_tracked_row_reports_its_lone_t_and_worst():
+    # Off the x-axis f = |s|^2/2 = the chart's quadratic, so phi = 0 and
+    # the 100 verification rows stay put. On the axis f = -c x^2/2, so
+    # y_t = (1 - t (1 + c)) x, which is about 2^-51 x at the stage t = 1/2
+    # that a step of 1/4 lands on: only the tracked row trips the check.
+    c = 1.0 + 2.0 ** -50
+
+    def on_axis(s):
+        return s[..., 1] == 0.0
+
+    field = ScalarField(
+        lambda s: np.where(on_axis(s), -0.5 * c * s[..., 0] ** 2,
+                           0.5 * np.add.reduce(s * s, axis=-1)), 2,
+        grad_fn=lambda s: np.where(on_axis(s)[..., None],
+                                   s * np.array([-c, 0.0]), s))
+    chart = FlowChart(ORIGIN, np.eye(2), 0.5, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0,
+                      ode_step=0.25)
+    verify_morse_chart(field, chart)
+    start = np.array([0.1, 0.0])
+    with pytest.raises(FlowSingularError) as lone:
+        morse_flow_trajectory(field, chart, start)
+    path = np.empty((chart.n_steps + 1, 2))
+    path[0] = start
+    with pytest.raises(FlowSingularError) as batched:
+        verify_morse_chart(field, chart, path=path)
+    assert lone.value.context["t"] == 0.5
+    assert 0.0 <= lone.value.context["worst"] < 1e-28
+    assert batched.value.context == lone.value.context
 
 
 def _constant_chart(ode_step):

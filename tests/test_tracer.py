@@ -62,3 +62,10 @@ def test_tracer_reaches_batched_refinement_and_its_rescue():
     # to the least_squares rescue; both spans must stay reachable
     assert _missing_spans([["classify", "--gallery", "peano", "--grid", "24"]],
                           ["detect.refine", "detect.rescue"]) == []
+
+
+def test_tracer_accounts_for_the_folded_csv_trajectory():
+    # the CSV trajectory rides in the verification batch; its integration
+    # must still be a morse.flow span inside morse.verify
+    assert _missing_spans([["flow", "--gallery", "bowl", "--format", "csv"]],
+                          ["morse.flow", "morse.verify"]) == []
