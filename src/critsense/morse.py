@@ -189,19 +189,26 @@ def make_chart(field: ScalarField, p, search_cap: float = 1.0,
 # the flow
 # ---------------------------------------------------------------- #
 
-def _flow_integrate(field: ScalarField, chart: FlowChart, x, path=None):
-    """Offsets from the centre that RK4 carries the rows of ``x`` to.
+def morse_flow_map(field: ScalarField, chart: FlowChart, x,
+                   path=None) -> np.ndarray:
+    """Integrate the homotopy flow from t=0 to 1, carrying ``x`` to the
+    point where the field takes its exact quadratic value.
 
-    With ``path``, an ``(n_steps + 1, d)`` array, the last row's offset
-    at t_k is written to ``path[k]``; no other state is kept.
+    Accepts batched points. Fixed-step classical RK4 at the chart's
+    ``ode_step``; the velocity is -phi(y) y_t(y) / |y_t(y)|^2 with
+    y_t = H y + t grad(phi) and phi the non-quadratic remainder, which
+    vanishes at the center. With ``path``, an ``(n_steps + 1, d)`` array
+    for ``x`` of shape ``(m, d)``, ``path[k]`` receives the last row's
+    point at t_k; no other state is kept.
 
     Last-bit rule: every row is computed only with operations whose
     per-row result does not depend on the other rows (rows of ``y @ H``,
     elementwise ufuncs, ``np.add.reduce`` along the last axis), so with a
     field that evaluates row by row, as the gallery's do, a row's bits do
-    not depend on its batch. A 3-operand ``einsum`` breaks the rule. With
-    numpy's OpenBLAS, ``y @ H`` keeps its rows for d <= 3, every gallery
-    dimension; a 1-d ``y``, or d >= 4, can round otherwise.
+    not depend on its batch, and ``path`` is the path that row takes
+    alone. A 3-operand ``einsum`` breaks the rule. With numpy's OpenBLAS,
+    ``y @ H`` keeps its rows for d <= 3, every gallery dimension; a 1-d
+    ``y``, or d >= 4, can round otherwise.
     """
     p, H, r = chart.center, chart.H, chart.radius
     xi = np.asarray(x, dtype=float) - p
@@ -248,23 +255,6 @@ def _flow_integrate(field: ScalarField, chart: FlowChart, x, path=None):
         t += dt
         if path is not None:
             path[k] = state[-1]
-    return state
-
-
-def morse_flow_map(field: ScalarField, chart: FlowChart, x,
-                   path=None) -> np.ndarray:
-    """Integrate the homotopy flow from t=0 to 1, carrying ``x`` to the
-    point where the field takes its exact quadratic value.
-
-    Accepts batched points. Fixed-step classical RK4 at the chart's
-    ``ode_step``; the velocity is -phi(y) y_t(y) / |y_t(y)|^2 with
-    y_t = H y + t grad(phi) and phi the non-quadratic remainder, which
-    vanishes at the center. With ``path``, an ``(n_steps + 1, d)`` array
-    for ``x`` of shape ``(m, d)``, ``path[k]`` receives the last row's
-    point at t_k: the path that row takes when integrated alone.
-    """
-    p = chart.center
-    state = _flow_integrate(field, chart, x, path)
     if path is not None:
         path += p
     return p + state
@@ -301,11 +291,8 @@ def verify_morse_chart(field: ScalarField, chart: FlowChart,
     d = len(p)
     xi = _ball_samples(d, r, 100, seed)
     pts = p + xi
-    if path is None:
-        out = morse_flow_map(field, chart, pts)
-    else:
-        out = morse_flow_map(field, chart, np.vstack([pts, path[:1]]),
-                             path)[:100]
+    batch = pts if path is None else np.vstack([pts, path[:1]])
+    out = morse_flow_map(field, chart, batch, path)[:100]
     quad = 0.5 * np.einsum("...i,ij,...j->...", xi, H, xi)
     resid = np.abs(np.asarray(field.value(out)) - float(field.value(p)) - quad)
     residual_sup = float(np.max(resid))
