@@ -628,7 +628,7 @@ def test_flow_csv_integrates_once(capsys, monkeypatch):
 
 def test_flow_sample_outside_the_chart_exits_before_the_batch(capsys,
                                                               monkeypatch):
-    values =_count_rows(monkeypatch, "value")
+    values = _count_rows(monkeypatch, "value")
     grads = _count_rows(monkeypatch, "grad")
     rc, out, err = run(capsys, "flow", "--gallery", "bowl", "--sample",
                        "0.5,0", "--format", "csv")

@@ -185,7 +185,7 @@ def offdiag_cubic2d():
     # the trio n = 4 chart at (-1.026, -0.0145), radius 0.00833
     (gallery("trio", 4), (-1.026, -0.0145), 3),
     (offdiag_cubic2d(), (0.0, 0.0), 4),
-])
+], ids=["trio", "offdiag_cubic"])
 def test_a_batch_row_keeps_the_bits_of_its_lone_trajectory(field, seed_pt,
                                                             j):
     chart = make_chart(field, refine_newton(field, np.array(seed_pt)))

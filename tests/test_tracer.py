@@ -65,7 +65,7 @@ def test_tracer_reaches_batched_refinement_and_its_rescue():
 
 
 def test_tracer_accounts_for_the_folded_csv_trajectory():
-    # the CSV trajectory rides in the verification batch; its integration
-    # must still be a morse.flow span inside morse.verify
+    # the CSV trajectory rides in the verification batch; that one
+    # integration must still show up as morse.flow and morse.verify spans
     assert _missing_spans([["flow", "--gallery", "bowl", "--format", "csv"]],
                           ["morse.flow", "morse.verify"]) == []
