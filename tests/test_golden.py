@@ -65,6 +65,12 @@ COMMANDS = {
     "flow_trio_step_csv": ["flow", "--gallery", "trio", "--n", "4",
                            "--point", "1,0", "--ode-step", "0.01",
                            "--sample", "0.005,0", "--format", "csv"],
+    # a 1-d flow, through the elementwise 1-d wrapper
+    "flow_fig10_csv": ["flow", "--gallery", "fig10", "--n", "4", "--seed",
+                       "777", "--format", "csv"],
+    # a 2-d flow on a bump-based field
+    "flow_fig13b": ["flow", "--gallery", "fig13b", "--n", "4", "--seed",
+                    "777"],
     "mountain_twogauss": ["mountain", "--gallery", "twogauss"],
     "mountain_twogauss_pit_csv": ["mountain", "--gallery", "twogauss_pit",
                                   "--format", "csv"],
@@ -73,6 +79,8 @@ COMMANDS = {
     "sequence_fig4c_csv": ["sequence", "--gallery", "fig4c", "--n", "4,16",
                            "--format", "csv"],
     "sequence_fig10": ["sequence", "--gallery", "fig10", "--n", "4,16"],
+    # C^k distances through the bump's value, gradient and Hessian
+    "sequence_fig13b": ["sequence", "--gallery", "fig13b", "--n", "4,16"],
     "gallery_json": ["gallery"],
     "gallery_csv": ["gallery", "--format", "csv"],
     # --threads has no effect, but the config block echoes a given flag, so
