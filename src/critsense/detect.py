@@ -359,8 +359,9 @@ def find_critical_points(field: ScalarField, domain: Domain,
     locs = np.array([x for _, x in kept]).reshape(-1, d)
     points = []
     for gn, x in kept:
-        spec = sym_eigvalsh(field.hess(x))
-        value = float(field.value(x))
+        value, _, hess = field.jet(x, 2)
+        spec = sym_eigvalsh(hess)
+        value = float(value)
         near = bool(domain.boundary_distance(x) < boundary_margin)
         # At a degenerate zero the refined point sits a residual-sized
         # step away, leaving spurious eigenvalues of order sqrt(|grad|).
@@ -369,7 +370,8 @@ def find_critical_points(field: ScalarField, domain: Domain,
                                      eigs=spec)
         # x itself is among locs: probe_radius skips zero distances
         probe = homindex.probe_radius(x, locs, domain)
-        hom_index, cls = homindex.classify_by_index(field, x, probe)
+        hom_index, cls = homindex.classify_by_index(field, x, probe,
+                                                    eigs=spec)
         points.append(CriticalPoint(x, value, gn, spec, morse_index,
                                     hom_index, cls, near))
     return DetectionResult(points, unresolved, escaped)

@@ -96,12 +96,17 @@ class ScalarField:
         ones fall back to central differences with step
         ``h = DEFAULT_FD_STEP * (1 + |s|)``; the Hessian differentiates the
         gradient, so an analytic gradient sharpens it too.
+    jet_fn : callable, optional
+        ``jet_fn(s, order)`` returns what :meth:`jet` does from one pass
+        that shares work between the parts; each part must have the bits
+        of its own method.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     dim: int
     grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     hess_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    jet_fn: Callable[[np.ndarray, int], tuple] | None = None
 
     def value(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -121,6 +126,21 @@ class ScalarField:
         if self.hess_fn is not None:
             return np.asarray(self.hess_fn(s), dtype=float)
         return self._fd_hess(s)
+
+    def jet(self, s, order: int = 1) -> tuple:
+        """``(value, grad)`` at ``s``, and for ``order`` 2
+        ``(value, grad, hess)``, with the bits of the three methods.
+        Without a ``jet_fn`` it calls them, so a wrapper around them
+        still sees every evaluation."""
+        if order not in (1, 2):
+            raise UsageError(f"jet order must be 1 or 2, got {order}")
+        s = np.asarray(s, dtype=float)
+        if self.jet_fn is None:
+            parts = (self.value(s), self.grad(s))
+            return parts + (self.hess(s),) if order == 2 else parts
+        self._check_shape(s)
+        return tuple(np.asarray(a, dtype=float)
+                     for a in self.jet_fn(s, order))
 
     def _fd_hess(self, s: np.ndarray) -> np.ndarray:
         """Differentiated gradient, or second differences of values when
@@ -192,6 +212,29 @@ def sym_eigvalsh(H) -> np.ndarray:
     """Ascending eigenvalues of the symmetric part ``(H + H')/2``,
     batched over ``(..., d, d)``."""
     return np.linalg.eigvalsh(_sym(np.asarray(H, dtype=float)))
+
+
+def row_adder(d: int, signed: bool = True):
+    """A function that sums ``(..., d)`` arrays along the last axis with
+    the bits of ``np.add.reduce(a, axis=-1)``. For d <= 3 it adds the
+    columns from the left, ``0.0 + a[..., 0] + a[..., 1]``, as numpy's
+    reduction over a short last axis does, at a quarter to a half of its
+    cost. The +0.0 start, numpy's too, only makes a row of -0.0 terms sum
+    to +0.0; ``signed=False`` leaves it out for terms that are never -0.0,
+    such as squares."""
+    if d > 3:
+        return lambda a: np.add.reduce(a, axis=-1)
+    if not signed:
+        if d == 1:
+            return lambda a: a[..., 0]
+        if d == 2:
+            return lambda a: a[..., 0] + a[..., 1]
+        return lambda a: a[..., 0] + a[..., 1] + a[..., 2]
+    if d == 1:
+        return lambda a: 0.0 + a[..., 0]
+    if d == 2:
+        return lambda a: 0.0 + a[..., 0] + a[..., 1]
+    return lambda a: 0.0 + a[..., 0] + a[..., 1] + a[..., 2]
 
 
 def row_norms(A) -> np.ndarray:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .domains import Ball, Box, Domain, Interval
 from .errors import CatalogueError, UsageError
-from .fields import (ScalarField, bump1_vgh, bump_vgh, transition_vgh)
+from .fields import (ScalarField, bump1_vgh, bump_vgh, row_adder,
+                     transition_vgh)
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,17 @@ class GalleryEntry:
 
 
 def _wrap1d(parts) -> ScalarField:
-    """1-d field from ``parts(x) -> (value, f', f'')``, elementwise in x."""
+    """1-d field from ``parts(x) -> (value, f', f'')``, elementwise in x;
+    its jet is one ``parts`` call."""
+    def jet(s, order):
+        v, d1, d2 = parts(s[..., 0])
+        if order == 1:
+            return v, d1[..., None]
+        return v, d1[..., None], d2[..., None, None]
+
     return ScalarField(lambda s: parts(s[..., 0])[0], 1,
                        lambda s: parts(s[..., 0])[1][..., None],
-                       lambda s: parts(s[..., 0])[2][..., None, None])
+                       lambda s: parts(s[..., 0])[2][..., None, None], jet)
 
 
 def _wrap2d(value, grad, hess=None) -> ScalarField:
@@ -88,21 +96,29 @@ def _linear(dim, axis) -> ScalarField:
 # ---------------------------------------------------------------- #
 
 def _quadratic(dim, diag):
-    """f = sum d_i x_i^2 with analytic derivatives."""
+    """f = sum d_i x_i^2 with analytic derivatives; its jet forms d * s
+    once."""
     d = np.asarray(diag, dtype=float)
-    H = np.diag(2.0 * d)
+    d2 = 2.0 * d
+    H = np.diag(d2)
+    row_sum = row_adder(dim)
 
     def fn(s):
-        return np.sum(d * s * s, axis=-1)
+        return row_sum(d * s * s)
 
     def grad(s):
-        return 2.0 * d * s
+        return d2 * s
 
     def hess(s):
         s = np.asarray(s, dtype=float)
         return np.broadcast_to(H, s.shape[:-1] + (dim, dim)).copy()
 
-    return ScalarField(fn, dim, grad, hess)
+    def jet(s, order):
+        ds = d * s
+        parts = row_sum(ds * s), d2 * s
+        return parts + (hess(s),) if order == 2 else parts
+
+    return ScalarField(fn, dim, grad, hess, jet)
 
 
 def _bowl(n):
@@ -266,10 +282,17 @@ def _fig13b(n):
     def bump(s):
         return bump_vgh(n * s + 1.0)
 
+    def jet(s, order):
+        """One bump evaluation for all the parts."""
+        b, bg, bh = bump(s)
+        parts = saddle.jet_fn(s, order)
+        out = (parts[0] + 20.0 * b / (n * n), parts[1] + (20.0 / n) * bg)
+        return out + (parts[2] + 20.0 * bh,) if order == 2 else out
+
     return ScalarField(
         lambda s: saddle.fn(s) + 20.0 * bump(s)[0] / (n * n), 2,
         lambda s: saddle.grad_fn(s) + (20.0 / n) * bump(s)[1],
-        lambda s: saddle.hess_fn(s) + 20.0 * bump(s)[2])
+        lambda s: saddle.hess_fn(s) + 20.0 * bump(s)[2], jet)
 
 
 def _fig10(n):

@@ -106,15 +106,18 @@ def winding_index_2d(field: ScalarField, z, eps: float,
     return k
 
 
-def sign_index_nondegenerate(field: ScalarField, z) -> int:
+def sign_index_nondegenerate(field: ScalarField, z, eigs=None) -> int:
     """(-1)^(number of negative Hessian eigenvalues); needs |det H| away
-    from zero."""
+    from zero. ``eigs`` is the Hessian spectrum at ``z`` when the caller
+    already has it."""
     z = np.asarray(z, dtype=float)
-    k = morse_classify(field, z)
+    if eigs is None:
+        eigs = sym_eigvalsh(field.hess(z))
+    k = morse_classify(field, z, eigs=eigs)
     if k is None:
         raise DegenerateError(
             "Hessian is numerically singular", point=z.tolist(),
-            eigenvalues=sym_eigvalsh(field.hess(z)).tolist())
+            eigenvalues=np.asarray(eigs).tolist())
     return (-1) ** k
 
 
@@ -142,42 +145,44 @@ def probe_radius(z, others, domain: Domain) -> float:
     return max(min(cands), 1e-12)
 
 
-def homological_index(field: ScalarField, z, eps: float) -> int:
+def homological_index(field: ScalarField, z, eps: float,
+                      eigs=None) -> int:
     """Index of the isolated interior zero at ``z``, probed at radius
     ``eps`` (see :func:`probe_radius`).
 
     Dimension dispatch: sign comparison in 1-d, winding number in 2-d,
-    Hessian sign for nondegenerate zeros in higher dimension. A probe that
-    meets a zero raises NonIsolatedZero at that ``eps``.
+    Hessian sign for nondegenerate zeros in higher dimension, from
+    ``eigs`` when the caller has the spectrum. A probe that meets a zero
+    raises NonIsolatedZero at that ``eps``.
     """
     z = np.asarray(z, dtype=float)
     if field.dim == 1:
         return _index_1d(field, z, eps)
     if field.dim == 2:
         return winding_index_2d(field, z, eps)
-    return sign_index_nondegenerate(field, z)
+    return sign_index_nondegenerate(field, z, eigs=eigs)
 
 
 # ---------------------------------------------------------------- #
 # classification
 # ---------------------------------------------------------------- #
 
-def classify_by_index(field: ScalarField, z, eps: float
+def classify_by_index(field: ScalarField, z, eps: float, eigs=None
                       ) -> tuple[int | None, str]:
     """Index and class of the zero at ``z``: the one place where a zero is
     classified, for detection and ``classify --point`` alike.
 
-    The index is :func:`homological_index` at ``eps``, None when it
-    cannot be computed. A ring of 64 probes decides first: strictly
-    lower values all around give Max, strictly higher Min. Otherwise a
-    non-isolated or under-sampled index error is raised, index 0 gives
-    Undulation, a negative index Saddle (with 1 - index prongs in 2-d),
-    and the rest (index +1 or degenerate) Unclassified.
+    The index is :func:`homological_index` at ``eps`` (and ``eigs``),
+    None when it cannot be computed. A ring of 64 probes decides first:
+    strictly lower values all around give Max, strictly higher Min.
+    Otherwise a non-isolated or under-sampled index error is raised,
+    index 0 gives Undulation, a negative index Saddle (with 1 - index
+    prongs in 2-d), and the rest (index +1 or degenerate) Unclassified.
     """
     z = np.asarray(z, dtype=float)
     index, held = None, None
     try:
-        index = homological_index(field, z, eps)
+        index = homological_index(field, z, eps, eigs=eigs)
     except DegenerateError:
         pass
     except (NonIsolatedZeroError, UnderSampledError) as exc:

@@ -16,7 +16,8 @@ import numpy as np
 from .domains import Domain, sphere_directions
 from .errors import (CoverageError, FlowSingularError, NotMorseError,
                      UsageError)
-from .fields import ScalarField, row_norms, spectral_norms, sym_eigvalsh
+from .fields import (ScalarField, row_adder, row_norms, spectral_norms,
+                     sym_eigvalsh)
 
 
 def morse_classify(field: ScalarField, z, degeneracy_tol: float = 1e-8,
@@ -45,8 +46,9 @@ def morse_statistic(field: ScalarField, domain: Domain,
     """
     lat = domain.lattice(grid_res)
     inside = np.asarray(domain.contains(lat))
-    g = np.linalg.norm(field.grad(lat), axis=-1)
-    h_min = np.min(np.abs(sym_eigvalsh(field.hess(lat))), axis=-1)
+    _, grad, hess = field.jet(lat, 2)
+    g = np.linalg.norm(grad, axis=-1)
+    h_min = np.min(np.abs(sym_eigvalsh(hess)), axis=-1)
     stat = np.maximum(g, h_min)
     return float(np.min(stat[inside]))
 
@@ -203,12 +205,16 @@ def morse_flow_map(field: ScalarField, chart: FlowChart, x,
 
     Last-bit rule: every row is computed only with operations whose
     per-row result does not depend on the other rows (rows of ``y @ H``,
-    elementwise ufuncs, ``np.add.reduce`` along the last axis), so with a
-    field that evaluates row by row, as the gallery's do, a row's bits do
-    not depend on its batch, and ``path`` is the path that row takes
-    alone. A 3-operand ``einsum`` breaks the rule. With numpy's OpenBLAS,
-    ``y @ H`` keeps its rows for d <= 3, every gallery dimension; a 1-d
-    ``y``, or d >= 4, can round otherwise.
+    elementwise ufuncs, row sums), so with a field that evaluates row by
+    row, as the gallery's do, a row's bits do not depend on its batch,
+    and ``path`` is the path that row takes alone. For d <= 3 a row sum
+    is written as column adds, ``0.0 + a[..., 0] + a[..., 1] +
+    a[..., 2]`` (see :func:`~critsense.fields.row_adder`), which sum from
+    the left as ``np.add.reduce`` along the last axis does and give its
+    bits; sums of squares leave out the +0.0 start, which can only change
+    the sign of a zero sum. A 3-operand ``einsum`` breaks the rule.
+    With numpy's OpenBLAS, ``y @ H`` keeps its rows for d <= 3, every
+    gallery dimension; a 1-d ``y``, or d >= 4, can round otherwise.
     """
     p, H, r = chart.center, chart.H, chart.radius
     xi = np.asarray(x, dtype=float) - p
@@ -216,42 +222,54 @@ def morse_flow_map(field: ScalarField, chart: FlowChart, x,
         raise UsageError("point outside the chart radius")
     f_p = float(field.value(p))
     ratio_floor = (1e-14 * max(1.0, float(spectral_norms(H)))) ** 2
+    row_sum = row_adder(len(p))
+    square_sum = row_adder(len(p), signed=False)
+    jet = field.jet
+    # p per row: adding it costs a third of a broadcast add
+    p_rows = np.broadcast_to(p, xi.shape).copy()
 
     # Each stage runs thousands of times on few points, so numpy call
-    # overhead dominates: every term is computed once, and the quadratic
-    # term reuses yH.
-    def vel(t: float, y: np.ndarray) -> np.ndarray:
-        x = p + y
+    # overhead dominates: one field call per stage, every term computed
+    # once, and the quadratic term reuses yH. ``neg_vel`` returns minus
+    # the velocity and the RK4 update subtracts it: rounding is symmetric
+    # in sign, so only the sign of a zero can differ, and p + state
+    # gives the same point either way.
+    def neg_vel(t: float, y: np.ndarray) -> np.ndarray:
+        v, g = jet(p_rows + y, 1)
         yH = y @ H
-        phi = field.value(x) - f_p - 0.5 * np.add.reduce(yH * y, axis=-1)
-        yt = yH + t * (field.grad(x) - yH)
-        n2 = np.add.reduce(yt * yt, axis=-1)
-        y2 = np.add.reduce(y * y, axis=-1)
+        phi = v - f_p - 0.5 * row_sum(yH * y)
+        yt = yH + t * (g - yH)
+        n2 = square_sum(yt * yt)
+        y2 = square_sum(y * y)
         bad = n2 < ratio_floor * y2  # n2 >= 0, so this implies y2 > 0
-        if bad.any():
+        if np.count_nonzero(bad):
             raise FlowSingularError(
                 "flow denominator vanished away from the center",
                 t=t, worst=float(np.min(n2[bad] / y2[bad])))
-        if (n2 > 0).all():
-            return -(phi / n2)[..., None] * yt
-        # rows at the centre stay there
-        safe = np.where(n2 > 0, n2, 1.0)
-        return np.where(n2[..., None] > 0,
-                        -(phi / safe)[..., None] * yt, 0.0)
+        moving = n2 > 0
+        if np.count_nonzero(moving) == moving.size:
+            return (phi / n2)[..., None] * yt
+        # rows at the centre stay there; -0.0, so that subtracting it
+        # adds +0.0
+        safe = np.where(moving, n2, 1.0)
+        return np.where(moving[..., None], (phi / safe)[..., None] * yt,
+                        -0.0)
 
     n_steps = chart.n_steps
     dt = 1.0 / n_steps
     half = 0.5 * dt
+    sixth = dt / 6.0
     state = xi
     if path is not None:
         path[0] = state[-1]
     t = 0.0
     for k in range(1, n_steps + 1):
-        k1 = vel(t, state)
-        k2 = vel(t + half, state + half * k1)
-        k3 = vel(t + half, state + half * k2)
-        k4 = vel(t + dt, state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t_half = t + half
+        k1 = neg_vel(t, state)
+        k2 = neg_vel(t_half, state - half * k1)
+        k3 = neg_vel(t_half, state - half * k2)
+        k4 = neg_vel(t + dt, state - dt * k3)
+        state = state - sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += dt
         if path is not None:
             path[k] = state[-1]

@@ -108,7 +108,7 @@ class BasisField(ScalarField):
         if coeffs.shape[0] % 2 != 1:
             raise UsageError("axis length must be odd (1 + 2*degree)")
         super().__init__(self._value_at, dim, grad_fn=self._grad_at,
-                         hess_fn=self._hess_at)
+                         hess_fn=self._hess_at, jet_fn=self._jet_at)
         self.coeffs = coeffs
         self.degree = (coeffs.shape[0] - 1) // 2
         axes = _EINSUM_AXES[:dim]
@@ -125,16 +125,16 @@ class BasisField(ScalarField):
     def _value_at(self, s: np.ndarray) -> np.ndarray:
         return self._sum(self._tables(s), (0,) * self.dim)
 
-    def _grad_at(self, s: np.ndarray) -> np.ndarray:
-        t = self._tables(s)
+    def _grad_at(self, s: np.ndarray, t=None) -> np.ndarray:
+        t = self._tables(s) if t is None else t
         out = np.empty(s.shape)
         for a in range(self.dim):
             which = tuple(1 if b == a else 0 for b in range(self.dim))
             out[..., a] = self._sum(t, which)
         return out
 
-    def _hess_at(self, s: np.ndarray) -> np.ndarray:
-        t = self._tables(s)
+    def _hess_at(self, s: np.ndarray, t=None) -> np.ndarray:
+        t = self._tables(s) if t is None else t
         out = np.empty(s.shape + (self.dim,))
         for a in range(self.dim):
             for b in range(a, self.dim):
@@ -144,6 +144,12 @@ class BasisField(ScalarField):
                 out[..., a, b] = v
                 out[..., b, a] = v
         return out
+
+    def _jet_at(self, s: np.ndarray, order: int) -> tuple:
+        """One table build for every part."""
+        t = self._tables(s)
+        parts = self._sum(t, (0,) * self.dim), self._grad_at(s, t)
+        return parts + (self._hess_at(s, t),) if order == 2 else parts
 
 
 def standard_domain(dim: int) -> Box:

@@ -29,9 +29,11 @@ def ck_distance(f: ScalarField, g: ScalarField, domain: Domain,
     spectral Hessian gap."""
     lat = domain.lattice(grid_res)
     inside = np.asarray(domain.contains(lat))
-    d0 = np.abs(np.asarray(f.value(lat)) - np.asarray(g.value(lat)))
-    d1 = np.linalg.norm(f.grad(lat) - g.grad(lat), axis=-1)
-    d2 = spectral_norms(f.hess(lat) - g.hess(lat))
+    f0, f1, f2 = f.jet(lat, 2)
+    g0, g1, g2 = g.jet(lat, 2)
+    d0 = np.abs(f0 - g0)
+    d1 = np.linalg.norm(f1 - g1, axis=-1)
+    d2 = spectral_norms(f2 - g2)
     return tuple(float(np.max(d[inside])) for d in (d0, d1, d2))
 
 

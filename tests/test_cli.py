@@ -606,36 +606,44 @@ def _count_rows(monkeypatch, kind):
     rows = []
     orig = getattr(ScalarField, kind)
 
-    def counted(self, s):
+    def counted(self, s, *args):
         rows.append(int(np.prod(np.shape(s)[:-1])))
-        return orig(self, s)
+        return orig(self, s, *args)
     monkeypatch.setattr(ScalarField, kind, counted)
     return rows
 
 
 def test_flow_csv_integrates_once(capsys, monkeypatch):
-    # the trajectory is one more row of the verification batch
+    # the trajectory is one more row of the verification batch; the
+    # bowl's flow stages call jet, which shares work and skips grad
     grads = _count_rows(monkeypatch, "grad")
-    counts = []
+    jets = _count_rows(monkeypatch, "jet")
+    counts, rows = [], []
     for fmt in ("json", "csv"):
         grads.clear()
+        jets.clear()
         rc, out, _ = run(capsys, "flow", "--gallery", "bowl", "--seed", "777",
                          "--format", fmt)
         assert rc == 0 and out
-        counts.append(len(grads))
+        counts.append((len(grads), len(jets)))
+        rows.append(sum(jets))
     assert counts[0] == counts[1]
+    # 4,000 RK4 stages on 100 rows, and one more row in the CSV batch
+    assert rows[0] >= 400_000
+    assert rows[1] - rows[0] == counts[0][1]
 
 
 def test_flow_sample_outside_the_chart_exits_before_the_batch(capsys,
                                                               monkeypatch):
     values = _count_rows(monkeypatch, "value")
     grads = _count_rows(monkeypatch, "grad")
+    jets = _count_rows(monkeypatch, "jet")
     rc, out, err = run(capsys, "flow", "--gallery", "bowl", "--sample",
                        "0.5,0", "--format", "csv")
     assert rc == 2 and out == ""
     assert json.loads(err)["error"]["message"] == \
         "point outside the chart radius"
-    assert max(values + grads) < 100
+    assert max(values + grads + jets) < 100
 
 
 def test_mountain_without_movable_knots_is_a_usage_error(capsys):

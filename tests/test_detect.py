@@ -194,6 +194,32 @@ def test_detection_takes_one_hessian_per_point(monkeypatch):
         assert p.morse_index == int(np.sum(p.hess_spectrum < 0))
 
 
+@pytest.mark.parametrize("fused", [False, True],
+                         ids=["methods", "jet_fn"])
+def test_detection_takes_one_hessian_per_point_in_3d(fused):
+    # the 3-d index reads the spectrum detection records, too
+    f = gallery("bowl3")
+    single = []
+
+    def hess_fn(s):
+        if np.ndim(s) == 1:
+            single.append(s)
+        return f.hess_fn(s)
+
+    def jet_fn(s, order):
+        if order == 2 and np.ndim(s) == 1:
+            single.append(s)
+        return f.jet_fn(s, order)
+
+    counting = ScalarField(f.fn, 3, f.grad_fn, hess_fn)
+    if fused:
+        counting.jet_fn = jet_fn
+    pts = find_critical_points(counting, Ball((0, 0, 0), 1.0))
+    assert [p.classification for p in pts] == ["Min"]
+    assert pts[0].hom_index == 1
+    assert len(single) == 1
+
+
 def test_detection_matches_brute_grid_extrema():
     f = gallery("twogauss")
     dom = Box([-0.99, -0.99], [0.99, 0.99])

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from critsense.domains import Box
 from critsense.errors import UsageError
-from critsense.fields import (ScalarField, bump_vgh, spectral_norms,
-                              transition_vgh)
+from critsense.fields import (ScalarField, bump_vgh, row_adder,
+                              spectral_norms, transition_vgh)
 from critsense.gallery import entry, gallery, limit_field, names
+from critsense.randfield import BasisField
 
 
 def _bump_value(s):
@@ -83,6 +85,87 @@ def test_every_gallery_field_matches_finite_differences(name, n):
             err = np.abs(_fd(f, s, order) - exact)
             assert np.all(err <= 1e-5 * np.maximum(1.0, np.abs(exact))), \
                 (order, s)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def _basis_field(dim):
+    coeffs = np.random.default_rng(dim).standard_normal((5,) * dim)
+    return BasisField(coeffs, dim), Box([0.0] * dim, [2.0 * np.pi] * dim)
+
+
+_JET_FIELDS = [(name, n) for name in names()
+               for n in ((4, "limit") if entry(name).family else (1,))] + [
+    ("basis", d) for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,n", _JET_FIELDS,
+                         ids=[f"{g}-{n}" for g, n in _JET_FIELDS])
+def test_jet_has_the_bits_of_value_grad_and_hess(name, n):
+    if name == "basis":
+        f, dom = _basis_field(n)
+    else:
+        f = limit_field(name) if n == "limit" else gallery(name, n)
+        dom = entry(name).domain
+    lo, hi = dom.bounding_box()
+    rng = np.random.default_rng(3)
+    # a batch, one point, and the origin, where signed zeros show
+    for s in (rng.uniform(lo, hi, size=(7, f.dim)),
+              rng.uniform(lo, hi, size=f.dim), np.zeros(f.dim)):
+        exact = (f.value(s), f.grad(s), f.hess(s))
+        for order in (1, 2):
+            got = f.jet(s, order)
+            assert len(got) == order + 1
+            for part, want in zip(got, exact):
+                assert _same_bits(part, want), (order, s)
+
+
+@pytest.mark.parametrize("name,diag", [
+    ("bowl", (1.0, 1.0)), ("dome", (-1.0, -1.0)), ("saddle", (1.0, -1.0)),
+    ("bowl3", (1.0, 1.0, 1.0))])
+def test_quadratic_value_has_the_bits_of_its_sum(name, diag):
+    # the dome's centre value is +0.0, the sign np.sum gives a row of -0.0
+    f = gallery(name)
+    d = np.array(diag)
+    s = np.vstack([np.zeros(len(d)),
+                   np.random.default_rng(1).uniform(-1, 1, (50, len(d)))])
+    assert _same_bits(f.value(s), np.sum(d * s * s, axis=-1))
+    assert _same_bits(f.value(s[0]), np.sum(d * s[0] * s[0], axis=-1))
+
+
+def test_jet_without_jet_fn_calls_the_methods():
+    calls = []
+    f = ScalarField(lambda s: calls.append("value") or s[..., 0], 1,
+                    grad_fn=lambda s: calls.append("grad") or s,
+                    hess_fn=lambda s: calls.append("hess") or s[..., None])
+    f.jet(np.zeros((3, 1)), 1)
+    assert calls == ["value", "grad"]
+    calls.clear()
+    f.jet(np.zeros((3, 1)), 2)
+    assert calls == ["value", "grad", "hess"]
+    with pytest.raises(UsageError):
+        f.jet(np.zeros((3, 1)), 3)
+    with pytest.raises(UsageError):
+        gallery("bowl").jet(np.zeros(3), 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_row_adder_has_the_bits_of_add_reduce(d):
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((20000, d)) * rng.uniform(1e-3, 1e3, (20000, d))
+    # rows of signed zeros, where only the +0.0 start decides the sign
+    a[:8] = rng.choice([-0.0, 0.0], size=(8, d))
+    a[8] = -0.0
+    want = np.add.reduce(a, axis=-1)
+    assert _same_bits(row_adder(d)(a), want)
+    squares = a * a
+    assert _same_bits(row_adder(d, signed=False)(squares),
+                      np.add.reduce(squares, axis=-1))
+    assert _same_bits(row_adder(d)(a[9]), np.add.reduce(a[9], axis=-1))
 
 
 def test_fd_fallback_gradient_on_plain_fn():

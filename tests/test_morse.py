@@ -290,6 +290,23 @@ def test_flow_makes_four_evaluations_per_step():
         assert calls == {"value": 401, "grad": 400, "hess": 0}
 
 
+def test_flow_makes_one_jet_call_per_stage():
+    field = saddle_cubic2d(0.05)
+    chart = replace(make_chart(field, ORIGIN), ode_step=0.01)
+    orders = []
+
+    def jet_fn(s, order):
+        orders.append(order)
+        return field.fn(s), field.grad_fn(s)
+
+    with_jet = replace(field, jet_fn=jet_fn)
+    xs = _shell_points(0.5 * chart.radius, n=8)
+    want = morse_flow_map(field, chart, xs)
+    # 100 RK4 steps of 4 stages, each one first-order jet
+    assert np.array_equal(morse_flow_map(with_jet, chart, xs), want)
+    assert orders == [1] * 400
+
+
 def test_flow_input_validation():
     f = quad2(np.eye(2))
     chart = make_chart(f, ORIGIN)
