@@ -91,6 +91,9 @@ COMMANDS = {
                       "--threads", "1"],
     "montecarlo_d1_csv": ["montecarlo", "--config", "mc_d1.json", "--grid",
                           "64", "--format", "csv"],
+    # the README config at its default grid (512) up to n = 1000, cut to
+    # four trials
+    "montecarlo_readme": ["montecarlo", "--config", "mc_readme.json"],
 }
 
 STREAMS = ("rc", "out", "err")
