@@ -343,11 +343,10 @@ def find_critical_points(field: ScalarField, domain: Domain,
         # else the cell's pull was toward a zero outside the domain
 
     # dedupe: strongest (smallest gradient) representative wins
-    scored = []
-    for x in refined:
-        gn = float(np.linalg.norm(field.grad(x)))
-        scored.append((gn, tuple(x.tolist()), x))
-    scored.sort(key=lambda t: (t[0], t[1]))
+    scores = (row_norms(field.grad(np.array(refined))).tolist()
+              if refined else [])
+    scored = sorted(zip(scores, (tuple(x.tolist()) for x in refined),
+                        refined), key=lambda t: (t[0], t[1]))
     kept: list[tuple[float, np.ndarray]] = []
     kept_locs = np.empty((len(scored), d))
     for gn, _, x in scored:
@@ -358,9 +357,11 @@ def find_critical_points(field: ScalarField, domain: Domain,
 
     locs = np.array([x for _, x in kept]).reshape(-1, d)
     points = []
-    for gn, x in kept:
-        value, _, hess = field.jet(x, 2)
-        spec = sym_eigvalsh(hess)
+    values = specs = ()
+    if kept:
+        values, _, hess = field.jet(locs, 2)
+        specs = sym_eigvalsh(hess)
+    for (gn, x), value, spec in zip(kept, values, specs):
         value = float(value)
         near = bool(domain.boundary_distance(x) < boundary_margin)
         # At a degenerate zero the refined point sits a residual-sized

@@ -42,16 +42,19 @@ class GalleryEntry:
 
 def _wrap1d(parts) -> ScalarField:
     """1-d field from ``parts(x) -> (value, f', f'')``, elementwise in x;
-    its jet is one ``parts`` call."""
+    its jet is one ``parts`` call. ``x`` keeps the points' last axis, so
+    one point is a 1-element array and never a numpy scalar, whose
+    arithmetic rounds ``**`` differently: a point has the bits it has in
+    a batch."""
     def jet(s, order):
-        v, d1, d2 = parts(s[..., 0])
+        v, d1, d2 = parts(s[..., :1])
         if order == 1:
-            return v, d1[..., None]
-        return v, d1[..., None], d2[..., None, None]
+            return v[..., 0], d1
+        return v[..., 0], d1, d2[..., None]
 
-    return ScalarField(lambda s: parts(s[..., 0])[0], 1,
-                       lambda s: parts(s[..., 0])[1][..., None],
-                       lambda s: parts(s[..., 0])[2][..., None, None], jet)
+    return ScalarField(lambda s: parts(s[..., :1])[0][..., 0], 1,
+                       lambda s: parts(s[..., :1])[1],
+                       lambda s: parts(s[..., :1])[2][..., None], jet)
 
 
 def _wrap2d(value, grad, hess=None) -> ScalarField:

@@ -70,25 +70,30 @@ def _scale_tensor(spec: BasisSpec) -> np.ndarray:
     return scale
 
 
-def _axis_tables(x: np.ndarray, degree: int):
-    """Basis values and first and second derivatives along one axis, in
-    the index order (1, cos x, sin x, cos 2x, sin 2x, ...)."""
+def _axis_tables(x: np.ndarray, degree: int, order: int) -> tuple:
+    """Basis values along one axis, and their derivatives up to ``order``
+    (0, 1 or 2), in the index order (1, cos x, sin x, cos 2x, sin 2x,
+    ...). Each array has the bits it has in the order-2 build."""
     shape = x.shape + (2 * degree + 1,)
-    b = np.empty(shape)
-    db = np.empty(shape)
-    d2b = np.empty(shape)
-    b[..., 0] = 1.0
-    db[..., 0] = 0.0
-    d2b[..., 0] = 0.0
     j = np.arange(1, degree + 1)
     jx = x[..., None] * j
     c = np.cos(jx)
     s = np.sin(jx)
+    b = np.empty(shape)
+    b[..., 0] = 1.0
     b[..., 1::2] = c
-    db[..., 1::2] = -j * s
-    d2b[..., 1::2] = (-j * j) * c
     b[..., 2::2] = s
+    if order == 0:
+        return (b,)
+    db = np.empty(shape)
+    db[..., 0] = 0.0
+    db[..., 1::2] = -j * s
     db[..., 2::2] = j * c
+    if order == 1:
+        return b, db
+    d2b = np.empty(shape)
+    d2b[..., 0] = 0.0
+    d2b[..., 1::2] = (-j * j) * c
     d2b[..., 2::2] = (-j * j) * s
     return b, db, d2b
 
@@ -115,18 +120,19 @@ class BasisField(ScalarField):
         self._subscripts = ",".join("..." + a for a in axes) + "," + axes \
             + "->..."
 
-    def _tables(self, s: np.ndarray):
-        return [_axis_tables(s[..., a], self.degree) for a in range(self.dim)]
+    def _tables(self, s: np.ndarray, order: int):
+        return [_axis_tables(s[..., a], self.degree, order)
+                for a in range(self.dim)]
 
     def _sum(self, tables, which) -> np.ndarray:
         ops = [tables[a][which[a]] for a in range(self.dim)]
         return np.einsum(self._subscripts, *ops, self.coeffs)
 
     def _value_at(self, s: np.ndarray) -> np.ndarray:
-        return self._sum(self._tables(s), (0,) * self.dim)
+        return self._sum(self._tables(s, 0), (0,) * self.dim)
 
     def _grad_at(self, s: np.ndarray, t=None) -> np.ndarray:
-        t = self._tables(s) if t is None else t
+        t = self._tables(s, 1) if t is None else t
         out = np.empty(s.shape)
         for a in range(self.dim):
             which = tuple(1 if b == a else 0 for b in range(self.dim))
@@ -134,7 +140,7 @@ class BasisField(ScalarField):
         return out
 
     def _hess_at(self, s: np.ndarray, t=None) -> np.ndarray:
-        t = self._tables(s) if t is None else t
+        t = self._tables(s, 2) if t is None else t
         out = np.empty(s.shape + (self.dim,))
         for a in range(self.dim):
             for b in range(a, self.dim):
@@ -146,8 +152,8 @@ class BasisField(ScalarField):
         return out
 
     def _jet_at(self, s: np.ndarray, order: int) -> tuple:
-        """One table build for every part."""
-        t = self._tables(s)
+        """One table build, to ``order``, for every part."""
+        t = self._tables(s, order)
         parts = self._sum(t, (0,) * self.dim), self._grad_at(s, t)
         return parts + (self._hess_at(s, t),) if order == 2 else parts
 
@@ -159,7 +165,7 @@ def standard_domain(dim: int) -> Box:
 class _TrialStreams:
     """The Philox streams of one (seed, trial): stream k is keyed
     ``[seed, trial << 20 | k]``. One generator serves every stream; each
-    draw re-keys it to the state a fresh ``Philox(key=...)`` starts in."""
+    re-key sets it to the state a fresh ``Philox(key=...)`` starts in."""
 
     def __init__(self, seed: int, trial: int):
         if not 0 <= seed < 1 << 64:
@@ -170,17 +176,22 @@ class _TrialStreams:
         self.trial = trial
         self.rng = np.random.Generator(np.random.Philox(
             key=np.array([seed, trial << 20], dtype=np.uint64)))
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [seed, trial << 20]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+
+    def rekey(self, stream: int):
+        """Point the generator at the start of ``stream``."""
+        if not 0 <= stream < 1 << 20:
+            raise UsageError("trial must be >= 0 and stream in [0, 2**20)")
+        self._state["state"]["key"][1] = (self.trial << 20) | stream
+        self.rng.bit_generator.state = self._state
 
     def draw(self, spec: BasisSpec, stream: int) -> np.ndarray:
         """Coefficients of ``spec`` from ``stream``."""
-        if not 0 <= stream < 1 << 20:
-            raise UsageError("trial must be >= 0 and stream in [0, 2**20)")
-        self.rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0],
-                      "key": [self.seed, (self.trial << 20) | stream]},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
+        self.rekey(stream)
         z = self.rng.standard_normal(size=(2 * spec.degree + 1,) * spec.dim)
         return z * _scale_tensor(spec)
 
@@ -204,25 +215,50 @@ def _embed(coeffs: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def empirical_mean_field(G: BasisField, noise_spec: BasisSpec, n: int,
-                         seed: int, trial: int = 0) -> BasisField:
-    """Ghat_n = G + (1/n) * sum_{i=1..n} E_i, exact in coefficient space.
+_BLOCK = 128  # noise streams drawn, scaled and summed together
+
+
+def empirical_mean_field(G: BasisField, noise_spec: BasisSpec, n_list,
+                         seed: int, trial: int = 0) -> list:
+    """Ghat_n = G + (1/n) * sum_{i=1..n} E_i, exact in coefficient space,
+    for each n of ``n_list``, in its order.
 
     Noise stream i draws E_i, so Ghat_10 and Ghat_100 from the same seed
-    share their first ten noise fields.
+    share their first ten noise fields. One pass draws streams 1..max(n)
+    in blocks of ``_BLOCK``; each block's first row carries the running
+    sum into a sequential cumsum, so every prefix sum has the bits of
+    adding the E_i one by one.
     """
-    if n < 1:
-        raise UsageError("n must be >= 1", n=n)
+    for n in n_list:
+        if n < 1:
+            raise UsageError("n must be >= 1", n=n)
     if noise_spec.dim != G.dim:
         raise UsageError("noise dimension must match G",
                          noise_dim=noise_spec.dim, field_dim=G.dim)
     m = 2 * max(G.degree, noise_spec.degree) + 1
     streams = _TrialStreams(seed, trial)
-    acc = np.zeros((m,) * G.dim)
-    for i in range(1, n + 1):
-        acc += _embed(streams.draw(noise_spec, i), m)
-    coeffs = _embed(G.coeffs, m) + acc / n
-    return BasisField(coeffs, G.dim)
+    top = max(n_list, default=0)
+    if top:
+        streams.rekey(top)  # an out-of-range stream fails before any draw
+    scale = _scale_tensor(noise_spec)
+    block = np.zeros((_BLOCK + 1,) + scale.shape)
+    means = {}
+    done = 0
+    while done < top:
+        k = min(_BLOCK, top - done)
+        rows = block[:k + 1]
+        for j in range(1, k + 1):
+            streams.rekey(done + j)
+            streams.rng.standard_normal(out=rows[j])
+        rows[1:] *= scale
+        np.cumsum(rows, axis=0, out=rows)
+        for n in n_list:
+            if done < n <= done + k:
+                means[n] = _embed(rows[n - done], m) / n
+        block[0] = rows[k]
+        done += k
+    base = _embed(G.coeffs, m)
+    return [BasisField(base + means[n], G.dim) for n in n_list]
 
 
 # ---------------------------------------------------------------- #
@@ -257,8 +293,8 @@ def _run_trial(spec: BasisSpec, noise_spec: BasisSpec, n_list, seed: int,
                               and stat_m > HYPOTHESIS_M_TOL),
         "per_n": [],
     }
-    for n in n_list:
-        Ghat = empirical_mean_field(G, noise_spec, n, seed, trial)
+    fields = empirical_mean_field(G, noise_spec, n_list, seed, trial)
+    for n, Ghat in zip(n_list, fields):
         pts_n = detect.find_critical_points(Ghat, dom, grid_res=grid_res)
         counts_n = _counts(pts_n)
         rec["per_n"].append({
@@ -282,6 +318,10 @@ def monte_carlo_convergence(spec: BasisSpec, noise_spec: BasisSpec, n_list,
     if trials < 1:
         raise UsageError("trials must be >= 1", trials=trials)
     n_list = [int(n) for n in n_list]
+    for n in n_list:
+        if not 1 <= n < 1 << 20:
+            raise UsageError(f"n_list entry {n} is outside [1, 2**20)",
+                             n_list=n_list, n=n)
     res = grid_res if grid_res is not None else (
         512 if spec.dim == 1 else 64)
     records = [_run_trial(spec, noise_spec, n_list, seed, t, res)

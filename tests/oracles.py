@@ -126,3 +126,31 @@ def brute_matching(locs_n, locs_l, radius: float) -> list:
             used_l.add(j)
             pairs.append((i, j, d))
     return pairs
+
+
+def naive_mean_field(G, noise_spec, n: int, seed: int, trial: int = 0):
+    """Ghat_n by adding the n noise fields one at a time, each drawn from
+    a freshly keyed Philox generator."""
+    from critsense.randfield import BasisField, _scale_tensor
+
+    def draw(stream):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, trial << 20 | stream], dtype=np.uint64)))
+        z = rng.standard_normal(
+            size=(2 * noise_spec.degree + 1,) * noise_spec.dim)
+        return z * _scale_tensor(noise_spec)
+
+    def embed(coeffs, m):
+        if coeffs.shape[0] == m:
+            return coeffs
+        out = np.zeros((m,) * coeffs.ndim)
+        out[tuple(slice(0, coeffs.shape[0])
+                  for _ in range(coeffs.ndim))] = coeffs
+        return out
+
+    m = 2 * max(G.degree, noise_spec.degree) + 1
+    acc = np.zeros((m,) * G.dim)
+    for i in range(1, n + 1):
+        acc += embed(draw(i), m)
+    coeffs = embed(G.coeffs, m) + acc / n
+    return BasisField(coeffs, G.dim)

@@ -480,6 +480,23 @@ def test_malformed_numbers_are_usage_errors(tmp_path, capsys, case):
     assert json.loads(err)["error"]["type"] == "UsageError"
 
 
+@pytest.mark.parametrize("n", [0, 2 ** 20])
+def test_montecarlo_rejects_n_out_of_range_before_drawing(tmp_path, capsys,
+                                                          monkeypatch, n):
+    import critsense.randfield as randfield
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(randfield, "_run_trial", no_trial)
+    path = mc_config(tmp_path, n_list=[10, n])
+    rc, out, err = run(capsys, "montecarlo", "--config", path)
+    assert rc == 2 and out == ""
+    info = json.loads(err)["error"]
+    assert info["type"] == "UsageError"
+    assert "n_list" in info["message"] and str(n) in info["message"]
+
+
 def test_montecarlo_missing_key(tmp_path, capsys):
     path = mc_config(tmp_path)
     cfg = json.loads(open(path).read())

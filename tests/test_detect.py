@@ -180,16 +180,26 @@ def test_detection_trio_finds_all_three():
     assert locs == [[-1.0, -0.0], [0.0, -0.0], [1.0, 0.0]]
 
 
+def _hessians_at(calls, pts) -> int:
+    """How many of the recorded Hessian inputs are the stacked locations
+    of ``pts``; fails on any single-point Hessian."""
+    assert all(np.ndim(s) == 2 for s in calls), "a single-point Hessian"
+    locs = np.array([p.location for p in pts])
+    return sum(np.shape(s) == locs.shape and np.array_equal(s, locs)
+               for s in calls)
+
+
 def test_detection_takes_one_hessian_per_point(monkeypatch):
-    # morse_classify reuses the spectrum that detection records
-    single = []
+    # one Hessian call covers the kept points, and morse_classify reuses
+    # the spectrum that detection records
+    calls = []
     hess = ScalarField.hess
     monkeypatch.setattr(ScalarField, "hess", lambda self, s: (
-        single.append(s) if np.ndim(s) == 1 else None) or hess(self, s))
+        calls.append(np.array(s))) or hess(self, s))
     pts = find_critical_points(gallery("trio", 4),
                                Box([-1.6, -1.0], [1.6, 1.0]))
     assert len(pts) == 3
-    assert len(single) == 3
+    assert _hessians_at(calls, pts) == 1
     for p in pts:
         assert p.morse_index == int(np.sum(p.hess_spectrum < 0))
 
@@ -199,16 +209,15 @@ def test_detection_takes_one_hessian_per_point(monkeypatch):
 def test_detection_takes_one_hessian_per_point_in_3d(fused):
     # the 3-d index reads the spectrum detection records, too
     f = gallery("bowl3")
-    single = []
+    calls = []
 
     def hess_fn(s):
-        if np.ndim(s) == 1:
-            single.append(s)
+        calls.append(np.array(s))
         return f.hess_fn(s)
 
     def jet_fn(s, order):
-        if order == 2 and np.ndim(s) == 1:
-            single.append(s)
+        if order == 2:
+            calls.append(np.array(s))
         return f.jet_fn(s, order)
 
     counting = ScalarField(f.fn, 3, f.grad_fn, hess_fn)
@@ -217,7 +226,7 @@ def test_detection_takes_one_hessian_per_point_in_3d(fused):
     pts = find_critical_points(counting, Ball((0, 0, 0), 1.0))
     assert [p.classification for p in pts] == ["Min"]
     assert pts[0].hom_index == 1
-    assert len(single) == 1
+    assert _hessians_at(calls, pts) == 1
 
 
 def test_detection_matches_brute_grid_extrema():

@@ -6,7 +6,7 @@ import pytest
 from critsense.domains import Box
 from critsense.errors import UsageError
 from critsense.fields import (ScalarField, bump_vgh, row_adder,
-                              spectral_norms, transition_vgh)
+                              spectral_norms, sym_eigvalsh, transition_vgh)
 from critsense.gallery import entry, gallery, limit_field, names
 from critsense.randfield import BasisField
 
@@ -98,6 +98,13 @@ def _basis_field(dim):
     return BasisField(coeffs, dim), Box([0.0] * dim, [2.0 * np.pi] * dim)
 
 
+def _jet_field(name, n):
+    if name == "basis":
+        return _basis_field(n)
+    f = limit_field(name) if n == "limit" else gallery(name, n)
+    return f, entry(name).domain
+
+
 _JET_FIELDS = [(name, n) for name in names()
                for n in ((4, "limit") if entry(name).family else (1,))] + [
     ("basis", d) for d in (1, 2, 3)]
@@ -106,11 +113,7 @@ _JET_FIELDS = [(name, n) for name in names()
 @pytest.mark.parametrize("name,n", _JET_FIELDS,
                          ids=[f"{g}-{n}" for g, n in _JET_FIELDS])
 def test_jet_has_the_bits_of_value_grad_and_hess(name, n):
-    if name == "basis":
-        f, dom = _basis_field(n)
-    else:
-        f = limit_field(name) if n == "limit" else gallery(name, n)
-        dom = entry(name).domain
+    f, dom = _jet_field(name, n)
     lo, hi = dom.bounding_box()
     rng = np.random.default_rng(3)
     # a batch, one point, and the origin, where signed zeros show
@@ -122,6 +125,30 @@ def test_jet_has_the_bits_of_value_grad_and_hess(name, n):
             assert len(got) == order + 1
             for part, want in zip(got, exact):
                 assert _same_bits(part, want), (order, s)
+
+
+@pytest.mark.parametrize("name,n", _JET_FIELDS,
+                         ids=[f"{g}-{n}" for g, n in _JET_FIELDS])
+def test_batch_rows_have_the_bits_of_each_point_alone(name, n):
+    # detection evaluates its points as one batch and reads them row by
+    # row, so a row must not depend on the batch around it
+    f, dom = _jet_field(name, n)
+    lo, hi = dom.bounding_box()
+    pts = np.random.default_rng(4).uniform(lo, hi, size=(100, f.dim))
+    pts[1] = 0.0
+
+    def parts(s):
+        jet1, jet2 = f.jet(s, 1), f.jet(s, 2)
+        hess = f.hess(s)
+        return (f.value(s), f.grad(s), hess, *jet1, *jet2,
+                sym_eigvalsh(hess))
+
+    alone = [parts(p) for p in pts]
+    for k in (1, 2, 17, 100):
+        batch = parts(pts[:k])
+        for i in range(k):
+            for j, (row, one) in enumerate(zip(batch, alone[i])):
+                assert _same_bits(row[i], one), (k, i, j)
 
 
 @pytest.mark.parametrize("name,diag", [

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import critsense.randfield as randfield
 from critsense.errors import UsageError
 from critsense.fields import ScalarField
 from critsense.detect import find_critical_points
@@ -10,8 +11,9 @@ from critsense.morse import morse_statistic
 from critsense.randfield import (BasisField, BasisSpec, empirical_mean_field,
                                  monte_carlo_convergence, sample_limit_field,
                                  standard_domain)
-from critsense.randfield import (_TrialStreams, _axis_tables, _draw_coeffs,
-                                 _scale_tensor)
+from critsense.randfield import (_BLOCK, _TrialStreams, _axis_tables,
+                                 _draw_coeffs, _scale_tensor)
+from oracles import naive_mean_field
 
 SPEC = BasisSpec(dim=1, degree=4, amplitude=1.0, decay=2.0)
 NOISE = BasisSpec(dim=1, degree=4, amplitude=0.6, decay=1.5)
@@ -95,10 +97,16 @@ def test_axis_tables_equal_the_per_harmonic_closed_form(shape, degree):
     pts = np.random.default_rng(9).uniform(-1.0, 8.0, size=shape + (2,))
     # a field hands each axis over as a strided view of its points
     for x in (pts[..., 1], np.ascontiguousarray(pts[..., 1])):
-        got = _axis_tables(x, degree)
+        got = _axis_tables(x, degree, 2)
         for g, w in zip(got, _per_harmonic_tables(x, degree)):
             assert g.shape == w.shape
             assert np.array_equal(g, w)
+        # lower orders build the leading arrays, with the same bits
+        for order in (0, 1):
+            low = _axis_tables(x, degree, order)
+            assert len(low) == order + 1
+            for g, w in zip(low, got):
+                assert np.array_equal(g, w)
 
 
 def test_scale_tensor_is_cached_and_read_only():
@@ -133,26 +141,80 @@ def test_derivatives_match_finite_differences():
 def test_empirical_mean_is_exact_in_coefficient_space():
     G = sample_limit_field(SPEC, seed=21)
     e1 = _draw_coeffs(NOISE, 21, 0, 1)
-    g1 = empirical_mean_field(G, NOISE, 1, seed=21)
+    [g1] = empirical_mean_field(G, NOISE, [1], seed=21)
     assert np.array_equal(g1.coeffs, G.coeffs + e1)
     silent = BasisSpec(dim=1, degree=4, amplitude=0.0)
-    g0 = empirical_mean_field(G, silent, 5, seed=21)
+    [g0] = empirical_mean_field(G, silent, [5], seed=21)
     assert np.array_equal(g0.coeffs, G.coeffs)
 
 
 def test_noise_degree_embedding():
     G = sample_limit_field(BasisSpec(dim=2, degree=1), seed=33)
     wide = BasisSpec(dim=2, degree=2, amplitude=0.5)
-    ghat = empirical_mean_field(G, wide, 2, seed=33)
+    [ghat] = empirical_mean_field(G, wide, [2], seed=33)
     assert ghat.coeffs.shape == (5, 5)
     e = (_draw_coeffs(wide, 33, 0, 1) + _draw_coeffs(wide, 33, 0, 2)) / 2.0
     assert np.allclose(ghat.coeffs[:3, :3], G.coeffs + e[:3, :3],
                        atol=1e-15)
     assert np.array_equal(ghat.coeffs[3:, :], e[3:, :])
     with pytest.raises(UsageError):
-        empirical_mean_field(G, BasisSpec(dim=1, degree=1), 2, seed=33)
+        empirical_mean_field(G, BasisSpec(dim=1, degree=1), [2], seed=33)
     with pytest.raises(UsageError):
-        empirical_mean_field(G, wide, 0, seed=33)
+        empirical_mean_field(G, wide, [2, 0], seed=33)
+
+
+_MEAN_CASES = {
+    "unsorted-repeated-one": (SPEC, NOISE, [100, 10, 1000, 10, 1]),
+    "block-edges": (SPEC, NOISE, [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                  2 * _BLOCK - 1, 2 * _BLOCK,
+                                  2 * _BLOCK + 1]),
+    "noise-degree-above": (BasisSpec(1, 2), BasisSpec(1, 5, amplitude=0.5),
+                           [3, _BLOCK + 2]),
+    "noise-degree-below": (BasisSpec(1, 5), BasisSpec(1, 2, amplitude=0.5),
+                           [7, 1]),
+    "two-d": (BasisSpec(2, 2), BasisSpec(2, 3, amplitude=0.4, decay=1.0),
+              [40, 1, _BLOCK + 1]),
+    "amplitude-zero": (SPEC, BasisSpec(1, 4, amplitude=0.0),
+                       [5, 1, _BLOCK]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MEAN_CASES))
+def test_mean_pass_has_the_bits_of_the_one_at_a_time_sum(case):
+    spec, noise, n_list = _MEAN_CASES[case]
+    G = sample_limit_field(spec, seed=777, trial=5)
+    got = empirical_mean_field(G, noise, n_list, seed=777, trial=5)
+    assert len(got) == len(n_list)
+    for n, ghat in zip(n_list, got):
+        want = naive_mean_field(G, noise, n, seed=777, trial=5)
+        assert ghat.coeffs.shape == want.coeffs.shape
+        assert ghat.coeffs.tobytes() == want.coeffs.tobytes(), n
+
+
+def test_mean_pass_of_no_n_draws_nothing():
+    G = sample_limit_field(SPEC, seed=3)
+    assert empirical_mean_field(G, NOISE, [], seed=3) == []
+
+
+class _TrialRan(Exception):
+    pass
+
+
+def _no_trial(*args):
+    raise _TrialRan
+
+
+@pytest.mark.parametrize("bad", [0, -3, 1 << 20])
+def test_n_list_is_checked_before_the_first_trial(monkeypatch, bad):
+    monkeypatch.setattr(randfield, "_run_trial", _no_trial)
+    with pytest.raises(UsageError) as info:
+        monte_carlo_convergence(SPEC, NOISE, [10, bad], trials=2, seed=1)
+    assert "n_list" in str(info.value) and str(bad) in str(info.value)
+    assert info.value.context["n"] == bad
+    # the bounds themselves pass the check and reach the trials
+    with pytest.raises(_TrialRan):
+        monte_carlo_convergence(SPEC, NOISE, [1, (1 << 20) - 1], trials=2,
+                                seed=1)
 
 
 def test_degree_one_critical_points_sit_at_the_analytic_phase():
