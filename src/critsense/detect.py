@@ -355,25 +355,24 @@ def find_critical_points(field: ScalarField, domain: Domain,
             kept.append((gn, x))
     kept.sort(key=lambda k: tuple(k[1].tolist()))
 
-    locs = np.array([x for _, x in kept]).reshape(-1, d)
+    if not kept:
+        return DetectionResult([], unresolved, escaped)
+    locs = np.array([x for _, x in kept])
+    values, _, hess = field.jet(locs, 2)
+    specs = sym_eigvalsh(hess)
+    # x itself is among locs: probe_radius skips zero distances
+    probes = [homindex.probe_radius(x, locs, domain) for _, x in kept]
+    classes = homindex.classify_by_index(field, locs, probes, eigs=specs)
     points = []
-    values = specs = ()
-    if kept:
-        values, _, hess = field.jet(locs, 2)
-        specs = sym_eigvalsh(hess)
-    for (gn, x), value, spec in zip(kept, values, specs):
-        value = float(value)
+    for (gn, x), value, spec, (hom_index, cls) in zip(kept, values, specs,
+                                                      classes):
         near = bool(domain.boundary_distance(x) < boundary_margin)
         # At a degenerate zero the refined point sits a residual-sized
         # step away, leaving spurious eigenvalues of order sqrt(|grad|).
         dtol = max(1e-8, 10.0 * float(np.sqrt(max(gn, 0.0))))
         morse_index = morse_classify(field, x, degeneracy_tol=dtol,
                                      eigs=spec)
-        # x itself is among locs: probe_radius skips zero distances
-        probe = homindex.probe_radius(x, locs, domain)
-        hom_index, cls = homindex.classify_by_index(field, x, probe,
-                                                    eigs=spec)
-        points.append(CriticalPoint(x, value, gn, spec, morse_index,
+        points.append(CriticalPoint(x, float(value), gn, spec, morse_index,
                                     hom_index, cls, near))
     return DetectionResult(points, unresolved, escaped)
 

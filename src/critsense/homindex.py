@@ -121,14 +121,23 @@ def sign_index_nondegenerate(field: ScalarField, z, eigs=None) -> int:
     return (-1) ** k
 
 
-def _index_1d(field: ScalarField, z, eps: float) -> int:
-    z = np.asarray(z, dtype=float)
-    right = float(field.grad(z + eps)[0])
-    left = float(field.grad(z - eps)[0])
-    if min(abs(right), abs(left)) >= 1e-14 * (1.0 + abs(right) + abs(left)):
-        return (int(np.sign(right)) - int(np.sign(left))) // 2
-    raise NonIsolatedZeroError("derivative vanishes on both probe sides",
-                               point=z.tolist(), eps=eps)
+def _index_1d(field: ScalarField, Z: np.ndarray, eps: np.ndarray) -> list:
+    """Sign comparisons at the 1-d zeros ``Z`` ``(k, 1)``, each probed at
+    ``eps[i]`` on both sides, from one gradient call: an index, or the
+    NonIsolatedZeroError of a zero whose probe meets a zero."""
+    k = len(Z)
+    g = field.grad(np.concatenate([Z + eps[:, None], Z - eps[:, None]]))
+    out = []
+    for z, e, right, left in zip(Z, eps.tolist(), g[:k, 0].tolist(),
+                                 g[k:, 0].tolist()):
+        if min(abs(right), abs(left)) >= 1e-14 * (1.0 + abs(right)
+                                                  + abs(left)):
+            out.append((int(np.sign(right)) - int(np.sign(left))) // 2)
+        else:
+            out.append(NonIsolatedZeroError(
+                "derivative vanishes on both probe sides",
+                point=z.tolist(), eps=e))
+    return out
 
 
 def probe_radius(z, others, domain: Domain) -> float:
@@ -145,32 +154,57 @@ def probe_radius(z, others, domain: Domain) -> float:
     return max(min(cands), 1e-12)
 
 
-def homological_index(field: ScalarField, z, eps: float,
-                      eigs=None) -> int:
-    """Index of the isolated interior zero at ``z``, probed at radius
-    ``eps`` (see :func:`probe_radius`).
+_INDEX_ERRORS = (DegenerateError, NonIsolatedZeroError, UnderSampledError)
 
-    Dimension dispatch: sign comparison in 1-d, winding number in 2-d,
-    Hessian sign for nondegenerate zeros in higher dimension, from
-    ``eigs`` when the caller has the spectrum. A probe that meets a zero
-    raises NonIsolatedZero at that ``eps``.
+
+def homological_index(field: ScalarField, z, eps, eigs=None):
+    """Index of the isolated interior zero at ``z`` ``(d,)``, probed at
+    radius ``eps`` (see :func:`probe_radius`). For zeros ``z`` ``(k, d)``
+    with radii ``eps`` ``(k,)``, a list with each zero's index or the
+    DegenerateError, NonIsolatedZeroError or UnderSampledError it met.
+
+    Dimension dispatch: sign comparison in 1-d, one gradient call for
+    all the zeros; winding number per zero in 2-d; Hessian sign for
+    nondegenerate zeros in higher dimension, from ``eigs`` (``(d,)``, or
+    ``(k, d)`` for a batch) when the caller has the spectrum. A probe
+    that meets a zero raises NonIsolatedZero at that ``eps``.
     """
     z = np.asarray(z, dtype=float)
+    if z.ndim == 2:
+        return _indices(field, z, np.asarray(eps, dtype=float), eigs)
+    out = _indices(field, z[None], np.array([eps], dtype=float),
+                   None if eigs is None else [eigs])[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _indices(field: ScalarField, Z: np.ndarray, eps: np.ndarray,
+             eigs) -> list:
     if field.dim == 1:
-        return _index_1d(field, z, eps)
-    if field.dim == 2:
-        return winding_index_2d(field, z, eps)
-    return sign_index_nondegenerate(field, z, eigs=eigs)
+        return _index_1d(field, Z, eps)
+    out = []
+    for i, (z, e) in enumerate(zip(Z, eps.tolist())):
+        try:
+            if field.dim == 2:
+                out.append(winding_index_2d(field, z, e))
+            else:
+                out.append(sign_index_nondegenerate(
+                    field, z, eigs=None if eigs is None else eigs[i]))
+        except _INDEX_ERRORS as exc:
+            out.append(exc)
+    return out
 
 
 # ---------------------------------------------------------------- #
 # classification
 # ---------------------------------------------------------------- #
 
-def classify_by_index(field: ScalarField, z, eps: float, eigs=None
-                      ) -> tuple[int | None, str]:
-    """Index and class of the zero at ``z``: the one place where a zero is
-    classified, for detection and ``classify --point`` alike.
+def classify_by_index(field: ScalarField, z, eps, eigs=None):
+    """Index and class of the zero at ``z`` ``(d,)``, or a list of them
+    for zeros ``z`` ``(k, d)`` with radii ``eps`` ``(k,)``: the one place
+    where a zero is classified, for detection and ``classify --point``
+    alike.
 
     The index is :func:`homological_index` at ``eps`` (and ``eigs``),
     None when it cannot be computed. A ring of 64 probes decides first:
@@ -178,31 +212,46 @@ def classify_by_index(field: ScalarField, z, eps: float, eigs=None
     Otherwise a non-isolated or under-sampled index error is raised,
     index 0 gives Undulation, a negative index Saddle (with 1 - index
     prongs in 2-d), and the rest (index +1 or degenerate) Unclassified.
+    A batch takes every zero's value and probe ring from one value call
+    and raises the error of its first zero that has one.
     """
     z = np.asarray(z, dtype=float)
-    index, held = None, None
-    try:
-        index = homological_index(field, z, eps, eigs=eigs)
-    except DegenerateError:
-        pass
-    except (NonIsolatedZeroError, UnderSampledError) as exc:
-        held = exc
-    d = field.dim
-    offs = eps * sphere_directions(d, 64)
-    fz = float(field.value(z))
-    vals = np.asarray(field.value(z + offs), dtype=float) - fz
-    tau = 1e-12 * max(1.0, abs(fz), float(np.max(np.abs(vals))))
-    if np.all(vals < -tau):
-        return index, "Max"
-    if np.all(vals > tau):
-        return index, "Min"
-    if held is not None:
-        raise held
-    if index == 0:
-        return index, "Undulation"
-    if index is not None and index < 0:
-        return index, f"Saddle({1 - index})" if d == 2 else "Saddle"
-    return index, "Unclassified"
+    if z.ndim == 2:
+        return _classify(field, z, np.asarray(eps, dtype=float), eigs)
+    return _classify(field, z[None], np.array([eps], dtype=float),
+                     None if eigs is None else [eigs])[0]
+
+
+def _classify(field: ScalarField, Z: np.ndarray, eps: np.ndarray,
+              eigs) -> list:
+    k, d = Z.shape
+    indices = homological_index(field, Z, eps, eigs=eigs)
+    offs = eps[:, None, None] * sphere_directions(d, 64)
+    ring = (Z[:, None, :] + offs).reshape(-1, d)
+    values = np.asarray(field.value(np.concatenate([Z, ring])), dtype=float)
+    rings = values[k:].reshape(k, -1)
+    out = []
+    for index, fz, ring_values in zip(indices, values[:k].tolist(), rings):
+        held = None
+        if isinstance(index, Exception):
+            index, held = None, (None if isinstance(index, DegenerateError)
+                                 else index)
+        vals = ring_values - fz
+        tau = 1e-12 * max(1.0, abs(fz), float(np.max(np.abs(vals))))
+        if np.all(vals < -tau):
+            out.append((index, "Max"))
+        elif np.all(vals > tau):
+            out.append((index, "Min"))
+        elif held is not None:
+            raise held
+        elif index == 0:
+            out.append((index, "Undulation"))
+        elif index is not None and index < 0:
+            out.append((index, f"Saddle({1 - index})" if d == 2
+                        else "Saddle"))
+        else:
+            out.append((index, "Unclassified"))
+    return out
 
 
 # ---------------------------------------------------------------- #

@@ -9,11 +9,13 @@ from critsense.domains import Ball, Box, Interval
 from critsense.errors import (DegenerateError, NonGenericBoundaryError,
                               NonIsolatedZeroError, UnderSampledError,
                               UnsupportedError)
-from critsense.fields import ScalarField
-from critsense.gallery import gallery
+from critsense.detect import find_critical_points
+from critsense.fields import ScalarField, sym_eigvalsh
+from critsense.gallery import entry, gallery
 from critsense.homindex import (boundary_index, classify_by_index,
                                 homological_index, poincare_hopf_audit,
-                                sign_index_nondegenerate, winding_index_2d)
+                                probe_radius, sign_index_nondegenerate,
+                                winding_index_2d)
 
 from oracles import brute_winding
 
@@ -147,6 +149,35 @@ def test_classification_policy_when_the_index_fails():
         hess_fn=lambda s: 12.0 * (sign * s ** 2)[..., None] * np.eye(3))
     assert classify_by_index(quartic, np.zeros(3), 0.1) == (None,
                                                              "Unclassified")
+
+
+@pytest.mark.parametrize("name,n", [("fig4b", 4), ("fig13a", 4),
+                                    ("twogauss", 1), ("trio", 4),
+                                    ("bowl3", 1)])
+def test_a_batch_classifies_each_zero_as_it_would_alone(name, n):
+    f, dom = gallery(name, n), entry(name).domain
+    locs = np.array([p.location for p in find_critical_points(f, dom)])
+    eps = [probe_radius(z, locs, dom) for z in locs]
+    eigs = sym_eigvalsh(f.hess(locs))
+    alone = [classify_by_index(f, z, e, eigs=s)
+             for z, e, s in zip(locs, eps, eigs)]
+    assert classify_by_index(f, locs, eps, eigs=eigs) == alone
+    assert homological_index(f, locs, eps, eigs=eigs) == [
+        homological_index(f, z, e, eigs=s) for z, e, s in zip(locs, eps, eigs)]
+
+
+def test_a_batch_raises_the_error_of_its_first_failing_zero():
+    # the plateau [-1/4, 1/4] of fig4a: both probes and the ring are flat
+    f = gallery("fig4a", 4)
+    assert classify_by_index(f, np.array([[1.0]]), [0.1]) == [
+        (0, "Undulation")]
+    with pytest.raises(NonIsolatedZeroError) as exc:
+        classify_by_index(f, np.array([[1.0], [0.0], [0.05]]),
+                          [0.1, 0.1, 0.2])
+    assert exc.value.context == {"point": [0.0], "eps": 0.1}
+    indices = homological_index(f, np.array([[1.0], [0.0]]), [0.1, 0.1])
+    assert indices[0] == 0
+    assert isinstance(indices[1], NonIsolatedZeroError)
 
 
 @pytest.mark.parametrize("name,total,perturbed", [
