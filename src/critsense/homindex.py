@@ -232,10 +232,10 @@ def _classify(field: ScalarField, Z: np.ndarray, eps: np.ndarray,
     rings = values[k:].reshape(k, -1)
     out = []
     for index, fz, ring_values in zip(indices, values[:k].tolist(), rings):
-        held = None
-        if isinstance(index, Exception):
-            index, held = None, (None if isinstance(index, DegenerateError)
-                                 else index)
+        failed = isinstance(index, Exception)
+        held = None if isinstance(index, DegenerateError) or not failed \
+            else index
+        index = None if failed else index
         vals = ring_values - fz
         tau = 1e-12 * max(1.0, abs(fz), float(np.max(np.abs(vals))))
         if np.all(vals < -tau):
