@@ -157,6 +157,16 @@ def probe_radius(z, others, domain: Domain) -> float:
 _INDEX_ERRORS = (DegenerateError, NonIsolatedZeroError, UnderSampledError)
 
 
+def _as_batch(z, eps, eigs):
+    """``(Z, eps, eigs, one)``: the zeros ``(k, d)``, their radii and
+    spectra as a batch, and whether ``z`` was one zero ``(d,)``."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 2:
+        return z, np.asarray(eps, dtype=float), eigs, False
+    return (z[None], np.array([eps], dtype=float),
+            None if eigs is None else [eigs], True)
+
+
 def homological_index(field: ScalarField, z, eps, eigs=None):
     """Index of the isolated interior zero at ``z`` ``(d,)``, probed at
     radius ``eps`` (see :func:`probe_radius`). For zeros ``z`` ``(k, d)``
@@ -169,31 +179,25 @@ def homological_index(field: ScalarField, z, eps, eigs=None):
     ``(k, d)`` for a batch) when the caller has the spectrum. A probe
     that meets a zero raises NonIsolatedZero at that ``eps``.
     """
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 2:
-        return _indices(field, z, np.asarray(eps, dtype=float), eigs)
-    out = _indices(field, z[None], np.array([eps], dtype=float),
-                   None if eigs is None else [eigs])[0]
-    if isinstance(out, Exception):
-        raise out
-    return out
-
-
-def _indices(field: ScalarField, Z: np.ndarray, eps: np.ndarray,
-             eigs) -> list:
+    Z, eps, eigs, one = _as_batch(z, eps, eigs)
     if field.dim == 1:
-        return _index_1d(field, Z, eps)
-    out = []
-    for i, (z, e) in enumerate(zip(Z, eps.tolist())):
-        try:
-            if field.dim == 2:
-                out.append(winding_index_2d(field, z, e))
-            else:
-                out.append(sign_index_nondegenerate(
-                    field, z, eigs=None if eigs is None else eigs[i]))
-        except _INDEX_ERRORS as exc:
-            out.append(exc)
-    return out
+        out = _index_1d(field, Z, eps)
+    else:
+        out = []
+        for i, (zi, e) in enumerate(zip(Z, eps.tolist())):
+            try:
+                if field.dim == 2:
+                    out.append(winding_index_2d(field, zi, e))
+                else:
+                    out.append(sign_index_nondegenerate(
+                        field, zi, eigs=None if eigs is None else eigs[i]))
+            except _INDEX_ERRORS as exc:
+                out.append(exc)
+    if not one:
+        return out
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
 
 
 # ---------------------------------------------------------------- #
@@ -215,15 +219,7 @@ def classify_by_index(field: ScalarField, z, eps, eigs=None):
     A batch takes every zero's value and probe ring from one value call
     and raises the error of its first zero that has one.
     """
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 2:
-        return _classify(field, z, np.asarray(eps, dtype=float), eigs)
-    return _classify(field, z[None], np.array([eps], dtype=float),
-                     None if eigs is None else [eigs])[0]
-
-
-def _classify(field: ScalarField, Z: np.ndarray, eps: np.ndarray,
-              eigs) -> list:
+    Z, eps, eigs, one = _as_batch(z, eps, eigs)
     k, d = Z.shape
     indices = homological_index(field, Z, eps, eigs=eigs)
     offs = eps[:, None, None] * sphere_directions(d, 64)
@@ -232,10 +228,10 @@ def _classify(field: ScalarField, Z: np.ndarray, eps: np.ndarray,
     rings = values[k:].reshape(k, -1)
     out = []
     for index, fz, ring_values in zip(indices, values[:k].tolist(), rings):
-        failed = isinstance(index, Exception)
-        held = None if isinstance(index, DegenerateError) or not failed \
-            else index
-        index = None if failed else index
+        held = index if isinstance(
+            index, (NonIsolatedZeroError, UnderSampledError)) else None
+        if isinstance(index, Exception):
+            index = None
         vals = ring_values - fz
         tau = 1e-12 * max(1.0, abs(fz), float(np.max(np.abs(vals))))
         if np.all(vals < -tau):
@@ -251,7 +247,7 @@ def _classify(field: ScalarField, Z: np.ndarray, eps: np.ndarray,
                         else "Saddle"))
         else:
             out.append((index, "Unclassified"))
-    return out
+    return out[0] if one else out
 
 
 # ---------------------------------------------------------------- #
