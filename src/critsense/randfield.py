@@ -12,6 +12,12 @@ a trial's result does not depend on which trials ran before it. A
 trial's streams are drawn from one generator that is re-keyed for each
 stream, not rebuilt: a key and a zero counter fix a Philox state, so
 the bits are those of a freshly keyed generator.
+
+Because stream i is E_i whatever n asks for it, one pass per trial
+serves every n of the table: the noise streams 1..max(n) are drawn in
+fixed-size blocks, each block is scaled once, and a sequential cumsum
+whose first row carries the running sum gives the prefix sums, with the
+bits of adding the E_i one at a time. Memory is one block, whatever n.
 """
 
 from __future__ import annotations
