@@ -129,9 +129,9 @@ def brute_matching(locs_n, locs_l, radius: float) -> list:
 
 
 def naive_mean_field(G, noise_spec, n: int, seed: int, trial: int = 0):
-    """Ghat_n by adding the n noise fields one at a time, each drawn from
-    a freshly keyed Philox generator."""
-    from critsense.randfield import BasisField, _scale_tensor
+    """Coefficients of Ghat_n from adding the n noise fields one at a
+    time, each drawn from a freshly keyed Philox generator."""
+    from critsense.randfield import _scale_tensor
 
     def draw(stream):
         rng = np.random.Generator(np.random.Philox(
@@ -152,5 +152,4 @@ def naive_mean_field(G, noise_spec, n: int, seed: int, trial: int = 0):
     acc = np.zeros((m,) * G.dim)
     for i in range(1, n + 1):
         acc += embed(draw(i), m)
-    coeffs = embed(G.coeffs, m) + acc / n
-    return BasisField(coeffs, G.dim)
+    return embed(G.coeffs, m) + acc / n

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import critsense.randfield as randfield
 from critsense import __version__
 from critsense.cli import _json, dumps, main, parse_domain
 from critsense.errors import UsageError
@@ -483,8 +484,6 @@ def test_malformed_numbers_are_usage_errors(tmp_path, capsys, case):
 @pytest.mark.parametrize("n", [0, 2 ** 20])
 def test_montecarlo_rejects_n_out_of_range_before_drawing(tmp_path, capsys,
                                                           monkeypatch, n):
-    import critsense.randfield as randfield
-
     def no_trial(*args):
         raise AssertionError("a trial ran")
 
