@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.optimize import least_squares
 
 from .domains import Domain
 from .errors import NoConvergenceError, UsageError
-from .fields import ScalarField, row_norms, sym_eigvalsh
+from .fields import (ScalarField, row_adder, row_dots, row_norms,
+                     sym_eigvalsh)
 from .morse import morse_classify
 from . import homindex
 
@@ -100,6 +100,15 @@ def _newton_polish(field: ScalarField, x: np.ndarray, gn: float,
     return best_x, best_gn
 
 
+def _trial_grads(field: ScalarField, P: np.ndarray):
+    """Gradients ``(..., d)`` and their norms ``(...)`` at the trial
+    points ``P`` ``(..., d)``, from one call. A long damped step can land
+    where the field overflows; a non-finite norm is never a descent."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        g = field.grad(P.reshape(-1, P.shape[-1]))
+        return g.reshape(P.shape), row_norms(g).reshape(P.shape[:-1])
+
+
 def _solve(A: np.ndarray, b: np.ndarray):
     """Solve each ``A[i] x = b[i]``; returns ``(x, ok)``. A batched solve
     raises if any system is singular, so that case goes row by row."""
@@ -129,10 +138,12 @@ def refine_newton(field: ScalarField, s0, tol: float = 1e-9,
     descent). ``box`` is an optional ``(lo, hi)`` pair: an accepted iterate
     outside it ends the seed as escaped.
 
-    All seeds step in lockstep, one field call per step for the batch;
-    each keeps its own damping and line search, so a seed's outcome does
-    not depend on the rest of the batch. Seeds that stall above ``tol``
-    go on, one at a time, to the rescue.
+    All seeds step in lockstep, with one Hessian call and at most two
+    gradient calls per step for the batch; each keeps its own damping and
+    line search, so a seed's outcome does not depend on the rest of the
+    batch. Seeds that stall above ``tol`` go on together to the rescue: a
+    lockstep trust-region pass (:func:`least_squares`), then a Newton
+    polish for each seed it leaves above ``tol``.
 
     One seed returns the refined point or raises NoConvergence with the
     best iterate attached (an escape raises it too). A batch returns one
@@ -179,8 +190,10 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
         x, g, gn = X[live], G[live], GN[live]
         H = field.hess(x)
         hnorm = np.max(np.abs(H), axis=(-2, -1)) + 1e-300
-        newton = (~force_damped[live]
-                  & (np.abs(np.linalg.det(H)) >= _DET_FLOOR * hnorm**d))
+        # a huge or non-finite Hessian overflows det or the floor: damped
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            newton = (~force_damped[live]
+                      & (np.abs(np.linalg.det(H)) >= _DET_FLOOR * hnorm**d))
         delta = np.empty_like(x)
         step, ok = _solve(H[newton], -g[newton])
         delta[newton] = step
@@ -195,20 +208,29 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
             A + lam[:, None, None] * np.eye(d),
             -Ht @ g[~newton][..., None])[..., 0]
 
-        accepted = np.zeros(len(live), dtype=bool)
-        todo = np.arange(len(live))
-        for _ in range(25):
-            if not todo.size:
-                break
-            xn = x[todo] + delta[todo]
-            g_new = field.grad(xn)
-            gn_new = row_norms(g_new)
+        # the full steps in one grad call, then all 24 halvings of each
+        # rejected step in one more; a seed takes its first trial that
+        # lowers |grad f|. Each halving multiplies the one before by 0.5,
+        # as halving after every rejection would.
+        xn = x + delta
+        g_new, gn_new = _trial_grads(field, xn)
+        accepted = gn_new < gn
+        x[accepted], g[accepted], gn[accepted] = (
+            xn[accepted], g_new[accepted], gn_new[accepted])
+        todo = np.flatnonzero(~accepted)
+        if todo.size:
+            halves = [0.5 * delta[todo]]
+            for _ in range(23):
+                halves.append(0.5 * halves[-1])
+            xn = x[todo] + np.stack(halves)          # (halving, seed, d)
+            g_new, gn_new = _trial_grads(field, xn)
             hit = gn_new < gn[todo]
-            rows = todo[hit]
-            x[rows], g[rows], gn[rows] = xn[hit], g_new[hit], gn_new[hit]
+            cols = np.flatnonzero(hit.any(axis=0))
+            j = np.argmax(hit[:, cols], axis=0)
+            rows = todo[cols]
+            x[rows], g[rows], gn[rows] = (xn[j, cols], g_new[j, cols],
+                                          gn_new[j, cols])
             accepted[rows] = True
-            todo = todo[~hit]
-            delta[todo] = 0.5 * delta[todo]
         X[live], G[live], GN[live] = x, g, gn
 
         ended = np.zeros(len(live), dtype=bool)
@@ -228,53 +250,217 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
         given_up = damped & (mu_l > 1e12)
         stalled.extend(live[given_up])
         live = live[~(ended | given_up)]
-    for i in [*stalled, *live]:
-        try:
-            out[i] = _rescue(field, X[i].copy(), G[i], float(GN[i]), tol,
-                             max_iter)
-        except NoConvergenceError as exc:
-            out[i] = exc
+    rest = np.array([*stalled, *live], dtype=int)
+    if rest.size:
+        for i, o in zip(rest, _rescue(field, X[rest], G[rest], GN[rest],
+                                      tol, max_iter)):
+            out[i] = o
     return out
 
 
-def _rescue(field: ScalarField, best_x: np.ndarray, g: np.ndarray,
-            best_gn: float, tol: float, max_iter: int) -> np.ndarray:
-    """Refine one seed the monotone phase left at ``best_x`` with gradient
-    ``g`` and |g| = ``best_gn`` > ``tol``; raises NoConvergence."""
+def _rescue(field: ScalarField, X: np.ndarray, G: np.ndarray,
+            GN: np.ndarray, tol: float, max_iter: int) -> list:
+    """Outcomes of the seeds the monotone phase left at ``X`` ``(k, d)``
+    with gradients ``G`` and norms ``GN`` > ``tol``: a refined point or a
+    NoConvergenceError each.
+
+    Monotone steps stall in curved |grad f| valleys around degenerate
+    zeros. Rescue with a trust-region least-squares pass over all mobile
+    seeds at once, then an unsafeguarded Newton polish per seed left above
+    ``tol`` (the nonmonotone orbit contracts where line searches cannot).
+    """
     # Where H' grad f = 0 the trust-region model is flat and the polish's
     # Newton system is singular: no later stage can move the seed.
-    if not np.any(field.hess(best_x).T @ g):
-        raise NoConvergenceError("gradient refinement stalled",
-                                 best=best_x.tolist(), grad_norm=best_gn,
-                                 tol=tol)
-
-    # Monotone steps stall in curved |grad f| valleys around degenerate
-    # zeros. Rescue with a trust-region least-squares pass, then an
-    # unsafeguarded Newton polish (the nonmonotone orbit contracts where
-    # line searches cannot). The pass stops once |grad f| <= tol.
-    def stop_at_tol(intermediate_result):
-        if np.linalg.norm(intermediate_result.fun) <= tol:
-            raise StopIteration
-
+    moves = np.any(_mv(np.swapaxes(field.hess(X), -1, -2), G), axis=-1)
+    best_x, best_gn = X.copy(), GN.copy()
+    out = []
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        res = least_squares(lambda s: field.grad(s), best_x,
-                            jac=lambda s: field.hess(s), method="trf",
-                            x_scale="jac", xtol=2.3e-16, ftol=2.3e-16,
-                            gtol=None, max_nfev=max(600, 4 * max_iter),
-                            callback=stop_at_tol)
-    rgn = float(np.linalg.norm(field.grad(res.x)))
-    if np.isfinite(rgn) and rgn < best_gn:
-        best_x, best_gn = np.asarray(res.x, dtype=float), rgn
-    if best_gn <= tol:
-        return best_x
-    px, pgn = _newton_polish(field, best_x, best_gn, tol, max(120, max_iter))
-    if pgn <= tol:
-        return px
-    if pgn < best_gn:
-        best_x, best_gn = px, pgn
-    raise NoConvergenceError("gradient refinement stalled",
-                             best=best_x.tolist(), grad_norm=best_gn,
-                             tol=tol)
+        if moves.any():
+            rx, rgn = least_squares(field, X[moves], tol,
+                                    max(600, 4 * max_iter))
+            better = np.isfinite(rgn) & (rgn < GN[moves])
+            rows = np.flatnonzero(moves)[better]
+            best_x[rows], best_gn[rows] = rx[better], rgn[better]
+        for x, gn, polish in zip(best_x, best_gn.tolist(),
+                                 moves & (best_gn > tol)):
+            if polish:
+                x, gn = _newton_polish(field, x, gn, tol, max(120, max_iter))
+            out.append(x if gn <= tol else NoConvergenceError(
+                "gradient refinement stalled", best=x.tolist(),
+                grad_norm=gn, tol=tol))
+    return out
+
+
+def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each ``A[i] @ v[i]`` for ``A`` ``(k, d, d)`` and ``v`` ``(k, d)``,
+    by the BLAS call ``np.dot`` makes for one matrix and vector."""
+    return (A @ v[..., None])[..., 0]
+
+
+_EPS = np.finfo(float).eps
+_XTOL = _FTOL = 2.3e-16
+
+
+def least_squares(field: ScalarField, X: np.ndarray, tol: float,
+                  max_nfev: int):
+    """Trust-region least squares on the gradient system from each seed of
+    ``X`` ``(k, d)``; returns the final iterates and their gradient norms.
+
+    This is the Levenberg-Marquardt trust-region method of Moré (1978,
+    LNM 630) as scipy's ``least_squares(method="trf", x_scale="jac")``
+    runs it without bounds: the exact subproblem solved from an SVD of the
+    Jacobian scaled by its column norms, xtol = ftol = 2.3e-16, no gtol,
+    and at most ``max_nfev`` gradient evaluations per seed, so each row
+    gets scipy's iterates bit for bit. A seed also stops once
+    |grad f| <= ``tol``, where the gradient or Hessian at its iterate is
+    not finite (scipy raises there), and once it can no longer move.
+
+    Every live seed makes one trial step per tick: one batched SVD for the
+    seeds whose Jacobian changed, one ``grad`` call for the trial points
+    and one ``hess`` call where a step was accepted. Each seed keeps its
+    own radius, LM parameter, scale and count, and only per-row LAPACK and
+    BLAS calls, elementwise ufuncs and row sums touch it, so its bits do
+    not depend on the rest of the batch.
+    """
+    X = np.array(X, dtype=float)
+    k, d = X.shape
+    F = np.array(field.grad(X), dtype=float)
+    J = np.array(field.hess(X), dtype=float)
+    G = _mv(np.swapaxes(J, -1, -2), F)
+    cost = 0.5 * row_dots(F, F)
+    colsum = row_adder(d, signed=False)
+    scale_inv = np.sqrt(colsum(np.swapaxes(J * J, -1, -2)))
+    scale_inv[scale_inv == 0] = 1.0
+    scale = 1.0 / scale_inv
+    delta = row_norms(X * scale_inv)
+    delta[delta == 0] = 1.0
+    alpha = np.zeros(k)
+    nfev = np.ones(k, dtype=int)
+    fresh = np.ones(k, dtype=bool)     # Jacobian changed since its SVD
+    Jh, V = np.empty_like(J), np.empty_like(J)
+    S, UF, Gh = np.empty_like(X), np.empty_like(X), np.empty_like(X)
+    live = np.flatnonzero(np.all(np.isfinite(F), axis=-1)
+                          & np.all(np.isfinite(J), axis=(-2, -1))
+                          & (row_norms(F) > tol))
+    while live.size:
+        new = live[fresh[live]]
+        if new.size:
+            Jh[new] = J[new] * scale[new, None, :]
+            U, S[new], Vt = np.linalg.svd(Jh[new])
+            # V and U' row-major, as the transposes of scipy's column-major
+            # factors are: np.dot picks its BLAS kernel, and so its bits,
+            # by memory layout
+            V[new] = np.swapaxes(Vt, -1, -2)
+            UF[new] = _mv(np.ascontiguousarray(np.swapaxes(U, -1, -2)),
+                          F[new])
+            Gh[new] = scale[new] * G[new]
+            fresh[new] = False
+        D = delta[live]
+        step_h, alpha[live] = _tr_step(UF[live], S[live], V[live], D,
+                                       alpha[live])
+        Js = _mv(Jh[live], step_h)
+        predicted = -(0.5 * row_dots(Js, Js) + row_dots(step_h, Gh[live]))
+        x = X[live]
+        step = scale[live] * step_h
+        xn = x + step
+        fn = field.grad(xn)
+        nfev[live] += 1
+        hn = row_norms(step_h)
+
+        finite = np.all(np.isfinite(fn), axis=-1)
+        cost_new = 0.5 * row_dots(fn, fn)
+        actual = cost[live] - cost_new
+        ratio = np.where(predicted > 0, actual / predicted,
+                         np.where((predicted == actual) & (actual == 0),
+                                  1.0, 0.0))
+        grown = np.where((ratio > 0.75) & (hn > 0.95 * D), D * 2.0, D)
+        D_new = np.where(ratio < 0.25, 0.25 * hn, grown)
+        ended = finite & (((actual < _FTOL * cost[live]) & (ratio > 0.25))
+                          | (row_norms(step)
+                             < _XTOL * (_XTOL + row_norms(x))))
+        go_on = finite & ~ended
+        alpha[live[go_on]] *= D[go_on] / D_new[go_on]
+        delta[live] = np.where(finite, np.where(ended, D, D_new), 0.25 * hn)
+
+        acc = finite & (actual > 0)
+        rows = live[acc]
+        X[rows], F[rows], cost[rows] = xn[acc], fn[acc], cost_new[acc]
+        # a rejected all-NaN trial point leaves the radius NaN, so every
+        # later trial repeats that point: the seed can never move again
+        stuck = ~acc & np.all(np.isnan(xn), axis=-1)
+        done = ended | stuck | (nfev[live] >= max_nfev)
+        done[acc] |= row_norms(fn[acc]) <= tol
+        moved = acc & ~done
+        rows = live[moved]
+        if rows.size:
+            Jr = J[rows] = field.hess(X[rows])
+            G[rows] = _mv(np.swapaxes(Jr, -1, -2), F[rows])
+            scale_inv[rows] = np.maximum(
+                np.sqrt(colsum(np.swapaxes(Jr * Jr, -1, -2))),
+                scale_inv[rows])
+            scale[rows] = 1.0 / scale_inv[rows]
+            fresh[rows] = True
+            done[moved] = ~np.all(np.isfinite(Jr), axis=(-2, -1))
+        live = live[~done]
+    return X, row_norms(F)
+
+
+def _tr_step(uf: np.ndarray, s: np.ndarray, V: np.ndarray,
+             delta: np.ndarray, alpha: np.ndarray):
+    """Each row's step ``p`` with |p| <= ``delta`` minimizing the model
+    |J p + f| from the SVD ``J = U diag(s) V'`` (``uf = U' f``), and its
+    LM parameter: the Gauss-Newton step where J has full rank and the step
+    fits, else Moré's secular-equation iteration on |p(alpha)| = delta,
+    at most 10 steps to 1% accuracy, started from ``alpha``."""
+    n = s.shape[-1]
+    suf = s * uf
+    full = s[:, -1] > _EPS * n * s[:, 0]
+    p = -_mv(V, uf / s)
+    gauss = full & (row_norms(p) <= delta)
+    alpha = np.where(gauss, 0.0, alpha)
+    r = np.flatnonzero(~gauss)
+    if not r.size:
+        return p, alpha
+    suf, s, D, full = suf[r], s[r], delta[r], full[r]
+    upper = row_norms(suf) / D
+    lower = np.zeros(len(r))
+    phi, dphi = _phi(np.zeros(len(r)), suf, s, D)
+    lower[full] = -phi[full] / dphi[full]
+    a = alpha[r]
+    a = np.where(~full & (a == 0), _alpha_guess(lower, upper), a)
+    act = np.arange(len(r))
+    for _ in range(10):
+        lo, up, aa, Da = lower[act], upper[act], a[act], D[act]
+        aa = np.where((aa < lo) | (aa > up), _alpha_guess(lo, up), aa)
+        phi, dphi = _phi(aa, suf[act], s[act], Da)
+        upper[act] = np.where(phi < 0, aa, up)
+        ratio = phi / dphi
+        lower[act] = np.where(aa - ratio > lo, aa - ratio, lo)
+        a[act] = aa - (phi + Da) * ratio / Da
+        act = act[~(np.abs(phi) < 0.01 * Da)]
+        if not act.size:
+            break
+    q = -_mv(V[r], suf / (s ** 2 + a[:, None]))
+    p[r] = q * (D / row_norms(q))[:, None]
+    alpha[r] = a
+    return p, alpha
+
+
+def _alpha_guess(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Moré's restart value max(upper / 1000, sqrt(lower * upper)), with
+    Python's ``max`` order of comparison. The root is ``float_power``,
+    which rounds as libm's scalar ``pow`` does; ``sqrt`` and numpy's SIMD
+    ``power`` differ from it in the last bit on under 1 input in 1,000."""
+    a, b = 0.001 * upper, np.float_power(lower * upper, 0.5)
+    return np.where(b > a, b, a)
+
+
+def _phi(alpha, suf, s, delta):
+    """|p(alpha)| - delta and its alpha derivative, per row."""
+    denom = s ** 2 + alpha[:, None]
+    pn = row_norms(suf / denom)
+    return (pn - delta,
+            -row_adder(s.shape[-1], signed=False)(suf ** 2 / denom ** 3) / pn)
 
 
 def _candidate_cells(g: np.ndarray, inside: np.ndarray) -> np.ndarray:

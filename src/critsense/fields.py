@@ -237,13 +237,20 @@ def row_adder(d: int, signed: bool = True):
     return lambda a: 0.0 + a[..., 0] + a[..., 1] + a[..., 2]
 
 
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of ``(m, d)`` arrays, each with the
+    bits of ``np.dot`` on that pair: a batched ``matmul`` makes the BLAS
+    call ``dot`` makes, where ``einsum`` and ``(A * B).sum(-1)`` sum
+    differently and can differ in the last bit."""
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
 def row_norms(A) -> np.ndarray:
     """Euclidean norms of the rows of ``(m, d)``, each with the bits of
-    ``np.linalg.norm`` on that row: a batched ``matmul`` forms each
-    ``a @ a`` as ``norm`` does, where ``norm(A, axis=-1)`` and ``einsum``
-    sum differently and can differ in the last bit."""
+    ``np.linalg.norm`` on that row, which forms ``a @ a`` by ``np.dot``
+    (see :func:`row_dots`); ``norm(A, axis=-1)`` sums differently."""
     A = np.asarray(A, dtype=float)
-    return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
+    return np.sqrt(row_dots(A, A))
 
 
 def spectral_norms(H) -> np.ndarray:

@@ -130,13 +130,16 @@ def _index_1d(field: ScalarField, Z: np.ndarray, eps: np.ndarray) -> list:
     out = []
     for z, e, right, left in zip(Z, eps.tolist(), g[:k, 0].tolist(),
                                  g[k:, 0].tolist()):
-        if min(abs(right), abs(left)) >= 1e-14 * (1.0 + abs(right)
-                                                  + abs(left)):
+        floor = 1e-14 * (1.0 + abs(right) + abs(left))
+        vanish = [side for side, v in (("left", left), ("right", right))
+                  if abs(v) < floor]
+        if not vanish:
             out.append((int(np.sign(right)) - int(np.sign(left))) // 2)
         else:
+            where = "both probe sides" if len(vanish) == 2 else (
+                f"the {vanish[0]} probe side")
             out.append(NonIsolatedZeroError(
-                "derivative vanishes on both probe sides",
-                point=z.tolist(), eps=e))
+                f"derivative vanishes on {where}", point=z.tolist(), eps=e))
     return out
 
 

@@ -1,4 +1,9 @@
-"""The package namespace: every exported name resolves."""
+"""The package namespace: every exported name resolves, and the CLI's
+imports stay lean."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import critsense
 
@@ -11,3 +16,14 @@ def test_star_import_resolves_every_export():
     assert len(set(critsense.__all__)) == len(critsense.__all__)
     for name in critsense.__all__:
         assert getattr(critsense, name) is namespace[name]
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # refinement is numpy-only; scipy.optimize would add to every cold start
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import critsense.cli; print('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -170,6 +171,17 @@ def test_classify_point_below_the_gradient_tolerance_gets_an_index(capsys):
     assert rc == 0
     pt = json.loads(out)["result"]["point"]
     assert (pt["hom_index"], pt["classification"]) == (0, "Undulation")
+
+
+def test_classify_keeps_expected_numeric_warnings_quiet(capsys):
+    # singlemax at n = 64: refinement meets singular Hessians and trial
+    # points where the field overflows; none of it may reach stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "classify", "--gallery", "singlemax",
+                           "--n", "64")
+    assert rc == 0 and err == ""
+    assert json.loads(out)["result"]["points"] == []
 
 
 def test_classify_csv_table(capsys):

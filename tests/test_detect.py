@@ -81,17 +81,84 @@ def test_rescue_stops_once_the_gradient_meets_tol(monkeypatch):
     # peano's degenerate zero: the monotone phase stalls in the curved
     # valley and the trust-region rescue decides the seed, which must end
     # once |grad f| <= tol rather than at max_nfev = 600
-    evals = []
+    evals, results = [], []
     real = detect.least_squares
 
-    def rescue(fun, x0, **kwargs):
-        return real(lambda s: evals.append(s) or fun(s), x0, **kwargs)
+    def rescue(field, X, tol, max_nfev):
+        counted = ScalarField(field.fn, field.dim, grad_fn=lambda s: (
+            evals.append(len(s)) or field.grad(s)), hess_fn=field.hess)
+        results.append(real(counted, X, tol, max_nfev))
+        return results[-1]
 
     monkeypatch.setattr(detect, "least_squares", rescue)
     f = gallery("peano")
     z = refine_newton(f, [-0.625, 0.375], tol=1e-9)
     assert np.linalg.norm(f.grad(z)) <= 1e-9
-    assert 0 < len(evals) < 600
+    assert len(results) == 1 and results[0][1][0] <= 1e-9
+    assert 0 < sum(evals) < 600
+
+
+def _peano_stragglers(monkeypatch):
+    """``(field, X, tol, max_nfev)`` as peano's grid-24 detection hands
+    its stragglers to the rescue."""
+    calls = []
+    real = detect.least_squares
+
+    def spy(field, X, tol, max_nfev):
+        calls.append((field, X.copy(), tol, max_nfev))
+        return real(field, X, tol, max_nfev)
+
+    monkeypatch.setattr(detect, "least_squares", spy)
+    find_critical_points(gallery("peano"), Ball((0, 0), 1.0), 24)
+    assert len(calls) == 1
+    return calls[0]
+
+
+def test_rescue_rows_keep_their_bits_alone(monkeypatch):
+    # the lockstep pass: each row's iterate and gradient norm are those
+    # of the same seed run alone, bit for bit, and every row meets tol
+    field, X, tol, max_nfev = _peano_stragglers(monkeypatch)
+    assert len(X) > 50
+    bx, bgn = detect.least_squares(field, X, tol, max_nfev)
+    assert np.all(bgn <= tol)
+    for x0, x, gn in zip(X, bx, bgn):
+        ax, agn = detect.least_squares(field, x0[None], tol, max_nfev)
+        assert ax[0].tobytes() == x.tobytes()
+        assert agn[0].tobytes() == gn.tobytes()
+
+
+def test_rescue_takes_scipys_trust_region_steps(monkeypatch):
+    # the oracle: scipy's trf least_squares with the settings the rescue
+    # reproduces reaches the same points, bit for bit (its callback, which
+    # stops at tol, needs scipy 1.16)
+    pytest.importorskip("scipy", minversion="1.16")
+    from scipy.optimize import least_squares as scipy_lsq
+
+    field, X, tol, max_nfev = _peano_stragglers(monkeypatch)
+    X = X[::6]
+    bx, _ = detect.least_squares(field, X, tol, max_nfev)
+
+    def stop_at_tol(intermediate_result):
+        if np.linalg.norm(intermediate_result.fun) <= tol:
+            raise StopIteration
+
+    for x0, x in zip(X, bx):
+        res = scipy_lsq(field.grad, x0, jac=field.hess, method="trf",
+                        x_scale="jac", xtol=2.3e-16, ftol=2.3e-16,
+                        gtol=None, max_nfev=max_nfev, callback=stop_at_tol)
+        assert res.x.tobytes() == x.tobytes()
+
+
+def test_peano_detection_takes_few_gradient_calls(monkeypatch):
+    # lockstep phases: one grad call per rescue tick, at most two per
+    # monotone step (the full steps, then every halving at once)
+    calls = []
+    grad = ScalarField.grad
+    monkeypatch.setattr(ScalarField, "grad", lambda self, s: (
+        calls.append(1)) or grad(self, s))
+    pts = find_critical_points(gallery("peano"), Ball((0, 0), 1.0), 24)
+    assert [p.classification for p in pts] == ["Saddle(2)"]
+    assert len(calls) <= 400
 
 
 def test_immobile_seed_skips_the_rescue(monkeypatch):

@@ -117,6 +117,19 @@ def test_index_probe_that_meets_a_zero_raises_at_the_given_eps(dim):
     assert exc.value.context["eps"] == 0.1
 
 
+@pytest.mark.parametrize("slope,where", [
+    (lambda s: np.minimum(s, 0.0), "the right probe side"),
+    (lambda s: np.maximum(s, 0.0), "the left probe side"),
+    (lambda s: 0.0 * s, "both probe sides"),
+], ids=["right", "left", "both"])
+def test_one_dimensional_index_names_the_vanishing_probe_side(slope, where):
+    # z = 0, eps = 0.1: min(x, 0) vanishes at +0.1 only, max(x, 0) at
+    # -0.1 only; the index reads the derivative alone
+    f = ScalarField(lambda s: 0.0 * s[..., 0], 1, grad_fn=slope)
+    with pytest.raises(NonIsolatedZeroError, match=f"vanishes on {where}$"):
+        homological_index(f, np.zeros(1), eps=0.1)
+
+
 @pytest.mark.parametrize("name,expected", [
     ("bowl", "Min"),
     ("dome", "Max"),
