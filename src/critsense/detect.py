@@ -14,9 +14,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .domains import Domain
+from .domains import Domain, components
 from .errors import NoConvergenceError, UsageError
 from .fields import (ScalarField, row_adder, row_dots, row_norms,
                      sym_eigvalsh)
@@ -307,13 +306,13 @@ def least_squares(field: ScalarField, X: np.ndarray, tol: float,
     ``X`` ``(k, d)``; returns the final iterates and their gradient norms.
 
     This is the Levenberg-Marquardt trust-region method of Moré (1978,
-    LNM 630) as scipy's ``least_squares(method="trf", x_scale="jac")``
+    LNM 630) as SciPy's ``least_squares(method="trf", x_scale="jac")``
     runs it without bounds: the exact subproblem solved from an SVD of the
     Jacobian scaled by its column norms, xtol = ftol = 2.3e-16, no gtol,
     and at most ``max_nfev`` gradient evaluations per seed, so each row
-    gets scipy's iterates bit for bit. A seed also stops once
+    gets SciPy's iterates bit for bit. A seed also stops once
     |grad f| <= ``tol``, where the gradient or Hessian at its iterate is
-    not finite (scipy raises there), and once it can no longer move.
+    not finite (SciPy raises there), and once it can no longer move.
 
     Every live seed makes one trial step per tick: one batched SVD for the
     seeds whose Jacobian changed, one ``grad`` call for the trial points
@@ -347,7 +346,7 @@ def least_squares(field: ScalarField, X: np.ndarray, tol: float,
         if new.size:
             Jh[new] = J[new] * scale[new, None, :]
             U, S[new], Vt = np.linalg.svd(Jh[new])
-            # V and U' row-major, as the transposes of scipy's column-major
+            # V and U' row-major, as the transposes of SciPy's column-major
             # factors are: np.dot picks its BLAS kernel, and so its bits,
             # by memory layout
             V[new] = np.swapaxes(Vt, -1, -2)
@@ -614,7 +613,5 @@ def improper_extrema(field: ScalarField, domain: Domain,
         le_all &= vc <= vn + tau
         valid &= inside[sl]
 
-    structure = np.ones((3,) * d, dtype=int)
-    _, n_max = ndimage.label(ge_all & valid, structure=structure)
-    _, n_min = ndimage.label(le_all & valid, structure=structure)
-    return {"n_improper_max": int(n_max), "n_improper_min": int(n_min)}
+    return {"n_improper_max": components(ge_all & valid),
+            "n_improper_min": components(le_all & valid)}

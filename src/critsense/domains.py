@@ -8,6 +8,8 @@ and disk also give their boundary as smooth pieces (``boundary_curves``).
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -129,6 +131,95 @@ class Domain:
         lo, hi = self.bounding_box()
         axes = [np.linspace(lo[i], hi[i], res + 1) for i in range(self.dim)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+class LatticeUnionFind:
+    """Union-find over lattice vertices joined by the full 3^d stencil.
+
+    A vertex is a flat index into the lattice padded by one layer on every
+    side, so its neighbours are its index plus fixed ``offsets`` and never
+    wrap to another row; padding vertices are never added. ``count`` is
+    the number of components among the added vertices.
+    """
+
+    def __init__(self, shape):
+        self.shape = tuple(s + 2 for s in shape)
+        centre = np.ravel_multi_index((1,) * len(shape), self.shape)
+        self.offsets = [
+            int(np.ravel_multi_index(np.add(o, 1), self.shape)) - centre
+            for o in itertools.product((-1, 0, 1), repeat=len(shape))
+            if any(o)]
+        self.parent = [-1] * int(np.prod(self.shape))  # -1: not added
+        self.count = 0
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]  # path halving
+        return i
+
+    def add(self, i: int) -> None:
+        """Add vertex ``i`` and join it to its added neighbours."""
+        parent = self.parent
+        roots = set()
+        for o in self.offsets:
+            r = parent[i + o]
+            if r >= 0:
+                roots.add(r if parent[r] == r else self.find(r))
+        self.count += 1 - len(roots)
+        # hang the vertex and the other trees under one existing root, so
+        # a growing component keeps its root and its depth
+        root = roots.pop() if roots else i
+        parent[i] = root
+        for r in roots:
+            parent[r] = root
+
+    def path(self, a: int, b: int) -> list:
+        """A breadth-first path of added vertices from ``a`` to ``b``."""
+        prev = {a: a}
+        queue = deque([a])
+        while b not in prev:
+            i = queue.popleft()
+            for j in [i + o for o in self.offsets]:
+                if self.parent[j] >= 0 and j not in prev:
+                    prev[j] = i
+                    queue.append(j)
+        out = [b]
+        while out[-1] != a:
+            out.append(prev[out[-1]])
+        return out[::-1]
+
+
+def components(mask) -> int:
+    """Connected components of the true cells of ``mask`` under the full
+    3^d stencil."""
+    uf = LatticeUnionFind(np.shape(mask))
+    for i in np.flatnonzero(np.pad(mask, 1)).tolist():
+        uf.add(i)
+    return uf.count
+
+
+def superlevel_join(values, inside, a, b):
+    """Sweep the ``inside`` vertices of a lattice of ``values`` from the
+    top until the vertices ``a`` and ``b`` (index tuples, both inside)
+    join.
+
+    Vertices enter in descending value, ties in flat order (a stable
+    sort). Returns the joining vertex and a breadth-first path of swept
+    vertices from ``a`` to ``b``, ``(m, d)`` indices. Every such path runs
+    through the joining vertex, so its value is the path's minimum: the
+    lattice pass value between ``a`` and ``b``.
+    """
+    uf = LatticeUnionFind(np.shape(values))
+    flat = np.flatnonzero(np.pad(inside, 1))
+    order = flat[np.argsort(-np.pad(values, 1).ravel()[flat], kind="stable")]
+    a, b = (int(np.ravel_multi_index(np.add(p, 1), uf.shape)) for p in (a, b))
+    for i in order.tolist():
+        uf.add(i)
+        if min(uf.parent[a], uf.parent[b]) >= 0 and uf.find(a) == uf.find(b):
+            break
+    path = np.stack(np.unravel_index(uf.path(a, b), uf.shape), axis=-1) - 1
+    return tuple(int(x) - 1 for x in np.unravel_index(i, uf.shape)), path
 
 
 class Box(Domain):

@@ -3,12 +3,14 @@
 Nothing here shares code paths with the package: windings come from a
 dense unwrap, roots from scipy brentq on a fine grid, extrema from plain
 neighbor comparisons, assignments from brute-force permutations,
-distances from one scalar ``np.linalg.norm`` per pair.
+distances from one scalar ``np.linalg.norm`` per pair, lattice
+connectivity from breadth-first search over index tuples.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 from scipy.optimize import brentq
@@ -55,6 +57,49 @@ def strict_extrema_2d(values: np.ndarray) -> tuple:
             is_max &= c > nb
             is_min &= c < nb
     return int(np.sum(is_max)), int(np.sum(is_min))
+
+
+def _bfs_mark(mask, start, seen) -> None:
+    """Mark in ``seen`` every true cell of ``mask`` that the full 3^d
+    stencil connects to the true cell ``start``."""
+    steps = [o for o in itertools.product((-1, 0, 1), repeat=mask.ndim)
+             if any(o)]
+    seen[start] = True
+    queue = deque([start])
+    while queue:
+        cell = queue.popleft()
+        for step in steps:
+            nb = tuple(int(c) + s for c, s in zip(cell, step))
+            if (all(0 <= x < n for x, n in zip(nb, mask.shape))
+                    and mask[nb] and not seen[nb]):
+                seen[nb] = True
+                queue.append(nb)
+
+
+def bfs_components(mask) -> int:
+    """Connected components of the true cells under the full 3^d stencil,
+    one breadth-first search from each cell not yet reached."""
+    mask = np.asarray(mask, dtype=bool)
+    seen = np.zeros(mask.shape, dtype=bool)
+    count = 0
+    for cell in zip(*np.nonzero(mask)):
+        if not seen[cell]:
+            count += 1
+            _bfs_mark(mask, cell, seen)
+    return count
+
+
+def brute_pass_value(values, inside, a, b) -> float:
+    """The highest level c at which the cells ``a`` and ``b`` are connected
+    inside ``inside & (values >= c)``, trying every level from the top."""
+    for c in sorted(set(values[inside].tolist()), reverse=True):
+        mask = inside & (values >= c)
+        if mask[a] and mask[b]:
+            seen = np.zeros(mask.shape, dtype=bool)
+            _bfs_mark(mask, a, seen)
+            if seen[b]:
+                return c
+    raise ValueError("a and b are never connected")
 
 
 def optimal_matching(locs_a, locs_b, radius: float) -> int:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from critsense.cli import parse_domain
-from critsense.domains import Ball, Box, Interval
+from critsense.domains import (Ball, Box, Interval, components,
+                               superlevel_join)
 from critsense.errors import UsageError
+from oracles import bfs_components, brute_pass_value
 
 
 @pytest.mark.parametrize("dom", [
@@ -117,3 +119,44 @@ def test_domain_grammar_round_trip(text, cls):
 def test_domain_grammar_rejects_malformed(text):
     with pytest.raises(UsageError):
         parse_domain(text)
+
+
+@pytest.mark.parametrize("shape", [(1,), (50,), (1, 1), (9, 13), (6, 5, 7)])
+def test_components_match_breadth_first_search(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    masks = [np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)]
+    single = np.zeros(shape, dtype=bool)
+    single[tuple(n // 2 for n in shape)] = True
+    masks.append(single)
+    masks += [rng.random(shape) < p for p in (0.2, 0.35, 0.5, 0.65, 0.8)
+              for _ in range(4)]
+    for mask in masks:
+        assert components(mask) == bfs_components(mask)
+
+
+@pytest.mark.parametrize("shape,levels", [
+    ((30,), None), ((9, 11), None), ((9, 11), 4), ((5, 6, 7), None),
+    ((5, 6, 7), 3)])
+def test_superlevel_join_is_the_bottleneck_level(shape, levels):
+    # integer levels force ties, which the sweep breaks in flat order
+    rng = np.random.default_rng(sum(shape))
+    grid = np.indices(shape).reshape(len(shape), -1).T
+    centre = (np.array(shape) - 1) / 2.0
+    for trial in range(8):
+        values = rng.random(shape)
+        if levels:
+            values = np.floor(levels * values)
+        inside = np.ones(shape, dtype=bool)
+        if trial % 2:  # a digital ball
+            inside = (np.linalg.norm(np.indices(shape).T - centre, axis=-1).T
+                      <= 0.5 * min(shape))
+        cells = grid[inside.ravel()]
+        a, b = (tuple(cells[i]) for i in rng.choice(len(cells), 2))
+        v, path = superlevel_join(values, inside, a, b)
+        level = values[v]
+        assert level == brute_pass_value(values, inside, a, b)
+        assert tuple(path[0]) == a and tuple(path[-1]) == b
+        assert np.all(np.abs(np.diff(path, axis=0)) <= 1)
+        on_path = values[tuple(path.T)]
+        assert np.all(inside[tuple(path.T)]) and np.all(on_path >= level)
+        assert any(tuple(row) == v for row in path)
