@@ -296,7 +296,7 @@ def _cmd_mountain(args) -> int:
         raise UsageError("give both --p1 and --p2, or neither")
     else:
         p1, p2 = _two_peaks(field, dom, grid, min(tol, 1e-9))
-    res = mountain_pass_point(field, dom, p1, p2, n_knots=args.knots,
+    res = mountain_pass_point(field, dom, p1, p2, grid_res=grid,
                               pass_tol=tol)
     art = _artifact("mountain", args, asdict(res), grid=grid, tol=tol,
                     p1=p1, p2=p2)
@@ -453,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p1", help="first peak (x,y); auto-detected if "
                     "omitted")
     sp.add_argument("--p2", help="second peak (x,y)")
-    sp.add_argument("--knots", type=int, default=16)
     sp.set_defaults(func=_cmd_mountain)
 
     sp = sub.add_parser("sequence", help="family-vs-limit convergence "

@@ -1,10 +1,11 @@
-"""Discretized minimax path search between two peaks on a convex domain.
+"""Mountain pass between two peaks on a convex domain.
 
-Between two probe-verified local maxima, the pass value is the largest
-achievable minimum of f along a connecting path. Piecewise-linear paths
-are improved by projected gradient ascent on their minimal knots; the
-final pass point is certified either as an interior critical point or as
-a boundary point where the level set runs tangent to the boundary.
+The pass value between two probe-verified local maxima is the level at
+which their superlevel sets {f >= c} first join; a union-find sweep of a
+lattice from the top finds it exactly there (Carr, Snoeyink & Axen 2003,
+Comput. Geom. 24:75-94). The joining vertex seeds the pass point, which is
+certified either as an interior critical point or as a boundary point
+where the level set runs tangent to the boundary.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import refine_newton
-from .domains import Domain, sphere_directions
+from .domains import Domain, sphere_directions, superlevel_join
 from .errors import (ConvexityError, NoConvergenceError, NoSeparationError,
                      PreconditionError, UsageError)
 from .fields import ScalarField
 from .homindex import bisect_root, sign_change_brackets
 
-_SMOOTH = 0.3
-_BOW_FACTORS = (-0.6, 0.0, 0.6)
 _PATH_TOL = 1e-9  # how far below f(p1) a pass value must sit
 
 
@@ -34,99 +33,6 @@ class PassResult:
     certificate: dict
     f_p1: float
     f_p2: float
-
-
-def _perp_direction(delta: np.ndarray) -> np.ndarray | None:
-    d = len(delta)
-    if d < 2:
-        return None
-    n = np.linalg.norm(delta)
-    if n == 0:
-        return None
-    u = delta / n
-    if d == 2:
-        return np.array([-u[1], u[0]])
-    basis = np.eye(d)
-    cand = basis[int(np.argmin(np.abs(u)))]
-    v = cand - np.dot(cand, u) * u
-    return v / np.linalg.norm(v)
-
-
-def _initial_path(p1, p2, n_knots: int, bow: float) -> np.ndarray:
-    if n_knots < 1:
-        raise UsageError("n_knots must be >= 1")
-    t = np.linspace(0.0, 1.0, n_knots + 2)
-    base = p1[None, :] + t[:, None] * (p2 - p1)[None, :]
-    if bow != 0.0:
-        perp = _perp_direction(p2 - p1)
-        if perp is not None:
-            amp = bow * 0.5 * float(np.linalg.norm(p2 - p1))
-            base = base + (amp * np.sin(np.pi * t))[:, None] * perp[None, :]
-    return base
-
-
-def _resample_path(knots: np.ndarray) -> np.ndarray:
-    """Redistribute knots to equal arc length along the polyline.
-
-    Without this, ascent tears the path apart: knots drift up both
-    peaks, the spanning segment skips the valley, and the knot minimum
-    stops measuring the path minimum."""
-    seg = np.linalg.norm(np.diff(knots, axis=0), axis=1)
-    total = float(np.sum(seg))
-    if total == 0.0:
-        return knots.copy()
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, total, len(knots))
-    out = np.empty_like(knots)
-    for j in range(knots.shape[1]):
-        out[:, j] = np.interp(targets, s, knots[:, j])
-    out[0] = knots[0]
-    out[-1] = knots[-1]
-    return out
-
-
-def _ascend_path(field: ScalarField, domain: Domain, knots: np.ndarray):
-    """Projected gradient ascent on the minimal knots with neighbor
-    smoothing and arc-length resampling: 400 iterations from the step
-    0.02 * diameter. The path minimum never decreases across accepted
-    iterations. The end knots (the peaks) stay fixed; ``_initial_path``
-    guarantees at least one movable knot."""
-    step = 0.02 * domain.diameter
-    knots = domain.project(knots)
-    vals = np.asarray(field.value(knots), dtype=float)
-    cur_min = float(np.min(vals[1:-1]))
-    h = step
-    for _ in range(400):
-        if np.ptp(vals) == 0.0:
-            break  # constant along the path, nothing to improve
-        inner = knots[1:-1]
-        ivals = vals[1:-1]
-        tie_tol = 1e-12 * max(1.0, abs(cur_min))
-        tied = ivals <= cur_min + tie_tol
-        grads = field.grad(inner[tied])
-        cand = knots.copy()
-        cand[1:-1][tied] += h * grads
-        # tangential-only smoothing: isotropic smoothing cuts corners,
-        # dragging outward-bowed paths off the boundary they must hug
-        mid = 0.5 * (cand[:-2] + cand[2:])
-        disp = _SMOOTH * (mid - cand[1:-1])
-        tang = cand[2:] - cand[:-2]
-        tnorm = np.linalg.norm(tang, axis=1, keepdims=True)
-        tang = np.divide(tang, tnorm, out=np.zeros_like(tang),
-                         where=tnorm > 0)
-        cand[1:-1] += np.sum(disp * tang, axis=1, keepdims=True) * tang
-        cand = _resample_path(cand)
-        cand[1:-1] = domain.project(cand[1:-1])
-        cvals = np.asarray(field.value(cand), dtype=float)
-        new_min = float(np.min(cvals[1:-1]))
-        if new_min >= cur_min:
-            knots, vals, cur_min = cand, cvals, new_min
-            h = min(h * 1.2, step * 10.0)
-        else:
-            h *= 0.5
-            if h < 1e-15 * max(1.0, step):
-                break
-    return knots, cur_min
 
 
 def _probe_local_max(field: ScalarField, domain: Domain, p: np.ndarray,
@@ -182,20 +88,22 @@ def _boundary_tangency(field: ScalarField, curves: list, p: np.ndarray):
 
 
 def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
-                        n_knots: int = 16,
+                        grid_res: int = 64,
                         pass_tol: float = 1e-6) -> PassResult:
-    """Best pass point between the peaks ``p1`` and ``p2``.
+    """Pass point between the peaks ``p1`` and ``p2``.
 
-    Three initial paths (straight plus two perpendicular bows) are
-    optimized independently; the highest pass value wins, ties broken by
-    lexicographically smaller pass point. The winning minimum is then
-    certified: interior Newton refinement when it lands inside, else a
-    tangency root-find on the boundary.
+    ``domain.lattice(grid_res)`` is swept from the top until the vertices
+    nearest the peaks join at a vertex v of value c_h; ``path`` is p1, a
+    breadth-first lattice path inside {f >= c_h}, then p2. Newton
+    refinement, else a tangency root-find on the boundary, certifies the
+    pass from v, or from the minimum of f on a path segment at v along
+    which the derivative changes sign.
     """
     if not domain.convex:
         raise ConvexityError("theorem requires a convex domain")
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
+    if grid_res < 8:
+        raise UsageError("grid_res must be at least 8")
+    p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
     for name, p in (("p1", p1), ("p2", p2)):
         if not _probe_local_max(field, domain, p, 0.02 * domain.diameter):
             raise PreconditionError(f"{name} is not a probe-verified "
@@ -204,58 +112,56 @@ def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
     if f1 > f2:
         p1, p2, f1, f2 = p2, p1, f2, f1
 
-    candidates = []
-    for bow in _BOW_FACTORS:
-        knots = _initial_path(p1, p2, n_knots, bow)
-        path, value = _ascend_path(field, domain, knots)
-        inner = path[1:-1]
-        vals = np.asarray(field.value(inner), dtype=float)
-        argmin = inner[int(np.argmin(vals))]
-        candidates.append((value, tuple(argmin), path))
-    candidates.sort(key=lambda c: (-c[0], c[1]))
-    best_value, p3_raw, best_path = candidates[0]
-    p3_raw = np.array(p3_raw)
-
+    lat = domain.lattice(grid_res)
+    vals = np.asarray(field.value(lat), dtype=float)
+    inside = np.asarray(domain.contains(lat))
+    ends = [np.unravel_index(np.argmin(np.where(
+        inside, np.linalg.norm(lat - p, axis=-1), np.inf)), inside.shape)
+        for p in (p1, p2)]
+    v, idx = superlevel_join(vals, inside, *ends)
+    best_value = float(vals[v])
     if best_value >= f1 - _PATH_TOL:
         raise NoSeparationError(
             "no path dips below the lower peak",
             best_value=best_value, f_p1=f1)
 
-    spacing = float(np.max(np.linalg.norm(np.diff(best_path, axis=0),
-                                          axis=1)))
-    # interior branch
-    interior = None
+    path = np.concatenate([p1[None], lat[tuple(idx.T)], p2[None]])
+    k = 1 + int(np.flatnonzero(np.all(idx == v, axis=1))[0])
+    lows = []  # minima of f inside the two path segments at v
+    for e in (path[k - 1] - path[k], path[k + 1] - path[k]):
+        def slope(t: float) -> float:
+            return float(np.dot(field.grad(path[k] + t * e), e))
+
+        s0 = slope(0.0)
+        if s0 < 0.0 < slope(1.0):
+            lows.append(path[k] + bisect_root(slope, 0.0, 1.0, s0) * e)
+    p3_raw = min(lows, key=lambda m: float(field.value(m)),
+                 default=path[k])
+    spacing = domain.diameter / grid_res  # one cell diagonal
     try:
         q = refine_newton(field, p3_raw, tol=min(pass_tol, 1e-9) * 1e-3,
                           max_iter=200)
-        if (domain.boundary_distance(q) > 1e-9
-                and np.linalg.norm(q - p3_raw) <= 3.0 * spacing
-                and float(field.value(q)) < f1 - _PATH_TOL):
-            interior = q
     except NoConvergenceError:
-        interior = None
-    if interior is not None:
-        c = float(field.value(interior))
-        gn = float(np.linalg.norm(field.grad(interior)))
-        if gn <= pass_tol:
-            return PassResult(interior, c, "InteriorCritical", best_path,
+        q = None
+    if (q is not None and domain.boundary_distance(q) > 1e-9
+            and np.linalg.norm(q - p3_raw) <= 3.0 * spacing):
+        c = float(field.value(q))
+        gn = float(np.linalg.norm(field.grad(q)))
+        if c < f1 - _PATH_TOL and gn <= pass_tol:
+            return PassResult(q, c, "InteriorCritical", path,
                               {"grad_norm": gn}, f1, f2)
-
-    # boundary branch: only when the optimized path actually pressed
-    # against the boundary at its minimum
-    near = domain.boundary_distance(p3_raw) <= max(2.0 * spacing,
-                                                   1e-3 * domain.diameter)
-    hit = None
-    if near and domain.dim == 2:
+    # the boundary certificate, only where the lattice pass is near it
+    if domain.dim == 2 and domain.boundary_distance(p3_raw) <= max(
+            2.0 * spacing, 1e-3 * domain.diameter):
         hit = _boundary_tangency(field, domain.boundary_curves(),
                                  domain.project(p3_raw))
-    if hit is not None:
-        p3, align = hit
-        c = float(field.value(p3))
-        if align <= pass_tol and c < f1 - _PATH_TOL:
-            return PassResult(np.asarray(p3), c, "BoundaryTangency",
-                              best_path, {"boundary_alignment": align},
-                              f1, f2)
+        if hit is not None:
+            p3, align = hit
+            c = float(field.value(p3))
+            if align <= pass_tol and c < f1 - _PATH_TOL:
+                return PassResult(np.asarray(p3), c, "BoundaryTangency",
+                                  path, {"boundary_alignment": align},
+                                  f1, f2)
     raise NoConvergenceError(
         "pass point failed both certificates",
         p3_raw=p3_raw.tolist(), best_value=best_value)

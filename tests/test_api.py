@@ -27,3 +27,23 @@ def test_cli_import_leaves_scipy_optimize_out():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_improper_extrema_and_the_pass_run_without_scipy():
+    # the lattice union-find replaced the last scipy call in the package
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "\n".join([
+        "import sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "import critsense.cli",
+        "from critsense import (entry, gallery, improper_extrema,",
+        "                       mountain_pass_point)",
+        "dom = entry('twogauss').domain",
+        "f = gallery('twogauss')",
+        "improper_extrema(f, dom, grid_res=16)",
+        "mountain_pass_point(f, dom, (0.4, 0.0), (-0.4, 0.0), grid_res=16)",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"])
+    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -674,9 +674,10 @@ def test_flow_sample_outside_the_chart_exits_before_the_batch(capsys,
     assert max(values + grads + jets) < 100
 
 
-def test_mountain_without_movable_knots_is_a_usage_error(capsys):
+def test_mountain_pass_lattice_needs_grid_8_with_given_peaks(capsys):
+    # --grid sizes the pass lattice too, not only the peak detection
     rc, out, err = run(capsys, "mountain", "--gallery", "twogauss",
-                       "--knots", "0")
+                       "--p1", "0.4,0", "--p2=-0.4,0", "--grid", "4")
     assert rc == 2
     assert out == ""
     assert json.loads(err)["error"]["type"] == "UsageError"

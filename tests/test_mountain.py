@@ -8,8 +8,9 @@ from critsense.domains import Ball, Box
 from critsense.errors import (NoSeparationError, PreconditionError,
                               UsageError)
 from critsense.fields import ScalarField
-from critsense.gallery import gallery
+from critsense.gallery import _two_gauss_terms, gallery
 from critsense.mountainpass import mountain_pass_point
+from oracles import brute_pass_value
 
 BALL = Ball((0.0, 0.0), 1.0)
 SADDLE_VALUE = 2.0 * np.exp(-3.2)
@@ -25,25 +26,62 @@ def test_interior_pass_point_on_the_double_peak():
     assert res.c < res.f_p1 <= res.f_p2
 
 
-def test_pass_value_is_stable_in_the_knot_count():
+def test_pass_value_is_stable_in_the_grid():
     f = gallery("twogauss")
-    c16 = mountain_pass_point(f, BALL, (0.4, 0.0), (-0.4, 0.0),
-                              n_knots=16).c
-    c32 = mountain_pass_point(f, BALL, (0.4, 0.0), (-0.4, 0.0),
-                              n_knots=32).c
-    assert abs(c16 - c32) <= 1e-9
+    c32, c64 = (mountain_pass_point(f, BALL, (0.4, 0.0), (-0.4, 0.0),
+                                    grid_res=g).c for g in (32, 64))
+    assert abs(c32 - c64) <= 1e-9
 
 
-def test_pass_path_brackets_the_saddle_from_above():
-    # the winning path's knot minimum straddles the dip, so it tightens
-    # from above as the knot count grows
+def test_pass_path_stays_inside_the_superlevel_set():
+    # the interior rows are lattice vertices whose lowest value is the
+    # lattice pass: the bottleneck level between the peaks' vertices
     f = gallery("twogauss")
-    v16, v64 = (float(np.min(f.value(mountain_pass_point(
-        f, BALL, (0.4, 0.0), (-0.4, 0.0), n_knots=k).path[1:-1])))
-        for k in (16, 64))
-    assert SADDLE_VALUE < v64 < v16
-    with pytest.raises(UsageError):
-        mountain_pass_point(f, BALL, (0.4, 0.0), (-0.4, 0.0), n_knots=0)
+    res = mountain_pass_point(f, BALL, (0.4, 0.0), (-0.4, 0.0), grid_res=32)
+    lat = BALL.lattice(32)
+    vals, inside = f.value(lat), BALL.contains(lat)
+    a, b = (np.unravel_index(np.argmin(np.where(
+        inside, np.linalg.norm(lat - p, axis=-1), np.inf)), inside.shape)
+        for p in (res.path[0], res.path[-1]))
+    c_h = brute_pass_value(vals, inside, a, b)
+    assert np.all(BALL.contains(res.path))
+    assert np.all(f.value(res.path[1:-1]) >= c_h)
+    assert np.min(f.value(res.path[1:-1])) == c_h
+    assert np.all(np.linalg.norm(np.diff(res.path[1:-1], axis=0), axis=1)
+                  <= np.sqrt(2) * 2.0 / 32 + 1e-12)
+    for g in (4, 7):
+        with pytest.raises(UsageError):
+            mountain_pass_point(f, BALL, (0.4, 0.0), (-0.4, 0.0), grid_res=g)
+
+
+def test_off_lattice_pass_converges_in_the_grid():
+    # off-centre, the saddle at the origin is no lattice vertex; the ball's
+    # centre is one at every even grid, so at this centre the vertices
+    # nearest the saddle close in on it as the grid refines
+    f = gallery("twogauss")
+    dom = Ball((0.037, 0.021), 1.0)
+    runs = [mountain_pass_point(f, dom, (0.4, 0.0), (-0.4, 0.0), grid_res=g)
+            for g in (16, 32, 64)]
+    gaps = [abs(float(np.min(f.value(r.path[1:-1]))) - r.c) for r in runs]
+    assert gaps[0] > gaps[1] > gaps[2] > 0.0
+    for r in runs:
+        assert r.kind == "InteriorCritical"
+        assert abs(r.c - runs[-1].c) <= 1e-6
+    assert runs[-1].c == pytest.approx(SADDLE_VALUE, abs=1e-9)
+
+
+def test_three_dimensional_pass():
+    fn, grad, hess = _two_gauss_terms([(0.4, 0.0, 0.0), (-0.4, 0.0, 0.0)],
+                                      [1.0, 1.0], [20.0, 20.0])
+    f = ScalarField(fn, 3, grad, hess)
+    dom = Ball((0.037, 0.021, -0.013), 1.0)
+    res = mountain_pass_point(f, dom, (0.4, 0.0, 0.0), (-0.4, 0.0, 0.0),
+                              grid_res=32)
+    assert res.kind == "InteriorCritical"
+    assert float(np.linalg.norm(res.p3)) <= 1e-6
+    assert res.c == pytest.approx(SADDLE_VALUE, abs=1e-9)
+    assert np.all(dom.contains(res.path))
+    assert np.min(f.value(res.path[1:-1])) >= res.c - 0.01
 
 
 def test_pit_pushes_the_pass_to_the_boundary():
