@@ -55,9 +55,9 @@ def test_pass_path_stays_inside_the_superlevel_set():
 
 
 def test_off_lattice_pass_converges_in_the_grid():
-    # off-centre, the saddle at the origin is no lattice vertex; the ball's
-    # centre is one at every even grid, so at this centre the vertices
-    # nearest the saddle close in on it as the grid refines
+    # the saddle at the origin is no lattice vertex here; the ball's centre
+    # is one at every even grid, and from this centre the vertices nearest
+    # the saddle close in on it from grid 16 to grid 64
     f = gallery("twogauss")
     dom = Ball((0.037, 0.021), 1.0)
     runs = [mountain_pass_point(f, dom, (0.4, 0.0), (-0.4, 0.0), grid_res=g)
@@ -81,7 +81,7 @@ def test_three_dimensional_pass():
     assert float(np.linalg.norm(res.p3)) <= 1e-6
     assert res.c == pytest.approx(SADDLE_VALUE, abs=1e-9)
     assert np.all(dom.contains(res.path))
-    assert np.min(f.value(res.path[1:-1])) >= res.c - 0.01
+    assert abs(np.min(f.value(res.path[1:-1])) - res.c) <= 0.01
 
 
 def test_pit_pushes_the_pass_to_the_boundary():
