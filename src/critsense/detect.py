@@ -5,7 +5,8 @@ plausibly cross zero, refines all candidates together by Newton iteration
 with a Levenberg-damped fallback for singular Hessians, deduplicates, and
 attaches index-based classifications. Cells whose refinement diverges are
 reported, never dropped; cells whose refinement leaves the domain's box
-are listed apart, as escaped.
+are listed apart, as escaped. The members of a stacked field go through
+all of it together, every seed on its own member.
 """
 
 from __future__ import annotations
@@ -53,12 +54,22 @@ class CriticalPoint:
 class DetectionResult(list):
     """List of critical points plus the cells that refused to resolve and
     the cells whose refinement left the domain's box (``escaped``, kept in
-    memory only)."""
+    memory only). A stacked detection lists every member's; ``split``
+    gives one result per member."""
 
-    def __init__(self, points: list, unresolved: list, escaped: list):
-        super().__init__(points)
-        self.unresolved = unresolved
-        self.escaped = escaped
+    def __init__(self, points: list, unresolved: list, escaped: list,
+                 members: int = 1):
+        """Each item of the three lists is ``(member, item)``."""
+        super().__init__(p for _, p in points)
+        self.unresolved = [u for _, u in unresolved]
+        self.escaped = [e for _, e in escaped]
+        self._parts = members, points, unresolved, escaped
+
+    def split(self) -> list:
+        """One result per member of the stack, in member order."""
+        n, *parts = self._parts
+        return [DetectionResult(*([(0, x) for k, x in part if k == m]
+                                  for part in parts)) for m in range(n)]
 
 
 def _newton_polish(field: ScalarField, x: np.ndarray, gn: float,
@@ -100,12 +111,13 @@ def _newton_polish(field: ScalarField, x: np.ndarray, gn: float,
 
 
 def _trial_grads(field: ScalarField, P: np.ndarray):
-    """Gradients ``(..., d)`` and their norms ``(...)`` at the trial
-    points ``P`` ``(..., d)``, from one call. A long damped step can land
-    where the field overflows; a non-finite norm is never a descent."""
+    """Gradients ``(..., k, d)`` and their norms ``(..., k)`` at the trial
+    points ``P`` ``(..., k, d)`` of k seeds, from one call. A long damped
+    step can land where the field overflows; a non-finite norm is never a
+    descent."""
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        g = field.grad(P.reshape(-1, P.shape[-1]))
-        return g.reshape(P.shape), row_norms(g).reshape(P.shape[:-1])
+        g = field.grad(P)
+        return g, row_norms(g.reshape(-1, P.shape[-1])).reshape(P.shape[:-1])
 
 
 def _solve(A: np.ndarray, b: np.ndarray):
@@ -129,7 +141,8 @@ def _solve(A: np.ndarray, b: np.ndarray):
 def refine_newton(field: ScalarField, s0, tol: float = 1e-9,
                   max_iter: int = 80, box=None):
     """Drive the gradient to ``tol`` from ``s0``, one seed ``(d,)`` or a
-    batch of seeds ``(m, d)``.
+    batch of seeds ``(m, d)``; seed j refines on member j of a stacked
+    ``field`` (see :meth:`ScalarField.rows`).
 
     Newton steps while the Hessian is comfortably nonsingular; otherwise a
     Levenberg-damped least-squares step on the gradient, which still
@@ -140,7 +153,8 @@ def refine_newton(field: ScalarField, s0, tol: float = 1e-9,
     All seeds step in lockstep, with one Hessian call and at most two
     gradient calls per step for the batch; each keeps its own damping and
     line search, so a seed's outcome does not depend on the rest of the
-    batch. Seeds that stall above ``tol`` go on together to the rescue: a
+    batch, nor on the other members of a stack: every evaluation is
+    row-wise. Seeds that stall above ``tol`` go on together to the rescue: a
     lockstep trust-region pass (:func:`least_squares`), then a Newton
     polish for each seed it leaves above ``tol``.
 
@@ -187,7 +201,8 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
         if not live.size or it == max_iter:
             break
         x, g, gn = X[live], G[live], GN[live]
-        H = field.hess(x)
+        f = field.rows(live)
+        H = f.hess(x)
         hnorm = np.max(np.abs(H), axis=(-2, -1)) + 1e-300
         # a huge or non-finite Hessian overflows det or the floor: damped
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -212,7 +227,7 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
         # lowers |grad f|. Each halving multiplies the one before by 0.5,
         # as halving after every rejection would.
         xn = x + delta
-        g_new, gn_new = _trial_grads(field, xn)
+        g_new, gn_new = _trial_grads(f, xn)
         accepted = gn_new < gn
         x[accepted], g[accepted], gn[accepted] = (
             xn[accepted], g_new[accepted], gn_new[accepted])
@@ -222,7 +237,7 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
             for _ in range(23):
                 halves.append(0.5 * halves[-1])
             xn = x[todo] + np.stack(halves)          # (halving, seed, d)
-            g_new, gn_new = _trial_grads(field, xn)
+            g_new, gn_new = _trial_grads(f.rows(todo), xn)
             hit = gn_new < gn[todo]
             cols = np.flatnonzero(hit.any(axis=0))
             j = np.argmax(hit[:, cols], axis=0)
@@ -251,8 +266,8 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
         live = live[~(ended | given_up)]
     rest = np.array([*stalled, *live], dtype=int)
     if rest.size:
-        for i, o in zip(rest, _rescue(field, X[rest], G[rest], GN[rest],
-                                      tol, max_iter)):
+        for i, o in zip(rest, _rescue(field.rows(rest), X[rest], G[rest],
+                                      GN[rest], tol, max_iter)):
             out[i] = o
     return out
 
@@ -266,7 +281,8 @@ def _rescue(field: ScalarField, X: np.ndarray, G: np.ndarray,
     Monotone steps stall in curved |grad f| valleys around degenerate
     zeros. Rescue with a trust-region least-squares pass over all mobile
     seeds at once, then an unsafeguarded Newton polish per seed left above
-    ``tol`` (the nonmonotone orbit contracts where line searches cannot).
+    ``tol`` (the nonmonotone orbit contracts where line searches cannot),
+    on the seed's own member of a stacked ``field``.
     """
     # Where H' grad f = 0 the trust-region model is flat and the polish's
     # Newton system is singular: no later stage can move the seed.
@@ -275,15 +291,16 @@ def _rescue(field: ScalarField, X: np.ndarray, G: np.ndarray,
     out = []
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if moves.any():
-            rx, rgn = least_squares(field, X[moves], tol,
+            rx, rgn = least_squares(field.rows(moves), X[moves], tol,
                                     max(600, 4 * max_iter))
             better = np.isfinite(rgn) & (rgn < GN[moves])
             rows = np.flatnonzero(moves)[better]
             best_x[rows], best_gn[rows] = rx[better], rgn[better]
-        for x, gn, polish in zip(best_x, best_gn.tolist(),
-                                 moves & (best_gn > tol)):
+        for i, (x, gn, polish) in enumerate(zip(best_x, best_gn.tolist(),
+                                                moves & (best_gn > tol))):
             if polish:
-                x, gn = _newton_polish(field, x, gn, tol, max(120, max_iter))
+                x, gn = _newton_polish(field.rows(i), x, gn, tol,
+                                       max(120, max_iter))
             out.append(x if gn <= tol else NoConvergenceError(
                 "gradient refinement stalled", best=x.tolist(),
                 grad_norm=gn, tol=tol))
@@ -303,7 +320,8 @@ _XTOL = _FTOL = 2.3e-16
 def least_squares(field: ScalarField, X: np.ndarray, tol: float,
                   max_nfev: int):
     """Trust-region least squares on the gradient system from each seed of
-    ``X`` ``(k, d)``; returns the final iterates and their gradient norms.
+    ``X`` ``(k, d)``, seed j on member j of a stacked ``field``; returns
+    the final iterates and their gradient norms.
 
     This is the Levenberg-Marquardt trust-region method of Moré (1978,
     LNM 630) as SciPy's ``least_squares(method="trf", x_scale="jac")``
@@ -362,7 +380,7 @@ def least_squares(field: ScalarField, X: np.ndarray, tol: float,
         x = X[live]
         step = scale[live] * step_h
         xn = x + step
-        fn = field.grad(xn)
+        fn = field.rows(live).grad(xn)
         nfev[live] += 1
         hn = row_norms(step_h)
 
@@ -392,7 +410,7 @@ def least_squares(field: ScalarField, X: np.ndarray, tol: float,
         moved = acc & ~done
         rows = live[moved]
         if rows.size:
-            Jr = J[rows] = field.hess(X[rows])
+            Jr = J[rows] = field.rows(rows).hess(X[rows])
             G[rows] = _mv(np.swapaxes(Jr, -1, -2), F[rows])
             scale_inv[rows] = np.maximum(
                 np.sqrt(colsum(np.swapaxes(Jr * Jr, -1, -2))),
@@ -463,7 +481,9 @@ def _phi(alpha, suf, s, delta):
 
 
 def _candidate_cells(g: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Boolean mask over cells passing the relaxed per-component sign test."""
+    """Boolean mask over cells passing the relaxed per-component sign test,
+    from the lattice gradient ``g``; leading axes of ``g`` (members of a
+    stack) lead the mask too."""
     d = g.shape[-1]
     corner_slices = list(itertools.product((slice(None, -1), slice(1, None)),
                                            repeat=d))
@@ -471,7 +491,7 @@ def _candidate_cells(g: np.ndarray, inside: np.ndarray) -> np.ndarray:
     hi = None
     any_inside = None
     for sl in corner_slices:
-        c = g[sl]
+        c = g[(Ellipsis,) + sl + (slice(None),)]
         lo = c if lo is None else np.minimum(lo, c)
         hi = c if hi is None else np.maximum(hi, c)
         ins = inside[sl]
@@ -493,6 +513,13 @@ def find_critical_points(field: ScalarField, domain: Domain,
     near_boundary. Ordering is lexicographic by location. A cell whose
     refinement leaves the bounding box widened by one cell is listed in
     ``escaped``.
+
+    A stacked ``field`` (see :meth:`ScalarField.rows`) is detected in one
+    pass: one lattice scan of every member, one lockstep refinement of
+    all their cells, and one classification of all their points. Each
+    member's points and cells come out as its own detection would give
+    them, member after member; :meth:`DetectionResult.split` parts them.
+    A plain field is the stack of one member.
     """
     if grid_res < 8:
         raise UsageError("grid_res must be at least 8")
@@ -500,66 +527,83 @@ def find_critical_points(field: ScalarField, domain: Domain,
     if d != domain.dim:
         raise UsageError(f"field dim {d} vs domain dim {domain.dim}")
     lat = domain.lattice(grid_res)
-    g = field.grad(lat)
+    # every member at every vertex, members first: (members, ..., d)
+    g = np.moveaxis(field.grad(lat[..., None, :]), -2, 0)
     inside = domain.contains(lat)
-    mask = _candidate_cells(g, inside)
+    member, *cell = np.nonzero(_candidate_cells(g, inside))
     centers = 0.5 * (lat[(slice(None, -1),) * d] + lat[(slice(1, None),) * d])
-    cells = centers[mask]
+    cells = centers[tuple(cell)]
 
     lo, hi = domain.bounding_box()
     spacing = (hi - lo) / grid_res
     dedupe_radius = 2.0 * float(np.linalg.norm(spacing))
     boundary_margin = float(np.max(spacing))
 
-    refined = []
-    unresolved = []
-    escaped = []
-    outcomes = refine_newton(field, cells, tol=newton_tol,
+    refined, unresolved, escaped, points = [], [], [], []
+    outcomes = refine_newton(field.rows(member), cells, tol=newton_tol,
                              box=(lo - spacing, hi + spacing))
-    for c, x in zip(cells, outcomes):
+    for c, x, k in zip(cells, outcomes, member.tolist()):
         if x is None:
-            escaped.append(c.tolist())
+            escaped.append((k, c.tolist()))
         elif isinstance(x, NoConvergenceError):
-            unresolved.append({"cell_center": c.tolist(),
-                               "best": x.context.get("best"),
-                               "grad_norm": x.context.get("grad_norm")})
-        elif bool(domain.contains(x, tol=1e-9)):
-            refined.append(x)
-        # else the cell's pull was toward a zero outside the domain
+            unresolved.append((k, {"cell_center": c.tolist(),
+                                   "best": x.context.get("best"),
+                                   "grad_norm": x.context.get("grad_norm")}))
+        else:
+            refined.append((k, x))
+    if refined:
+        # a cell's pull may lead to a zero outside the domain
+        ok = domain.contains(np.array([x for _, x in refined]), tol=1e-9)
+        refined = [r for r, keep in zip(refined, ok) if keep]
+    if refined:
+        points = _classified(field, domain, refined, dedupe_radius,
+                             boundary_margin)
+    return DetectionResult(points, unresolved, escaped, len(g))
 
-    # dedupe: strongest (smallest gradient) representative wins
-    scores = (row_norms(field.grad(np.array(refined))).tolist()
-              if refined else [])
-    scored = sorted(zip(scores, (tuple(x.tolist()) for x in refined),
-                        refined), key=lambda t: (t[0], t[1]))
-    kept: list[tuple[float, np.ndarray]] = []
-    kept_locs = np.empty((len(scored), d))
-    for gn, _, x in scored:
-        if (row_norms(x - kept_locs[:len(kept)]) >= dedupe_radius).all():
+
+def _classified(field: ScalarField, domain: Domain, refined: list,
+                dedupe_radius: float, boundary_margin: float) -> list:
+    """``(member, CriticalPoint)`` of each member's refined points
+    ``(member, x)`` that survive its dedupe, in member and then
+    lexicographic order, all classified together."""
+    # dedupe within each member: strongest (smallest gradient) wins
+    mem = np.array([k for k, _ in refined])
+    locs = np.array([x for _, x in refined])
+    scores = row_norms(field.rows(mem).grad(locs)).tolist()
+    kept: list[tuple[int, float, np.ndarray]] = []
+    kept_locs = np.empty_like(locs)
+    first = 0  # where the current member's kept points start
+    for k, gn, _, x in sorted(zip(mem.tolist(), scores,
+                                  map(tuple, locs.tolist()), locs),
+                              key=lambda t: t[:3]):
+        if kept and kept[-1][0] != k:
+            first = len(kept)
+        if (row_norms(x - kept_locs[first:len(kept)])
+                >= dedupe_radius).all():
             kept_locs[len(kept)] = x
-            kept.append((gn, x))
-    kept.sort(key=lambda k: tuple(k[1].tolist()))
+            kept.append((k, gn, x))
+    kept.sort(key=lambda t: (t[0], tuple(t[2].tolist())))
 
-    if not kept:
-        return DetectionResult([], unresolved, escaped)
-    locs = np.array([x for _, x in kept])
-    values, _, hess = field.jet(locs, 2)
+    mem = np.array([k for k, _, _ in kept])
+    locs = np.array([x for _, _, x in kept])
+    gns = np.array([gn for _, gn, _ in kept])
+    f = field.rows(mem)
+    values, _, hess = f.jet(locs, 2)
     specs = sym_eigvalsh(hess)
-    # x itself is among locs: probe_radius skips zero distances
-    probes = [homindex.probe_radius(x, locs, domain) for _, x in kept]
-    classes = homindex.classify_by_index(field, locs, probes, eigs=specs)
-    points = []
-    for (gn, x), value, spec, (hom_index, cls) in zip(kept, values, specs,
-                                                      classes):
-        near = bool(domain.boundary_distance(x) < boundary_margin)
-        # At a degenerate zero the refined point sits a residual-sized
-        # step away, leaving spurious eigenvalues of order sqrt(|grad|).
-        dtol = max(1e-8, 10.0 * float(np.sqrt(max(gn, 0.0))))
-        morse_index = morse_classify(field, x, degeneracy_tol=dtol,
-                                     eigs=spec)
-        points.append(CriticalPoint(x, float(value), gn, spec, morse_index,
-                                    hom_index, cls, near))
-    return DetectionResult(points, unresolved, escaped)
+    # each point's own location is among its member's: probe_radius skips
+    # zero distances
+    probes = homindex.probe_radius(locs, locs, domain,
+                                   among=mem[:, None] == mem)
+    classes = homindex.classify_by_index(f, locs, probes, eigs=specs)
+    near = (domain.boundary_distance(locs) < boundary_margin).tolist()
+    # At a degenerate zero the refined point sits a residual-sized step
+    # away, leaving spurious eigenvalues of order sqrt(|grad|).
+    dtol = np.fmax(1e-8, 10.0 * np.sqrt(np.maximum(gns, 0.0)))
+    morse = morse_classify(f, locs, degeneracy_tol=dtol, eigs=specs)
+    return [(k, CriticalPoint(x, value, gn, spec, mi, hom_index, cls, nb))
+            for k, x, value, gn, spec, mi, (hom_index, cls), nb
+            in zip(mem.tolist(), locs, values.tolist(), gns.tolist(), specs,
+                   morse, classes, near)]
 
 
 def locations(points) -> np.ndarray:

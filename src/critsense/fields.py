@@ -142,6 +142,14 @@ class ScalarField:
         return tuple(np.asarray(a, dtype=float)
                      for a in self.jet_fn(s, order))
 
+    def rows(self, member) -> "ScalarField":
+        """The field of the stack members ``member``: one member's own
+        field for an index, or for an index array ``(k,)`` the field that
+        evaluates row j of points ``(..., k, dim)`` on member
+        ``member[j]``. A plain field is a stack of one member, so this is
+        the field itself; ``randfield.BasisField`` stacks members."""
+        return self
+
     def _fd_hess(self, s: np.ndarray) -> np.ndarray:
         """Differentiated gradient, or second differences of values when
         there is no gradient."""

@@ -125,11 +125,10 @@ def _index_1d(field: ScalarField, Z: np.ndarray, eps: np.ndarray) -> list:
     """Sign comparisons at the 1-d zeros ``Z`` ``(k, 1)``, each probed at
     ``eps[i]`` on both sides, from one gradient call: an index, or the
     NonIsolatedZeroError of a zero whose probe meets a zero."""
-    k = len(Z)
-    g = field.grad(np.concatenate([Z + eps[:, None], Z - eps[:, None]]))
+    g = field.grad(np.stack([Z + eps[:, None], Z - eps[:, None]]))
     out = []
-    for z, e, right, left in zip(Z, eps.tolist(), g[:k, 0].tolist(),
-                                 g[k:, 0].tolist()):
+    for z, e, right, left in zip(Z, eps.tolist(), g[0, :, 0].tolist(),
+                                 g[1, :, 0].tolist()):
         floor = 1e-14 * (1.0 + abs(right) + abs(left))
         vanish = [side for side, v in (("left", left), ("right", right))
                   if abs(v) < floor]
@@ -143,18 +142,35 @@ def _index_1d(field: ScalarField, Z: np.ndarray, eps: np.ndarray) -> list:
     return out
 
 
-def probe_radius(z, others, domain: Domain) -> float:
-    """A quarter of the distance from ``z`` to the nearest other known zero
-    or to the boundary, at most 0.25. Nonpositive boundary distances (``z``
-    on or outside the boundary) are skipped."""
+def probe_radius(z, others, domain: Domain, among=None):
+    """A quarter of the distance from ``z`` ``(d,)`` to the nearest other
+    known zero in ``others`` ``(n, d)`` or to the boundary, at most 0.25.
+    Zero distances and nonpositive boundary distances (``z`` on or
+    outside the boundary) are skipped.
+
+    For zeros ``z`` ``(k, d)``, an array of ``k`` radii, each with the
+    bits of the one-zero form; ``among`` ``(k, n)``, when given, marks
+    the ``others`` that count for each zero (such as its own member's).
+    """
     z = np.asarray(z, dtype=float)
-    cands = [0.25]
-    bd = float(domain.boundary_distance(z))
-    if bd > 0:
-        cands.append(0.25 * bd)
-    dist = row_norms(np.asarray(others, dtype=float).reshape(-1, z.size) - z)
-    cands.append(0.25 * float(dist[dist > 0].min(initial=np.inf)))
-    return max(min(cands), 1e-12)
+    Z = z.reshape(-1, z.shape[-1])
+    k, d = Z.shape
+    others = np.asarray(others, dtype=float).reshape(-1, d)
+    near = np.empty(k)
+    for i in range(0, k, 256):  # a block of rows bounds the memory
+        rows = Z[i:i + 256]
+        dist = row_norms((others - rows[:, None]).reshape(-1, d)
+                         ).reshape(len(rows), -1)
+        keep = dist > 0
+        if among is not None:
+            keep &= among[i:i + 256]
+        near[i:i + 256] = np.where(keep, dist, np.inf).min(
+            axis=-1, initial=np.inf)
+    bd = np.asarray(domain.boundary_distance(Z))
+    r = np.minimum(np.minimum(0.25, np.where(bd > 0, 0.25 * bd, np.inf)),
+                   0.25 * near)
+    r = np.maximum(r, 1e-12)
+    return float(r[0]) if z.ndim == 1 else r
 
 
 _INDEX_ERRORS = (DegenerateError, NonIsolatedZeroError, UnderSampledError)
@@ -190,10 +206,11 @@ def homological_index(field: ScalarField, z, eps, eigs=None):
         for i, (zi, e) in enumerate(zip(Z, eps.tolist())):
             try:
                 if field.dim == 2:
-                    out.append(winding_index_2d(field, zi, e))
+                    out.append(winding_index_2d(field.rows(i), zi, e))
                 else:
                     out.append(sign_index_nondegenerate(
-                        field, zi, eigs=None if eigs is None else eigs[i]))
+                        field.rows(i), zi,
+                        eigs=None if eigs is None else eigs[i]))
             except _INDEX_ERRORS as exc:
                 out.append(exc)
     if not one:
@@ -223,23 +240,27 @@ def classify_by_index(field: ScalarField, z, eps, eigs=None):
     and raises the error of its first zero that has one.
     """
     Z, eps, eigs, one = _as_batch(z, eps, eigs)
-    k, d = Z.shape
+    d = Z.shape[-1]
     indices = homological_index(field, Z, eps, eigs=eigs)
-    offs = eps[:, None, None] * sphere_directions(d, 64)
-    ring = (Z[:, None, :] + offs).reshape(-1, d)
-    values = np.asarray(field.value(np.concatenate([Z, ring])), dtype=float)
-    rings = values[k:].reshape(k, -1)
+    # (1 + 64 probes, k, d): each column is one zero and its ring
+    ring = Z + eps[:, None] * sphere_directions(d, 64)[:, None, :]
+    values = np.asarray(field.value(np.concatenate([Z[None], ring])),
+                        dtype=float)
+    vals = values[1:] - values[0]
+    # fmax, as Python's max skips a nan
+    tau = 1e-12 * np.fmax(np.fmax(1.0, np.abs(values[0])),
+                          np.max(np.abs(vals), axis=0))
     out = []
-    for index, fz, ring_values in zip(indices, values[:k].tolist(), rings):
+    for index, below, above in zip(indices,
+                                   np.all(vals < -tau, axis=0).tolist(),
+                                   np.all(vals > tau, axis=0).tolist()):
         held = index if isinstance(
             index, (NonIsolatedZeroError, UnderSampledError)) else None
         if isinstance(index, Exception):
             index = None
-        vals = ring_values - fz
-        tau = 1e-12 * max(1.0, abs(fz), float(np.max(np.abs(vals))))
-        if np.all(vals < -tau):
+        if below:
             out.append((index, "Max"))
-        elif np.all(vals > tau):
+        elif above:
             out.append((index, "Min"))
         elif held is not None:
             raise held

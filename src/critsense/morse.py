@@ -20,18 +20,22 @@ from .fields import (ScalarField, row_adder, row_norms, spectral_norms,
                      sym_eigvalsh)
 
 
-def morse_classify(field: ScalarField, z, degeneracy_tol: float = 1e-8,
-                   eigs=None) -> int | None:
+def morse_classify(field: ScalarField, z, degeneracy_tol=1e-8, eigs=None):
     """Number of negative Hessian eigenvalues, or None when the smallest
     |eigenvalue| sits below the degeneracy tolerance. ``eigs``, the
     Hessian spectrum at ``z`` when the caller already has it, saves
-    computing it again."""
+    computing it again. For zeros ``z`` ``(k, d)``, with spectra ``(k, d)``
+    and one tolerance or one per zero, a list of ``k`` such results."""
     if eigs is None:
         eigs = sym_eigvalsh(field.hess(np.asarray(z, dtype=float)))
-    hnorm = float(np.max(np.abs(eigs)))
-    if float(np.min(np.abs(eigs))) <= degeneracy_tol * max(1.0, hnorm):
-        return None
-    return int(np.sum(eigs < 0))
+    a = np.abs(eigs)
+    # fmax, as Python's max(1.0, nan) is 1.0
+    degenerate = np.min(a, axis=-1) <= degeneracy_tol * np.fmax(
+        1.0, np.max(a, axis=-1))
+    index = np.sum(eigs < 0, axis=-1)
+    out = [None if dg else k for dg, k in zip(np.atleast_1d(degenerate),
+                                              np.atleast_1d(index).tolist())]
+    return out if np.ndim(eigs) == 2 else out[0]
 
 
 def morse_statistic(field: ScalarField, domain: Domain,

@@ -18,6 +18,10 @@ serves every n of the table: the noise streams 1..max(n) are drawn in
 fixed-size blocks, each block is scaled once, and a sequential cumsum
 whose first row carries the running sum gives the prefix sums, with the
 bits of adding the E_i one at a time. Memory is one block, whatever n.
+
+A trial then makes one detection: G and every Ghat_n are the members of
+one stacked ``BasisField``, scanned on one lattice and refined and
+classified in lockstep, each with the bits of its own detection.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .sequence import HYPOTHESIS_BOUNDARY_TOL, HYPOTHESIS_RESOLUTION_TOL, \
     counts_from_points
 
 HYPOTHESIS_M_TOL = 1e-6
+LATTICE_LIMIT_BYTES = 1 << 27  # the largest lattice array a trial may build
 
 _EINSUM_AXES = "ijklmn"
 
@@ -108,27 +113,44 @@ class BasisField(ScalarField):
     """Finite trigonometric sum with closed-form derivatives.
 
     The coefficient tensor has shape (2*degree+1,)**dim with per-axis
-    index order (1, cos x, sin x, cos 2x, sin 2x, ...).
+    index order (1, cos x, sin x, cos 2x, sin 2x, ...). A tensor with one
+    more leading axis is a stack of members, all of one degree: row j of
+    points ``(..., k, dim)`` is evaluated on member j, and points
+    ``(..., 1, dim)`` on every member. Each row has the bits of its
+    member's own field: every sum is one ``einsum``, whose coefficient
+    operand broadcasts like the points (a ``matmul`` would sum
+    differently).
     """
 
     def __init__(self, coeffs: np.ndarray, dim: int):
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.ndim != dim or len(set(coeffs.shape)) != 1:
-            raise UsageError("coefficient tensor must be (m,)**dim",
-                             shape=coeffs.shape)
-        if coeffs.shape[0] % 2 != 1:
+        if coeffs.ndim not in (dim, dim + 1) \
+                or len(set(coeffs.shape[coeffs.ndim - dim:])) != 1:
+            raise UsageError("coefficient tensor must be (m,)**dim, or a "
+                             "stack of them", shape=coeffs.shape)
+        if coeffs.shape[-1] % 2 != 1:
             raise UsageError("axis length must be odd (1 + 2*degree)")
         super().__init__(self._value_at, dim, grad_fn=self._grad_at,
                          hess_fn=self._hess_at, jet_fn=self._jet_at)
         self.coeffs = coeffs
-        self.degree = (coeffs.shape[0] - 1) // 2
+        self.degree = (coeffs.shape[-1] - 1) // 2
         axes = _EINSUM_AXES[:dim]
-        self._subscripts = ",".join("..." + a for a in axes) + "," + axes \
-            + "->..."
+        self._subscripts = ",".join(["..." + a for a in axes]
+                                    + ["..." + axes]) + "->..."
+
+    def rows(self, member) -> BasisField:
+        """See :meth:`ScalarField.rows`; ``coeffs[member]`` of a stack."""
+        if self.coeffs.ndim == self.dim:
+            return self
+        return BasisField(self.coeffs[member], self.dim)
 
     def _tables(self, s: np.ndarray, order: int):
         return [_axis_tables(s[..., a], self.degree, order)
                 for a in range(self.dim)]
+
+    def _lead(self, s: np.ndarray) -> tuple:
+        """Points' shape, broadcast against a stack's member axis."""
+        return np.broadcast_shapes(s.shape[:-1], self.coeffs.shape[:-self.dim])
 
     def _sum(self, tables, which) -> np.ndarray:
         ops = [tables[a][which[a]] for a in range(self.dim)]
@@ -139,7 +161,7 @@ class BasisField(ScalarField):
 
     def _grad_at(self, s: np.ndarray, t=None) -> np.ndarray:
         t = self._tables(s, 1) if t is None else t
-        out = np.empty(s.shape)
+        out = np.empty(self._lead(s) + (self.dim,))
         for a in range(self.dim):
             which = tuple(1 if b == a else 0 for b in range(self.dim))
             out[..., a] = self._sum(t, which)
@@ -147,7 +169,7 @@ class BasisField(ScalarField):
 
     def _hess_at(self, s: np.ndarray, t=None) -> np.ndarray:
         t = self._tables(s, 2) if t is None else t
-        out = np.empty(s.shape + (self.dim,))
+        out = np.empty(self._lead(s) + (self.dim, self.dim))
         for a in range(self.dim):
             for b in range(a, self.dim):
                 which = tuple((2 if a == b else 1) if c in (a, b) else 0
@@ -283,7 +305,16 @@ def _run_trial(spec: BasisSpec, noise_spec: BasisSpec, n_list, seed: int,
                trial: int, grid_res: int) -> dict:
     dom = standard_domain(spec.dim)
     G = sample_limit_field(spec, seed, trial)
-    pts_G = detect.find_critical_points(G, dom, grid_res=grid_res)
+    fields = [G, *empirical_mean_field(G, noise_spec, n_list, seed, trial)]
+    # one detection for G and every Ghat_n; a wider noise degree embeds
+    # G's coefficients, and zero padding would change its sums' bits, so
+    # then G is detected on its own
+    stacks = ([fields] if fields[-1].degree == G.degree
+              else [fields[:1], fields[1:]])
+    found = [pts for members in stacks for pts in detect.find_critical_points(
+        BasisField(np.stack([f.coeffs for f in members]), spec.dim), dom,
+        grid_res=grid_res).split()]
+    pts_G = found[0]
     stat_l = detect.boundary_min_gradient(G, dom)
     stat_r = detect.resolution(pts_G)
     stat_m = morse_statistic(G, dom, grid_res=grid_res)
@@ -299,9 +330,7 @@ def _run_trial(spec: BasisSpec, noise_spec: BasisSpec, n_list, seed: int,
                               and stat_m > HYPOTHESIS_M_TOL),
         "per_n": [],
     }
-    fields = empirical_mean_field(G, noise_spec, n_list, seed, trial)
-    for n, Ghat in zip(n_list, fields):
-        pts_n = detect.find_critical_points(Ghat, dom, grid_res=grid_res)
+    for n, pts_n in zip(n_list, found[1:]):
         counts_n = _counts(pts_n)
         rec["per_n"].append({
             "n": int(n), "failed": False,
@@ -330,6 +359,16 @@ def monte_carlo_convergence(spec: BasisSpec, noise_spec: BasisSpec, n_list,
                              n_list=n_list, n=n)
     res = grid_res if grid_res is not None else (
         512 if spec.dim == 1 else 64)
+    # per lattice vertex: a basis table row, every member's gradient, or
+    # the Hessian of morse_statistic
+    width = max(2 * max(spec.degree, noise_spec.degree) + 1,
+                (1 + len(n_list)) * spec.dim, spec.dim ** 2)
+    nbytes = 8 * (res + 1) ** spec.dim * width
+    if nbytes > LATTICE_LIMIT_BYTES:
+        raise UsageError(
+            f"a trial's largest lattice array would take {nbytes} bytes, "
+            f"over the limit of {LATTICE_LIMIT_BYTES}", bytes=nbytes,
+            limit=LATTICE_LIMIT_BYTES, dim=spec.dim, grid_res=res)
     records = [_run_trial(spec, noise_spec, n_list, seed, t, res)
                for t in range(trials)]
 

@@ -198,3 +198,45 @@ def naive_mean_field(G, noise_spec, n: int, seed: int, trial: int = 0):
     for i in range(1, n + 1):
         acc += embed(draw(i), m)
     return embed(G.coeffs, m) + acc / n
+
+
+def per_field_trial(spec, noise_spec, n_list, seed: int, trial: int,
+                    grid_res: int) -> dict:
+    """One Monte Carlo trial record from one detection per field: G first,
+    then each Ghat_n on its own, as trials ran before detection stacked
+    them."""
+    from critsense import detect
+    from critsense.morse import morse_statistic
+    from critsense.randfield import (HYPOTHESIS_M_TOL, _counts, _TRIPLE,
+                                     empirical_mean_field, sample_limit_field,
+                                     standard_domain)
+    from critsense.sequence import (HYPOTHESIS_BOUNDARY_TOL,
+                                    HYPOTHESIS_RESOLUTION_TOL)
+
+    dom = standard_domain(spec.dim)
+    G = sample_limit_field(spec, seed, trial)
+    pts_G = detect.find_critical_points(G, dom, grid_res=grid_res)
+    stat_l = detect.boundary_min_gradient(G, dom)
+    stat_r = detect.resolution(pts_G)
+    stat_m = morse_statistic(G, dom, grid_res=grid_res)
+    counts_G = _counts(pts_G)
+    rec = {
+        "trial": trial, "failed": False,
+        "L": stat_l, "R": stat_r, "M": stat_m,
+        "counts_G": counts_G,
+        "hypothesis_ok": bool(stat_l > HYPOTHESIS_BOUNDARY_TOL
+                              and stat_r > HYPOTHESIS_RESOLUTION_TOL
+                              and stat_m > HYPOTHESIS_M_TOL),
+        "per_n": [],
+    }
+    fields = empirical_mean_field(G, noise_spec, n_list, seed, trial)
+    for n, Ghat in zip(n_list, fields):
+        pts_n = detect.find_critical_points(Ghat, dom, grid_res=grid_res)
+        counts_n = _counts(pts_n)
+        rec["per_n"].append({
+            "n": int(n), "failed": False,
+            "counts": counts_n,
+            "R_hat": detect.resolution(pts_n),
+            "match": all(counts_n[k] == counts_G[k] for k in _TRIPLE),
+        })
+    return rec

@@ -9,6 +9,7 @@ from critsense.detect import (boundary_min_gradient, find_critical_points,
 from critsense.domains import Ball, Box, Interval
 from critsense.errors import NoConvergenceError
 from critsense.fields import ScalarField
+from critsense.morse import morse_classify
 from critsense.gallery import entry, gallery
 from critsense.sequence import match_critical_points
 
@@ -408,3 +409,69 @@ def test_distances_match_scalar_norm_oracles(monkeypatch, name, n, grid,
     assert m.pairs == brute_matching([p.location for p in pts_b], locs,
                                      m.radius)
     assert m.pairs
+
+
+def _tail_cases():
+    """Points and their members, as detection's tail sees them: gallery
+    detections (one member each) and one Monte Carlo trial's stack of G
+    and its three mean fields."""
+    from critsense.randfield import (BasisField, BasisSpec,
+                                     empirical_mean_field, sample_limit_field,
+                                     standard_domain)
+    cases = []
+    for name, n, grid in [("fig4b", 16, 256), ("trio", 4, 64),
+                          ("twogauss", 1, 64)]:
+        dom = entry(name).domain
+        pts = find_critical_points(gallery(name, n), dom, grid_res=grid)
+        cases.append((gallery(name, n), dom, pts, [0] * len(pts)))
+    for dim, grid in [(1, 512), (2, 32)]:
+        spec = BasisSpec(dim, 4 if dim == 1 else 2)
+        G = sample_limit_field(spec, seed=777, trial=1)
+        fields = [G, *empirical_mean_field(
+            G, BasisSpec(dim, spec.degree, 0.6, 1.5), [10, 100, 1000],
+            seed=777, trial=1)]
+        stack = BasisField(np.stack([f.coeffs for f in fields]), dim)
+        pts = find_critical_points(stack, standard_domain(dim),
+                                   grid_res=grid)
+        members = [m for m, part in enumerate(pts.split()) for _ in part]
+        cases.append((stack, standard_domain(dim), pts, members))
+    return cases
+
+
+def test_batch_probe_radius_has_the_bits_of_the_one_zero_form():
+    for _, dom, pts, members in _tail_cases():
+        locs = np.array([p.location for p in pts])
+        mem = np.array(members)
+        assert len(locs) > 1
+        batch = homindex.probe_radius(locs, locs, dom,
+                                      among=mem[:, None] == mem)
+        alone = [homindex.probe_radius(z, locs[mem == m], dom)
+                 for z, m in zip(locs, mem)]
+        assert batch.tolist() == alone
+        # without ``among`` every other zero counts
+        assert homindex.probe_radius(locs, locs, dom).tolist() == [
+            homindex.probe_radius(z, locs, dom) for z in locs]
+    # no other zero: the boundary or the 0.25 cap decides
+    z = np.array([[0.1, 0.2], [0.9, 0.0]])
+    assert homindex.probe_radius(z, (), Ball((0, 0), 1.0)).tolist() == [
+        homindex.probe_radius(x, (), Ball((0, 0), 1.0)) for x in z]
+
+
+def test_batch_morse_classify_matches_the_one_point_form():
+    for field, _, pts, members in _tail_cases():
+        locs = np.array([p.location for p in pts])
+        specs = np.array([p.hess_spectrum for p in pts])
+        # tolerances on either side of each spectrum's relative gap make
+        # both outcomes occur
+        a = np.abs(specs)
+        tols = a.min(axis=-1) / np.maximum(1.0, a.max(axis=-1)) * np.array(
+            [0.5, 2.0])[np.arange(len(pts)) % 2]
+        batch = morse_classify(field.rows(np.array(members)), locs,
+                               degeneracy_tol=tols, eigs=specs)
+        alone = [morse_classify(field.rows(m), x, degeneracy_tol=t, eigs=e)
+                 for m, x, t, e in zip(members, locs, tols.tolist(), specs)]
+        assert batch == alone
+        assert None in batch and any(k is not None for k in batch)
+        # from the Hessians themselves, with one tolerance for all
+        assert morse_classify(field.rows(np.array(members)), locs) == [
+            morse_classify(field.rows(m), x) for m, x in zip(members, locs)]

@@ -1,7 +1,11 @@
 """Random trigonometric fields and the Monte Carlo agreement table."""
 
+import json
+
 import numpy as np
 import pytest
+
+from critsense import cli
 
 import critsense.randfield as randfield
 from critsense.errors import UsageError
@@ -13,7 +17,7 @@ from critsense.randfield import (BasisField, BasisSpec, empirical_mean_field,
                                  standard_domain)
 from critsense.randfield import (_BLOCK, _TrialStreams, _axis_tables,
                                  _draw_coeffs, _scale_tensor)
-from oracles import naive_mean_field
+from oracles import naive_mean_field, per_field_trial
 
 SPEC = BasisSpec(dim=1, degree=4, amplitude=1.0, decay=2.0)
 NOISE = BasisSpec(dim=1, degree=4, amplitude=0.6, decay=1.5)
@@ -269,3 +273,126 @@ def test_faint_limit_field_matches_less_often(small_table):
 def test_rejects_invalid_trial_counts():
     with pytest.raises(UsageError):
         monte_carlo_convergence(SPEC, NOISE, [10], trials=0, seed=1)
+
+
+def _stack(fields) -> BasisField:
+    return BasisField(np.stack([f.coeffs for f in fields]), fields[0].dim)
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 4), (2, 3), (3, 2)])
+def test_stacked_rows_have_each_members_bits(dim, degree):
+    rng = np.random.default_rng(dim)
+    members = [sample_limit_field(BasisSpec(dim, degree), seed=9, trial=t)
+               for t in range(4)]
+    stack = _stack(members)
+    member = rng.integers(0, 4, size=7)
+    rows = stack.rows(member)
+    # seeds (k, d), and refinement's 24 halvings of them (24, k, d)
+    for shape in [(7,), (24, 7)]:
+        X = rng.uniform(0.0, 2.0 * np.pi, shape + (dim,))
+        parts = [(rows.value(X), rows.grad(X), rows.hess(X)),
+                 rows.jet(X, 2), rows.jet(X, 1)]
+        for j, m in enumerate(member):
+            f, x = members[m], X[..., j, :]
+            want_v, want_g, want_h = f.value(x), f.grad(x), f.hess(x)
+            for v, g, *h in parts:
+                assert np.array_equal(v[..., j], want_v)
+                assert np.array_equal(g[..., j, :], want_g)
+                assert all(np.array_equal(a[..., j, :, :], want_h)
+                           for a in h)
+    # every member at shared points (..., 1, d), as the lattice scan asks
+    lat = standard_domain(dim).lattice(6)
+    shared = stack.jet(lat[..., None, :], 2)
+    for m, f in enumerate(members):
+        for a, b in zip(shared, f.jet(lat, 2)):
+            assert np.array_equal(np.moveaxis(a, dim, 0)[m], b)
+    # one index is the member's own field; a plain field is its own stack
+    assert stack.rows(2).coeffs.shape == members[2].coeffs.shape
+    assert np.array_equal(stack.rows(2).grad(lat), members[2].grad(lat))
+    assert members[0].rows(member) is members[0]
+
+
+def _record(p) -> tuple:
+    return (p.location.tobytes(), p.value.hex(), p.grad_norm.hex(),
+            p.hess_spectrum.tobytes(), p.morse_index, p.hom_index,
+            p.classification, p.near_boundary)
+
+
+@pytest.mark.parametrize("dim,degree,grid,trial", [(1, 4, 512, 72),
+                                                   (2, 2, 32, 1)])
+def test_stacked_detection_equals_one_detection_per_member(dim, degree,
+                                                           grid, trial):
+    # trial 72's Ghat_1000 leaves unresolved cells at grid 512; in 2-d,
+    # trial 1 leaves unresolved and escaped cells in every member
+    G = sample_limit_field(BasisSpec(dim, degree), seed=777, trial=trial)
+    fields = [G, *empirical_mean_field(G, BasisSpec(dim, degree, 0.6, 1.5),
+                                       [10, 100, 1000], seed=777,
+                                       trial=trial)]
+    dom = standard_domain(dim)
+    stacked = find_critical_points(_stack(fields), dom, grid_res=grid)
+    alone = [find_critical_points(f, dom, grid_res=grid) for f in fields]
+    assert any(r.unresolved for r in alone)
+    assert dim == 1 or all(r.escaped for r in alone)
+    parts = stacked.split()
+    assert len(parts) == len(fields)
+    for part, want in zip(parts, alone):
+        assert [_record(p) for p in part] == [_record(p) for p in want]
+        assert part.unresolved == want.unresolved
+        assert part.escaped == want.escaped
+    # one result over every member, in member order
+    assert [_record(p) for p in stacked] == [
+        _record(p) for r in alone for p in r]
+    assert stacked.unresolved == [u for r in alone for u in r.unresolved]
+    assert stacked.escaped == [e for r in alone for e in r.escaped]
+
+
+README_SPEC = (BasisSpec(1, 4, 1.0, 2.0), BasisSpec(1, 4, 0.6, 1.5),
+               [10, 100, 1000], 512)
+
+
+@pytest.mark.parametrize("spec,noise,n_list,grid,trials", [
+    (*README_SPEC, 20),
+    # the montecarlo_d2 golden's config
+    (BasisSpec(2, 2), BasisSpec(2, 2, 0.6, 1.5), [10, 100], 16, 20),
+    # a wider noise degree: G is detected apart from its mean fields
+    (BasisSpec(1, 2), BasisSpec(1, 3, 0.6, 1.5), [10, 100], 64, 10),
+], ids=["readme", "mc_d2", "wider_noise"])
+def test_trial_records_equal_one_detection_per_field(spec, noise, n_list,
+                                                     grid, trials):
+    for t in range(trials):
+        got = randfield._run_trial(spec, noise, n_list, 777, t, grid)
+        assert repr(got) == repr(per_field_trial(spec, noise, n_list, 777,
+                                                 t, grid))
+
+
+def test_lattice_guard_refuses_a_trial_too_large_to_build(monkeypatch,
+                                                         tmp_path, capsys):
+    # D = 4, degree 4, grid 64: 65**4 vertices of 16 gradient entries
+    # each, 2.3 GB in one array
+    monkeypatch.setattr(randfield, "_run_trial", _no_trial)
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps({"D": 4, "degree": 4,
+                                "noise": {"amplitude": 0.6},
+                                "n_list": [10, 100, 1000], "trials": 2,
+                                "seed": 777}))
+    assert cli.main(["montecarlo", "--config", str(path), "--grid",
+                     "64"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "UsageError"
+    assert err["error"]["context"]["bytes"] == 8 * 65 ** 4 * 16
+    assert err["error"]["context"]["limit"] == randfield.LATTICE_LIMIT_BYTES
+
+
+@pytest.mark.parametrize("spec,noise,n_list,grid", [
+    README_SPEC,
+    (BasisSpec(1, 2), BasisSpec(1, 2, 0.6, 1.5), [10, 100], 64),
+    (BasisSpec(2, 2), BasisSpec(2, 2, 0.6, 1.5), [10, 100], 16),
+    # ROADMAP item 8's 2-d config at its default grid
+    (BasisSpec(2, 3), BasisSpec(2, 3, 0.6, 1.5), [10, 100, 1000], None),
+], ids=["readme", "mc_d1", "mc_d2", "item8"])
+def test_configs_in_use_pass_the_lattice_guard(monkeypatch, spec, noise,
+                                               n_list, grid):
+    monkeypatch.setattr(randfield, "_run_trial", _no_trial)
+    with pytest.raises(_TrialRan):
+        monte_carlo_convergence(spec, noise, n_list, trials=1, seed=777,
+                                grid_res=grid)

@@ -69,3 +69,44 @@ def test_tracer_accounts_for_the_folded_csv_trajectory():
     # integration must still show up as morse.flow and morse.verify spans
     assert _missing_spans([["flow", "--gallery", "bowl", "--format", "csv"]],
                           ["morse.flow", "morse.verify"]) == []
+
+
+# argv: src, bench, a Monte Carlo config path; prints each span's call
+# count, the counters, and the artifact
+_MC_SCRIPT = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracer
+from critsense import cli
+
+t = tracer.Tracer()
+tracer.install(t)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["montecarlo", "--config", sys.argv[3]]) == 0
+agg, counts = t.totals()
+print(json.dumps({"calls": {k: v[0] for k, v in agg.items()},
+                  "counts": counts, "artifact": json.loads(out.getvalue())}))
+"""
+
+
+def test_tracer_counts_one_stacked_detection_per_trial(tmp_path):
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps({
+        "D": 1, "degree": 4, "amplitude": 1.0, "decay": 2.0,
+        "noise": {"amplitude": 0.6, "decay": 1.5},
+        "n_list": [10, 100, 1000], "trials": 3, "seed": 777}))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MC_SCRIPT, str(ROOT / "src"),
+         str(ROOT / "bench"), str(path)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    calls, counts = got["calls"], got["counts"]
+    # G and its three mean fields go through one detect.find per trial
+    assert calls["detect.find"] == 3
+    assert calls["detect.refine"] >= 3
+    records = got["artifact"]["result"]["records"]
+    assert counts["detect.points"] == sum(
+        r["counts_G"]["N_C"] + sum(row["counts"]["N_C"] for row in r["per_n"])
+        for r in records) > 0
