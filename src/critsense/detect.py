@@ -1,8 +1,9 @@
 """Critical point location, refinement, and audit statistics.
 
 The detector scans a lattice for cells whose gradient components can all
-plausibly cross zero, refines all candidates together by Newton iteration
-with a Levenberg-damped fallback for singular Hessians, deduplicates, and
+plausibly cross zero, refines all candidates together by Newton iteration,
+hands every seed that Newton cannot help (a singular Hessian, a stalled
+line search) to a trust-region least-squares pass, deduplicates, and
 attaches index-based classifications. Cells whose refinement diverges are
 reported, never dropped; cells whose refinement leaves the domain's box
 are listed apart, as escaped. The members of a stacked field go through
@@ -24,7 +25,6 @@ from .morse import morse_classify
 from . import homindex
 
 _SIGN_SLACK = 0.5  # relaxed cell test: catches touch zeros like 3x^2
-_DET_FLOOR = 1e-10
 
 
 @dataclass
@@ -112,7 +112,7 @@ def _newton_polish(field: ScalarField, x: np.ndarray, gn: float,
 
 def _trial_grads(field: ScalarField, P: np.ndarray):
     """Gradients ``(..., k, d)`` and their norms ``(..., k)`` at the trial
-    points ``P`` ``(..., k, d)`` of k seeds, from one call. A long damped
+    points ``P`` ``(..., k, d)`` of k seeds, from one call. A long Newton
     step can land where the field overflows; a non-finite norm is never a
     descent."""
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -125,8 +125,6 @@ def _solve(A: np.ndarray, b: np.ndarray):
     raises if any system is singular, so that case goes row by row."""
     x = np.empty_like(b)
     ok = np.ones(len(b), dtype=bool)
-    if not len(b):
-        return x, ok
     try:
         x[:] = np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -144,19 +142,16 @@ def refine_newton(field: ScalarField, s0, tol: float = 1e-9,
     batch of seeds ``(m, d)``; seed j refines on member j of a stacked
     ``field`` (see :meth:`ScalarField.rows`).
 
-    Newton steps while the Hessian is comfortably nonsingular; otherwise a
-    Levenberg-damped least-squares step on the gradient, which still
-    contracts on degenerate zeros (Peano-type valleys defeat plain damped
-    descent). ``box`` is an optional ``(lo, hi)`` pair: an accepted iterate
-    outside it ends the seed as escaped.
+    Newton steps, each halved up to 24 times until it lowers |grad f|.
+    ``box`` is an optional ``(lo, hi)`` pair: an accepted iterate outside
+    it ends the seed as escaped.
 
     All seeds step in lockstep, with one Hessian call and at most two
-    gradient calls per step for the batch; each keeps its own damping and
-    line search, so a seed's outcome does not depend on the rest of the
-    batch, nor on the other members of a stack: every evaluation is
-    row-wise. Seeds that stall above ``tol`` go on together to the rescue: a
-    lockstep trust-region pass (:func:`least_squares`), then a Newton
-    polish for each seed it leaves above ``tol``.
+    gradient calls per step for the batch; every evaluation is row-wise,
+    so a seed's outcome does not depend on the rest of the batch, nor on
+    the other members of a stack. Seeds that stall above ``tol`` go on
+    together to the rescue (:func:`_rescue`), whose trust-region pass
+    still contracts on degenerate zeros such as Peano-type valleys.
 
     One seed returns the refined point or raises NoConvergence with the
     best iterate attached (an escape raises it too). A batch returns one
@@ -181,18 +176,18 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
                   max_iter: int, box) -> list:
     """The outcomes of :func:`refine_newton` for the seeds ``X`` ``(m, d)``.
 
-    The monotone phase keeps only the current iterate: a step is accepted
-    only when it lowers |grad f|, so the current iterate is the best one.
+    A step is accepted only when it lowers |grad f|, so the current
+    iterate is the best one. A seed stalls where its Newton system is
+    singular, its step is not finite, or no halving lowers |grad f|; the
+    stalled seeds, and any left after ``max_iter`` steps, go on together
+    to the rescue.
     """
-    m, d = X.shape
     X = X.copy()
     G = np.array(field.grad(X), dtype=float)
     GN = row_norms(G)
-    mu = np.full(m, 1e-3)
-    force_damped = np.zeros(m, dtype=bool)
-    out: list = [None] * m
-    live = np.arange(m)     # seeds still in the monotone phase
-    stalled = []            # seeds that left it above tol
+    out: list = [None] * len(X)
+    live = np.arange(len(X))    # seeds still in the Newton phase
+    stalled = []                # seeds that left it above tol
     for it in range(max_iter + 1):
         done = GN[live] <= tol
         for i in live[done]:
@@ -200,27 +195,14 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
         live = live[~done]
         if not live.size or it == max_iter:
             break
+        delta, ok = _solve(field.rows(live).hess(X[live]), -G[live])
+        ok &= np.all(np.isfinite(delta), axis=-1)
+        stalled.extend(live[~ok])
+        live, delta = live[ok], delta[ok]
+        if not live.size:
+            break
         x, g, gn = X[live], G[live], GN[live]
         f = field.rows(live)
-        H = f.hess(x)
-        hnorm = np.max(np.abs(H), axis=(-2, -1)) + 1e-300
-        # a huge or non-finite Hessian overflows det or the floor: damped
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            newton = (~force_damped[live]
-                      & (np.abs(np.linalg.det(H)) >= _DET_FLOOR * hnorm**d))
-        delta = np.empty_like(x)
-        step, ok = _solve(H[newton], -g[newton])
-        delta[newton] = step
-        newton[np.flatnonzero(newton)[~ok]] = False
-        Ht = np.swapaxes(H[~newton], -1, -2)
-        A = Ht @ H[~newton]
-        lam = mu[live[~newton]] * (np.trace(A, axis1=-2, axis2=-1) / d
-                                   + 1e-300)
-        # A = H'H is positive semidefinite and lam > 0, so A + lam I is
-        # positive definite: the solve cannot meet a singular system
-        delta[~newton] = np.linalg.solve(
-            A + lam[:, None, None] * np.eye(d),
-            -Ht @ g[~newton][..., None])[..., 0]
 
         # the full steps in one grad call, then all 24 halvings of each
         # rejected step in one more; a seed takes its first trial that
@@ -247,23 +229,11 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
             accepted[rows] = True
         X[live], G[live], GN[live] = x, g, gn
 
-        ended = np.zeros(len(live), dtype=bool)
+        stalled.extend(live[~accepted])
         if box is not None:  # an escaped seed's outcome stays None
-            ended = accepted & (np.any(x < box[0], axis=-1)
-                                | np.any(x > box[1], axis=-1))
-        mu_l = mu[live]
-        mu_l[accepted] = np.maximum(mu_l[accepted] / 3.0, 1e-12)
-        rejected = ~accepted
-        # near-degenerate Hessian the determinant test missed
-        missed = rejected & newton
-        force_damped[live[missed]] = True
-        mu_l[missed] = np.maximum(mu_l[missed], 1e-3)
-        damped = rejected & ~newton
-        mu_l[damped] *= 10.0
-        mu[live] = mu_l
-        given_up = damped & (mu_l > 1e12)
-        stalled.extend(live[given_up])
-        live = live[~(ended | given_up)]
+            accepted &= ~(np.any(x < box[0], axis=-1)
+                          | np.any(x > box[1], axis=-1))
+        live = live[accepted]
     rest = np.array([*stalled, *live], dtype=int)
     if rest.size:
         for i, o in zip(rest, _rescue(field.rows(rest), X[rest], G[rest],
@@ -274,15 +244,15 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
 
 def _rescue(field: ScalarField, X: np.ndarray, G: np.ndarray,
             GN: np.ndarray, tol: float, max_iter: int) -> list:
-    """Outcomes of the seeds the monotone phase left at ``X`` ``(k, d)``
+    """Outcomes of the seeds the Newton phase left at ``X`` ``(k, d)``
     with gradients ``G`` and norms ``GN`` > ``tol``: a refined point or a
     NoConvergenceError each.
 
-    Monotone steps stall in curved |grad f| valleys around degenerate
-    zeros. Rescue with a trust-region least-squares pass over all mobile
-    seeds at once, then an unsafeguarded Newton polish per seed left above
-    ``tol`` (the nonmonotone orbit contracts where line searches cannot),
-    on the seed's own member of a stacked ``field``.
+    Newton stalls at singular Hessians and in curved |grad f| valleys
+    around degenerate zeros. Rescue with a trust-region least-squares
+    pass over all mobile seeds at once, then an unsafeguarded Newton polish
+    per seed left above ``tol`` (the nonmonotone orbit contracts where
+    line searches cannot), on the seed's own member of a stacked ``field``.
     """
     # Where H' grad f = 0 the trust-region model is flat and the polish's
     # Newton system is singular: no later stage can move the seed.
@@ -484,22 +454,20 @@ def _candidate_cells(g: np.ndarray, inside: np.ndarray) -> np.ndarray:
     """Boolean mask over cells passing the relaxed per-component sign test,
     from the lattice gradient ``g``; leading axes of ``g`` (members of a
     stack) lead the mask too."""
-    d = g.shape[-1]
-    corner_slices = list(itertools.product((slice(None, -1), slice(1, None)),
-                                           repeat=d))
-    lo = None
-    hi = None
-    any_inside = None
-    for sl in corner_slices:
-        c = g[(Ellipsis,) + sl + (slice(None),)]
-        lo = c if lo is None else np.minimum(lo, c)
-        hi = c if hi is None else np.maximum(hi, c)
-        ins = inside[sl]
-        any_inside = ins if any_inside is None else (any_inside | ins)
+    first, *rest = itertools.product((slice(None, -1), slice(1, None)),
+                                     repeat=g.shape[-1])
+    lo = g[(..., *first, slice(None))].copy()
+    hi, any_inside = lo.copy(), inside[first].copy()
+    for sl in rest:  # in place: on a 3-d lattice these are the peak arrays
+        c = g[(..., *sl, slice(None))]
+        np.minimum(lo, c, out=lo)
+        np.maximum(hi, c, out=hi)
+        any_inside |= inside[sl]
     rng = hi - lo
-    ok = np.all((lo <= _SIGN_SLACK * rng) & (hi >= -_SIGN_SLACK * rng),
-                axis=-1)
-    return ok & any_inside
+    rng *= _SIGN_SLACK
+    ok = lo <= rng
+    ok &= np.negative(hi, out=hi) <= rng    # hi >= -rng
+    return np.all(ok, axis=-1) & any_inside
 
 
 def find_critical_points(field: ScalarField, domain: Domain,

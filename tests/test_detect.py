@@ -79,7 +79,7 @@ def test_refine_newton_escape_ends_the_seed():
 
 
 def test_rescue_stops_once_the_gradient_meets_tol(monkeypatch):
-    # peano's degenerate zero: the monotone phase stalls in the curved
+    # peano's degenerate zero: the Newton phase stalls in the curved
     # valley and the trust-region rescue decides the seed, which must end
     # once |grad f| <= tol rather than at max_nfev = 600
     evals, results = [], []
@@ -152,14 +152,17 @@ def test_rescue_takes_scipys_trust_region_steps(monkeypatch):
 
 def test_peano_detection_takes_few_gradient_calls(monkeypatch):
     # lockstep phases: one grad call per rescue tick, at most two per
-    # monotone step (the full steps, then every halving at once)
-    calls = []
+    # Newton step (the full steps, then every halving at once). A seed
+    # that no halving helps goes straight to the rescue, so the 62 seeds
+    # evaluate about 32,000 gradient points in all
+    calls, points = [], []
     grad = ScalarField.grad
     monkeypatch.setattr(ScalarField, "grad", lambda self, s: (
-        calls.append(1)) or grad(self, s))
+        calls.append(1), points.append(np.size(s) // 2)) and grad(self, s))
     pts = find_critical_points(gallery("peano"), Ball((0, 0), 1.0), 24)
     assert [p.classification for p in pts] == ["Saddle(2)"]
     assert len(calls) <= 400
+    assert sum(points) <= 40_000
 
 
 def test_immobile_seed_skips_the_rescue(monkeypatch):
@@ -177,6 +180,27 @@ def test_immobile_seed_skips_the_rescue(monkeypatch):
         refine_newton(f, [0.3, -0.2], tol=1e-9)
     assert exc.value.context["grad_norm"] == 1.0
     assert exc.value.context["best"] == [0.3, -0.2]
+
+
+def test_singular_hessian_seed_goes_to_the_rescue(monkeypatch):
+    # x^3 + y^2 at (0, 0.3): the Hessian diag(0, 2) is singular, so there
+    # is no Newton step, but H' grad f = (0, 1.2) lets the trust-region
+    # pass move the seed; in a batch its row keeps the lone seed's bits
+    seeds = []
+    real = detect.least_squares
+
+    def spy(field, X, tol, max_nfev):
+        seeds.extend(X.tolist())
+        return real(field, X, tol, max_nfev)
+
+    monkeypatch.setattr(detect, "least_squares", spy)
+    f = gallery("undulation")
+    z = refine_newton(f, [0.0, 0.3], tol=1e-9)
+    assert seeds == [[0.0, 0.3]]
+    assert np.linalg.norm(f.grad(z)) <= 1e-9
+    batch = refine_newton(f, [[0.5, -0.4], [0.0, 0.3], [-0.2, 0.7]], tol=1e-9)
+    assert seeds == [[0.0, 0.3]] * 2
+    assert batch[1].tobytes() == z.tobytes()
 
 
 def _row_by_row(f, seeds, **kw):

@@ -58,7 +58,7 @@ def test_tracer_records_every_gallery_sweep_span():
 
 
 def test_tracer_reaches_batched_refinement_and_its_rescue():
-    # peano's degenerate zero sends seeds from the batched monotone phase
+    # peano's degenerate zero sends seeds from the batched Newton phase
     # to the least_squares rescue; both spans must stay reachable
     assert _missing_spans([["classify", "--gallery", "peano", "--grid", "24"]],
                           ["detect.refine", "detect.rescue"]) == []
