@@ -3,7 +3,7 @@
 The detector scans a lattice for cells whose gradient components can all
 plausibly cross zero, refines all candidates together by Newton iteration,
 hands every seed that Newton cannot help (a singular Hessian, a stalled
-line search) to a trust-region least-squares pass, deduplicates, and
+line search) to a trust-region pass and a Newton polish, deduplicates, and
 attaches index-based classifications. Cells whose refinement diverges are
 reported, never dropped; cells whose refinement leaves the domain's box
 are listed apart, as escaped. The members of a stacked field go through
@@ -72,40 +72,40 @@ class DetectionResult(list):
                                   for part in parts)) for m in range(n)]
 
 
-def _newton_polish(field: ScalarField, x: np.ndarray, gn: float,
+def _newton_polish(field: ScalarField, X: np.ndarray, GN: np.ndarray,
                    tol: float, iters: int):
-    """Unsafeguarded Newton on the gradient system, keeping the best
-    iterate by gradient norm.
+    """Unsafeguarded Newton from each seed of ``X`` ``(k, d)``, with
+    gradient norms ``GN``, on its own member of a stacked ``field``, in
+    lockstep (one ``grad`` and one ``hess`` call per step); returns the
+    best iterates by gradient norm and their norms.
 
     Monotone line searches stall on degenerate zeros: the full step
     overshoots the curved valley and |grad f| oscillates, yet the orbit
-    itself contracts. Run only after the safeguarded phase localized the
-    zero; a distance guard aborts genuine divergence.
+    itself contracts. A seed stops at tol, after 30 steps that do not
+    improve its best, at a singular system, or at an iterate that is not
+    finite or lies over 1e3 max(1, |x0|) from its best.
     """
-    best_x, best_gn = x.copy(), gn
-    cur = x.copy()
-    scale = max(1.0, float(np.linalg.norm(x)))
-    stall = 0
+    cur, best_x, best_gn = X.copy(), X.copy(), GN.copy()
+    scale = 1e3 * np.maximum(1.0, row_norms(X))
+    stall = np.zeros(len(X), dtype=int)
+    live = np.arange(len(X))
     for _ in range(iters):
-        g = field.grad(cur)
-        gnc = float(np.linalg.norm(g))
-        if np.isfinite(gnc) and gnc < best_gn:
-            best_x, best_gn = cur.copy(), gnc
-            stall = 0
-        else:
-            stall += 1
-            if stall > 30:
-                break
-        if best_gn <= tol:
+        g = field.rows(live).grad(cur[live])
+        gn = row_norms(g)
+        better = np.isfinite(gn) & (gn < best_gn[live])
+        rows = live[better]
+        best_x[rows], best_gn[rows] = cur[rows], gn[better]
+        stall[live] = np.where(better, 0, stall[live] + 1)
+        go_on = (stall[live] <= 30) & (best_gn[live] > tol)
+        live = live[go_on]
+        if not live.size:
             break
-        H = field.hess(cur)
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            break
-        cur = cur + step
-        if (not np.all(np.isfinite(cur))
-                or np.linalg.norm(cur - best_x) > 1e3 * scale):
+        step, ok = _solve(field.rows(live).hess(cur[live]), -g[go_on])
+        live = live[ok]
+        cur[live] += step[ok]
+        live = live[np.all(np.isfinite(cur[live]), axis=-1)
+                    & (row_norms(cur[live] - best_x[live]) <= scale[live])]
+        if not live.size:
             break
     return best_x, best_gn
 
@@ -150,8 +150,8 @@ def refine_newton(field: ScalarField, s0, tol: float = 1e-9,
     gradient calls per step for the batch; every evaluation is row-wise,
     so a seed's outcome does not depend on the rest of the batch, nor on
     the other members of a stack. Seeds that stall above ``tol`` go on
-    together to the rescue (:func:`_rescue`), whose trust-region pass
-    still contracts on degenerate zeros such as Peano-type valleys.
+    together to the rescue (:func:`_rescue`), whose lockstep trust-region
+    pass and Newton polish contract on degenerate zeros (Peano valleys).
 
     One seed returns the refined point or raises NoConvergence with the
     best iterate attached (an escape raises it too). A batch returns one
@@ -236,45 +236,36 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
         live = live[accepted]
     rest = np.array([*stalled, *live], dtype=int)
     if rest.size:
-        for i, o in zip(rest, _rescue(field.rows(rest), X[rest], G[rest],
-                                      GN[rest], tol, max_iter)):
+        for i, o in zip(rest, _rescue(field.rows(rest), X[rest], GN[rest],
+                                      tol, max_iter)):
             out[i] = o
     return out
 
 
-def _rescue(field: ScalarField, X: np.ndarray, G: np.ndarray,
-            GN: np.ndarray, tol: float, max_iter: int) -> list:
+def _rescue(field: ScalarField, X: np.ndarray, GN: np.ndarray,
+            tol: float, max_iter: int) -> list:
     """Outcomes of the seeds the Newton phase left at ``X`` ``(k, d)``
-    with gradients ``G`` and norms ``GN`` > ``tol``: a refined point or a
-    NoConvergenceError each.
+    with gradient norms ``GN`` > ``tol``, each on its own member of a
+    stacked ``field``: a refined point or a NoConvergenceError each.
 
     Newton stalls at singular Hessians and in curved |grad f| valleys
-    around degenerate zeros. Rescue with a trust-region least-squares
-    pass over all mobile seeds at once, then an unsafeguarded Newton polish
-    per seed left above ``tol`` (the nonmonotone orbit contracts where
-    line searches cannot), on the seed's own member of a stacked ``field``.
+    around degenerate zeros. The rescue runs a trust-region least-squares
+    pass over all the seeds, then the Newton polish over those still above
+    ``tol``: its nonmonotone orbit contracts where line searches cannot.
     """
-    # Where H' grad f = 0 the trust-region model is flat and the polish's
-    # Newton system is singular: no later stage can move the seed.
-    moves = np.any(_mv(np.swapaxes(field.hess(X), -1, -2), G), axis=-1)
-    best_x, best_gn = X.copy(), GN.copy()
-    out = []
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        if moves.any():
-            rx, rgn = least_squares(field.rows(moves), X[moves], tol,
-                                    max(600, 4 * max_iter))
-            better = np.isfinite(rgn) & (rgn < GN[moves])
-            rows = np.flatnonzero(moves)[better]
-            best_x[rows], best_gn[rows] = rx[better], rgn[better]
-        for i, (x, gn, polish) in enumerate(zip(best_x, best_gn.tolist(),
-                                                moves & (best_gn > tol))):
-            if polish:
-                x, gn = _newton_polish(field.rows(i), x, gn, tol,
-                                       max(120, max_iter))
-            out.append(x if gn <= tol else NoConvergenceError(
-                "gradient refinement stalled", best=x.tolist(),
-                grad_norm=gn, tol=tol))
-    return out
+        rx, rgn = least_squares(field, X, tol, max(600, 4 * max_iter))
+        better = np.isfinite(rgn) & (rgn < GN)
+        best_x = np.where(better[:, None], rx, X)
+        best_gn = np.where(better, rgn, GN)
+        rows = np.flatnonzero(best_gn > tol)
+        if rows.size:
+            best_x[rows], best_gn[rows] = _newton_polish(
+                field.rows(rows), best_x[rows], best_gn[rows], tol,
+                max(120, max_iter))
+    return [x if gn <= tol else NoConvergenceError(
+        "gradient refinement stalled", best=x.tolist(), grad_norm=gn,
+        tol=tol) for x, gn in zip(best_x, best_gn.tolist())]
 
 
 def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:

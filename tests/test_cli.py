@@ -477,10 +477,16 @@ def test_montecarlo_output_ignores_the_thread_setting(tmp_path, capsys,
     {"decay": "2"},
     {"noise": {"amplitude": "0.4"}},
     {"noise": {"amplitude": 0.4, "decay": "2"}},
+    ("montecarlo", "--config", "{missing}"),
+    "{not json",
+    {"noise": 0.4},
+    ("classify", "--gallery", "bowl", "--point", "a,b"),
 ])
 def test_malformed_numbers_are_usage_errors(tmp_path, capsys, case):
     if isinstance(case, tuple):
-        argv = [mc_config(tmp_path) if a == "{config}" else a for a in case]
+        paths = {"{config}": mc_config(tmp_path),
+                 "{missing}": str(tmp_path / "missing.json")}
+        argv = [paths.get(a, a) for a in case]
     else:
         path = tmp_path / "mc.json"
         if isinstance(case, str):

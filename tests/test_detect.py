@@ -153,31 +153,45 @@ def test_rescue_takes_scipys_trust_region_steps(monkeypatch):
 def test_peano_detection_takes_few_gradient_calls(monkeypatch):
     # lockstep phases: one grad call per rescue tick, at most two per
     # Newton step (the full steps, then every halving at once). A seed
-    # that no halving helps goes straight to the rescue, so the 62 seeds
-    # evaluate about 32,000 gradient points in all
-    calls, points = [], []
+    # that no halving helps goes straight to the rescue, so at grid 24 the
+    # 62 seeds evaluate about 32,000 gradient points in all. At tol 1e-14
+    # seeds go on from the pass to the polish, which takes one grad call
+    # per step for the batch
     grad = ScalarField.grad
-    monkeypatch.setattr(ScalarField, "grad", lambda self, s: (
-        calls.append(1), points.append(np.size(s) // 2)) and grad(self, s))
-    pts = find_critical_points(gallery("peano"), Ball((0, 0), 1.0), 24)
-    assert [p.classification for p in pts] == ["Saddle(2)"]
-    assert len(calls) <= 400
-    assert sum(points) <= 40_000
+    for grid, tol, max_calls, max_points in [(24, 1e-9, 400, 40_000),
+                                             (64, 1e-14, 900, 140_000)]:
+        calls, points = [], []
+        monkeypatch.setattr(ScalarField, "grad", lambda self, s: (
+            calls.append(1), points.append(np.size(s) // 2))
+            and grad(self, s))
+        pts = find_critical_points(gallery("peano"), Ball((0, 0), 1.0),
+                                   grid, newton_tol=tol)
+        assert [p.classification for p in pts] == ["Saddle(2)"]
+        assert len(calls) <= max_calls
+        assert sum(points) <= max_points
 
 
-def test_immobile_seed_skips_the_rescue(monkeypatch):
-    # gradient (0, 1) with a zero Hessian: H' grad f = 0, so neither the
-    # trust-region rescue nor the Newton polish can move the seed
+def test_immobile_seed_ends_at_the_first_trial(monkeypatch):
+    # gradient (0, 1) with a zero Hessian: H' grad f = 0, so the
+    # trust-region model is flat. The pass's first trial point is NaN,
+    # which ends the seed there, and the polish's Newton system is singular
     f = ScalarField(lambda s: s[..., 1], 2,
                     grad_fn=lambda s: np.broadcast_to([0.0, 1.0], s.shape),
                     hess_fn=lambda s: np.zeros(s.shape[:-1] + (2, 2)))
+    seeds, points = [], []
+    real = detect.least_squares
 
-    def no_rescue(*args, **kwargs):
-        raise AssertionError("rescue called at an immobile point")
+    def spy(field, X, tol, max_nfev):
+        seeds.extend(X.tolist())
+        counted = ScalarField(field.fn, field.dim, grad_fn=lambda s: (
+            points.append(len(s)) or field.grad(s)), hess_fn=field.hess)
+        return real(counted, X, tol, max_nfev)
 
-    monkeypatch.setattr(detect, "least_squares", no_rescue)
+    monkeypatch.setattr(detect, "least_squares", spy)
     with pytest.raises(NoConvergenceError) as exc:
         refine_newton(f, [0.3, -0.2], tol=1e-9)
+    assert seeds == [[0.3, -0.2]]
+    assert points == [1, 1]     # the start and one trial
     assert exc.value.context["grad_norm"] == 1.0
     assert exc.value.context["best"] == [0.3, -0.2]
 
@@ -222,7 +236,7 @@ def _same_outcome(a, b):
     return a is None and b is None
 
 
-def test_batched_refinement_matches_one_seed_at_a_time():
+def test_batched_refinement_matches_one_seed_at_a_time(monkeypatch):
     # every candidate cell of twogauss at grid 64, in the box
     # find_critical_points passes: converged points and escapes
     f, dom = gallery("twogauss"), Ball((0, 0), 1.0)
@@ -245,6 +259,20 @@ def test_batched_refinement_matches_one_seed_at_a_time():
     assert all(isinstance(o, NoConvergenceError) for o in batch)
     assert all(map(_same_outcome, batch,
                    _row_by_row(tilt, seeds, max_iter=10)))
+
+    # the Newton polish: on peano's degenerate zero at a deep tol, two
+    # seeds that it brings to tol and one so far out that it cannot
+    polished = []
+    real = detect._newton_polish
+    monkeypatch.setattr(detect, "_newton_polish", lambda f, X, *a: (
+        polished.append(len(X)) or real(f, X, *a)))
+    peano, kw = gallery("peano"), {"tol": 1e-20, "max_iter": 200}
+    seeds = np.array([[0.1, 0.1], [-0.3, 0.2], [1e40, 0.0]])
+    batch = refine_newton(peano, seeds, **kw)
+    assert polished[0] == 3
+    assert [type(o) for o in batch] == [np.ndarray, np.ndarray,
+                                        NoConvergenceError]
+    assert all(map(_same_outcome, batch, _row_by_row(peano, seeds, **kw)))
 
 
 @pytest.mark.parametrize("name,expected", [

@@ -99,25 +99,26 @@ COMMANDS = {
 STREAMS = ("rc", "out", "err")
 
 
-def run_command(argv: list[str]) -> dict[str, bytes]:
-    """Exit code, stdout and stderr of one in-process CLI run."""
+def run_command(argv: list[str]) -> tuple[dict[str, bytes], list]:
+    """Exit code, stdout and stderr of one in-process CLI run, and the
+    warnings it raised."""
     from critsense.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
-        # warnings are routed by the process-wide filter state (pytest
-        # captures them, a plain run prints each once), so they are kept
-        # out of the compared streams
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+        # warnings are recorded, not printed: where they go depends on the
+        # process-wide filter state, so they stay out of the streams
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("always")
             rc = main(list(argv))
     finally:
         os.chdir(cwd)
     return {"rc": f"{rc}\n".encode(), "out": out.getvalue().encode(),
-            "err": err.getvalue().encode()}
+            "err": err.getvalue().encode()}, caught
 
 
 def first_difference(want: bytes, got: bytes) -> str:
@@ -131,12 +132,17 @@ def first_difference(want: bytes, got: bytes) -> str:
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_artifact(name):
-    got = run_command(COMMANDS[name])
+    got, caught = run_command(COMMANDS[name])
     for stream in STREAMS:
         want = (GOLDEN / f"{name}.{stream}").read_bytes()
         assert got[stream] == want, (
             f"critsense {' '.join(COMMANDS[name])}: {stream} differs from "
             f"{name}.{stream}, {first_difference(want, got[stream])}")
+    # numpy reports overflow and invalid operations as RuntimeWarnings
+    numpy_warnings = [str(w.message) for w in caught
+                      if issubclass(w.category, RuntimeWarning)]
+    assert not numpy_warnings, (
+        f"critsense {' '.join(COMMANDS[name])} warned: {numpy_warnings}")
 
 
 def test_every_subcommand_has_json_and_csv_goldens():
@@ -151,7 +157,7 @@ def test_every_subcommand_has_json_and_csv_goldens():
 
 def regenerate() -> None:
     for name, argv in sorted(COMMANDS.items()):
-        for stream, data in run_command(argv).items():
+        for stream, data in run_command(argv)[0].items():
             (GOLDEN / f"{name}.{stream}").write_bytes(data)
         print(f"wrote {name}")
 
