@@ -68,34 +68,33 @@ class DetectionResult(list):
     def split(self) -> list:
         """One result per member of the stack, in member order."""
         n, *parts = self._parts
-        return [DetectionResult(*([(0, x) for k, x in part if k == m]
-                                  for part in parts)) for m in range(n)]
+        lists = [[[] for _ in parts] for _ in range(n)]
+        for j, part in enumerate(parts):
+            for k, x in part:
+                lists[k][j].append((0, x))
+        return [DetectionResult(*own) for own in lists]
 
 
-def _newton_polish(field: ScalarField, X: np.ndarray, GN: np.ndarray,
-                   tol: float, iters: int):
+def _newton_polish(field: ScalarField, X: np.ndarray, G: np.ndarray,
+                   GN: np.ndarray, tol: float, iters: int):
     """Unsafeguarded Newton from each seed of ``X`` ``(k, d)``, with
-    gradient norms ``GN``, on its own member of a stacked ``field``, in
-    lockstep (one ``grad`` and one ``hess`` call per step); returns the
-    best iterates by gradient norm and their norms.
+    gradients ``G`` and their norms ``GN``, on its own member of a stacked
+    ``field``, in lockstep (one ``grad`` and one ``hess`` call per step);
+    returns the best iterates by gradient norm and their norms.
 
     Monotone line searches stall on degenerate zeros: the full step
     overshoots the curved valley and |grad f| oscillates, yet the orbit
     itself contracts. A seed stops at tol, after 30 steps that do not
     improve its best, at a singular system, or at an iterate that is not
-    finite or lies over 1e3 max(1, |x0|) from its best.
+    finite or lies over 1e3 max(1, |x0|) from its best. Of the ``iters``
+    gradients the first is ``G``, which counts as a step that did not
+    improve.
     """
     cur, best_x, best_gn = X.copy(), X.copy(), GN.copy()
     scale = 1e3 * np.maximum(1.0, row_norms(X))
-    stall = np.zeros(len(X), dtype=int)
-    live = np.arange(len(X))
-    for _ in range(iters):
-        g = field.rows(live).grad(cur[live])
-        gn = row_norms(g)
-        better = np.isfinite(gn) & (gn < best_gn[live])
-        rows = live[better]
-        best_x[rows], best_gn[rows] = cur[rows], gn[better]
-        stall[live] = np.where(better, 0, stall[live] + 1)
+    stall = np.ones(len(X), dtype=int)
+    live, g = np.arange(len(X)), G
+    for _ in range(iters - 1):
         go_on = (stall[live] <= 30) & (best_gn[live] > tol)
         live = live[go_on]
         if not live.size:
@@ -107,6 +106,12 @@ def _newton_polish(field: ScalarField, X: np.ndarray, GN: np.ndarray,
                     & (row_norms(cur[live] - best_x[live]) <= scale[live])]
         if not live.size:
             break
+        g = field.rows(live).grad(cur[live])
+        gn = row_norms(g)
+        better = np.isfinite(gn) & (gn < best_gn[live])
+        rows = live[better]
+        best_x[rows], best_gn[rows] = cur[rows], gn[better]
+        stall[live] = np.where(better, 0, stall[live] + 1)
     return best_x, best_gn
 
 
@@ -236,33 +241,38 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
         live = live[accepted]
     rest = np.array([*stalled, *live], dtype=int)
     if rest.size:
-        for i, o in zip(rest, _rescue(field.rows(rest), X[rest], GN[rest],
-                                      tol, max_iter)):
+        for i, o in zip(rest, _rescue(field.rows(rest), X[rest], G[rest],
+                                      GN[rest], tol, max_iter)):
             out[i] = o
     return out
 
 
-def _rescue(field: ScalarField, X: np.ndarray, GN: np.ndarray,
-            tol: float, max_iter: int) -> list:
+def _rescue(field: ScalarField, X: np.ndarray, G: np.ndarray,
+            GN: np.ndarray, tol: float, max_iter: int) -> list:
     """Outcomes of the seeds the Newton phase left at ``X`` ``(k, d)``
-    with gradient norms ``GN`` > ``tol``, each on its own member of a
-    stacked ``field``: a refined point or a NoConvergenceError each.
+    with gradients ``G`` whose norms ``GN`` exceed ``tol``, each on its
+    own member of a stacked ``field``: a refined point or a
+    NoConvergenceError each.
 
     Newton stalls at singular Hessians and in curved |grad f| valleys
     around degenerate zeros. The rescue runs a trust-region least-squares
     pass over all the seeds, then the Newton polish over those still above
     ``tol``: its nonmonotone orbit contracts where line searches cannot.
+    The polish starts from the gradients it is handed, so it evaluates
+    none where the pass or the Newton phase left a seed.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        rx, rgn = least_squares(field, X, tol, max(600, 4 * max_iter))
+        rx, rg = least_squares(field, X, tol, max(600, 4 * max_iter))
+        rgn = row_norms(rg)
         better = np.isfinite(rgn) & (rgn < GN)
         best_x = np.where(better[:, None], rx, X)
+        best_g = np.where(better[:, None], rg, G)
         best_gn = np.where(better, rgn, GN)
         rows = np.flatnonzero(best_gn > tol)
         if rows.size:
             best_x[rows], best_gn[rows] = _newton_polish(
-                field.rows(rows), best_x[rows], best_gn[rows], tol,
-                max(120, max_iter))
+                field.rows(rows), best_x[rows], best_g[rows], best_gn[rows],
+                tol, max(120, max_iter))
     return [x if gn <= tol else NoConvergenceError(
         "gradient refinement stalled", best=x.tolist(), grad_norm=gn,
         tol=tol) for x, gn in zip(best_x, best_gn.tolist())]
@@ -282,7 +292,7 @@ def least_squares(field: ScalarField, X: np.ndarray, tol: float,
                   max_nfev: int):
     """Trust-region least squares on the gradient system from each seed of
     ``X`` ``(k, d)``, seed j on member j of a stacked ``field``; returns
-    the final iterates and their gradient norms.
+    the final iterates and their gradients.
 
     This is the Levenberg-Marquardt trust-region method of Moré (1978,
     LNM 630) as SciPy's ``least_squares(method="trf", x_scale="jac")``
@@ -380,7 +390,7 @@ def least_squares(field: ScalarField, X: np.ndarray, tol: float,
             fresh[rows] = True
             done[moved] = ~np.all(np.isfinite(Jr), axis=(-2, -1))
         live = live[~done]
-    return X, row_norms(F)
+    return X, F
 
 
 def _tr_step(uf: np.ndarray, s: np.ndarray, V: np.ndarray,
@@ -549,10 +559,12 @@ def _classified(field: ScalarField, domain: Domain, refined: list,
     f = field.rows(mem)
     values, _, hess = f.jet(locs, 2)
     specs = sym_eigvalsh(hess)
-    # each point's own location is among its member's: probe_radius skips
-    # zero distances
-    probes = homindex.probe_radius(locs, locs, domain,
-                                   among=mem[:, None] == mem)
+    # each member's points are one run of the sorted points, and each
+    # point's own location is among its run's: probe_radius skips zero
+    # distances
+    runs = np.split(locs, np.flatnonzero(np.diff(mem)) + 1)
+    probes = np.concatenate([homindex.probe_radius(run, run, domain)
+                             for run in runs])
     classes = homindex.classify_by_index(f, locs, probes, eigs=specs)
     near = (domain.boundary_distance(locs) < boundary_margin).tolist()
     # At a degenerate zero the refined point sits a residual-sized step
@@ -581,11 +593,16 @@ def resolution(points) -> float:
                for i in range(len(locs) - 1))
 
 
-def boundary_min_gradient(field: ScalarField, domain: Domain) -> float:
+def boundary_min_gradient(field: ScalarField, domain: Domain):
     """Infimum of |grad f| over 256 boundary samples; positive certifies
-    the no-boundary-critical-point assumption numerically."""
-    g = field.grad(domain.boundary_frames(256)[0])
-    return float(np.min(np.linalg.norm(g, axis=-1)))
+    the no-boundary-critical-point assumption numerically. A stacked
+    ``field`` gives a list, one value per member, each with the bits of
+    its member alone."""
+    pts = domain.boundary_frames(256)[0]
+    if field.members is None:
+        return float(np.min(np.linalg.norm(field.grad(pts), axis=-1)))
+    g = field.grad(pts[:, None, :])   # every member at every sample
+    return np.min(np.linalg.norm(g, axis=-1), axis=0).tolist()
 
 
 def improper_extrema(field: ScalarField, domain: Domain,

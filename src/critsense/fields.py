@@ -142,6 +142,12 @@ class ScalarField:
         return tuple(np.asarray(a, dtype=float)
                      for a in self.jet_fn(s, order))
 
+    @property
+    def members(self) -> int | None:
+        """The number of members of a stack (see :meth:`rows`); None for
+        a plain field."""
+        return None
+
     def rows(self, member) -> "ScalarField":
         """The field of the stack members ``member``: one member's own
         field for an index, or for an index array ``(k,)`` the field that

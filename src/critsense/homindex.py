@@ -142,15 +142,14 @@ def _index_1d(field: ScalarField, Z: np.ndarray, eps: np.ndarray) -> list:
     return out
 
 
-def probe_radius(z, others, domain: Domain, among=None):
+def probe_radius(z, others, domain: Domain):
     """A quarter of the distance from ``z`` ``(d,)`` to the nearest other
     known zero in ``others`` ``(n, d)`` or to the boundary, at most 0.25.
     Zero distances and nonpositive boundary distances (``z`` on or
     outside the boundary) are skipped.
 
     For zeros ``z`` ``(k, d)``, an array of ``k`` radii, each with the
-    bits of the one-zero form; ``among`` ``(k, n)``, when given, marks
-    the ``others`` that count for each zero (such as its own member's).
+    bits of the one-zero form.
     """
     z = np.asarray(z, dtype=float)
     Z = z.reshape(-1, z.shape[-1])
@@ -161,10 +160,7 @@ def probe_radius(z, others, domain: Domain, among=None):
         rows = Z[i:i + 256]
         dist = row_norms((others - rows[:, None]).reshape(-1, d)
                          ).reshape(len(rows), -1)
-        keep = dist > 0
-        if among is not None:
-            keep &= among[i:i + 256]
-        near[i:i + 256] = np.where(keep, dist, np.inf).min(
+        near[i:i + 256] = np.where(dist > 0, dist, np.inf).min(
             axis=-1, initial=np.inf)
     bd = np.asarray(domain.boundary_distance(Z))
     r = np.minimum(np.minimum(0.25, np.where(bd > 0, 0.25 * bd, np.inf)),

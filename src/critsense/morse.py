@@ -39,7 +39,7 @@ def morse_classify(field: ScalarField, z, degeneracy_tol=1e-8, eigs=None):
 
 
 def morse_statistic(field: ScalarField, domain: Domain,
-                    grid_res: int = 64) -> float:
+                    grid_res: int = 64):
     """Grid infimum of max(|grad f|, smallest singular value of H_f).
 
     Positive certifies Morseness numerically: wherever the gradient
@@ -47,14 +47,19 @@ def morse_statistic(field: ScalarField, domain: Domain,
     smallest singular value; the operator norm would miss directionally
     degenerate Hessians (rank-deficient but nonzero) and certify
     non-Morse fields.
+
+    A stacked ``field`` gives a list, one value per member, each with the
+    bits of its member alone, from one lattice and one ``jet`` call.
     """
     lat = domain.lattice(grid_res)
     inside = np.asarray(domain.contains(lat))
-    _, grad, hess = field.jet(lat, 2)
+    stack = field.members is not None
+    # points (..., 1, d) reach every member of a stack
+    _, grad, hess = field.jet(lat[..., None, :] if stack else lat, 2)
     g = np.linalg.norm(grad, axis=-1)
     h_min = np.min(np.abs(sym_eigvalsh(hess)), axis=-1)
-    stat = np.maximum(g, h_min)
-    return float(np.min(stat[inside]))
+    stat = np.maximum(g, h_min)[inside]
+    return np.min(stat, axis=0).tolist() if stack else float(np.min(stat))
 
 
 # ---------------------------------------------------------------- #

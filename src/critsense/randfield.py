@@ -19,9 +19,12 @@ fixed-size blocks, each block is scaled once, and a sequential cumsum
 whose first row carries the running sum gives the prefix sums, with the
 bits of adding the E_i one at a time. Memory is one block, whatever n.
 
-A trial then makes one detection: G and every Ghat_n are the members of
-one stacked ``BasisField``, scanned on one lattice and refined and
-classified in lockstep, each with the bits of its own detection.
+Trials run in passes of up to ``PASS_LIMIT_BYTES // (bytes per trial)``
+trials. A pass makes one detection: the G and every Ghat_n of each of its
+trials are the members of one stacked ``BasisField``, scanned on one
+lattice and refined and classified in lockstep, each with the bits of its
+own detection. The hypothesis statistics of the pass's G fields come from
+one stack too.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ from .sequence import HYPOTHESIS_BOUNDARY_TOL, HYPOTHESIS_RESOLUTION_TOL, \
 
 HYPOTHESIS_M_TOL = 1e-6
 LATTICE_LIMIT_BYTES = 1 << 27  # the largest lattice array a trial may build
+# a pass's stacked lattice gradient stays within this, unless one trial
+# alone exceeds it: 16 trials of the README config, one of a 2-d config of
+# three mean fields at grid 64
+PASS_LIMIT_BYTES = 272 << 10
 
 _EINSUM_AXES = "ijklmn"
 
@@ -138,9 +145,13 @@ class BasisField(ScalarField):
         self._subscripts = ",".join(["..." + a for a in axes]
                                     + ["..." + axes]) + "->..."
 
+    @property
+    def members(self) -> int | None:
+        return len(self.coeffs) if self.coeffs.ndim > self.dim else None
+
     def rows(self, member) -> BasisField:
         """See :meth:`ScalarField.rows`; ``coeffs[member]`` of a stack."""
-        if self.coeffs.ndim == self.dim:
+        if self.members is None:
             return self
         return BasisField(self.coeffs[member], self.dim)
 
@@ -302,43 +313,51 @@ def _counts(points) -> dict:
 
 
 def _run_trial(spec: BasisSpec, noise_spec: BasisSpec, n_list, seed: int,
-               trial: int, grid_res: int) -> dict:
+               trials: range, grid_res: int) -> list:
+    """The records of the trials ``trials``, from one pass: one detection
+    of every trial's G and Ghat_n, and one stack of the G fields for the
+    hypothesis statistics."""
     dom = standard_domain(spec.dim)
-    G = sample_limit_field(spec, seed, trial)
-    fields = [G, *empirical_mean_field(G, noise_spec, n_list, seed, trial)]
-    # one detection for G and every Ghat_n; a wider noise degree embeds
-    # G's coefficients, and zero padding would change its sums' bits, so
-    # then G is detected on its own
-    stacks = ([fields] if fields[-1].degree == G.degree
-              else [fields[:1], fields[1:]])
+    Gs = [sample_limit_field(spec, seed, t) for t in trials]
+    hats = [f for G, t in zip(Gs, trials)
+            for f in empirical_mean_field(G, noise_spec, n_list, seed, t)]
+    G = BasisField(np.stack([f.coeffs for f in Gs]), spec.dim)
+    # one detection for every member; a wider noise degree embeds G's
+    # coefficients, and zero padding would change its sums' bits, so then
+    # the G fields are detected on their own
+    stacks = [Gs + hats] if noise_spec.degree <= spec.degree else [Gs, hats]
     found = [pts for members in stacks for pts in detect.find_critical_points(
         BasisField(np.stack([f.coeffs for f in members]), spec.dim), dom,
         grid_res=grid_res).split()]
-    pts_G = found[0]
     stat_l = detect.boundary_min_gradient(G, dom)
-    stat_r = detect.resolution(pts_G)
     stat_m = morse_statistic(G, dom, grid_res=grid_res)
-    counts_G = _counts(pts_G)
-    # "failed" is always false: detection lists a stalled seed as
-    # unresolved and never raises; the key keeps the artifact's schema
-    rec = {
-        "trial": trial, "failed": False,
-        "L": stat_l, "R": stat_r, "M": stat_m,
-        "counts_G": counts_G,
-        "hypothesis_ok": bool(stat_l > HYPOTHESIS_BOUNDARY_TOL
-                              and stat_r > HYPOTHESIS_RESOLUTION_TOL
-                              and stat_m > HYPOTHESIS_M_TOL),
-        "per_n": [],
-    }
-    for n, pts_n in zip(n_list, found[1:]):
-        counts_n = _counts(pts_n)
-        rec["per_n"].append({
-            "n": int(n), "failed": False,
-            "counts": counts_n,
-            "R_hat": detect.resolution(pts_n),
-            "match": all(counts_n[k] == counts_G[k] for k in _TRIPLE),
-        })
-    return rec
+    records = []
+    for i, t in enumerate(trials):
+        pts_G = found[i]
+        stat_r = detect.resolution(pts_G)
+        counts_G = _counts(pts_G)
+        # "failed" is always false: detection lists a stalled seed as
+        # unresolved and never raises; the key keeps the artifact's schema
+        rec = {
+            "trial": t, "failed": False,
+            "L": stat_l[i], "R": stat_r, "M": stat_m[i],
+            "counts_G": counts_G,
+            "hypothesis_ok": bool(stat_l[i] > HYPOTHESIS_BOUNDARY_TOL
+                                  and stat_r > HYPOTHESIS_RESOLUTION_TOL
+                                  and stat_m[i] > HYPOTHESIS_M_TOL),
+            "per_n": [],
+        }
+        first = len(Gs) + i * len(n_list)
+        for n, pts_n in zip(n_list, found[first:first + len(n_list)]):
+            counts_n = _counts(pts_n)
+            rec["per_n"].append({
+                "n": int(n), "failed": False,
+                "counts": counts_n,
+                "R_hat": detect.resolution(pts_n),
+                "match": all(counts_n[k] == counts_G[k] for k in _TRIPLE),
+            })
+        records.append(rec)
+    return records
 
 
 def monte_carlo_convergence(spec: BasisSpec, noise_spec: BasisSpec, n_list,
@@ -347,8 +366,11 @@ def monte_carlo_convergence(spec: BasisSpec, noise_spec: BasisSpec, n_list,
     """Per-n frequency of exact (N_M, N_m, N_S) agreement between
     Ghat_n and G over hypothesis-passing trials.
 
-    Trials run one after another in trial order. Each draws only from its
-    own Philox streams, so the table is bit-identical on every run.
+    Trials run in passes, in trial order; a pass stacks the fields of as
+    many trials as ``PASS_LIMIT_BYTES`` allows (at least one) into one
+    detection. Each trial draws only from its own Philox streams and each
+    member keeps the bits of its own detection, so the table is
+    bit-identical on every run and whatever the pass size.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1", trials=trials)
@@ -369,8 +391,12 @@ def monte_carlo_convergence(spec: BasisSpec, noise_spec: BasisSpec, n_list,
             f"a trial's largest lattice array would take {nbytes} bytes, "
             f"over the limit of {LATTICE_LIMIT_BYTES}", bytes=nbytes,
             limit=LATTICE_LIMIT_BYTES, dim=spec.dim, grid_res=res)
-    records = [_run_trial(spec, noise_spec, n_list, seed, t, res)
-               for t in range(trials)]
+    # a trial's members' gradients on the lattice, as the pass stacks them
+    per_trial = 8 * (res + 1) ** spec.dim * (1 + len(n_list)) * spec.dim
+    size = max(1, PASS_LIMIT_BYTES // per_trial)
+    records = [rec for t in range(0, trials, size)
+               for rec in _run_trial(spec, noise_spec, n_list, seed,
+                                     range(t, min(t + size, trials)), res)]
 
     per_n = []
     for idx, n in enumerate(n_list):

@@ -95,7 +95,7 @@ def test_rescue_stops_once_the_gradient_meets_tol(monkeypatch):
     f = gallery("peano")
     z = refine_newton(f, [-0.625, 0.375], tol=1e-9)
     assert np.linalg.norm(f.grad(z)) <= 1e-9
-    assert len(results) == 1 and results[0][1][0] <= 1e-9
+    assert len(results) == 1 and np.linalg.norm(results[0][1][0]) <= 1e-9
     assert 0 < sum(evals) < 600
 
 
@@ -120,12 +120,12 @@ def test_rescue_rows_keep_their_bits_alone(monkeypatch):
     # of the same seed run alone, bit for bit, and every row meets tol
     field, X, tol, max_nfev = _peano_stragglers(monkeypatch)
     assert len(X) > 50
-    bx, bgn = detect.least_squares(field, X, tol, max_nfev)
-    assert np.all(bgn <= tol)
-    for x0, x, gn in zip(X, bx, bgn):
-        ax, agn = detect.least_squares(field, x0[None], tol, max_nfev)
+    bx, bg = detect.least_squares(field, X, tol, max_nfev)
+    assert np.all(np.linalg.norm(bg, axis=-1) <= tol)
+    for x0, x, g in zip(X, bx, bg):
+        ax, ag = detect.least_squares(field, x0[None], tol, max_nfev)
         assert ax[0].tobytes() == x.tobytes()
-        assert agn[0].tobytes() == gn.tobytes()
+        assert ag[0].tobytes() == g.tobytes()
 
 
 def test_rescue_takes_scipys_trust_region_steps(monkeypatch):
@@ -273,6 +273,42 @@ def test_batched_refinement_matches_one_seed_at_a_time(monkeypatch):
     assert [type(o) for o in batch] == [np.ndarray, np.ndarray,
                                         NoConvergenceError]
     assert all(map(_same_outcome, batch, _row_by_row(peano, seeds, **kw)))
+
+
+def test_polish_reuses_the_gradients_it_is_handed(monkeypatch):
+    # the polish starts from the pass's final gradients, or from the
+    # Newton phase's for a seed the pass did not improve, so it evaluates
+    # no gradient at a point the pass returned
+    returned, evaluated, inside = [], [], []
+    lsq, polish, grad = (detect.least_squares, detect._newton_polish,
+                         ScalarField.grad)
+
+    def lsq_spy(*args):
+        out = lsq(*args)
+        returned.extend(map(tuple, out[0].tolist()))
+        return out
+
+    def polish_spy(*args):
+        inside.append(True)
+        try:
+            return polish(*args)
+        finally:
+            inside.clear()
+
+    def grad_spy(self, s):
+        if inside:
+            evaluated.extend(map(tuple, np.reshape(s, (-1, 2)).tolist()))
+        return grad(self, s)
+
+    monkeypatch.setattr(detect, "least_squares", lsq_spy)
+    monkeypatch.setattr(detect, "_newton_polish", polish_spy)
+    monkeypatch.setattr(ScalarField, "grad", grad_spy)
+    seeds = np.array([[0.1, 0.1], [-0.3, 0.2], [1e40, 0.0]])
+    batch = refine_newton(gallery("peano"), seeds, tol=1e-20, max_iter=200)
+    assert [type(o) for o in batch] == [np.ndarray, np.ndarray,
+                                        NoConvergenceError]
+    assert len(returned) == 3 and evaluated
+    assert not set(returned) & set(evaluated)
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -495,12 +531,12 @@ def test_batch_probe_radius_has_the_bits_of_the_one_zero_form():
         locs = np.array([p.location for p in pts])
         mem = np.array(members)
         assert len(locs) > 1
-        batch = homindex.probe_radius(locs, locs, dom,
-                                      among=mem[:, None] == mem)
-        alone = [homindex.probe_radius(z, locs[mem == m], dom)
-                 for z, m in zip(locs, mem)]
-        assert batch.tolist() == alone
-        # without ``among`` every other zero counts
+        # over each member's points, as detection's tail takes it
+        for m in set(members):
+            run = locs[mem == m]
+            assert homindex.probe_radius(run, run, dom).tolist() == [
+                homindex.probe_radius(z, run, dom) for z in run]
+        # every other zero counts
         assert homindex.probe_radius(locs, locs, dom).tolist() == [
             homindex.probe_radius(z, locs, dom) for z in locs]
     # no other zero: the boundary or the 0.25 cap decides

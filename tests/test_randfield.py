@@ -350,19 +350,90 @@ README_SPEC = (BasisSpec(1, 4, 1.0, 2.0), BasisSpec(1, 4, 0.6, 1.5),
                [10, 100, 1000], 512)
 
 
-@pytest.mark.parametrize("spec,noise,n_list,grid,trials", [
-    (*README_SPEC, 20),
+def _pass_sizes(monkeypatch) -> list:
+    """The number of trials of each pass from now on."""
+    sizes = []
+    real = randfield._run_trial
+
+    def spy(spec, noise, n_list, seed, trials, grid_res):
+        sizes.append(len(trials))
+        return real(spec, noise, n_list, seed, trials, grid_res)
+
+    monkeypatch.setattr(randfield, "_run_trial", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("spec,noise,n_list,grid,trials,passes", [
+    (*README_SPEC, 20, [16, 4]),
     # the montecarlo_d2 golden's config
-    (BasisSpec(2, 2), BasisSpec(2, 2, 0.6, 1.5), [10, 100], 16, 20),
-    # a wider noise degree: G is detected apart from its mean fields
-    (BasisSpec(1, 2), BasisSpec(1, 3, 0.6, 1.5), [10, 100], 64, 10),
+    (BasisSpec(2, 2), BasisSpec(2, 2, 0.6, 1.5), [10, 100], 16, 20, [20]),
+    # a wider noise degree: the G fields are detected apart from the
+    # mean fields
+    (BasisSpec(1, 2), BasisSpec(1, 3, 0.6, 1.5), [10, 100], 64, 10, [10]),
 ], ids=["readme", "mc_d2", "wider_noise"])
-def test_trial_records_equal_one_detection_per_field(spec, noise, n_list,
-                                                     grid, trials):
-    for t in range(trials):
-        got = randfield._run_trial(spec, noise, n_list, 777, t, grid)
+def test_trial_records_equal_one_detection_per_field(monkeypatch, spec, noise,
+                                                     n_list, grid, trials,
+                                                     passes):
+    sizes = _pass_sizes(monkeypatch)
+    records = monte_carlo_convergence(spec, noise, n_list, trials, 777,
+                                      grid_res=grid)["records"]
+    assert sizes == passes
+    assert len(records) == trials
+    for t, got in enumerate(records):
         assert repr(got) == repr(per_field_trial(spec, noise, n_list, 777,
                                                  t, grid))
+
+
+def test_pass_size_leaves_the_table_unchanged(monkeypatch):
+    spec, noise, n_list, grid = README_SPEC
+    per_trial = 8 * (grid + 1) * (1 + len(n_list))
+    sizes = _pass_sizes(monkeypatch)
+    tables = []
+    for budget, passes in [(per_trial, [1] * 80),
+                           (7 * per_trial, [7] * 11 + [3]),
+                           (randfield.PASS_LIMIT_BYTES, [16] * 5)]:
+        monkeypatch.setattr(randfield, "PASS_LIMIT_BYTES", budget)
+        tables.append(cli.dumps(monte_carlo_convergence(
+            spec, noise, n_list, 80, 777)))
+        assert sizes == passes
+        sizes.clear()
+    assert tables[0] == tables[1] == tables[2]
+
+
+def test_a_pass_stays_within_its_lattice_budget(monkeypatch):
+    # the stacked lattice gradient of each detection of the README table;
+    # a larger pass should fail here before it shows as peak memory
+    nbytes = []
+    real = randfield.detect.find_critical_points
+
+    def spy(field, domain, grid_res, **kw):
+        lat = domain.lattice(grid_res)
+        nbytes.append(field.grad(lat[..., None, :]).nbytes)
+        return real(field, domain, grid_res=grid_res, **kw)
+
+    monkeypatch.setattr(randfield.detect, "find_critical_points", spy)
+    spec, noise, n_list, _ = README_SPEC
+    monte_carlo_convergence(spec, noise, n_list, 80, 777)
+    assert len(nbytes) == 5
+    assert max(nbytes) <= randfield.PASS_LIMIT_BYTES
+
+
+def test_split_of_a_large_stack_equals_per_member_filtering():
+    # 80 trials' G and mean fields, 320 members; at grid 32 some members
+    # leave unresolved and escaped cells
+    spec, noise = BasisSpec(1, 4), BasisSpec(1, 4, 0.6, 1.5)
+    fields = [f for t in range(80)
+              for G in [sample_limit_field(spec, 777, t)]
+              for f in [G, *empirical_mean_field(G, noise, [10, 100, 1000],
+                                                 777, t)]]
+    res = find_critical_points(_stack(fields), standard_domain(1), 32)
+    members, *lists = res._parts
+    assert members == len(fields) == 320 and all(lists)
+    parts = res.split()
+    assert len(parts) == members
+    for m, part in enumerate(parts):
+        for got, items in zip([part, part.unresolved, part.escaped], lists):
+            assert list(got) == [x for k, x in items if k == m]
 
 
 def test_lattice_guard_refuses_a_trial_too_large_to_build(monkeypatch,

@@ -90,7 +90,7 @@ print(json.dumps({"calls": {k: v[0] for k, v in agg.items()},
 """
 
 
-def test_tracer_counts_one_stacked_detection_per_trial(tmp_path):
+def test_tracer_counts_one_stacked_detection_per_pass(tmp_path):
     path = tmp_path / "mc.json"
     path.write_text(json.dumps({
         "D": 1, "degree": 4, "amplitude": 1.0, "decay": 2.0,
@@ -103,9 +103,10 @@ def test_tracer_counts_one_stacked_detection_per_trial(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     calls, counts = got["calls"], got["counts"]
-    # G and its three mean fields go through one detect.find per trial
-    assert calls["detect.find"] == 3
-    assert calls["detect.refine"] >= 3
+    # the three trials fit in one pass: their G and mean fields go
+    # through one detect.find
+    assert calls["detect.find"] == 1
+    assert calls["detect.refine"] >= 1
     records = got["artifact"]["result"]["records"]
     assert counts["detect.points"] == sum(
         r["counts_G"]["N_C"] + sum(row["counts"]["N_C"] for row in r["per_n"])
