@@ -19,8 +19,8 @@ import numpy as np
 
 from .domains import Domain, components
 from .errors import NoConvergenceError, UsageError
-from .fields import (ScalarField, row_adder, row_dots, row_norms,
-                     sym_eigvalsh)
+from .fields import (ScalarField, near_pairs, row_adder, row_dots,
+                     row_norms, sym_eigvalsh)
 from .morse import morse_classify
 from . import homindex
 
@@ -477,11 +477,12 @@ def find_critical_points(field: ScalarField, domain: Domain,
     """Grid scan for gradient sign-change cells, Newton refinement,
     dedupe, and classification.
 
-    Refined points closer than two cell diagonals are merged. Points
-    landing within one grid cell of the boundary are flagged
-    near_boundary. Ordering is lexicographic by location. A cell whose
-    refinement leaves the bounding box widened by one cell is listed in
-    ``escaped``.
+    Refined points closer than two cell diagonals are merged, greedily in
+    order of member, then |grad f|, then location: a point is dropped
+    when one kept before it lies that close. Points landing within one
+    grid cell of the boundary are flagged near_boundary. Ordering is
+    lexicographic by location. A cell whose refinement leaves the
+    bounding box widened by one cell is listed in ``escaped``.
 
     A stacked ``field`` (see :meth:`ScalarField.rows`) is detected in one
     pass: one lattice scan of every member, one lockstep refinement of
@@ -521,41 +522,36 @@ def find_critical_points(field: ScalarField, domain: Domain,
         else:
             refined.append((k, x))
     if refined:
+        mem = np.array([k for k, _ in refined])
+        locs = np.array([x for _, x in refined])
         # a cell's pull may lead to a zero outside the domain
-        ok = domain.contains(np.array([x for _, x in refined]), tol=1e-9)
-        refined = [r for r, keep in zip(refined, ok) if keep]
-    if refined:
-        points = _classified(field, domain, refined, dedupe_radius,
-                             boundary_margin)
+        ok = domain.contains(locs, tol=1e-9)
+        if ok.any():
+            points = _classified(field, domain, mem[ok], locs[ok],
+                                 dedupe_radius, boundary_margin)
     return DetectionResult(points, unresolved, escaped, len(g))
 
 
-def _classified(field: ScalarField, domain: Domain, refined: list,
-                dedupe_radius: float, boundary_margin: float) -> list:
-    """``(member, CriticalPoint)`` of each member's refined points
-    ``(member, x)`` that survive its dedupe, in member and then
-    lexicographic order, all classified together."""
-    # dedupe within each member: strongest (smallest gradient) wins
-    mem = np.array([k for k, _ in refined])
-    locs = np.array([x for _, x in refined])
-    scores = row_norms(field.rows(mem).grad(locs)).tolist()
-    kept: list[tuple[int, float, np.ndarray]] = []
-    kept_locs = np.empty_like(locs)
-    first = 0  # where the current member's kept points start
-    for k, gn, _, x in sorted(zip(mem.tolist(), scores,
-                                  map(tuple, locs.tolist()), locs),
-                              key=lambda t: t[:3]):
-        if kept and kept[-1][0] != k:
-            first = len(kept)
-        if (row_norms(x - kept_locs[first:len(kept)])
-                >= dedupe_radius).all():
-            kept_locs[len(kept)] = x
-            kept.append((k, gn, x))
-    kept.sort(key=lambda t: (t[0], tuple(t[2].tolist())))
-
-    mem = np.array([k for k, _, _ in kept])
-    locs = np.array([x for _, _, x in kept])
-    gns = np.array([gn for _, gn, _ in kept])
+def _classified(field: ScalarField, domain: Domain, mem: np.ndarray,
+                locs: np.ndarray, dedupe_radius: float,
+                boundary_margin: float) -> list:
+    """``(member, CriticalPoint)`` of the refined points ``locs``
+    ``(m, d)`` of members ``mem`` that survive their member's dedupe, in
+    member and then lexicographic order, all classified together."""
+    # greedy dedupe in order of member, |grad f| and location: a point is
+    # dropped when a kept point of its member lies closer than the
+    # radius. Pairs come with i ascending, so keep[i] is final when read.
+    gns = row_norms(field.rows(mem).grad(locs))
+    order = np.lexsort((*locs.T[::-1], gns, mem))
+    mem, locs, gns = mem[order], locs[order], gns[order]
+    i, j, dist = near_pairs(locs, locs, dedupe_radius)
+    clash = (i < j) & (mem[i] == mem[j]) & (dist < dedupe_radius)
+    keep = [True] * len(locs)
+    for a, b in zip(i[clash].tolist(), j[clash].tolist()):
+        keep[b] &= not keep[a]
+    order = np.flatnonzero(keep)
+    order = order[np.lexsort((*locs[order].T[::-1], mem[order]))]
+    mem, locs, gns = mem[order], locs[order], gns[order]
     f = field.rows(mem)
     values, _, hess = f.jet(locs, 2)
     specs = sym_eigvalsh(hess)
@@ -589,8 +585,11 @@ def resolution(points) -> float:
     locs = locations(points)
     if len(locs) < 2:
         return float("inf")
-    return min(float(row_norms(locs[i] - locs[i + 1:]).min())
-               for i in range(len(locs) - 1))
+    # neighbours in first coordinate bound the minimum from above
+    by_first = locs[np.argsort(locs[:, 0])]
+    bound = row_norms(by_first[1:] - by_first[:-1]).min()
+    i, j, dist = near_pairs(locs, locs, bound)
+    return float(dist[i != j].min())
 
 
 def boundary_min_gradient(field: ScalarField, domain: Domain):

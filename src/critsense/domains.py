@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import UnsupportedError, UsageError
 
+LATTICE_LIMIT_BYTES = 1 << 27  # the largest lattice array a run may build
+
 
 def ring_angles(n: int) -> np.ndarray:
     """``n`` polar angles in ``(0, 2 pi)``, offset by half a step."""
@@ -127,7 +129,15 @@ class Domain:
         return float(np.linalg.norm(hi - lo))
 
     def lattice(self, res: int) -> np.ndarray:
-        """Full lattice over the bounding box, shape ``(res+1,)*dim + (dim,)``."""
+        """Full lattice over the bounding box, shape ``(res+1,)*dim + (dim,)``.
+        A lattice over ``LATTICE_LIMIT_BYTES`` is refused before any of it
+        is built."""
+        nbytes = 8 * (int(res) + 1) ** self.dim * self.dim
+        if nbytes > LATTICE_LIMIT_BYTES:
+            raise UsageError(
+                f"a lattice at grid {res} would take {nbytes} bytes, over "
+                f"the limit of {LATTICE_LIMIT_BYTES}", bytes=nbytes,
+                limit=LATTICE_LIMIT_BYTES, grid_res=res)
         lo, hi = self.bounding_box()
         axes = [np.linspace(lo[i], hi[i], res + 1) for i in range(self.dim)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)

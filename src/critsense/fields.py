@@ -267,6 +267,30 @@ def row_norms(A) -> np.ndarray:
     return np.sqrt(row_dots(A, A))
 
 
+def near_pairs(A, B, radius: float):
+    """``(i, j, dist)`` over every row pair of ``A`` ``(m, d)`` and ``B``
+    ``(n, d)`` with ``dist = row_norms(A[i] - B[j]) <= radius``, ``i``
+    ascending; ``dist`` has the bits of ``np.linalg.norm`` on the pair,
+    either way round, as negation is exact.
+
+    Candidates come from a ``searchsorted`` window of ``radius`` around
+    ``A[i, 0]`` on ``B`` sorted by its first coordinate. The window is
+    padded by a relative 1e-12: a gap over ``radius`` can round down to
+    exactly ``radius``, and without the pad that pair would be dropped."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    order = np.argsort(B[:, 0], kind="stable")
+    keys, pad = B[order, 0], radius * (1.0 + 1e-12)
+    lo = np.searchsorted(keys, A[:, 0] - pad, "left")
+    count = np.searchsorted(keys, A[:, 0] + pad, "right") - lo
+    i = np.repeat(np.arange(len(A)), count)
+    # the k-th candidate of row i is keys[lo[i] + k]
+    k = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+    j = order[np.repeat(lo, count) + k]
+    dist = row_norms(A[i] - B[j])
+    near = dist <= radius
+    return i[near], j[near], dist[near]
+
+
 def spectral_norms(H) -> np.ndarray:
     """Largest |eigenvalue| of the symmetric part, batched over
     ``(..., d, d)``."""

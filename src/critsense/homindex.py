@@ -18,7 +18,7 @@ from .domains import Ball, Domain, ring_angles, sphere_directions
 from .errors import (DegenerateError, NonGenericBoundaryError,
                      NonIsolatedZeroError, PreconditionError,
                      UnderSampledError, UnsupportedError, UsageError)
-from .fields import ScalarField, row_norms, sym_eigvalsh
+from .fields import ScalarField, near_pairs, sym_eigvalsh
 from .morse import morse_classify
 
 
@@ -155,13 +155,10 @@ def probe_radius(z, others, domain: Domain):
     Z = z.reshape(-1, z.shape[-1])
     k, d = Z.shape
     others = np.asarray(others, dtype=float).reshape(-1, d)
-    near = np.empty(k)
-    for i in range(0, k, 256):  # a block of rows bounds the memory
-        rows = Z[i:i + 256]
-        dist = row_norms((others - rows[:, None]).reshape(-1, d)
-                         ).reshape(len(rows), -1)
-        near[i:i + 256] = np.where(dist > 0, dist, np.inf).min(
-            axis=-1, initial=np.inf)
+    # a zero 1 or more away gives 0.25 * dist >= 0.25, the cap, exactly
+    i, _, dist = near_pairs(Z, others, 1.0)
+    near = np.full(k, np.inf)
+    np.minimum.at(near, i[dist > 0], dist[dist > 0])
     bd = np.asarray(domain.boundary_distance(Z))
     r = np.minimum(np.minimum(0.25, np.where(bd > 0, 0.25 * bd, np.inf)),
                    0.25 * near)

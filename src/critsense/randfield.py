@@ -29,13 +29,14 @@ one stack too.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import detect
-from .domains import Box
+from .domains import LATTICE_LIMIT_BYTES, Box
 from .errors import UsageError
 from .fields import ScalarField
 from .morse import morse_statistic
@@ -43,7 +44,6 @@ from .sequence import HYPOTHESIS_BOUNDARY_TOL, HYPOTHESIS_RESOLUTION_TOL, \
     counts_from_points
 
 HYPOTHESIS_M_TOL = 1e-6
-LATTICE_LIMIT_BYTES = 1 << 27  # the largest lattice array a trial may build
 # a pass's stacked lattice gradient stays within this, unless one trial
 # alone exceeds it: 16 trials of the README config, one of a 2-d config of
 # three mean fields at grid 64
@@ -400,36 +400,23 @@ def monte_carlo_convergence(spec: BasisSpec, noise_spec: BasisSpec, n_list,
 
     per_n = []
     for idx, n in enumerate(n_list):
-        matches = denom = excluded = 0
-        r_hats = []
-        r_gaps = []
-        dist_n = {}
-        dist_g = {}
-        for rec in records:
-            row = rec["per_n"][idx]
-            if not rec["hypothesis_ok"]:
-                excluded += 1
-                continue
-            denom += 1
-            matches += int(row["match"])
-            r_hats.append(row["R_hat"])
-            if np.isfinite(row["R_hat"]) and np.isfinite(rec["R"]):
-                r_gaps.append(abs(row["R_hat"] - rec["R"]))
-            k_n = row["counts"]["N_M"]
-            k_g = rec["counts_G"]["N_M"]
-            dist_n[k_n] = dist_n.get(k_n, 0) + 1
-            dist_g[k_g] = dist_g.get(k_g, 0) + 1
-        tv = None
-        if denom:
-            keys = set(dist_n) | set(dist_g)
-            tv = 0.5 * sum(abs(dist_n.get(k, 0) - dist_g.get(k, 0))
-                           for k in keys) / denom
+        kept = [(rec, rec["per_n"][idx]) for rec in records
+                if rec["hypothesis_ok"]]
+        denom = len(kept)
+        matches = sum(int(row["match"]) for _, row in kept)
+        r_hats = [row["R_hat"] for _, row in kept]
+        r_gaps = [abs(row["R_hat"] - rec["R"]) for rec, row in kept
+                  if np.isfinite(row["R_hat"]) and np.isfinite(rec["R"])]
+        # the N_M histograms of Ghat_n and G, as one difference
+        gap = Counter(row["counts"]["N_M"] for _, row in kept)
+        gap.subtract(rec["counts_G"]["N_M"] for rec, _ in kept)
+        tv = 0.5 * sum(map(abs, gap.values())) / denom if denom else None
         per_n.append({
             "n": n,
             "matches": matches,
             "denominator": denom,
             "frequency": (matches / denom) if denom else None,
-            "excluded_hypothesis": excluded,
+            "excluded_hypothesis": len(records) - denom,
             "failed": 0,  # kept in the schema; see _run_trial
             "min_R_hat": min(r_hats) if r_hats else None,
             "median_R_gap": float(np.median(r_gaps)) if r_gaps else None,

@@ -8,6 +8,7 @@ counting theorems' hypotheses and conclusions hold at the tested n.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as _dcfield
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import detect
 from .domains import Domain
 from .errors import UsageError
-from .fields import ScalarField, row_norms, spectral_norms
+from .fields import ScalarField, near_pairs, spectral_norms
 from .gallery import entry as gallery_entry, gallery, limit_field
 
 # counting-theorem hypotheses, shared with randfield's Monte Carlo trials
@@ -82,33 +83,24 @@ def match_critical_points(pts_n, pts_limit, radius: float | None = None,
         radius = min(detect.resolution(pts_limit) / 2.0, cap)
     if not radius > 0:
         raise UsageError("matching radius must be positive")
-    diff = locs_n[:, None, :] - locs_l[None, :, :]
-    dist = row_norms(diff.reshape(-1, diff.shape[-1])).reshape(diff.shape[:2])
-    pairs_all = []
-    for i, j in zip(*np.nonzero(dist <= radius)):
-        a, b = sorted([tuple(locs_n[i]), tuple(locs_l[j])])
-        pairs_all.append((float(dist[i, j]), a, b, int(i), int(j)))
-    pairs_all.sort()
+    i_n, i_l, dist = near_pairs(locs_n, locs_l, radius)
+    cands = sorted((d, *sorted([tuple(locs_n[i]), tuple(locs_l[j])]), i, j)
+                   for i, j, d in zip(i_n.tolist(), i_l.tolist(),
+                                      dist.tolist()))
     used_n, used_l, pairs = set(), set(), []
-    per_limit = {}
-    for d, _, _, i, j in pairs_all:
-        per_limit.setdefault(j, set()).add(i)
-        if i in used_n or j in used_l:
-            continue
-        used_n.add(i)
-        used_l.add(j)
-        pairs.append((i, j, d))
-    multi = any(len(v) >= 2 for v in per_limit.values())
-    agree = []
-    for i, j, _ in pairs:
-        pn, pl = pts_n[i], pts_limit[j]
-        row = {"hom": None, "morse": None}
-        if hasattr(pn, "hom_index") and hasattr(pl, "hom_index"):
-            if pn.hom_index is not None and pl.hom_index is not None:
-                row["hom"] = bool(pn.hom_index == pl.hom_index)
-            if pn.morse_index is not None and pl.morse_index is not None:
-                row["morse"] = bool(pn.morse_index == pl.morse_index)
-        agree.append(row)
+    for d, _, _, i, j in cands:
+        if i not in used_n and j not in used_l:
+            used_n.add(i)
+            used_l.add(j)
+            pairs.append((i, j, d))
+    multi = bool(np.bincount(i_l).max(initial=0) >= 2)
+
+    def same(i, j, key):  # None where either index is missing
+        a, b = (getattr(p, f"{key}_index", None)
+                for p in (pts_n[i], pts_limit[j]))
+        return None if a is None or b is None else bool(a == b)
+
+    agree = [{k: same(i, j, k) for k in ("hom", "morse")} for i, j, _ in pairs]
     return Matching(
         pairs=pairs,
         unmatched_n=sorted(set(range(len(locs_n))) - used_n),
@@ -124,32 +116,20 @@ def match_critical_points(pts_n, pts_limit, radius: float | None = None,
 # ---------------------------------------------------------------- #
 
 def counts_from_points(points) -> dict:
-    n_max = n_min = n_sad = n_und = n_unc = 0
-    hom = {}
-    morse = {}
-    for p in points:
-        cls = p.classification
-        if cls == "Max":
-            n_max += 1
-        elif cls == "Min":
-            n_min += 1
-        elif cls.startswith("Saddle"):
-            n_sad += 1
-        elif cls == "Undulation":
-            n_und += 1
-        else:
-            n_unc += 1
-        hk = "unavailable" if p.hom_index is None else str(int(p.hom_index))
-        hom[hk] = hom.get(hk, 0) + 1
-        mk = "degenerate" if p.morse_index is None else str(int(p.morse_index))
-        morse[mk] = morse.get(mk, 0) + 1
+    cls = [p.classification for p in points]
+    n = {k: cls.count(k) for k in ("Max", "Min", "Undulation")}
+    n_sad = sum(c.startswith("Saddle") for c in cls)
+    hom = Counter("unavailable" if p.hom_index is None
+                  else str(int(p.hom_index)) for p in points)
+    morse = Counter("degenerate" if p.morse_index is None
+                    else str(int(p.morse_index)) for p in points)
     return {
         "N_C": len(points),
-        "N_M": n_max,
-        "N_m": n_min,
+        "N_M": n["Max"],
+        "N_m": n["Min"],
         "N_S": n_sad,
-        "N_und": n_und,
-        "N_unclassified": n_unc,
+        "N_und": n["Undulation"],
+        "N_unclassified": len(points) - sum(n.values()) - n_sad,
         "hom": dict(sorted(hom.items())),
         "morse": dict(sorted(morse.items())),
     }

@@ -14,7 +14,7 @@ from critsense import __version__
 from critsense.cli import _json, dumps, main, parse_domain
 from critsense.errors import UsageError
 from critsense.fields import ScalarField
-from critsense.domains import Ball, Box, Interval
+from critsense.domains import LATTICE_LIMIT_BYTES, Ball, Box, Interval
 from critsense.gallery import catalogue
 
 SADDLE_VALUE = 2.0 * math.exp(-3.2)
@@ -250,6 +250,31 @@ def test_audit_on_an_unsupported_boundary_exits_1(capsys):
     err = json.loads(err)["error"]
     assert err["type"] == "UnsupportedError"
     assert err["message"].startswith("boundary index not implemented")
+
+
+def test_audit_with_unresolved_cells_exits_1(capsys):
+    # at n = 16 the Newton seeds of singlemax's narrow bump stall, and
+    # the audit refuses to sum an index over cells it could not resolve
+    rc, out, err = run(capsys, "audit", "--gallery", "singlemax",
+                       "--n", "16")
+    assert rc == 1 and out == ""
+    err = json.loads(err)["error"]
+    assert err["type"] == "PreconditionError"
+    assert err["message"] == "unresolved critical cells block the audit"
+    assert err["context"]["cells"]
+
+
+def test_an_oversized_grid_is_refused_before_its_lattice(capsys):
+    # 16 TB of lattice: refused from its size, never allocated
+    rc, out, err = run(capsys, "audit", "--gallery", "bowl",
+                       "--grid", "1000000")
+    assert rc == 2 and out == ""
+    err = json.loads(err)["error"]
+    assert err["type"] == "UsageError"
+    assert err["context"] == {"bytes": 8 * 1000001 ** 2 * 2,
+                              "limit": LATTICE_LIMIT_BYTES,
+                              "grid_res": 1000000}
+    assert randfield.LATTICE_LIMIT_BYTES is LATTICE_LIMIT_BYTES
 
 
 def test_audit_csv_preamble(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from critsense.domains import Box
 from critsense.errors import UsageError
-from critsense.fields import (ScalarField, bump_vgh, row_adder,
+from critsense.fields import (ScalarField, bump_vgh, near_pairs, row_adder,
                               spectral_norms, sym_eigvalsh, transition_vgh)
 from critsense.gallery import entry, gallery, limit_field, names
 from critsense.randfield import BasisField
@@ -227,3 +227,15 @@ def test_spectral_norm_agrees_with_numpy():
         np.linalg.norm(H, ord=2), rel=1e-12)
     batch = np.stack([H, np.eye(3)])
     assert np.allclose(spectral_norms(batch), [spectral_norms(H), 1.0])
+
+
+def test_near_pairs_keeps_a_pair_whose_gap_rounds_to_the_radius():
+    # a - b is 1 + 2^-53 - 2^-60 exactly, over the radius 1, but rounds to
+    # 1: the distance is the radius, and b lies below a - 1 = 2^-52
+    a, b = 1.0 + 2.0 ** -52, 2.0 ** -53 + 2.0 ** -60
+    assert a - b == 1.0 and b < a - 1.0
+    for A, B in (([[a]], [[b]]), ([[a, 0.0]], [[b, 0.0]])):
+        i, j, dist = near_pairs(np.array(A), np.array(B), 1.0)
+        assert (i.tolist(), j.tolist(), dist.tolist()) == ([0], [0], [1.0])
+    i, j, dist = near_pairs(np.array([[b]]), np.array([[a]]), 1.0)
+    assert dist.tolist() == [1.0]

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from critsense.fields import ScalarField, row_norms
-from critsense.homindex import sign_index_nondegenerate, winding_index_2d
+from critsense.detect import _classified, resolution
+from critsense.domains import Box
+from critsense.fields import ScalarField, near_pairs, row_norms
+from critsense.homindex import (probe_radius, sign_index_nondegenerate,
+                                winding_index_2d)
 from critsense.randfield import BasisSpec, sample_limit_field
 from critsense.sequence import counts_from_points, match_critical_points
 
-from oracles import optimal_matching
+from oracles import (brute_dedupe, brute_matching, brute_probe_radius,
+                     brute_resolution, optimal_matching)
 
 coef = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -127,3 +131,89 @@ def test_basis_draws_replay_and_trials_separate(seed, trial):
                           sample_limit_field(spec, seed, trial=trial).coeffs)
     c = sample_limit_field(spec, seed, trial=trial + 1)
     assert not np.array_equal(a.coeffs, c.coeffs)
+
+
+# ---------------------------------------------------------------- #
+# the proximity kernel against the brute oracles
+# ---------------------------------------------------------------- #
+
+@st.composite
+def dyadic_points(draw, d=None):
+    """Points on a grid of step 1/8 in [-1.5, 1.5]^d, d in 1-3 unless
+    given, with repeated points, and a radius that is either dyadic or one
+    of their own pair distances, so that ties and distances equal to the
+    radius are exact and do occur."""
+    d = d or draw(st.integers(1, 3))
+    coord = st.integers(-12, 12).map(lambda k: k / 8)
+    base = draw(st.lists(st.tuples(*[coord] * d), min_size=1,
+                         max_size=10))
+    pts = base + draw(st.lists(st.sampled_from(base), max_size=3))
+    pts = np.array(draw(st.permutations(pts)), dtype=float)
+    a, b = draw(st.permutations(range(len(pts))))[:2] if len(pts) > 1 \
+        else (0, 0)
+    radius = draw(st.one_of(st.sampled_from([0.125, 0.25, 0.5, 1.0]),
+                            st.just(float(np.linalg.norm(pts[a] - pts[b])))))
+    return pts, radius if radius > 0 else 0.375
+
+
+two_dyadic_sets = st.integers(1, 3).flatmap(
+    lambda d: st.tuples(dyadic_points(d), dyadic_points(d)))
+
+
+def _square_norm(d):
+    """|s - c|^2, whose gradient rows do not depend on their batch. Its
+    zero c lies off the grid, so no index probe meets it."""
+    return ScalarField(lambda s: np.sum((s - 0.3) ** 2, axis=-1), d,
+                       grad_fn=lambda s: 2.0 * (np.asarray(s) - 0.3),
+                       hess_fn=lambda s: np.broadcast_to(
+                           2.0 * np.eye(d), np.shape(s)[:-1] + (d, d)).copy())
+
+
+@given(two_dyadic_sets)
+@settings(max_examples=100, deadline=None)
+def test_near_pairs_lists_every_pair_within_the_radius(sets):
+    (A, radius), (B, _) = sets
+    i, j, dist = near_pairs(A, B, radius)
+    assert np.all(np.diff(i) >= 0)
+    want = {(a, b, float(np.linalg.norm(x - y)))
+            for a, x in enumerate(A) for b, y in enumerate(B)
+            if np.linalg.norm(x - y) <= radius}
+    got = set(zip(i.tolist(), j.tolist(), dist.tolist()))
+    assert got == want and len(i) == len(want)
+
+
+@given(dyadic_points(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_dedupe_is_the_brute_greedy_merge(pr, data):
+    pts, radius = pr
+    d = pts.shape[1]
+    mem = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(pts),
+                                      max_size=len(pts))))
+    field, dom = _square_norm(d), Box([-2.0] * d, [2.0] * d)
+    got = _classified(field, dom, mem, pts, radius, 0.1)
+    want = [(k, gn, x.tolist()) for k in sorted(set(mem.tolist()))
+            for gn, x in brute_dedupe(field, list(pts[mem == k]), radius)]
+    assert [(k, p.grad_norm, p.location.tolist()) for k, p in got] == want
+
+
+@given(dyadic_points())
+@settings(max_examples=100, deadline=None)
+def test_resolution_and_probe_radius_are_the_brute_ones(pr):
+    pts, _ = pr
+    d = pts.shape[1]
+    assert resolution(list(pts)) == brute_resolution(pts)
+    dom = Box([-1.5] * d, [1.5] * d)
+    want = [brute_probe_radius(z, pts, float(dom.boundary_distance(z)))
+            for z in pts]
+    assert [probe_radius(z, pts, dom) for z in pts] == want
+    assert probe_radius(pts, pts, dom).tolist() == want
+
+
+@given(two_dyadic_sets)
+@settings(max_examples=100, deadline=None)
+def test_matching_pairs_are_the_brute_greedy_ones(sets):
+    (A, radius), (B, _) = sets
+    m = match_critical_points(list(A), list(B), radius=radius)
+    assert m.pairs == brute_matching(A, B, radius)
+    near = [[np.linalg.norm(a - b) <= radius for a in A] for b in B]
+    assert m.multi_match == any(sum(row) >= 2 for row in near)
