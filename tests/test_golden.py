@@ -81,6 +81,12 @@ COMMANDS = {
     "sequence_fig10": ["sequence", "--gallery", "fig10", "--n", "4,16"],
     # C^k distances through the bump's value, gradient and Hessian
     "sequence_fig13b": ["sequence", "--gallery", "fig13b", "--n", "4,16"],
+    # C^k distances and improper extrema on a box lattice
+    "sequence_trio": ["sequence", "--gallery", "trio", "--n", "4,16"],
+    # the one sequence family on a disk, so the lattice's inside mask counts
+    "sequence_twist": ["sequence", "--gallery", "twist", "--n", "4,16"],
+    # the refine_heavy sequence command, a five-branch bump field
+    "sequence_singlemax": ["sequence", "--gallery", "singlemax", "--n", "4"],
     "gallery_json": ["gallery"],
     "gallery_csv": ["gallery", "--format", "csv"],
     # --threads has no effect, but the config block echoes a given flag, so
