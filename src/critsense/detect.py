@@ -605,17 +605,24 @@ def boundary_min_gradient(field: ScalarField, domain: Domain):
 
 
 def improper_extrema(field: ScalarField, domain: Domain,
-                     grid_res: int = 64) -> dict:
+                     grid_res: int = 64, *, on_lattice=None) -> dict:
     """Counts of weak local maxima and minima over the interior lattice.
 
     A node qualifies when its full 3^D neighbor stencil exists and lies
     inside the domain, and comparisons use a relative tolerance so exact
     plateaus tie. Tied plateau components count once (full-connectivity
-    labeling)."""
+    labeling).
+
+    ``on_lattice``, if given, is ``(inside, values)``: the
+    ``domain.contains`` mask and the field's values on
+    ``domain.lattice(grid_res)``, which a caller that has already
+    evaluated the field there passes in instead of evaluating it again."""
     d = field.dim
-    lat = domain.lattice(grid_res)
-    v = np.asarray(field.value(lat), dtype=float)
-    inside = np.asarray(domain.contains(lat))
+    if on_lattice is None:
+        lat = domain.lattice(grid_res)
+        on_lattice = (domain.contains(lat), field.value(lat))
+    inside = np.asarray(on_lattice[0])
+    v = np.asarray(on_lattice[1], dtype=float)
     tau = 1e-12 * max(1.0, float(np.max(np.abs(v))))
 
     core = tuple(slice(1, -1) for _ in range(d))

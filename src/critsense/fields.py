@@ -24,9 +24,12 @@ DEFAULT_FD_STEP = 1e-5
 # reference bump and transition functions
 # ---------------------------------------------------------------- #
 
-def bump_vgh(s: np.ndarray):
-    """Value, gradient, Hessian of the reference bump
-    ``exp(1 - 1/(1 - |s|^2))``, 0 outside the unit ball, at ``(..., d)``.
+def bump_vgh(s: np.ndarray, order: int = 2):
+    """Value, gradient and Hessian of the reference bump
+    ``exp(1 - 1/(1 - |s|^2))``, 0 outside the unit ball, at ``(..., d)``:
+    the first ``order + 1`` of them as a tuple. A lower order computes
+    less, by the same operations, so each part has the bits it has in the
+    full call.
 
     Closed form: with u = 1/(1-r^2), grad log b = -2 u^2 s and
     H = b (g g' - 2 u^2 I - 8 u^3 s s').
@@ -36,34 +39,36 @@ def bump_vgh(s: np.ndarray):
     r2 = np.sum(s * s, axis=-1)
     inside = r2 < 1.0
     safe = np.where(inside, 1.0 - r2, 1.0)
-    u = 1.0 / safe
     with np.errstate(divide="ignore", over="ignore"):
         b = np.where(inside, np.exp(1.0 - 1.0 / safe), 0.0)
+    if order == 0:
+        return (b,)
+    u = 1.0 / safe
     g_log = -2.0 * u[..., None] ** 2 * s
-    grad = b[..., None] * g_log
-    eye = np.eye(d)
-    outer_g = g_log[..., :, None] * g_log[..., None, :]
-    outer_s = s[..., :, None] * s[..., None, :]
-    hess = b[..., None, None] * (
-        outer_g
-        - 2.0 * u[..., None, None] ** 2 * eye
-        - 8.0 * u[..., None, None] ** 3 * outer_s
-    )
-    grad = np.where(inside[..., None], grad, 0.0)
-    hess = np.where(inside[..., None, None], hess, 0.0)
+    grad = np.where(inside[..., None], b[..., None] * g_log, 0.0)
+    if order == 1:
+        return b, grad
+    # b (g g' - 2 u^2 I - 8 u^3 s s'), built in place: the same
+    # operations in the same order, with half the matrix temporaries
+    hess = g_log[..., :, None] * g_log[..., None, :]
+    hess -= 2.0 * u[..., None, None] ** 2 * np.eye(d)
+    hess -= 8.0 * u[..., None, None] ** 3 * (s[..., :, None] * s[..., None, :])
+    hess *= b[..., None, None]
+    hess[~inside] = 0.0
     return b, grad, hess
 
 
-def bump1_vgh(x: np.ndarray):
-    """Elementwise 1-d bump value and first/second derivatives."""
+def bump1_vgh(x: np.ndarray, order: int = 2):
+    """Elementwise 1-d bump value and first and second derivatives: the
+    first ``order + 1`` of them, as :func:`bump_vgh` gives them."""
     x = np.asarray(x, dtype=float)
-    b, g, h = bump_vgh(x[..., None])
-    return b, g[..., 0], h[..., 0, 0]
+    return tuple(p.reshape(x.shape) for p in bump_vgh(x[..., None], order))
 
 
-def transition_vgh(x: np.ndarray):
+def transition_vgh(x: np.ndarray, order: int = 2):
     """Monotone transition ``-e^x / (e^x + e^(1-x))``, from 0 to -1, with
-    its first and second derivatives, elementwise."""
+    its first and second derivatives, elementwise: the first ``order + 1``
+    of them, each with the bits it has in the full call."""
     x = np.asarray(x, dtype=float)
     # s' = -2e/(e^x+e^{1-x})^2, s'' = 4e(e^x-e^{1-x})/(e^x+e^{1-x})^3;
     # branch on sign so the exponential never overflows (q <= 1 always)
@@ -73,6 +78,8 @@ def transition_vgh(x: np.ndarray):
     one_q = 1.0 + q
     v = np.where(pos, -q / one_q, -1.0 / one_q)
     d1 = -2.0 * q / one_q ** 2
+    if order < 2:
+        return (v, d1)[:order + 1]
     d2 = np.where(pos, -4.0 * q * (1.0 - q), 4.0 * q * (1.0 - q)) / one_q ** 3
     return v, d1, d2
 
@@ -295,3 +302,26 @@ def spectral_norms(H) -> np.ndarray:
     """Largest |eigenvalue| of the symmetric part, batched over
     ``(..., d, d)``."""
     return np.max(np.abs(sym_eigvalsh(H)), axis=-1)
+
+
+def sup_spectral_norm(H) -> float:
+    """``float(np.max(spectral_norms(H)))`` bit for bit, with exact
+    spectra only where the sup can be reached.
+
+    The spectral norm of the symmetric part is at most its Frobenius
+    norm. The exact norm of the matrix with the largest Frobenius norm is
+    a floor under the sup, so only matrices whose Frobenius norm reaches
+    that floor, less a relative 1e-8 for rounding, can attain it; each
+    keeps its own ``eigvalsh`` bits. A stack whose largest entry is 0,
+    not finite, or outside [1e-140, 1e140], where squares could overflow
+    or lose bits to underflow, takes the full path, with its result or
+    its exception."""
+    S = _sym(np.asarray(H, dtype=float))
+    S = S.reshape((-1,) + S.shape[-2:])
+    top = np.max(np.abs(S)) if S.size else 0.0
+    if not 1e-140 <= top <= 1e140:
+        return float(np.max(np.abs(np.linalg.eigvalsh(S))))
+    fro = np.sqrt(np.einsum("kij,kij->k", S, S))
+    floor = np.max(np.abs(np.linalg.eigvalsh(S[np.argmax(fro)])))
+    S = S[fro >= floor * (1.0 - 1e-8)]
+    return float(np.max(np.abs(np.linalg.eigvalsh(S))))

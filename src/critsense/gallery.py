@@ -226,9 +226,9 @@ def _singlemax(n):
     The seam at y = 0 is C1 only; branch interiors are smooth.
     """
     def pieces(x, y):
-        b, bd1, _ = bump1_vgh(y)
-        bm, bmd1, _ = bump1_vgh(y - 1.0)
-        S, Sd1, _ = transition_vgh(x)
+        b, bd1 = bump1_vgh(y, 1)
+        bm, bmd1 = bump1_vgh(y - 1.0, 1)
+        S, Sd1 = transition_vgh(x, 1)
         E = np.exp(-x * x)
         Ex = -2.0 * x * E
         conds = [y <= -1.0, y <= 0.0, y <= 1.0, y <= 2.0]
@@ -282,20 +282,20 @@ def _fig13b(n):
     """Saddle plus a shrinking bump: x^2 - y^2 + 20 b(nx+1, ny+1)/n^2."""
     saddle = _saddle(n)
 
-    def bump(s):
-        return bump_vgh(n * s + 1.0)
+    def bump(s, order):
+        return bump_vgh(n * s + 1.0, order)
 
     def jet(s, order):
         """One bump evaluation for all the parts."""
-        b, bg, bh = bump(s)
+        b = bump(s, order)
         parts = saddle.jet_fn(s, order)
-        out = (parts[0] + 20.0 * b / (n * n), parts[1] + (20.0 / n) * bg)
-        return out + (parts[2] + 20.0 * bh,) if order == 2 else out
+        out = (parts[0] + 20.0 * b[0] / (n * n), parts[1] + (20.0 / n) * b[1])
+        return out + (parts[2] + 20.0 * b[2],) if order == 2 else out
 
     return ScalarField(
-        lambda s: saddle.fn(s) + 20.0 * bump(s)[0] / (n * n), 2,
-        lambda s: saddle.grad_fn(s) + (20.0 / n) * bump(s)[1],
-        lambda s: saddle.hess_fn(s) + 20.0 * bump(s)[2], jet)
+        lambda s: saddle.fn(s) + 20.0 * bump(s, 0)[0] / (n * n), 2,
+        lambda s: saddle.grad_fn(s) + (20.0 / n) * bump(s, 1)[1],
+        lambda s: saddle.hess_fn(s) + 20.0 * bump(s, 2)[2], jet)
 
 
 def _fig10(n):

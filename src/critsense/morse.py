@@ -17,7 +17,7 @@ from .domains import Domain, sphere_directions
 from .errors import (CoverageError, FlowSingularError, NotMorseError,
                      UsageError)
 from .fields import (ScalarField, row_adder, row_norms, spectral_norms,
-                     sym_eigvalsh)
+                     sup_spectral_norm, sym_eigvalsh)
 
 
 def morse_classify(field: ScalarField, z, degeneracy_tol=1e-8, eigs=None):
@@ -175,7 +175,7 @@ def make_chart(field: ScalarField, p, search_cap: float = 1.0,
 
     def variation(r: float) -> float:
         Hs = np.asarray(field.hess(p + shells(r, 16)))
-        return float(np.max(spectral_norms(Hs - H)))
+        return sup_spectral_norm(Hs - H)
 
     v_cap = variation(cap)
     if v_cap < k1:

@@ -16,7 +16,7 @@ import numpy as np
 from . import detect
 from .domains import Domain
 from .errors import UsageError
-from .fields import ScalarField, near_pairs, spectral_norms
+from .fields import ScalarField, near_pairs, sup_spectral_norm
 from .gallery import entry as gallery_entry, gallery, limit_field
 
 # counting-theorem hypotheses, shared with randfield's Monte Carlo trials
@@ -25,17 +25,30 @@ HYPOTHESIS_RESOLUTION_TOL = 1e-3
 
 
 def ck_distance(f: ScalarField, g: ScalarField, domain: Domain,
-                grid_res: int = 128) -> tuple:
-    """Grid sup distances (d0, d1, d2): values, Euclidean gradient gap,
-    spectral Hessian gap."""
-    lat = domain.lattice(grid_res)
-    inside = np.asarray(domain.contains(lat))
-    f0, f1, f2 = f.jet(lat, 2)
-    g0, g1, g2 = g.jet(lat, 2)
-    d0 = np.abs(f0 - g0)
-    d1 = np.linalg.norm(f1 - g1, axis=-1)
-    d2 = spectral_norms(f2 - g2)
-    return tuple(float(np.max(d[inside])) for d in (d0, d1, d2))
+                grid_res: int = 128, *, on_lattice=None) -> tuple:
+    """Sup distances (d0, d1, d2) over the lattice nodes inside the
+    domain: values, Euclidean gradient gap, and spectral Hessian gap by
+    :func:`~critsense.fields.sup_spectral_norm`.
+
+    ``on_lattice``, if given, is ``(inside, f_jet, g_jet)``: the
+    ``domain.contains`` mask and both fields' order-2 jets on
+    ``domain.lattice(grid_res)``, which a caller that has already
+    evaluated the fields there passes in instead of evaluating them
+    again."""
+    if on_lattice is None:
+        lat = domain.lattice(grid_res)
+        on_lattice = (domain.contains(lat), f.jet(lat, 2), g.jet(lat, 2))
+    inside, f_jet, g_jet = on_lattice
+    inside = np.asarray(inside)
+    whole = bool(inside.all())
+
+    def gap(k):  # one part's difference at the nodes inside, made on use
+        diff = f_jet[k] - g_jet[k]
+        return diff if whole else diff[inside]
+
+    return (float(np.max(np.abs(gap(0)))),
+            float(np.max(np.linalg.norm(gap(1), axis=-1))),
+            sup_spectral_norm(gap(2)))
 
 
 # ---------------------------------------------------------------- #
@@ -136,16 +149,23 @@ def counts_from_points(points) -> dict:
 
 
 def _detect_and_count(field: ScalarField, domain: Domain, grid_res: int,
-                      imp_res: int, newton_tol: float = 1e-9):
+                      imp_res: int, newton_tol: float = 1e-9,
+                      on_lattice=None):
     """Detected points, and their counts plus the improper extrema
-    ``N_IM``/``N_Im`` on an ``imp_res`` lattice."""
+    ``N_IM``/``N_Im`` on an ``imp_res`` lattice, whose ``(inside,
+    values)`` the caller may pass as ``on_lattice``."""
     pts = detect.find_critical_points(field, domain, grid_res=grid_res,
                                       newton_tol=newton_tol)
     counts = counts_from_points(pts)
-    imp = detect.improper_extrema(field, domain, grid_res=imp_res)
+    imp = detect.improper_extrema(field, domain, grid_res=imp_res,
+                                  on_lattice=on_lattice)
     counts["N_IM"] = imp["n_improper_max"]
     counts["N_Im"] = imp["n_improper_min"]
     return pts, counts
+
+
+# the lattice of the C^k distances, and of the 2-d improper extrema
+_CK_GRID = 256
 
 
 def _default_grid(dim: int, n: int) -> int:
@@ -182,19 +202,32 @@ def convergence_experiment(family: str, n_list, domain: Domain | None = None,
         raise UsageError("family has no documented limit",
                          family=ent.name)
     dom = domain if domain is not None else ent.domain
+    # one evaluation of each field on one lattice serves the C^k
+    # distances and, in 2-d, the improper extrema as well
+    lat = dom.lattice(_CK_GRID)
+    inside = np.asarray(dom.contains(lat))
+    imp_res = 4096 if ent.dim == 1 else _CK_GRID
+
+    def improper_lattice(jet):
+        return (inside, jet[0]) if imp_res == _CK_GRID else None
+
     f_limit = limit_field(ent.name)
+    lim_jet = f_limit.jet(lat, 2)
     lim_res = grid_res if grid_res is not None else _default_grid(ent.dim, 16)
-    imp_res = 4096 if ent.dim == 1 else 256
-    pts_limit, limit_counts = _detect_and_count(f_limit, dom, lim_res,
-                                                imp_res, newton_tol)
+    pts_limit, limit_counts = _detect_and_count(
+        f_limit, dom, lim_res, imp_res, newton_tol, improper_lattice(lim_jet))
     limit_resolution = detect.resolution(pts_limit)
 
     rows = []
     for n in n_list:
         f_n = gallery(ent.name, n)
         res = grid_res if grid_res is not None else _default_grid(ent.dim, n)
-        pts, counts = _detect_and_count(f_n, dom, res, imp_res, newton_tol)
-        d = ck_distance(f_n, f_limit, dom, grid_res=256)
+        jet = f_n.jet(lat, 2)
+        pts, counts = _detect_and_count(f_n, dom, res, imp_res, newton_tol,
+                                        improper_lattice(jet))
+        d = ck_distance(f_n, f_limit, dom, grid_res=_CK_GRID,
+                        on_lattice=(inside, jet, lim_jet))
+        del jet  # freed before the next member's detection
         m = match_critical_points(pts, pts_limit, domain=dom)
         rows.append({
             "n": int(n),

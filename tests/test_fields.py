@@ -1,12 +1,15 @@
 """Field plumbing: bump calculus, derivative fallbacks, cross-checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from critsense.domains import Box
 from critsense.errors import UsageError
-from critsense.fields import (ScalarField, bump_vgh, near_pairs, row_adder,
-                              spectral_norms, sym_eigvalsh, transition_vgh)
+from critsense.fields import (ScalarField, bump1_vgh, bump_vgh, near_pairs,
+                              row_adder, spectral_norms, sym_eigvalsh,
+                              transition_vgh)
 from critsense.gallery import entry, gallery, limit_field, names
 from critsense.randfield import BasisField
 
@@ -33,6 +36,45 @@ def test_bump_center_and_support():
     assert _bump_value(np.array([1.7, 0.4])) == 0.0
     # strictly positive inside
     assert _bump_value(np.array([0.9, 0.0])) > 0.0
+
+
+def test_bump_orders_keep_the_bits_of_the_full_call():
+    # outside the ball, on r^2 = 1, and just inside it, where exp
+    # underflows to 0 while u = 1/(1 - r^2) is near 1e16
+    rim = 1.0 - 2.0 ** -53
+    s = np.array([[1.7, 0.4], [1.0, 0.0], [0.6, 0.8], [rim, 0.0],
+                  [0.0, -rim], [0.999, 0.0], [0.3, -0.2], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        full = bump_vgh(s)
+        parts = [bump_vgh(s, k) for k in (0, 1)]
+        full1 = bump1_vgh(s[:, 0])
+        parts1 = [bump1_vgh(s[:, 0], k) for k in (0, 1)]
+    assert len(full) == 3 and len(full1) == 3
+    for k, part in enumerate(parts):
+        assert len(part) == k + 1
+        for a, b in zip(part, full):
+            assert a.tobytes() == b.tobytes()
+    for k, part in enumerate(parts1):
+        assert len(part) == k + 1
+        for a, b in zip(part, full1):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert full[0][5] > 0.0 and full[0][3] == 0.0
+
+
+def test_transition_orders_keep_the_bits_of_the_full_call():
+    # both branches, the switch at x = 1/2, and far tails where exp
+    # underflows
+    x = np.array([-400.0, -3.0, 0.0, 0.5, np.nextafter(0.5, 1.0), 1.0,
+                  4.0, 400.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        full = transition_vgh(x)
+        parts = [transition_vgh(x, k) for k in (0, 1)]
+    for k, part in enumerate(parts):
+        assert len(part) == k + 1
+        for a, b in zip(part, full):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_bump_vanishes_smoothly_at_rim():

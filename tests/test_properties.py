@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from critsense.detect import _classified, resolution
 from critsense.domains import Box
-from critsense.fields import ScalarField, near_pairs, row_norms
+from critsense.fields import (ScalarField, near_pairs, row_norms,
+                              spectral_norms, sup_spectral_norm)
 from critsense.homindex import (probe_radius, sign_index_nondegenerate,
                                 winding_index_2d)
 from critsense.randfield import BasisSpec, sample_limit_field
@@ -217,3 +218,74 @@ def test_matching_pairs_are_the_brute_greedy_ones(sets):
     assert m.pairs == brute_matching(A, B, radius)
     near = [[np.linalg.norm(a - b) <= radius for a in A] for b in B]
     assert m.multi_match == any(sum(row) >= 2 for row in near)
+
+
+entries = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def hessian_stacks(draw):
+    """``(m, d, d)`` stacks for d = 1, 2 and 3, or a bare ``(d, d)``.
+    Optional parts: c I plus a 1e-12 perturbation, whose eigenvalues
+    nearly tie; the transposes and the reversed stack, whose Frobenius
+    norms tie exactly; one inf or nan entry; a scale at which squares
+    underflow or overflow."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    H = np.array(draw(st.lists(entries, min_size=m * d * d,
+                               max_size=m * d * d))).reshape(m, d, d)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, m - 1))
+        H[k] = draw(entries) * np.eye(d) + 1e-12 * H[k]
+    if draw(st.booleans()):
+        H = np.concatenate([H, np.swapaxes(H, -1, -2), H[::-1]])
+    if draw(st.booleans()):
+        H.flat[draw(st.integers(0, H.size - 1))] = draw(
+            st.sampled_from([np.inf, -np.inf, np.nan]))
+    H *= draw(st.sampled_from([1.0, 1e-160, 1e-200, 1e160, 1e300]))
+    return H[0] if m == 1 and draw(st.booleans()) else H
+
+
+def _outcome(fn, H):
+    """The bits of ``fn(H)``, or the type and message it raises."""
+    try:
+        return np.float64(fn(H)).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _full_sup(H):
+    return float(np.max(spectral_norms(H)))
+
+
+@given(hessian_stacks())
+@settings(max_examples=300, deadline=None)
+def test_sup_spectral_norm_has_the_bits_of_the_full_spectra(H):
+    assert _outcome(sup_spectral_norm, H) == _outcome(_full_sup, H)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sup_spectral_norm_screens_a_lattice_to_the_same_bits(d):
+    # many matrices whose largest Frobenius norm need not be the largest
+    # spectral norm: traceful ones next to traceless ones
+    rng = np.random.default_rng(d)
+    H = rng.standard_normal((4000, d, d))
+    H[::2] += 1.5 * np.eye(d)
+    assert _outcome(sup_spectral_norm, H) == _outcome(_full_sup, H)
+    assert _outcome(sup_spectral_norm, H[:0]) == _outcome(_full_sup, H[:0])
+
+
+def test_sup_spectral_norm_keeps_a_norm_above_its_rounded_frobenius():
+    # a rank-one 3x3 matrix B whose rounded spectral norm exceeds its
+    # rounded Frobenius norm by ulps, next to a diagonal A whose norm
+    # falls between the two: A has the largest Frobenius norm, so its
+    # norm is the floor, and only the rounding margin keeps B a candidate
+    rng = np.random.default_rng(0)
+    V = rng.standard_normal((20000, 3))
+    B = V[:, :, None] * V[:, None, :]
+    fro = np.sqrt(np.einsum("kij,kij->k", B, B))
+    spec = np.max(np.abs(np.linalg.eigvalsh(B)), axis=-1)
+    k = int(np.argmax((spec - fro) / np.spacing(fro)))
+    x = np.nextafter(spec[k], 0.0)
+    assert fro[k] < x < spec[k]
+    H = np.stack([np.diag([x, 0.0, 0.0]), B[k]])
+    assert sup_spectral_norm(H) == _full_sup(H) == spec[k]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from critsense import detect
+from critsense import detect, sequence
 from critsense.domains import Ball, Box, Interval
 from critsense.errors import UsageError
 from critsense.fields import ScalarField
@@ -179,6 +179,62 @@ def test_convergence_trio_is_fully_consistent():
         assert row["matched"] == 3
         assert row["unmatched_n"] == row["unmatched_limit"] == 0
         assert all(d < 0.1 for _, _, d in row["matching"]["pairs"])
+
+
+def test_sequence_evaluates_each_field_once_on_the_shared_lattice(
+        monkeypatch):
+    # trio is 2-d, so its improper extrema share the distances' lattice:
+    # one jet per field there and no separate value call, while the two
+    # measures are still called, each through its module name
+    dom, ns = Box((-1.6, -1.0), (1.6, 1.0)), [4, 8, 12]
+    shape = dom.lattice(256).shape
+    log = {"jet": 0, "value": 0, "ck": [], "improper": []}
+    depth = [0]
+    jet, value = ScalarField.jet, ScalarField.value
+
+    def spy_jet(self, s, order=1):
+        log["jet"] += np.shape(s) == shape
+        depth[0] += 1
+        try:
+            return jet(self, s, order)
+        finally:
+            depth[0] -= 1
+
+    def spy_value(self, s):
+        log["value"] += np.shape(s) == shape and not depth[0]
+        return value(self, s)
+
+    def recording(fn, key):
+        def call(*args, **kw):
+            log[key].append(fn(*args, **kw))
+            return log[key][-1]
+        return call
+
+    monkeypatch.setattr(ScalarField, "jet", spy_jet)
+    monkeypatch.setattr(ScalarField, "value", spy_value)
+    monkeypatch.setattr(sequence, "ck_distance",
+                        recording(ck_distance, "ck"))
+    monkeypatch.setattr(detect, "improper_extrema",
+                        recording(detect.improper_extrema, "improper"))
+    rep = convergence_experiment("trio", ns)
+    monkeypatch.undo()
+    assert (log["jet"], log["value"]) == (1 + len(ns), 0)
+    assert len(log["ck"]) == len(ns)
+    assert len(log["improper"]) == 1 + len(ns)
+
+    def improper(f):
+        imp = detect.improper_extrema(f, dom, grid_res=256)
+        return imp["n_improper_max"], imp["n_improper_min"]
+
+    lim = limit_field("trio")
+    assert improper(lim) == (rep.limit_counts["N_IM"],
+                             rep.limit_counts["N_Im"])
+    for n, row in zip(ns, rep.rows):
+        f_n = gallery("trio", n)
+        assert (row["d0"], row["d1"], row["d2"]) == \
+            ck_distance(f_n, lim, dom, grid_res=256)
+        assert improper(f_n) == (row["counts"]["N_IM"],
+                                 row["counts"]["N_Im"])
 
 
 def test_convergence_needs_a_limit():

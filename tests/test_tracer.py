@@ -57,6 +57,13 @@ def test_tracer_records_every_gallery_sweep_span():
                           spans) == []
 
 
+def test_tracer_sees_the_distances_and_extrema_of_a_2d_sequence():
+    # a 2-d sequence hands one lattice evaluation to both; they must still
+    # be called through the module names that the tracer wraps
+    assert _missing_spans([["sequence", "--gallery", "trio", "--n", "4"]],
+                          ["sequence.ck", "detect.improper"]) == []
+
+
 def test_tracer_reaches_batched_refinement_and_its_rescue():
     # peano's degenerate zero sends seeds from the batched Newton phase
     # to the least_squares rescue; both spans must stay reachable
