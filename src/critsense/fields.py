@@ -65,10 +65,9 @@ def bump1_vgh(x: np.ndarray, order: int = 2):
     return tuple(p.reshape(x.shape) for p in bump_vgh(x[..., None], order))
 
 
-def transition_vgh(x: np.ndarray, order: int = 2):
+def transition_vgh(x: np.ndarray):
     """Monotone transition ``-e^x / (e^x + e^(1-x))``, from 0 to -1, with
-    its first and second derivatives, elementwise: the first ``order + 1``
-    of them, each with the bits it has in the full call."""
+    its first and second derivatives, elementwise."""
     x = np.asarray(x, dtype=float)
     # s' = -2e/(e^x+e^{1-x})^2, s'' = 4e(e^x-e^{1-x})/(e^x+e^{1-x})^3;
     # branch on sign so the exponential never overflows (q <= 1 always)
@@ -78,8 +77,6 @@ def transition_vgh(x: np.ndarray, order: int = 2):
     one_q = 1.0 + q
     v = np.where(pos, -q / one_q, -1.0 / one_q)
     d1 = -2.0 * q / one_q ** 2
-    if order < 2:
-        return (v, d1)[:order + 1]
     d2 = np.where(pos, -4.0 * q * (1.0 - q), 4.0 * q * (1.0 - q)) / one_q ** 3
     return v, d1, d2
 
@@ -319,9 +316,8 @@ def sup_spectral_norm(H) -> float:
     S = _sym(np.asarray(H, dtype=float))
     S = S.reshape((-1,) + S.shape[-2:])
     top = np.max(np.abs(S)) if S.size else 0.0
-    if not 1e-140 <= top <= 1e140:
-        return float(np.max(np.abs(np.linalg.eigvalsh(S))))
-    fro = np.sqrt(np.einsum("kij,kij->k", S, S))
-    floor = np.max(np.abs(np.linalg.eigvalsh(S[np.argmax(fro)])))
-    S = S[fro >= floor * (1.0 - 1e-8)]
+    if 1e-140 <= top <= 1e140:
+        fro = np.sqrt(np.einsum("kij,kij->k", S, S))
+        floor = np.max(np.abs(np.linalg.eigvalsh(S[np.argmax(fro)])))
+        S = S[fro >= floor * (1.0 - 1e-8)]
     return float(np.max(np.abs(np.linalg.eigvalsh(S))))

@@ -228,7 +228,7 @@ def _singlemax(n):
     def pieces(x, y):
         b, bd1 = bump1_vgh(y, 1)
         bm, bmd1 = bump1_vgh(y - 1.0, 1)
-        S, Sd1 = transition_vgh(x, 1)
+        S, Sd1, _ = transition_vgh(x)
         E = np.exp(-x * x)
         Ex = -2.0 * x * E
         conds = [y <= -1.0, y <= 0.0, y <= 1.0, y <= 2.0]

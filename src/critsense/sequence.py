@@ -148,24 +148,33 @@ def counts_from_points(points) -> dict:
     }
 
 
+# the lattice of the C^k distances, and of the 2-d improper extrema
+_CK_GRID = 256
+
+
 def _detect_and_count(field: ScalarField, domain: Domain, grid_res: int,
-                      imp_res: int, newton_tol: float = 1e-9,
-                      on_lattice=None):
-    """Detected points, and their counts plus the improper extrema
-    ``N_IM``/``N_Im`` on an ``imp_res`` lattice, whose ``(inside,
-    values)`` the caller may pass as ``on_lattice``."""
+                      imp_res: int, newton_tol: float = 1e-9, lattice=None):
+    """Detected points; their counts plus the improper extrema
+    ``N_IM``/``N_Im`` on an ``imp_res`` lattice; and, given ``lattice =
+    (nodes, inside)`` on the ``_CK_GRID`` lattice, the field's order-2 jet
+    there (else None).
+
+    The jet is made after the detection, so that no jet of the field is
+    alive during it. When ``imp_res`` is ``_CK_GRID`` (2-d), its values
+    serve the improper extrema."""
     pts = detect.find_critical_points(field, domain, grid_res=grid_res,
                                       newton_tol=newton_tol)
     counts = counts_from_points(pts)
+    jet = on_lattice = None
+    if lattice is not None:
+        jet = field.jet(lattice[0], 2)
+        if imp_res == _CK_GRID:
+            on_lattice = (lattice[1], jet[0])
     imp = detect.improper_extrema(field, domain, grid_res=imp_res,
                                   on_lattice=on_lattice)
     counts["N_IM"] = imp["n_improper_max"]
     counts["N_Im"] = imp["n_improper_min"]
-    return pts, counts
-
-
-# the lattice of the C^k distances, and of the 2-d improper extrema
-_CK_GRID = 256
+    return pts, counts, jet
 
 
 def _default_grid(dim: int, n: int) -> int:
@@ -205,28 +214,23 @@ def convergence_experiment(family: str, n_list, domain: Domain | None = None,
     # one evaluation of each field on one lattice serves the C^k
     # distances and, in 2-d, the improper extrema as well
     lat = dom.lattice(_CK_GRID)
-    inside = np.asarray(dom.contains(lat))
+    lattice = (lat, np.asarray(dom.contains(lat)))
     imp_res = 4096 if ent.dim == 1 else _CK_GRID
 
-    def improper_lattice(jet):
-        return (inside, jet[0]) if imp_res == _CK_GRID else None
-
     f_limit = limit_field(ent.name)
-    lim_jet = f_limit.jet(lat, 2)
     lim_res = grid_res if grid_res is not None else _default_grid(ent.dim, 16)
-    pts_limit, limit_counts = _detect_and_count(
-        f_limit, dom, lim_res, imp_res, newton_tol, improper_lattice(lim_jet))
+    pts_limit, limit_counts, lim_jet = _detect_and_count(
+        f_limit, dom, lim_res, imp_res, newton_tol, lattice)
     limit_resolution = detect.resolution(pts_limit)
 
     rows = []
     for n in n_list:
         f_n = gallery(ent.name, n)
         res = grid_res if grid_res is not None else _default_grid(ent.dim, n)
-        jet = f_n.jet(lat, 2)
-        pts, counts = _detect_and_count(f_n, dom, res, imp_res, newton_tol,
-                                        improper_lattice(jet))
+        pts, counts, jet = _detect_and_count(f_n, dom, res, imp_res,
+                                             newton_tol, lattice)
         d = ck_distance(f_n, f_limit, dom, grid_res=_CK_GRID,
-                        on_lattice=(inside, jet, lim_jet))
+                        on_lattice=(lattice[1], jet, lim_jet))
         del jet  # freed before the next member's detection
         m = match_critical_points(pts, pts_limit, domain=dom)
         rows.append({

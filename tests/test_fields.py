@@ -62,21 +62,6 @@ def test_bump_orders_keep_the_bits_of_the_full_call():
     assert full[0][5] > 0.0 and full[0][3] == 0.0
 
 
-def test_transition_orders_keep_the_bits_of_the_full_call():
-    # both branches, the switch at x = 1/2, and far tails where exp
-    # underflows
-    x = np.array([-400.0, -3.0, 0.0, 0.5, np.nextafter(0.5, 1.0), 1.0,
-                  4.0, 400.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        full = transition_vgh(x)
-        parts = [transition_vgh(x, k) for k in (0, 1)]
-    for k, part in enumerate(parts):
-        assert len(part) == k + 1
-        for a, b in zip(part, full):
-            assert a.tobytes() == b.tobytes()
-
-
 def test_bump_vanishes_smoothly_at_rim():
     # value, gradient, and curvature all collapse approaching |s| = 1
     f = ScalarField(_bump_value, 2)

@@ -106,12 +106,12 @@ def test_greedy_matching_attains_the_optimal_cardinality():
 
 
 def test_detect_and_count_classifies_the_classics():
-    _, bowl = _detect_and_count(gallery("bowl"), Ball((0.0, 0.0), 1.0),
+    _, bowl, _ = _detect_and_count(gallery("bowl"), Ball((0.0, 0.0), 1.0),
                                 64, 256)
     assert bowl["N_C"] == bowl["N_m"] == 1
     assert bowl["hom"] == {"1": 1}
     assert bowl["morse"] == {"0": 1}
-    pts, monkey = _detect_and_count(gallery("monkey"),
+    pts, monkey, _ = _detect_and_count(gallery("monkey"),
                                     Ball((0.0, 0.0), 1.0), 64, 256)
     assert monkey["N_C"] == monkey["N_S"] == 1
     assert monkey["hom"] == {"-2": 1}
@@ -122,7 +122,7 @@ def test_detect_and_count_classifies_the_classics():
 def test_detect_and_count_small_n_bump_pair():
     # at n = 4 the bump is wide: its max and companion saddle are both
     # present, alongside the base saddle
-    _, rec = _detect_and_count(gallery("fig13b", 4),
+    _, rec, _ = _detect_and_count(gallery("fig13b", 4),
                                Box((-2.0, -2.0), (2.0, 2.0)), 64, 256)
     assert rec["N_C"] == 3
     assert rec["N_M"] == 1 and rec["N_S"] == 2
@@ -185,15 +185,23 @@ def test_sequence_evaluates_each_field_once_on_the_shared_lattice(
         monkeypatch):
     # trio is 2-d, so its improper extrema share the distances' lattice:
     # one jet per field there and no separate value call, while the two
-    # measures are still called, each through its module name
+    # measures are still called, each through its module name; each
+    # field's lattice jet comes after its detection, not during it
     dom, ns = Box((-1.6, -1.0), (1.6, 1.0)), [4, 8, 12]
     shape = dom.lattice(256).shape
-    log = {"jet": 0, "value": 0, "ck": [], "improper": []}
+    log = {"jet": 0, "value": 0, "ck": [], "improper": [], "order": []}
     depth = [0]
     jet, value = ScalarField.jet, ScalarField.value
+    find = detect.find_critical_points
+
+    def spy_find(*args, **kw):
+        log["order"].append("detect")
+        return find(*args, **kw)
 
     def spy_jet(self, s, order=1):
-        log["jet"] += np.shape(s) == shape
+        if np.shape(s) == shape:
+            log["jet"] += 1
+            log["order"].append("jet")
         depth[0] += 1
         try:
             return jet(self, s, order)
@@ -212,6 +220,7 @@ def test_sequence_evaluates_each_field_once_on_the_shared_lattice(
 
     monkeypatch.setattr(ScalarField, "jet", spy_jet)
     monkeypatch.setattr(ScalarField, "value", spy_value)
+    monkeypatch.setattr(detect, "find_critical_points", spy_find)
     monkeypatch.setattr(sequence, "ck_distance",
                         recording(ck_distance, "ck"))
     monkeypatch.setattr(detect, "improper_extrema",
@@ -219,6 +228,7 @@ def test_sequence_evaluates_each_field_once_on_the_shared_lattice(
     rep = convergence_experiment("trio", ns)
     monkeypatch.undo()
     assert (log["jet"], log["value"]) == (1 + len(ns), 0)
+    assert log["order"] == ["detect", "jet"] * (1 + len(ns))
     assert len(log["ck"]) == len(ns)
     assert len(log["improper"]) == 1 + len(ns)
 
