@@ -225,19 +225,31 @@ def _singlemax(n):
 
     The seam at y = 0 is C1 only; branch interiors are smooth.
     """
-    def pieces(x, y):
+    # value and gradient apart, so neither builds the other's branches
+    def branches(y):
+        return [y <= -1.0, y <= 0.0, y <= 1.0, y <= 2.0]
+
+    def value(x, y):
+        y = n * y
+        b, = bump1_vgh(y, 0)
+        bm, = bump1_vgh(y - 1.0, 0)
+        S = transition_vgh(x)[0]
+        E = np.exp(-x * x)
+        return np.select(branches(y), [
+            y,
+            (1.0 - b) * y + b * E,
+            (1.0 - b) * S + b * E,
+            bm * S + (1.0 - bm) * (y - 1.0),
+        ], default=y - 1.0) / n
+
+    def grad(x, y):
+        y = n * y
         b, bd1 = bump1_vgh(y, 1)
         bm, bmd1 = bump1_vgh(y - 1.0, 1)
         S, Sd1, _ = transition_vgh(x)
         E = np.exp(-x * x)
         Ex = -2.0 * x * E
-        conds = [y <= -1.0, y <= 0.0, y <= 1.0, y <= 2.0]
-        val = np.select(conds, [
-            y,
-            (1.0 - b) * y + b * E,
-            (1.0 - b) * S + b * E,
-            bm * S + (1.0 - bm) * (y - 1.0),
-        ], default=y - 1.0)
+        conds = branches(y)
         gx = np.select(conds, [
             np.zeros_like(x),
             b * Ex,
@@ -250,13 +262,9 @@ def _singlemax(n):
             bd1 * (E - S),
             bmd1 * (S - (y - 1.0)) + (1.0 - bm),
         ], default=np.ones_like(x))
-        return val, gx, gy
-
-    def grad(x, y):
-        _, gx, gy = pieces(x, n * y)
         return gx / n, gy
 
-    return _wrap2d(lambda x, y: pieces(x, n * y)[0] / n, grad)
+    return _wrap2d(value, grad)
 
 
 def _fig13a(n):
