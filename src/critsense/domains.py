@@ -97,7 +97,6 @@ class Domain:
 
     dim: int
     euler_char: int = 1
-    convex: bool = True
 
     def contains(self, s, tol: float = 1e-12):
         raise NotImplementedError

@@ -37,7 +37,7 @@ class NonIsolatedZeroError(CritsenseError):
 
 
 class UnderSampledError(CritsenseError):
-    """Winding accumulation did not settle; a larger sample count is suggested."""
+    """Winding accumulation did not settle."""
 
 
 class DegenerateError(CritsenseError):
@@ -49,8 +49,8 @@ class NotMorseError(CritsenseError):
 
 
 class NonGenericBoundaryError(CritsenseError):
-    """Boundary zeros stayed non-isolated after perturbation, or a genuine
-    boundary critical point was hit."""
+    """Boundary zeros stayed non-isolated after perturbation or were left
+    unresolved, or a genuine boundary critical point was hit."""
 
 
 class FlowSingularError(CritsenseError):
@@ -59,10 +59,6 @@ class FlowSingularError(CritsenseError):
 
 class CoverageError(CritsenseError):
     """A chart radius does not cover the requested ball."""
-
-
-class ConvexityError(CritsenseError):
-    """Operation requires a convex domain."""
 
 
 class NoSeparationError(CritsenseError):

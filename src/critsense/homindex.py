@@ -26,18 +26,28 @@ from .morse import morse_classify
 # winding machinery
 # ---------------------------------------------------------------- #
 
-def _wrap_angle(d: float) -> float:
-    """Wrap to (-pi, pi]."""
-    return float((d + np.pi) % (2.0 * np.pi) - np.pi)
+def winding_index_2d(field: ScalarField, z, eps: float) -> int:
+    """Degree of the normalized gradient on the circle of radius ``eps``.
 
-
-def _winding_total(thetas, angles, vec_at, noise_floor):
-    """Signed angle accumulated over consecutive parameter samples.
-
-    ``vec_at(theta)`` supplies the 2-vector between samples when a step
-    of pi/2 or more forces subdivision, at most 48 levels deep. Returns
-    the total in radians.
+    Signed angle increments are accumulated over 256 samples, sample to
+    sample, with adaptive subdivision (at most 48 levels deep) whenever a
+    step reaches pi/2, then divided by 2 pi. The rounding residual must
+    stay under 0.1.
     """
+    if field.dim != 2:
+        raise UsageError("winding_index_2d needs a 2-d field")
+    if eps <= 0:
+        raise UsageError("need eps > 0")
+    z = np.asarray(z, dtype=float)
+    thetas = ring_angles(256)
+    g = field.grad(z + eps * sphere_directions(2, 256))
+    norms = np.linalg.norm(g, axis=-1)
+    floor = 1e-12 * (1.0 + float(np.max(norms)))
+    if float(np.min(norms)) < 10.0 * floor:
+        raise NonIsolatedZeroError(
+            "gradient vanishes on the sampling circle",
+            center=z.tolist(), eps=eps, min_norm=float(np.min(norms)))
+    angles = np.arctan2(g[:, 1], g[:, 0])
     total = 0.0
     m = len(thetas)
     for i in range(m):
@@ -47,7 +57,7 @@ def _winding_total(thetas, angles, vec_at, noise_floor):
         stack = [(a_t, b_t, angles[i], angles[(i + 1) % m], 0)]
         while stack:
             ta, tb, aa, ab, depth = stack.pop()
-            d = _wrap_angle(ab - aa)
+            d = float((ab - aa + np.pi) % (2.0 * np.pi) - np.pi)
             if abs(d) < 0.5 * np.pi:
                 total += d
                 continue
@@ -56,53 +66,21 @@ def _winding_total(thetas, angles, vec_at, noise_floor):
                     "angle step failed to settle under subdivision",
                     theta=ta, step=d)
             tm = 0.5 * (ta + tb)
-            v = vec_at(tm)
+            v = field.grad(z + eps * np.array([np.cos(tm), np.sin(tm)]))
             nv = float(np.hypot(v[0], v[1]))
-            if nv < noise_floor:
+            if nv < 10.0 * floor:
                 raise NonIsolatedZeroError(
                     "gradient vanishes on the sampling circle", theta=tm,
                     norm=nv)
             am = float(np.arctan2(v[1], v[0]))
             stack.append((ta, tm, aa, am, depth + 1))
             stack.append((tm, tb, am, ab, depth + 1))
-    return total
-
-
-def winding_index_2d(field: ScalarField, z, eps: float,
-                     n_samples: int = 256) -> int:
-    """Degree of the normalized gradient on the circle of radius ``eps``.
-
-    Signed angle increments are accumulated sample to sample with adaptive
-    subdivision whenever a step reaches pi/2, then divided by 2 pi. The
-    rounding residual must stay under 0.1.
-    """
-    if field.dim != 2:
-        raise UsageError("winding_index_2d needs a 2-d field")
-    if eps <= 0 or n_samples < 8:
-        raise UsageError("need eps > 0 and n_samples >= 8")
-    z = np.asarray(z, dtype=float)
-    theta = ring_angles(n_samples)
-    g = field.grad(z + eps * sphere_directions(2, n_samples))
-    norms = np.linalg.norm(g, axis=-1)
-    gmax = float(np.max(norms))
-    floor = 1e-12 * (1.0 + gmax)
-    if float(np.min(norms)) < 10.0 * floor:
-        raise NonIsolatedZeroError(
-            "gradient vanishes on the sampling circle",
-            center=z.tolist(), eps=eps, min_norm=float(np.min(norms)))
-
-    def vec_at(t):
-        return field.grad(z + eps * np.array([np.cos(t), np.sin(t)]))
-
-    angles = np.arctan2(g[:, 1], g[:, 0])
-    total = _winding_total(theta, angles, vec_at, 10.0 * floor)
     w = total / (2.0 * np.pi)
     k = int(np.round(w))
     residual = abs(w - k)
     if residual >= 0.1:
-        raise UnderSampledError(
-            "winding residual too large", residual=residual,
-            suggested_n_samples=2 * n_samples)
+        raise UnderSampledError("winding residual too large",
+                                residual=residual)
     return k
 
 
@@ -376,11 +354,14 @@ def boundary_index(field: ScalarField, domain: Domain) -> BoundaryIndexResult:
     domain boundary, sampled at about 512 points. The largest sampled
     gradient sets the zero tolerance and the perturbation strength.
 
-    Each sign-change zero contributes its 1-d crossing index times +1/2
-    when the full gradient points into the domain there, -1/2 when it
-    points out. Tangential components that vanish along whole sample runs
-    (radial fields) get one seeded linear perturbation before
-    NonGenericBoundary is raised.
+    Each zero contributes its tangential index times +1/2 when the full
+    gradient points into the domain there, -1/2 when it points out. The
+    index is +1 at an interval endpoint, the 1-d crossing index of a sign
+    change along a 2-d boundary curve, and on the sphere of a 3-ball the
+    index of a critical point of f restricted to the sphere, detected on
+    two stereographic charts. Tangential components that vanish along
+    whole sample runs (radial fields) get one seeded linear perturbation
+    before NonGenericBoundary is raised.
     """
     d = field.dim
     if d == 2:
@@ -458,77 +439,65 @@ def _curve_zeros(field, pieces, grads, zero_tol):
     return zeros
 
 
-def _tangent_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array([1.0, 0.0, 0.0])
-    if abs(n[0]) > 0.9:
-        a = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(n, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    return e1, e2
+_CHART_GRID = 48  # the audit's default grid
+
+
+def _stereographic(u: np.ndarray, pole: float):
+    """The inverse stereographic map from the pole ``(0, 0, -pole)``:
+    the unit normals ``(..., 3)`` at the chart points ``u`` ``(..., 2)``,
+    with ``u = 0`` at the pole ``(0, 0, pole)``, and ``q = 1 + |u|^2``."""
+    q = 1.0 + np.sum(u * u, axis=-1)
+    return np.concatenate([2.0 * u, (pole * (2.0 - q))[..., None]],
+                          axis=-1) / q[..., None], q
 
 
 def _sphere_zeros(field, domain, normals, g, zero_tol):
-    """Tangential zeros on a 2-sphere boundary, located by multi-start
-    refinement from the lowest-|v_par| samples and indexed by a chart
-    winding number; None when v_par vanishes over a run of samples.
-    Heuristic coverage; audited fields keep their zeros well separated."""
+    """Tangential zeros on the sphere boundary of a 3-ball: the critical
+    points of f on the sphere, from ``find_critical_points`` on two
+    stereographic charts over the disk |u| <= 1.25, whose gradients are
+    J^T grad f. The north chart keeps |u|^2 <= 1 + 1e-6 and the south one
+    |u|^2 < 1 - 1e-6, so each zero counts once (|u_N| |u_S| = 1), with its
+    chart's index. None, for the caller to perturb f, when v_par vanishes
+    over a run of the normals' gradients ``g`` or a chart meets a
+    non-isolated zero; unresolved chart cells or an unindexed zero raise
+    NonGenericBoundary."""
+    from .detect import find_critical_points
+
     vpar = g - np.sum(g * normals, axis=-1, keepdims=True) * normals
-    tv = np.linalg.norm(vpar, axis=-1)
-    if _has_zero_run(tv <= zero_tol, cyclic=False):
+    if _has_zero_run(np.linalg.norm(vpar, axis=-1) <= zero_tol,
+                     cyclic=False):
         return None
-
-    def chart(n0):
-        """``w -> (n, v_par at n in the basis e1, e2)`` for the boundary
-        normal n = normalize(n0 + w0 e1 + w1 e2)."""
-        e1, e2 = _tangent_basis(n0)
-
-        def at(w):
-            nn = n0 + w[0] * e1 + w[1] * e2
-            nn /= np.linalg.norm(nn)
-            gr = field.grad(domain.center + domain.radius * nn)
-            vp = gr - np.dot(gr, nn) * nn
-            return nn, np.array([np.dot(vp, e1), np.dot(vp, e2)])
-        return at
-
-    found_dirs: list[np.ndarray] = []
-    for i in np.argsort(tv)[:16]:
-        at = chart(normals[i])
-        w = np.zeros(2)
-        ok = False
-        for _ in range(60):
-            nn, F = at(w)
-            if np.linalg.norm(F) <= zero_tol:
-                ok = True
-                break
-            h = 1e-6
-            J = np.column_stack([(at(w + h * e)[1] - F) / h
-                                 for e in np.eye(2)])
-            try:
-                step = np.linalg.solve(J, -F)
-            except np.linalg.LinAlgError:
-                break
-            if np.linalg.norm(step) > 0.5:
-                step *= 0.5 / np.linalg.norm(step)
-            w = w + step
-        if ok and not any(np.linalg.norm(nn - fd) < 0.05 for fd in found_dirs):
-            found_dirs.append(nn)
-
+    c, r = domain.center, domain.radius
     zeros = []
-    theta = ring_angles(64)
-    for nrm in found_dirs:
-        at = chart(nrm)
+    for pole, keep in ((1.0, lambda q: q <= 2.0 + 1e-6),
+                       (-1.0, lambda q: q < 2.0 - 1e-6)):
+        def fn(u, pole=pole):
+            return field.value(c + r * _stereographic(u, pole)[0])
 
-        def vec_at(t, at=at):
-            return at(1e-3 * np.array([np.cos(t), np.sin(t)]))[1]
+        def grad(u, pole=pole):
+            n, q = _stereographic(u, pole)
+            gf = field.grad(c + r * n)
+            ug = np.sum(u * gf[..., :2], axis=-1) + pole * gf[..., 2]
+            return r * (2.0 * q[..., None] * gf[..., :2]
+                        - 4.0 * u * ug[..., None]) / (q * q)[..., None]
 
-        vecs = np.array([vec_at(t) for t in theta])
-        floor = 1e-12 * (1.0 + float(np.max(np.linalg.norm(vecs, axis=-1))))
-        angles = np.arctan2(vecs[:, 1], vecs[:, 0])
-        tot = _winding_total(theta, angles, vec_at, floor)
-        zeros.append(_weighted_zero(field, domain.center + domain.radius * nrm,
-                                    int(np.round(tot / (2.0 * np.pi))), nrm,
-                                    zero_tol))
+        try:
+            pts = find_critical_points(ScalarField(fn, 2, grad_fn=grad),
+                                       Ball((0.0, 0.0), 1.25),
+                                       grid_res=_CHART_GRID)
+        except NonIsolatedZeroError:
+            return None
+        kept = [p for p in pts if keep(1.0 + float(p.location @ p.location))]
+        bad = [p.location.tolist() for p in kept if p.hom_index is None]
+        if pts.unresolved or bad:
+            raise NonGenericBoundaryError(
+                "sphere chart left zeros unresolved or unindexed", pole=pole,
+                cells=[x["cell_center"] for x in pts.unresolved],
+                unindexed=bad)
+        for p in kept:
+            nrm = _stereographic(p.location, pole)[0]
+            zeros.append(_weighted_zero(field, c + r * nrm, p.hom_index,
+                                        nrm, zero_tol))
     return zeros
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .detect import refine_newton
 from .domains import Domain, sphere_directions, superlevel_join
-from .errors import (ConvexityError, NoConvergenceError, NoSeparationError,
+from .errors import (NoConvergenceError, NoSeparationError,
                      PreconditionError, UsageError)
 from .fields import ScalarField
 from .homindex import bisect_root, sign_change_brackets
@@ -99,8 +99,6 @@ def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
     pass from v, or from the minimum of f on a path segment at v along
     which the derivative changes sign.
     """
-    if not domain.convex:
-        raise ConvexityError("theorem requires a convex domain")
     if grid_res < 8:
         raise UsageError("grid_res must be at least 8")
     p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)

@@ -50,6 +50,10 @@ COMMANDS = {
     "audit_monkey": ["audit", "--gallery", "monkey"],
     "audit_bowl": ["audit", "--gallery", "bowl"],
     "audit_bowl3": ["audit", "--gallery", "bowl3"],
+    # both sphere zeros on the seam of the two stereographic charts, with
+    # no perturbation
+    "audit_bowl3_shifted": ["audit", "--gallery", "bowl3", "--domain",
+                            "ball:0.3,0,0:1"],
     "audit_fig13a": ["audit", "--gallery", "fig13a", "--n", "4"],
     "audit_saddle_box_csv": ["audit", "--gallery", "saddle", "--domain",
                              "box:-1,-1:1,1", "--format", "csv"],

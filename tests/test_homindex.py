@@ -12,6 +12,7 @@ from critsense.errors import (DegenerateError, NonGenericBoundaryError,
 from critsense.detect import find_critical_points
 from critsense.fields import ScalarField, sym_eigvalsh
 from critsense.gallery import entry, gallery
+from critsense.randfield import BasisSpec, sample_limit_field
 from critsense.homindex import (boundary_index, classify_by_index,
                                 homological_index, poincare_hopf_audit,
                                 probe_radius, sign_index_nondegenerate,
@@ -91,7 +92,7 @@ def test_discontinuous_gradient_never_settles():
         grad_fn=lambda s: np.where(s[..., :1] > 0, 1.0, -1.0) *
         np.ones_like(s))
     with pytest.raises(UnderSampledError) as exc:
-        winding_index_2d(jumpy, ORIGIN, 0.1, n_samples=64)
+        winding_index_2d(jumpy, ORIGIN, 0.1)
     assert "step" in exc.value.context
 
 
@@ -212,6 +213,50 @@ def test_boundary_index_interval_and_3d():
     res3 = boundary_index(gallery("bowl3"), Ball((0, 0, 0), 1.0))
     assert res3.total == Fraction(-1)
     assert res3.perturbed
+
+
+def test_sphere_zeros_satisfy_the_euler_identity_of_the_sphere():
+    # the tangential zeros of grad f on S^2 are the critical points of f
+    # restricted to it, so their indices sum to chi(S^2) = 2
+    ball = Ball((np.pi,) * 3, 1.0)
+    normals = ball.boundary_frames(512)[1]
+    for trial in range(40):
+        f = sample_limit_field(BasisSpec(3, 2, 1.0, 1.0), 123, trial)
+        res = boundary_index(f, ball)
+        assert sum(z.index for z in res.zeros) == 2, trial
+        scale = np.max(np.linalg.norm(f.grad(ball.center + normals),
+                                      axis=-1))
+        locs = np.array([z.location for z in res.zeros])
+        n = locs - ball.center
+        g = f.grad(locs)
+        tangential = g - np.sum(g * n, axis=-1, keepdims=True) * n
+        assert np.all(np.linalg.norm(tangential, axis=-1)
+                      <= 1e-9 * max(1.0, scale)), trial
+        gaps = np.linalg.norm(locs[:, None] - locs[None], axis=-1)
+        assert np.all(gaps[np.triu_indices(len(locs), 1)] >= 1e-6), trial
+
+
+def _linear3(axis):
+    return ScalarField(lambda s: s[..., axis], 3,
+                       grad_fn=lambda s: np.broadcast_to(
+                           np.eye(3)[axis], s.shape).copy())
+
+
+@pytest.mark.parametrize("axis", [0, 2], ids=["x_on_the_seam",
+                                               "z_at_the_chart_centres"])
+def test_sphere_chart_seam_counts_each_zero_once(axis):
+    # f = x has its two sphere zeros on the equator, where both charts
+    # reach; f = z has them at the poles, the two chart centres
+    res = boundary_index(_linear3(axis), Ball((0, 0, 0), 1.0))
+    assert not res.perturbed
+    assert res.total == 0
+    assert len(res.zeros) == 2
+    for want in (-1.0, 1.0):
+        pole = want * np.eye(3)[axis]
+        z, = [z for z in res.zeros
+              if np.linalg.norm(z.location - pole) < 1e-9]
+        assert z.index == 1
+        assert z.weight == -Fraction(1, 2) * int(want)
 
 
 def test_boundary_perturbation_gives_up_after_two_attempts():
