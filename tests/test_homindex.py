@@ -236,27 +236,25 @@ def test_sphere_zeros_satisfy_the_euler_identity_of_the_sphere():
         assert np.all(gaps[np.triu_indices(len(locs), 1)] >= 1e-6), trial
 
 
-def _linear3(axis):
-    return ScalarField(lambda s: s[..., axis], 3,
-                       grad_fn=lambda s: np.broadcast_to(
-                           np.eye(3)[axis], s.shape).copy())
-
-
 @pytest.mark.parametrize("axis", [0, 2], ids=["x_on_the_seam",
                                                "z_at_the_chart_centres"])
 def test_sphere_chart_seam_counts_each_zero_once(axis):
     # f = x has its two sphere zeros on the equator, where both charts
     # reach; f = z has them at the poles, the two chart centres
-    res = boundary_index(_linear3(axis), Ball((0, 0, 0), 1.0))
+    linear = ScalarField(lambda s: s[..., axis], 3,
+                         grad_fn=lambda s: np.broadcast_to(
+                             np.eye(3)[axis], s.shape).copy())
+    res = boundary_index(linear, Ball((0, 0, 0), 1.0))
     assert not res.perturbed
     assert res.total == 0
     assert len(res.zeros) == 2
-    for want in (-1.0, 1.0):
-        pole = want * np.eye(3)[axis]
+    for side in (-1, 1):
+        # +1/2 where grad f points in, at the minimum; -1/2 at the maximum
+        pole = side * np.eye(3)[axis]
         z, = [z for z in res.zeros
               if np.linalg.norm(z.location - pole) < 1e-9]
         assert z.index == 1
-        assert z.weight == -Fraction(1, 2) * int(want)
+        assert z.weight == Fraction(-side, 2)
 
 
 def test_boundary_perturbation_gives_up_after_two_attempts():
