@@ -1,10 +1,11 @@
 """Topological-degree classification of gradient zeros.
 
-The index of an isolated zero is the degree of the normalized gradient on a
-small sphere around it: +1 for extrema in the plane, -(j-1) for a j-pronged
-saddle, 0 for undulation points. Boundary zeros of the tangential component
-carry half-integer weights; interior plus boundary sums are held in exact
-rational arithmetic so the audit identity can be checked without tolerance.
+The index of an isolated zero, the degree of the normalized gradient on a
+small sphere around it (+1 at a planar extremum, -(j-1) at a j-pronged
+saddle, 0 at an undulation point), comes for a batch of zeros from one
+field call. Tangential boundary zeros, box corners included, carry
+half-integer weights; interior plus boundary sums are exact rationals, so
+the audit identity is checked without tolerance.
 """
 
 from __future__ import annotations
@@ -26,77 +27,84 @@ from .morse import morse_classify
 # winding machinery
 # ---------------------------------------------------------------- #
 
-def winding_index_2d(field: ScalarField, z, eps: float) -> int:
-    """Degree of the normalized gradient on the circle of radius ``eps``.
+def winding_index_2d(field: ScalarField, z, eps):
+    """Degree of the normalized gradient on the circle of radius ``eps``
+    around ``z`` ``(2,)``. For zeros ``z`` ``(k, 2)`` with radii ``eps``
+    ``(k,)``, a list with each zero's degree or the NonIsolatedZeroError
+    or UnderSampledError it met, from one gradient call for all ``256 k``
+    probes, circle j on member j of a stack (see ``ScalarField.rows``).
 
-    Signed angle increments are accumulated over 256 samples, sample to
-    sample, with adaptive subdivision (at most 48 levels deep) whenever a
-    step reaches pi/2, then divided by 2 pi. The rounding residual must
-    stay under 0.1.
+    Signed angle steps are summed over 256 samples, sample to sample, and
+    divided by 2 pi; the rounding residual must stay under 0.1. A step of
+    pi/2 or more is bisected on the zero's own member (:func:`_settled`).
     """
     if field.dim != 2:
         raise UsageError("winding_index_2d needs a 2-d field")
-    if eps <= 0:
+    Z, eps, _, one = _as_batch(z, eps, None)
+    if np.any(eps <= 0):
         raise UsageError("need eps > 0")
-    z = np.asarray(z, dtype=float)
     thetas = ring_angles(256)
-    g = field.grad(z + eps * sphere_directions(2, 256))
+    thetas = np.append(thetas, thetas[0] + 2.0 * np.pi)
+    # (256, k, 2): probe i of circle j
+    g = field.grad(Z + eps[:, None] * sphere_directions(2, 256)[:, None, :])
     norms = np.linalg.norm(g, axis=-1)
-    floor = 1e-12 * (1.0 + float(np.max(norms)))
-    if float(np.min(norms)) < 10.0 * floor:
-        raise NonIsolatedZeroError(
-            "gradient vanishes on the sampling circle",
-            center=z.tolist(), eps=eps, min_norm=float(np.min(norms)))
-    angles = np.arctan2(g[:, 1], g[:, 0])
-    total = 0.0
-    m = len(thetas)
-    for i in range(m):
-        a_t, b_t = thetas[i], thetas[(i + 1) % m]
-        if i + 1 == m:
-            b_t = thetas[0] + 2.0 * np.pi
-        stack = [(a_t, b_t, angles[i], angles[(i + 1) % m], 0)]
-        while stack:
-            ta, tb, aa, ab, depth = stack.pop()
-            d = float((ab - aa + np.pi) % (2.0 * np.pi) - np.pi)
-            if abs(d) < 0.5 * np.pi:
-                total += d
-                continue
-            if depth >= 48:
-                raise UnderSampledError(
-                    "angle step failed to settle under subdivision",
-                    theta=ta, step=d)
-            tm = 0.5 * (ta + tb)
-            v = field.grad(z + eps * np.array([np.cos(tm), np.sin(tm)]))
-            nv = float(np.hypot(v[0], v[1]))
-            if nv < 10.0 * floor:
+    angles = np.arctan2(g[..., 1], g[..., 0])
+    angles = np.concatenate([angles, angles[:1]])
+    steps = (angles[1:] - angles[:-1] + np.pi) % (2.0 * np.pi) - np.pi
+    floors = 1e-12 * (1.0 + np.max(norms, axis=0))
+    out = []
+    for j, (zj, ej, floor) in enumerate(zip(Z, eps.tolist(), floors)):
+        try:
+            if np.min(norms[:, j]) < 10.0 * floor:
                 raise NonIsolatedZeroError(
-                    "gradient vanishes on the sampling circle", theta=tm,
-                    norm=nv)
-            am = float(np.arctan2(v[1], v[0]))
-            stack.append((ta, tm, aa, am, depth + 1))
-            stack.append((tm, tb, am, ab, depth + 1))
-    w = total / (2.0 * np.pi)
-    k = int(np.round(w))
-    residual = abs(w - k)
-    if residual >= 0.1:
-        raise UnderSampledError("winding residual too large",
-                                residual=residual)
-    return k
+                    "gradient vanishes on the sampling circle",
+                    center=zj.tolist(), eps=ej,
+                    min_norm=float(np.min(norms[:, j])))
+            for i in np.flatnonzero(np.abs(steps[:, j]) >= 0.5 * np.pi):
+                steps[i, j] = _settled(field.rows(j), zj, ej, floor,
+                                       thetas[i:i + 2], angles[i:i + 2, j])
+            w = sum(steps[:, j].tolist()) / (2.0 * np.pi)
+            if abs(w - round(w)) >= 0.1:
+                raise UnderSampledError("winding residual too large",
+                                        residual=abs(w - round(w)))
+            out.append(round(w))
+        except (NonIsolatedZeroError, UnderSampledError) as exc:
+            out.append(exc)
+    return _single(out) if one else out
 
 
-def sign_index_nondegenerate(field: ScalarField, z, eigs=None) -> int:
-    """(-1)^(number of negative Hessian eigenvalues); needs |det H| away
-    from zero. ``eigs`` is the Hessian spectrum at ``z`` when the caller
-    already has it."""
-    z = np.asarray(z, dtype=float)
-    if eigs is None:
-        eigs = sym_eigvalsh(field.hess(z))
-    k = morse_classify(field, z, eigs=eigs)
-    if k is None:
-        raise DegenerateError(
-            "Hessian is numerically singular", point=z.tolist(),
-            eigenvalues=np.asarray(eigs).tolist())
-    return (-1) ** k
+def _settled(field, z, eps, floor, t, a, depth=0) -> float:
+    """The angle the gradient sweeps on the circle between the angles
+    ``t`` ``(2,)``, with directions ``a`` ``(2,)`` at the ends, bisected
+    (later half first) until every step is under pi/2, 48 levels deep."""
+    d = float((a[1] - a[0] + np.pi) % (2.0 * np.pi) - np.pi)
+    if abs(d) < 0.5 * np.pi:
+        return d
+    if depth >= 48:
+        raise UnderSampledError("angle step failed to settle under "
+                                "subdivision", theta=t[0], step=d)
+    tm = 0.5 * (t[0] + t[1])
+    v = field.grad(z + eps * np.array([np.cos(tm), np.sin(tm)]))
+    nv = float(np.hypot(v[0], v[1]))
+    if nv < 10.0 * floor:
+        raise NonIsolatedZeroError(
+            "gradient vanishes on the sampling circle", theta=tm, norm=nv)
+    am = float(np.arctan2(v[1], v[0]))
+    later = _settled(field, z, eps, floor, (tm, t[1]), (am, a[1]), depth + 1)
+    return later + _settled(field, z, eps, floor, (t[0], tm), (a[0], am),
+                            depth + 1)
+
+
+def _index_nd(field: ScalarField, Z: np.ndarray, eigs) -> list:
+    """(-1)^(number of negative Hessian eigenvalues) at each zero of ``Z``
+    ``(k, d)`` from one ``morse_classify`` call on the spectra ``eigs``
+    (one Hessian call when None); a DegenerateError where it is singular."""
+    eigs = sym_eigvalsh(field.hess(Z)) if eigs is None else np.asarray(
+        eigs, dtype=float)
+    return [DegenerateError("Hessian is numerically singular",
+                            point=z.tolist(), eigenvalues=e.tolist())
+            if k is None else (-1) ** k
+            for z, e, k in zip(Z, eigs, morse_classify(field, Z, eigs=eigs))]
 
 
 def _index_1d(field: ScalarField, Z: np.ndarray, eps: np.ndarray) -> list:
@@ -144,9 +152,6 @@ def probe_radius(z, others, domain: Domain):
     return float(r[0]) if z.ndim == 1 else r
 
 
-_INDEX_ERRORS = (DegenerateError, NonIsolatedZeroError, UnderSampledError)
-
-
 def _as_batch(z, eps, eigs):
     """``(Z, eps, eigs, one)``: the zeros ``(k, d)``, their radii and
     spectra as a batch, and whether ``z`` was one zero ``(d,)``."""
@@ -154,7 +159,14 @@ def _as_batch(z, eps, eigs):
     if z.ndim == 2:
         return z, np.asarray(eps, dtype=float), eigs, False
     return (z[None], np.array([eps], dtype=float),
-            None if eigs is None else [eigs], True)
+            None if eigs is None else np.asarray(eigs)[None], True)
+
+
+def _single(out: list):
+    """The one result of a batch of one zero, raising its error."""
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
 
 
 def homological_index(field: ScalarField, z, eps, eigs=None):
@@ -163,8 +175,8 @@ def homological_index(field: ScalarField, z, eps, eigs=None):
     with radii ``eps`` ``(k,)``, a list with each zero's index or the
     DegenerateError, NonIsolatedZeroError or UnderSampledError it met.
 
-    Dimension dispatch: sign comparison in 1-d, one gradient call for
-    all the zeros; winding number per zero in 2-d; Hessian sign for
+    Dimension dispatch, each from one field call for all the zeros: sign
+    comparison in 1-d, winding number in 2-d, and Hessian sign for
     nondegenerate zeros in higher dimension, from ``eigs`` (``(d,)``, or
     ``(k, d)`` for a batch) when the caller has the spectrum. A probe
     that meets a zero raises NonIsolatedZero at that ``eps``.
@@ -172,23 +184,11 @@ def homological_index(field: ScalarField, z, eps, eigs=None):
     Z, eps, eigs, one = _as_batch(z, eps, eigs)
     if field.dim == 1:
         out = _index_1d(field, Z, eps)
+    elif field.dim == 2:
+        out = winding_index_2d(field, Z, eps)
     else:
-        out = []
-        for i, (zi, e) in enumerate(zip(Z, eps.tolist())):
-            try:
-                if field.dim == 2:
-                    out.append(winding_index_2d(field.rows(i), zi, e))
-                else:
-                    out.append(sign_index_nondegenerate(
-                        field.rows(i), zi,
-                        eigs=None if eigs is None else eigs[i]))
-            except _INDEX_ERRORS as exc:
-                out.append(exc)
-    if not one:
-        return out
-    if isinstance(out[0], Exception):
-        raise out[0]
-    return out[0]
+        out = _index_nd(field, Z, eigs)
+    return _single(out) if one else out
 
 
 # ---------------------------------------------------------------- #
@@ -249,18 +249,11 @@ def classify_by_index(field: ScalarField, z, eps, eigs=None):
 # boundary index
 # ---------------------------------------------------------------- #
 
-HALF = Fraction(1, 2)
-
-
 @dataclass
 class BoundaryZero:
     location: np.ndarray
     index: int
     weight: Fraction
-
-    @property
-    def contribution(self) -> Fraction:
-        return self.weight * self.index
 
 
 @dataclass
@@ -270,18 +263,12 @@ class BoundaryIndexResult:
     perturbed: bool = False
 
 
-def _perturbed(field: ScalarField, delta: float, direction: np.ndarray) -> ScalarField:
-    u = np.asarray(direction, dtype=float)
-
-    def fn(s, f=field.fn):
-        return np.asarray(f(s)) + delta * np.sum(u * s, axis=-1)
-
-    def grad(s):
-        return field.grad(s) + delta * u
-
-    # linear terms leave the Hessian untouched
-    return ScalarField(fn, field.dim, grad_fn=grad,
-                       hess_fn=lambda s: field.hess(s))
+def _perturbed(field: ScalarField, delta: float, u: np.ndarray) -> ScalarField:
+    """f + delta u.s; a linear term leaves the Hessian untouched."""
+    return ScalarField(
+        lambda s: np.asarray(field.fn(s)) + delta * np.sum(u * s, axis=-1),
+        field.dim, grad_fn=lambda s: field.grad(s) + delta * u,
+        hess_fn=field.hess)
 
 
 def _has_zero_run(flags: np.ndarray, cyclic: bool) -> bool:
@@ -346,7 +333,7 @@ def _weighted_zero(field: ScalarField, loc, index: int, nrm,
             "full gradient vanishes on the boundary",
             location=np.asarray(loc).tolist())
     return BoundaryZero(np.asarray(loc, dtype=float), index,
-                        HALF if radial < 0 else -HALF)
+                        Fraction(1 if radial < 0 else -1, 2))
 
 
 def boundary_index(field: ScalarField, domain: Domain) -> BoundaryIndexResult:
@@ -357,19 +344,16 @@ def boundary_index(field: ScalarField, domain: Domain) -> BoundaryIndexResult:
     Each zero contributes its tangential index times +1/2 when the full
     gradient points into the domain there, -1/2 when it points out. The
     index is +1 at an interval endpoint, the 1-d crossing index of a sign
-    change along a 2-d boundary curve, and on the sphere of a 3-ball the
-    index of a critical point of f restricted to the sphere, detected on
-    two stereographic charts. Tangential components that vanish along
-    whole sample runs (radial fields) get one seeded linear perturbation
-    before NonGenericBoundary is raised.
+    change along a whole 2-d boundary piece or across a box corner, and on
+    the sphere of a 3-ball the index of a critical point of f on the
+    sphere, detected on two stereographic charts. Tangential components
+    that vanish along whole sample runs (radial fields) or at a corner get
+    one seeded linear perturbation before NonGenericBoundary is raised.
     """
     d = field.dim
     if d == 2:
-        # two samples are skipped at each end of an edge: the tangent jumps
-        # at a corner, where the half-weight rule does not hold, and no
-        # corner term replaces it, so the box audit is approximate
         pieces = [(c, ring_angles(512) if c.cyclic
-                   else np.linspace(0.0, c.length, 129)[2:-2])
+                   else np.linspace(0.0, c.length, 129))
                   for c in domain.boundary_curves()]
         samples = [c.point(t) for c, t in pieces]
     elif d == 1 or (d == 3 and isinstance(domain, Ball)):
@@ -394,7 +378,7 @@ def boundary_index(field: ScalarField, domain: Domain) -> BoundaryIndexResult:
             zeros = _sphere_zeros(f, domain, normals, gs[0], zero_tol)
         if zeros is not None:
             return BoundaryIndexResult(
-                sum((z.contribution for z in zeros), Fraction(0)), zeros,
+                sum((z.weight * z.index for z in zeros), Fraction(0)), zeros,
                 attempt > 0)
         f = _perturbed(f, 1e-6 * max(scale, 1e-6), u)
     raise NonGenericBoundaryError(
@@ -420,13 +404,30 @@ def _along(g, v):
 
 def _curve_zeros(field, pieces, grads, zero_tol):
     """Tangential zeros along the smooth pieces ``(curve, params)`` of a
-    2-d boundary, with ``grads`` the gradient at each piece's samples; None
-    when the tangential component vanishes over a run of samples."""
+    2-d boundary, counter-clockwise, with ``grads`` the gradient at each
+    piece's samples, and the zeros of its corners, where a non-cyclic
+    piece starts and the one before it ends. None when the tangential
+    component vanishes over a run of samples or at a corner.
+
+    A corner is the limit of a rounded arc whose tangent turns from t_in
+    to t_out (Morse 1929). With a = grad f . t_in and b = grad f . t_out,
+    the arc holds a zero of index (sign b - sign a)/2 when the signs
+    differ, weighted against the normal n_in + n_out.
+    """
     zeros = []
-    for (c, t), g in zip(pieces, grads):
+    for j, ((c, t), g) in enumerate(zip(pieces, grads)):
         vpar = _along(g, c.tangent(t))
         if _has_zero_run(np.abs(vpar) <= zero_tol, c.cyclic):
             return None
+        if not c.cyclic:
+            into = pieces[j - 1][0]
+            a, b = float(_along(g[0], into.tangent(into.length))), vpar[0]
+            if min(abs(a), abs(b)) <= zero_tol:
+                return None
+            if (a > 0) != (b > 0):
+                zeros.append(_weighted_zero(
+                    field, c.point(0.0), 1 if b > 0 else -1,
+                    into.normal(into.length) + c.normal(0.0), zero_tol))
 
         def vpar_at(s, c=c):
             return float(_along(field.grad(c.point(s)), c.tangent(s)))
@@ -555,8 +556,7 @@ def poincare_hopf_audit(field: ScalarField, domain: Domain,
         interior += p.hom_index
         per_point.append((p.location, p.hom_index, Fraction(1)))
     bres = boundary_index(field, domain)
-    for z in bres.zeros:
-        per_point.append((z.location, z.index, z.weight))
+    per_point += [(z.location, z.index, z.weight) for z in bres.zeros]
     total = interior + bres.total
     target = Fraction(domain.euler_char) if field.dim % 2 == 0 else Fraction(0)
     return IndexResult(interior, bres.total, total, target, per_point,

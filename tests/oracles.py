@@ -27,6 +27,39 @@ def brute_winding(field, z, eps: float, n: int = 40000) -> int:
     return int(np.round(turns))
 
 
+def _boundary_loop(domain, n: int = 8192) -> np.ndarray:
+    """``n`` points once around the boundary of a 2-d box (from its
+    lower-left corner) or disk, counter-clockwise, from its corners or
+    its center and radius alone."""
+    if hasattr(domain, "radius"):
+        th = 2.0 * np.pi * np.arange(n) / n
+        return np.asarray(domain.center) + domain.radius * np.stack(
+            [np.cos(th), np.sin(th)], axis=1)
+    (x0, y0), (x1, y1) = domain.lo, domain.hi
+    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    s = (np.arange(n // 4) / (n // 4))[:, None]
+    return np.concatenate([a + s * (b - a) for a, b in
+                           zip(corners, np.roll(corners, -1, axis=0))])
+
+
+def boundary_degree(field, domain):
+    """Winding of grad f once around the boundary of a 2-d box or disk,
+    by dense sampling and angle unwrap: 2^13 samples, or up to 2^20 until
+    no step reaches pi/2. None when |grad f| comes within the audit's zero
+    tolerance, 1e-9 times the largest sampled |grad f| (at least 1), where
+    the degree is not defined."""
+    for n in (2 ** 13, 2 ** 16, 2 ** 20):
+        loop = _boundary_loop(domain, n)
+        g = field.grad(np.concatenate([loop, loop[:1]]))
+        norms = np.linalg.norm(g, axis=1)
+        if norms.min() <= 1e-9 * max(1.0, norms.max()):
+            return None
+        ang = np.unwrap(np.arctan2(g[:, 1], g[:, 0]))
+        if np.max(np.abs(np.diff(ang))) < 0.5 * np.pi:
+            return int(np.round((ang[-1] - ang[0]) / (2.0 * np.pi)))
+    raise AssertionError("boundary loop undersampled at 2^20 samples")
+
+
 def brute_roots_1d(fn, a: float, b: float, n: int = 20001) -> list:
     """All simple roots of fn on [a, b] via sign scan plus brentq."""
     xs = np.linspace(a, b, n)

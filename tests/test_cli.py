@@ -232,14 +232,26 @@ def test_audit_monkey_passes(capsys):
 
 
 def test_audit_failure_sets_exit_code(capsys):
-    # no critical point inside the shifted box, so the totals cannot match
+    # no critical point inside the shifted box: the corners (0.5, 0.5)
+    # and (2, 2) carry the whole total
     rc, out, _ = run(capsys, "audit", "--gallery", "bowl",
                      "--domain", "box:0.5,0.5:2,2")
+    assert rc == 0
+    res = json.loads(out)["result"]
+    assert res["pass"] is True
+    assert res["total"] == "1" and res["interior"] == 0
+    assert [(p["location"], p["index"], p["weight"])
+            for p in res["per_point"]] == [([0.5, 0.5], 1, "1/2"),
+                                           ([2, 2], -1, "-1/2")]
+    # the minimum lies 0.01 from the left edge, inside one grid cell, so
+    # it is flagged near the boundary and left out of the interior sum
+    rc, out, _ = run(capsys, "audit", "--gallery", "bowl",
+                     "--domain", "box:-0.01,-1:1,1")
     assert rc == 1
     res = json.loads(out)["result"]
     assert res["pass"] is False
+    assert res["interior"] == 0
     assert res["total"] == "0" and res["target"] == "1"
-    assert res["per_point"] == []
 
 
 def test_audit_on_an_unsupported_boundary_exits_1(capsys):

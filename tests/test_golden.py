@@ -8,7 +8,8 @@ there, byte for byte. This is the gate for refactors that must not move
 any artifact.
 
 ``python tests/test_golden.py`` rewrites the goldens from this command
-list; review the diff before committing it.
+list, and ``python tests/test_golden.py NAME ...`` only the named ones;
+review the diff before committing it.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ COMMANDS = {
     "audit_fig13a": ["audit", "--gallery", "fig13a", "--n", "4"],
     "audit_saddle_box_csv": ["audit", "--gallery", "saddle", "--domain",
                              "box:-1,-1:1,1", "--format", "csv"],
+    # no interior zero: the corners (0.5, 0.5) and (2, 2) carry the total
+    "audit_bowl_box_corners": ["audit", "--gallery", "bowl", "--domain",
+                               "box:0.5,0.5:2,2"],
     "flow_bowl3": ["flow", "--gallery", "bowl3", "--seed", "777"],
     "flow_saddle_csv": ["flow", "--gallery", "saddle", "--seed", "777",
                         "--format", "csv"],
@@ -165,13 +169,17 @@ def test_every_subcommand_has_json_and_csv_goldens():
     assert not missing, f"no golden for {missing}"
 
 
-def regenerate() -> None:
-    for name, argv in sorted(COMMANDS.items()):
-        for stream, data in run_command(argv)[0].items():
+def regenerate(names: list[str]) -> None:
+    """Rewrite the goldens of ``names``, or of every command if empty."""
+    unknown = sorted(set(names) - set(COMMANDS))
+    if unknown:
+        raise SystemExit(f"no golden command named {', '.join(unknown)}")
+    for name in sorted(names or COMMANDS):
+        for stream, data in run_command(COMMANDS[name])[0].items():
             (GOLDEN / f"{name}.{stream}").write_bytes(data)
         print(f"wrote {name}")
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    regenerate()
+    regenerate(sys.argv[1:])

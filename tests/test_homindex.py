@@ -11,14 +11,14 @@ from critsense.errors import (DegenerateError, NonGenericBoundaryError,
                               UnsupportedError)
 from critsense.detect import find_critical_points
 from critsense.fields import ScalarField, sym_eigvalsh
-from critsense.gallery import entry, gallery
+from critsense.gallery import GALLERY, entry, gallery
 from critsense.randfield import BasisSpec, sample_limit_field
 from critsense.homindex import (boundary_index, classify_by_index,
                                 homological_index, poincare_hopf_audit,
-                                probe_radius, sign_index_nondegenerate,
-                                winding_index_2d)
+                                probe_radius, winding_index_2d)
+from critsense.morse import morse_classify
 
-from oracles import brute_winding
+from oracles import boundary_degree, brute_winding
 
 ORIGIN = np.zeros(2)
 
@@ -81,7 +81,7 @@ def test_sign_index_matches_winding_on_quadratics():
             lambda s, H=H: 0.5 * np.einsum("...i,ij,...j->...", s, H, s), 2,
             grad_fn=lambda s, H=H: s @ H,
             hess_fn=lambda s, H=H: np.broadcast_to(H, s.shape[:-1] + (2, 2)))
-        assert sign_index_nondegenerate(f, ORIGIN) == \
+        assert (-1) ** morse_classify(f, ORIGIN) == \
             winding_index_2d(f, ORIGIN, 0.1)
 
 
@@ -180,6 +180,19 @@ def test_a_batch_classifies_each_zero_as_it_would_alone(name, n):
         homological_index(f, z, e, eigs=s) for z, e, s in zip(locs, eps, eigs)]
 
 
+def test_a_batch_of_windings_takes_one_gradient_call():
+    # circle j of the one call is probe ring j; no step needs bisection
+    base, shapes = gallery("twogauss"), []
+    f = ScalarField(base.fn, 2, grad_fn=lambda s: shapes.append(s.shape)
+                    or base.grad(s))
+    locs = np.array([p.location for p in
+                     find_critical_points(base, entry("twogauss").domain)])
+    alone = [winding_index_2d(base, z, 0.1) for z in locs]
+    assert sorted(alone) == [-1, 1, 1]
+    assert winding_index_2d(f, locs, [0.1] * len(locs)) == alone
+    assert shapes == [(256, 3, 2)]
+
+
 def test_a_batch_raises_the_error_of_its_first_failing_zero():
     # the plateau [-1/4, 1/4] of fig4a: both probes and the ring are flat
     f = gallery("fig4a", 4)
@@ -257,6 +270,36 @@ def test_sphere_chart_seam_counts_each_zero_once(axis):
         assert z.weight == Fraction(-side, 2)
 
 
+BOX = Box([-1.0, -1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("domain", ["own", "box"])
+@pytest.mark.parametrize("name", [n for n, e in GALLERY.items()
+                                  if e.dim == 2])
+def test_boundary_index_meets_the_boundary_degree(name, domain):
+    # interior sum = deg and interior + boundary = 1, so boundary = 1 - deg
+    # from boundary data alone
+    f = gallery(name, 4)
+    dom = entry(name).domain if domain == "own" else BOX
+    deg = boundary_degree(f, dom)
+    if deg is None:
+        pytest.skip("grad f is within the zero tolerance on the boundary")
+    assert boundary_index(f, dom).total == 1 - deg
+
+
+def test_box_corners_alone_carry_the_boundary_index():
+    # grad f = (1, 2) has no tangential zero on an open edge; the corner
+    # rule puts +1 at (0, 0) and -1 at (1, 1)
+    f = ScalarField(lambda s: s[..., 0] + 2.0 * s[..., 1], 2,
+                    grad_fn=lambda s: np.broadcast_to(
+                        [1.0, 2.0], s.shape).copy())
+    res = boundary_index(f, Box([0.0, 0.0], [1.0, 1.0]))
+    assert not res.perturbed
+    assert res.total == 1
+    assert [(z.location.tolist(), z.index, z.weight) for z in res.zeros] \
+        == [([0.0, 0.0], 1, Fraction(1, 2)), ([1.0, 1.0], -1, Fraction(-1, 2))]
+
+
 def test_boundary_perturbation_gives_up_after_two_attempts():
     flat = ScalarField(lambda s: np.zeros(s.shape[:-1]), 2,
                        grad_fn=lambda s: np.zeros_like(s))
@@ -286,9 +329,10 @@ def test_boundary_weights_are_half_integers():
 @pytest.mark.parametrize("name", ["bowl", "dome", "saddle", "monkey",
                                   "tilt", "twogauss"])
 def test_audit_even_dimension_totals_one(name):
-    res = poincare_hopf_audit(gallery(name), Ball((0, 0), 1.0))
-    assert res.passed
-    assert res.total == Fraction(1)
+    for domain in (Ball((0, 0), 1.0), BOX):
+        res = poincare_hopf_audit(gallery(name), domain)
+        assert res.passed
+        assert res.total == Fraction(1)
 
 
 def test_audit_odd_dimension_totals_zero():

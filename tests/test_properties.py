@@ -7,16 +7,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from critsense.detect import _classified, resolution
-from critsense.domains import Box
+from critsense.domains import Ball, Box
 from critsense.fields import (ScalarField, near_pairs, row_norms,
                               spectral_norms, sup_spectral_norm)
-from critsense.homindex import (probe_radius, sign_index_nondegenerate,
-                                winding_index_2d)
+from critsense.homindex import boundary_index, probe_radius, winding_index_2d
+from critsense.morse import morse_classify
 from critsense.randfield import BasisSpec, sample_limit_field
 from critsense.sequence import counts_from_points, match_critical_points
 
-from oracles import (brute_dedupe, brute_matching, brute_probe_radius,
-                     brute_resolution, optimal_matching)
+from oracles import (boundary_degree, brute_dedupe, brute_matching,
+                     brute_probe_radius, brute_resolution, optimal_matching)
 
 coef = st.floats(-3.0, 3.0, allow_nan=False)
 
@@ -51,7 +51,7 @@ def test_winding_agrees_with_the_hessian_sign(hz):
     assert winding_index_2d(f, z, eps=0.3) == expected
     # the count is a ring invariant, not an artifact of one radius
     assert winding_index_2d(f, z, eps=0.15) == expected
-    assert sign_index_nondegenerate(f, z) == expected
+    assert (-1) ** morse_classify(f, z) == expected
 
 
 points_2d = st.lists(
@@ -132,6 +132,17 @@ def test_basis_draws_replay_and_trials_separate(seed, trial):
                           sample_limit_field(spec, seed, trial=trial).coeffs)
     c = sample_limit_field(spec, seed, trial=trial + 1)
     assert not np.array_equal(a.coeffs, c.coeffs)
+
+
+@given(st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([Box([1.0, 0.5], [4.0, 2.5]), Ball((3.0, 2.0), 1.5)]))
+@settings(max_examples=30, deadline=None)
+def test_random_fields_meet_the_boundary_degree(seed, domain):
+    # the boundary identity: interior + boundary = 1 with interior = deg
+    f = sample_limit_field(BasisSpec(2, 2, 1.0, 1.0), seed)
+    deg = boundary_degree(f, domain)
+    assume(deg is not None)
+    assert boundary_index(f, domain).total == 1 - deg
 
 
 # ---------------------------------------------------------------- #
