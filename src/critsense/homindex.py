@@ -249,11 +249,18 @@ def classify_by_index(field: ScalarField, z, eps, eigs=None):
 # boundary index
 # ---------------------------------------------------------------- #
 
+HALF = Fraction(1, 2)
+
+
 @dataclass
 class BoundaryZero:
     location: np.ndarray
     index: int
     weight: Fraction
+
+    @property
+    def contribution(self) -> Fraction:
+        return self.weight * self.index
 
 
 @dataclass
@@ -263,12 +270,18 @@ class BoundaryIndexResult:
     perturbed: bool = False
 
 
-def _perturbed(field: ScalarField, delta: float, u: np.ndarray) -> ScalarField:
-    """f + delta u.s; a linear term leaves the Hessian untouched."""
-    return ScalarField(
-        lambda s: np.asarray(field.fn(s)) + delta * np.sum(u * s, axis=-1),
-        field.dim, grad_fn=lambda s: field.grad(s) + delta * u,
-        hess_fn=field.hess)
+def _perturbed(field: ScalarField, delta: float, direction: np.ndarray) -> ScalarField:
+    u = np.asarray(direction, dtype=float)
+
+    def fn(s, f=field.fn):
+        return np.asarray(f(s)) + delta * np.sum(u * s, axis=-1)
+
+    def grad(s):
+        return field.grad(s) + delta * u
+
+    # linear terms leave the Hessian untouched
+    return ScalarField(fn, field.dim, grad_fn=grad,
+                       hess_fn=lambda s: field.hess(s))
 
 
 def _has_zero_run(flags: np.ndarray, cyclic: bool) -> bool:
@@ -333,7 +346,7 @@ def _weighted_zero(field: ScalarField, loc, index: int, nrm,
             "full gradient vanishes on the boundary",
             location=np.asarray(loc).tolist())
     return BoundaryZero(np.asarray(loc, dtype=float), index,
-                        Fraction(1 if radial < 0 else -1, 2))
+                        HALF if radial < 0 else -HALF)
 
 
 def boundary_index(field: ScalarField, domain: Domain) -> BoundaryIndexResult:
@@ -378,7 +391,7 @@ def boundary_index(field: ScalarField, domain: Domain) -> BoundaryIndexResult:
             zeros = _sphere_zeros(f, domain, normals, gs[0], zero_tol)
         if zeros is not None:
             return BoundaryIndexResult(
-                sum((z.weight * z.index for z in zeros), Fraction(0)), zeros,
+                sum((z.contribution for z in zeros), Fraction(0)), zeros,
                 attempt > 0)
         f = _perturbed(f, 1e-6 * max(scale, 1e-6), u)
     raise NonGenericBoundaryError(
@@ -556,7 +569,8 @@ def poincare_hopf_audit(field: ScalarField, domain: Domain,
         interior += p.hom_index
         per_point.append((p.location, p.hom_index, Fraction(1)))
     bres = boundary_index(field, domain)
-    per_point += [(z.location, z.index, z.weight) for z in bres.zeros]
+    for z in bres.zeros:
+        per_point.append((z.location, z.index, z.weight))
     total = interior + bres.total
     target = Fraction(domain.euler_char) if field.dim % 2 == 0 else Fraction(0)
     return IndexResult(interior, bres.total, total, target, per_point,

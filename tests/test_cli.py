@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import critsense.detect as detect
 import critsense.randfield as randfield
 from critsense import __version__
 from critsense.cli import _json, dumps, main, parse_domain
@@ -231,22 +232,22 @@ def test_audit_monkey_passes(capsys):
     assert res["total"] == "1" and res["target"] == "1"
 
 
-def test_audit_failure_sets_exit_code(capsys):
-    # no critical point inside the shifted box: the corners (0.5, 0.5)
-    # and (2, 2) carry the whole total
-    rc, out, _ = run(capsys, "audit", "--gallery", "bowl",
-                     "--domain", "box:0.5,0.5:2,2")
-    assert rc == 0
-    res = json.loads(out)["result"]
-    assert res["pass"] is True
-    assert res["total"] == "1" and res["interior"] == 0
-    assert [(p["location"], p["index"], p["weight"])
-            for p in res["per_point"]] == [([0.5, 0.5], 1, "1/2"),
-                                           ([2, 2], -1, "-1/2")]
-    # the minimum lies 0.01 from the left edge, inside one grid cell, so
-    # it is flagged near the boundary and left out of the interior sum
-    rc, out, _ = run(capsys, "audit", "--gallery", "bowl",
-                     "--domain", "box:-0.01,-1:1,1")
+def test_audit_failure_sets_exit_code(capsys, monkeypatch):
+    # a detection that misses bowl's one zero, its minimum, leaves the
+    # interior sum 0 against the boundary's 0, so the totals cannot match
+    find = detect.find_critical_points
+    seen = []
+
+    def missing_the_minimum(*args, **kwargs):
+        found = find(*args, **kwargs)
+        seen.extend(p.classification for p in found)
+        return detect.DetectionResult(
+            [(0, p) for p in found if p.classification != "Min"],
+            [(0, u) for u in found.unresolved], [])
+
+    monkeypatch.setattr(detect, "find_critical_points", missing_the_minimum)
+    rc, out, _ = run(capsys, "audit", "--gallery", "bowl")
+    assert seen == ["Min"]
     assert rc == 1
     res = json.loads(out)["result"]
     assert res["pass"] is False

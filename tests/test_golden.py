@@ -8,8 +8,7 @@ there, byte for byte. This is the gate for refactors that must not move
 any artifact.
 
 ``python tests/test_golden.py`` rewrites the goldens from this command
-list, and ``python tests/test_golden.py NAME ...`` only the named ones;
-review the diff before committing it.
+list; review the diff before committing it.
 """
 
 from __future__ import annotations
@@ -169,17 +168,13 @@ def test_every_subcommand_has_json_and_csv_goldens():
     assert not missing, f"no golden for {missing}"
 
 
-def regenerate(names: list[str]) -> None:
-    """Rewrite the goldens of ``names``, or of every command if empty."""
-    unknown = sorted(set(names) - set(COMMANDS))
-    if unknown:
-        raise SystemExit(f"no golden command named {', '.join(unknown)}")
-    for name in sorted(names or COMMANDS):
-        for stream, data in run_command(COMMANDS[name])[0].items():
+def regenerate() -> None:
+    for name, argv in sorted(COMMANDS.items()):
+        for stream, data in run_command(argv)[0].items():
             (GOLDEN / f"{name}.{stream}").write_bytes(data)
         print(f"wrote {name}")
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    regenerate(sys.argv[1:])
+    regenerate()
