@@ -83,6 +83,10 @@ COMMANDS = {
                                   "--format", "csv"],
     "mountain_twogauss_box": ["mountain", "--gallery", "twogauss",
                               "--domain", "box:-1,-1:1,1"],
+    # a boundary certificate: p3, c and the alignment of the tangency
+    "mountain_twogauss_pit": ["mountain", "--gallery", "twogauss_pit"],
+    "mountain_twogauss_pit_box": ["mountain", "--gallery", "twogauss_pit",
+                                  "--domain", "box:-0.9,-0.5:0.9,0.5"],
     "sequence_fig4c_csv": ["sequence", "--gallery", "fig4c", "--n", "4,16",
                            "--format", "csv"],
     "sequence_fig10": ["sequence", "--gallery", "fig10", "--n", "4,16"],
