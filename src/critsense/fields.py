@@ -219,6 +219,30 @@ def fd_hessian(fn, s: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- #
+# bisection
+# ---------------------------------------------------------------- #
+
+def bisect_root(fn, a: float, b: float, fa: float) -> tuple:
+    """The final bracket ``(a, b)`` of up to 80 bisection steps on a sign
+    change of the scalar ``fn`` over ``[a, b]``, from ``fa = fn(a)``;
+    ``a`` stays on the side of ``fa``. An exact zero at a midpoint m ends
+    early as ``(m, m)``, and so does a bracket of adjacent doubles, whose
+    midpoint is an end. A root is the bracket's midpoint."""
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        fm = fn(m)
+        if fm == 0.0:
+            return m, m
+        if (fm > 0) == (fa > 0):
+            a, fa = m, fm
+        else:
+            b = m
+    return a, b
+
+
+# ---------------------------------------------------------------- #
 # row norms and the symmetric Hessian spectrum
 # ---------------------------------------------------------------- #
 

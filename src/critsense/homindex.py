@@ -19,7 +19,7 @@ from .domains import Ball, Domain, ring_angles, sphere_directions
 from .errors import (DegenerateError, NonGenericBoundaryError,
                      NonIsolatedZeroError, PreconditionError,
                      UnderSampledError, UnsupportedError, UsageError)
-from .fields import ScalarField, near_pairs, sym_eigvalsh
+from .fields import ScalarField, bisect_root, near_pairs, sym_eigvalsh
 from .morse import morse_classify
 
 
@@ -291,50 +291,6 @@ def _has_zero_run(flags: np.ndarray, cyclic: bool) -> bool:
         np.all(flags) or np.any(f[:-2] & f[1:-1] & f[2:])))
 
 
-def bisect_root(fn, a: float, b: float, fa: float) -> float:
-    """Root of a scalar function bracketed by a sign change on ``[a, b]``,
-    by up to 80 bisection steps from ``fa = fn(a)``. An exact zero ends
-    early, and so does a bracket of adjacent doubles, whose midpoint is an
-    end: every further step would return that same midpoint."""
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        fm = fn(m)
-        if fm == 0.0:
-            return m
-        if (fm > 0) == (fa > 0):
-            a, fa = m, fm
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def sign_change_brackets(param, vals, zero_tol: float, cyclic: bool) -> list:
-    """Brackets ``(a, b, f(a), index)`` around the sign changes of a scalar
-    sampled as ``vals`` at the strictly increasing ``param``.
-
-    Samples within ``zero_tol`` of zero are skipped, so touch zeros (no
-    sign change) contribute nothing, as their 1-d index is 0. ``index`` is
-    the 1-d crossing index: +1 upward, -1 downward. ``cyclic`` also pairs
-    the last sample with the first, one period on.
-    """
-    idx = np.flatnonzero(np.abs(vals) > zero_tol)
-    if len(idx) < 2:
-        return []
-    left, right = (idx, np.roll(idx, -1)) if cyclic else (idx[:-1], idx[1:])
-    sign = np.sign(vals)
-    change = sign[left] != sign[right]
-    period = param[-1] - param[0] + (param[1] - param[0])
-    out = []
-    for i, j in zip(left[change], right[change]):
-        a, b = param[i], param[j]
-        if b <= a:
-            b = b + period
-        out.append((a, b, vals[i], int(sign[j] - sign[i]) // 2))
-    return out
-
-
 def _weighted_zero(field: ScalarField, loc, index: int, nrm,
                    zero_tol: float) -> BoundaryZero:
     """The half-weight rule: a boundary zero counts +1/2 when the full
@@ -415,6 +371,38 @@ def _along(g, v):
     return g[..., 0] * v[..., 0] + g[..., 1] * v[..., 1]
 
 
+def tangential_zeros(field: ScalarField, c, t, vpar, zero_tol: float,
+                     cyclic: bool) -> list:
+    """Zeros ``(s, index)`` of the tangential component grad f . c'(s)
+    along the boundary piece ``c``, sampled as ``vpar`` at the strictly
+    increasing params ``t``: each sign change between samples bisected to
+    the midpoint of its final bracket.
+
+    Samples within ``zero_tol`` of zero are skipped, so touch zeros (no
+    sign change) contribute nothing, as their 1-d index is 0. ``index`` is
+    the 1-d crossing index: +1 upward, -1 downward. ``cyclic`` also pairs
+    the last sample with the first, one period on.
+    """
+    def vpar_at(s):
+        return float(_along(field.grad(c.point(s)), c.tangent(s)))
+
+    idx = np.flatnonzero(np.abs(vpar) > zero_tol)
+    if len(idx) < 2:
+        return []
+    left, right = (idx, np.roll(idx, -1)) if cyclic else (idx[:-1], idx[1:])
+    sign = np.sign(vpar)
+    change = sign[left] != sign[right]
+    period = t[-1] - t[0] + (t[1] - t[0])
+    out = []
+    for i, j in zip(left[change], right[change]):
+        a, b = t[i], t[j]
+        if b <= a:
+            b = b + period
+        lo, hi = bisect_root(vpar_at, a, b, vpar[i])
+        out.append((0.5 * (lo + hi), int(sign[j] - sign[i]) // 2))
+    return out
+
+
 def _curve_zeros(field, pieces, grads, zero_tol):
     """Tangential zeros along the smooth pieces ``(curve, params)`` of a
     2-d boundary, counter-clockwise, with ``grads`` the gradient at each
@@ -442,12 +430,8 @@ def _curve_zeros(field, pieces, grads, zero_tol):
                     field, c.point(0.0), 1 if b > 0 else -1,
                     into.normal(into.length) + c.normal(0.0), zero_tol))
 
-        def vpar_at(s, c=c):
-            return float(_along(field.grad(c.point(s)), c.tangent(s)))
-
-        for a, b, fa, ind in sign_change_brackets(t, vpar, zero_tol,
-                                                  c.cyclic):
-            s = bisect_root(vpar_at, a, b, fa)
+        for s, ind in tangential_zeros(field, c, t, vpar, zero_tol,
+                                       c.cyclic):
             zeros.append(_weighted_zero(field, c.point(s), ind, c.normal(s),
                                         zero_tol))
     return zeros
@@ -548,7 +532,9 @@ def poincare_hopf_audit(field: ScalarField, domain: Domain,
                         grid_res: int = 48, newton_tol: float = 1e-9
                         ) -> IndexResult:
     """Interior index sum plus boundary index against the Euler target:
-    1 for these contractible domains in even dimension, 0 in odd."""
+    1 for these contractible domains in even dimension, 0 in odd. The
+    interior sum takes every detected point strictly inside the domain,
+    those flagged ``near_boundary`` too."""
     from .detect import find_critical_points
 
     pts = find_critical_points(field, domain, grid_res=grid_res,
@@ -560,7 +546,7 @@ def poincare_hopf_audit(field: ScalarField, domain: Domain,
     per_point = []
     interior = 0
     for p in pts:
-        if p.near_boundary:
+        if domain.boundary_distance(p.location) <= 0:
             continue
         if p.hom_index is None:
             raise PreconditionError(

@@ -16,8 +16,8 @@ import numpy as np
 from .domains import Domain, sphere_directions
 from .errors import (CoverageError, FlowSingularError, NotMorseError,
                      UsageError)
-from .fields import (ScalarField, row_adder, row_norms, spectral_norms,
-                     sup_spectral_norm, sym_eigvalsh)
+from .fields import (ScalarField, bisect_root, row_adder, row_norms,
+                     spectral_norms, sup_spectral_norm, sym_eigvalsh)
 
 
 def morse_classify(field: ScalarField, z, degeneracy_tol=1e-8, eigs=None):
@@ -163,8 +163,10 @@ def make_chart(field: ScalarField, p, search_cap: float = 1.0,
     which the sampled Hessian variation stays under the admissible bound
     K1 for m = 1/2.
 
-    The variation sup is sampled on 16 chart shells, and the radius found
-    by bisection. A constant Hessian gives the radius cap itself.
+    The variation sup is sampled on 16 chart shells. The radius is the low
+    end of the final bracket of :func:`~critsense.fields.bisect_root` on
+    the predicate "variation < K1" over [0, cap]. A constant Hessian gives
+    the radius cap itself.
     """
     p = np.asarray(p, dtype=float)
     H = np.asarray(field.hess(p), dtype=float)
@@ -181,14 +183,9 @@ def make_chart(field: ScalarField, p, search_cap: float = 1.0,
     if v_cap < k1:
         r, L = cap, v_cap
     else:
-        lo_r, hi_r = 0.0, cap
-        for _ in range(60):
-            mid = 0.5 * (lo_r + hi_r)
-            if variation(mid) < k1:
-                lo_r = mid
-            else:
-                hi_r = mid
-        r = lo_r
+        # the variation is 0 < K1 at r = 0, so the predicate starts at -1
+        r = bisect_root(lambda s: -1.0 if variation(s) < k1 else 1.0,
+                        0.0, cap, -1.0)[0]
         L = variation(r) if r > 0 else 0.0
     c = 1.0 / hi - L
     C = consts["H_norm"] + L

@@ -3,9 +3,12 @@
 The pass value between two probe-verified local maxima is the level at
 which their superlevel sets {f >= c} first join; a union-find sweep of a
 lattice from the top finds it exactly there (Carr, Snoeyink & Axen 2003,
-Comput. Geom. 24:75-94). The joining vertex seeds the pass point, which is
-certified either as an interior critical point or as a boundary point
-where the level set runs tangent to the boundary.
+Comput. Geom. 24:75-94). A peak is probe-verified by the rule of
+``classify --point``: it lies strictly inside the domain, and
+``classify_by_index`` at its ``probe_radius`` calls it Max. The joining
+vertex seeds the pass point, which is certified either as an interior
+critical point or as a boundary point where the level set runs tangent to
+the boundary, found as the audit finds its tangential zeros.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detect import refine_newton
-from .domains import Domain, sphere_directions, superlevel_join
+from .domains import Domain, superlevel_join
 from .errors import (NoConvergenceError, NoSeparationError,
                      PreconditionError, UsageError)
-from .fields import ScalarField
-from .homindex import bisect_root, sign_change_brackets
+from .fields import ScalarField, bisect_root, row_dots
+from .homindex import classify_by_index, probe_radius, tangential_zeros
 
 _PATH_TOL = 1e-9  # how far below f(p1) a pass value must sit
 
@@ -35,33 +38,16 @@ class PassResult:
     f_p2: float
 
 
-def _probe_local_max(field: ScalarField, domain: Domain, p: np.ndarray,
-                     radius: float) -> bool:
-    """Whether f is lower at every probe inside the domain on a sphere of
-    48 directions (2 in 1-d) around ``p``. A quarter of the probes, and
-    at least two, must be inside; the radius halves up to four times to
-    get them."""
-    fp = float(field.value(p))
-    dirs = sphere_directions(field.dim, 48)
-    r = radius
-    for _ in range(5):
-        ring = p[None, :] + r * dirs
-        ok = np.asarray(domain.contains(ring))
-        if np.sum(ok) >= max(2, len(dirs) // 4):
-            return bool(np.all(np.asarray(field.value(ring[ok])) < fp))
-        r *= 0.5
-    return False
-
-
 def _boundary_tangency(field: ScalarField, curves: list, p: np.ndarray):
     """Boundary point near ``p`` where the level set runs tangent to the
     boundary pieces ``curves`` of a 2-d domain.
 
-    h is the tangential derivative along the piece whose line passes
-    nearest ``p``; the sign change of h nearest ``p`` in a window around
-    it is bisected: +-0.6 rad on a closed curve, +-0.3 of the length,
-    clipped to the piece, on an edge. Returns ``(point, |h| there)``, or
-    None when h keeps its sign over the window.
+    On the piece whose line passes nearest ``p``, the tangential zero
+    nearest ``p`` in a window around it (see
+    :func:`~critsense.homindex.tangential_zeros`): +-0.6 rad on a closed
+    curve, +-0.3 of the length, clipped to the piece, on an edge, sampled
+    by one gradient call. Returns ``(point, |grad f . tangent| there)``,
+    or None when the window holds no sign change.
     """
     def offset(c):
         t = c.locate(p)
@@ -74,17 +60,13 @@ def _boundary_tangency(field: ScalarField, curves: list, p: np.ndarray):
     else:
         ts = np.linspace(max(0.02 * c.length, t0 - 0.3 * c.length),
                          min(0.98 * c.length, t0 + 0.3 * c.length), 64)
-
-    def h(t: float) -> float:
-        return float(np.dot(field.grad(c.point(t)), c.tangent(t)))
-
-    hs = np.array([h(t) for t in ts])
-    brackets = sign_change_brackets(ts, hs, 0.0, cyclic=False)
-    if not brackets:
+    hs = row_dots(field.grad(c.point(ts)), c.tangent(ts))
+    zeros = tangential_zeros(field, c, ts, hs, 0.0, cyclic=False)
+    if not zeros:
         return None
-    a, b, fa, _ = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - t0))
-    t = bisect_root(h, a, b, fa)
-    return c.point(t), abs(h(t))
+    t = min(zeros, key=lambda z: abs(z[0] - t0))[0]
+    q = c.point(t)
+    return q, abs(float(np.dot(field.grad(q), c.tangent(t))))
 
 
 def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
@@ -97,13 +79,15 @@ def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
     breadth-first lattice path inside {f >= c_h}, then p2. Newton
     refinement, else a tangency root-find on the boundary, certifies the
     pass from v, or from the minimum of f on a path segment at v along
-    which the derivative changes sign.
+    which the derivative changes sign. Each peak is probe-verified (see
+    the module docstring) with ``(p1, p2)`` as the zeros its radius sees.
     """
     if grid_res < 8:
         raise UsageError("grid_res must be at least 8")
     p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
     for name, p in (("p1", p1), ("p2", p2)):
-        if not _probe_local_max(field, domain, p, 0.02 * domain.diameter):
+        if not (domain.boundary_distance(p) > 0 and classify_by_index(
+                field, p, probe_radius(p, (p1, p2), domain))[1] == "Max"):
             raise PreconditionError(f"{name} is not a probe-verified "
                                     "local maximum", point=p.tolist())
     f1, f2 = float(field.value(p1)), float(field.value(p2))
@@ -132,7 +116,8 @@ def mountain_pass_point(field: ScalarField, domain: Domain, p1, p2,
 
         s0 = slope(0.0)
         if s0 < 0.0 < slope(1.0):
-            lows.append(path[k] + bisect_root(slope, 0.0, 1.0, s0) * e)
+            lo, hi = bisect_root(slope, 0.0, 1.0, s0)
+            lows.append(path[k] + 0.5 * (lo + hi) * e)
     p3_raw = min(lows, key=lambda m: float(field.value(m)),
                  default=path[k])
     spacing = domain.diameter / grid_res  # one cell diagonal

@@ -4,7 +4,8 @@ Nothing here shares code paths with the package: windings come from a
 dense unwrap, roots from scipy brentq on a fine grid, extrema from plain
 neighbor comparisons, assignments from brute-force permutations,
 distances from one scalar ``np.linalg.norm`` per pair, lattice
-connectivity from breadth-first search over index tuples.
+connectivity from breadth-first search over index tuples, and bisection
+midpoints from a plain loop that returns the midpoint.
 """
 
 from __future__ import annotations
@@ -58,6 +59,25 @@ def boundary_degree(field, domain):
         if np.max(np.abs(np.diff(ang))) < 0.5 * np.pi:
             return int(np.round((ang[-1] - ang[0]) / (2.0 * np.pi)))
     raise AssertionError("boundary loop undersampled at 2^20 samples")
+
+
+def midpoint_bisection(fn, a: float, b: float, fa: float) -> float:
+    """The midpoint of the last bracket of up to 80 bisection steps on a
+    sign change of ``fn`` over ``[a, b]``, ``fa = fn(a)``, or the first
+    midpoint where ``fn`` is exactly 0; the loop stops early once the
+    midpoint is an end."""
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        fm = fn(m)
+        if fm == 0.0:
+            return m
+        if (fm > 0) == (fa > 0):
+            a, fa = m, fm
+        else:
+            b = m
+    return 0.5 * (a + b)
 
 
 def brute_roots_1d(fn, a: float, b: float, n: int = 20001) -> list:

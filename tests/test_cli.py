@@ -255,6 +255,19 @@ def test_audit_failure_sets_exit_code(capsys, monkeypatch):
     assert res["total"] == "0" and res["target"] == "1"
 
 
+def test_audit_counts_an_interior_zero_within_a_cell_of_the_boundary(
+        capsys):
+    # bowl's minimum lies 0.01 inside the left edge, within one grid cell:
+    # flagged near_boundary, yet inside, so the interior sum counts it
+    rc, out, _ = run(capsys, "audit", "--gallery", "bowl", "--domain",
+                     "box:-0.01,-1:1,1")
+    assert rc == 0
+    res = json.loads(out)["result"]
+    assert res["pass"] is True
+    assert res["interior"] == 1
+    assert res["total"] == "1" and res["target"] == "1"
+
+
 def test_audit_on_an_unsupported_boundary_exits_1(capsys):
     # dispatch comes before boundary sampling, whose messages must not leak
     rc, out, err = run(capsys, "audit", "--gallery", "bowl3",

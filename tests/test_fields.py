@@ -7,9 +7,9 @@ import pytest
 
 from critsense.domains import Box
 from critsense.errors import UsageError
-from critsense.fields import (ScalarField, bump1_vgh, bump_vgh, near_pairs,
-                              row_adder, spectral_norms, sym_eigvalsh,
-                              transition_vgh)
+from critsense.fields import (ScalarField, bisect_root, bump1_vgh, bump_vgh,
+                              near_pairs, row_adder, spectral_norms,
+                              sym_eigvalsh, transition_vgh)
 from critsense.gallery import entry, gallery, limit_field, names
 from critsense.randfield import BasisField
 
@@ -266,3 +266,45 @@ def test_near_pairs_keeps_a_pair_whose_gap_rounds_to_the_radius():
         assert (i.tolist(), j.tolist(), dist.tolist()) == ([0], [0], [1.0])
     i, j, dist = near_pairs(np.array([[b]]), np.array([[a]]), 1.0)
     assert dist.tolist() == [1.0]
+
+
+def test_bisection_stops_at_an_exact_zero():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x - 0.75
+
+    assert bisect_root(fn, 0.0, 1.0, -0.75) == (0.75, 0.75)
+    assert calls == [0.5, 0.75]
+
+
+def test_bisection_stops_at_adjacent_doubles():
+    # sqrt(2) is no double: the bracket closes on the two doubles around
+    # it, and no midpoint equal to an end is evaluated
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x * x - 2.0
+
+    a, b = bisect_root(fn, 1.0, 2.0, -1.0)
+    assert len(set(calls)) == len(calls) < 80
+    assert b == np.nextafter(a, np.inf)
+    assert fn(a) < 0.0 < fn(b)
+    # from the other side, the end with the sign of fa stays first
+    a, b = bisect_root(fn, 2.0, 1.0, 2.0)
+    assert a == np.nextafter(b, np.inf) and fn(b) < 0.0 < fn(a)
+
+
+def test_bisection_stops_after_80_steps():
+    # a root at 1e-30 in [0, 1]: 80 halvings leave a bracket 2^-80 wide,
+    # far wider than the doubles there
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x - 1e-30
+
+    assert bisect_root(fn, 0.0, 1.0, -1e-30) == (0.0, 2.0 ** -80)
+    assert len(calls) == 80

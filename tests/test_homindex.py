@@ -10,15 +10,17 @@ from critsense.errors import (DegenerateError, NonGenericBoundaryError,
                               NonIsolatedZeroError, UnderSampledError,
                               UnsupportedError)
 from critsense.detect import find_critical_points
-from critsense.fields import ScalarField, sym_eigvalsh
+from critsense.fields import ScalarField, bisect_root, sym_eigvalsh
 from critsense.gallery import GALLERY, entry, gallery
 from critsense.randfield import BasisSpec, sample_limit_field
+from critsense import homindex
 from critsense.homindex import (boundary_index, classify_by_index,
                                 homological_index, poincare_hopf_audit,
-                                probe_radius, winding_index_2d)
+                                probe_radius, tangential_zeros,
+                                winding_index_2d)
 from critsense.morse import morse_classify
 
-from oracles import boundary_degree, brute_winding
+from oracles import boundary_degree, brute_winding, midpoint_bisection
 
 ORIGIN = np.zeros(2)
 
@@ -285,6 +287,30 @@ def test_boundary_index_meets_the_boundary_degree(name, domain):
     if deg is None:
         pytest.skip("grad f is within the zero tolerance on the boundary")
     assert boundary_index(f, dom).total == 1 - deg
+
+
+def test_boundary_roots_keep_the_bits_of_the_midpoint_bisection(
+        monkeypatch):
+    # every bracket the boundary walk bisects, over the box and disk audits
+    # of the 2-d gallery at n = 4: its root is the old loop's midpoint
+    brackets, roots = [], []
+
+    def recorded_bisection(*bracket):
+        brackets.append(bracket)
+        return bisect_root(*bracket)
+
+    def recorded_zeros(*args):
+        out = tangential_zeros(*args)
+        roots.extend(s for s, _ in out)
+        return out
+
+    monkeypatch.setattr(homindex, "bisect_root", recorded_bisection)
+    monkeypatch.setattr(homindex, "tangential_zeros", recorded_zeros)
+    for name in [n for n, e in GALLERY.items() if e.dim == 2]:
+        for dom in (entry(name).domain, BOX):
+            boundary_index(gallery(name, 4), dom)
+    assert len(brackets) >= 50
+    assert roots == [midpoint_bisection(*br) for br in brackets]
 
 
 def test_box_corners_alone_carry_the_boundary_index():

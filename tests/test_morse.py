@@ -9,9 +9,10 @@ from critsense.domains import Ball, Box
 from critsense.errors import (CoverageError, FlowSingularError,
                               NotMorseError, UsageError)
 from critsense.detect import refine_newton
-from critsense.fields import ScalarField
+from critsense.fields import ScalarField, bisect_root, sup_spectral_norm
 from critsense.gallery import gallery
-from critsense.morse import (FlowChart, _ball_samples, corollary_constants,
+from critsense.morse import (FlowChart, _ball_samples, _shell_sampler,
+                             corollary_constants,
                              flow_pair_distance, make_chart, morse_classify, morse_flow_map,
                              morse_flow_trajectory, morse_statistic,
                              verify_morse_chart)
@@ -108,6 +109,30 @@ def test_chart_radius_from_hessian_variation():
     assert chart.radius == pytest.approx(np.log(2.0) / 24.0 / 0.3, rel=1e-6)
     assert chart.radius < chart.K2
     assert chart.L < chart.K1
+
+
+@pytest.mark.parametrize("name,p", [
+    ("twogauss", refine_newton(gallery("twogauss"), np.array([0.4, 0.0]))),
+    # monkey's detected point: a radius far below cap / 256, where 60
+    # fixed halvings stopped short of adjacent doubles
+    ("monkey", np.array([-9.5367431640625e-06, -1.9073486328125e-06])),
+])
+def test_chart_radius_is_the_low_end_of_the_bisection_bracket(name, p):
+    f = gallery(name)
+    chart = make_chart(f, p)
+    H = f.hess(p)
+    shells = _shell_sampler(2)
+
+    def variation(r):
+        return sup_spectral_norm(f.hess(p + shells(r, 16)) - H)
+
+    cap = min(1.0, chart.K2 * (1.0 - 1e-12))
+    assert variation(cap) >= chart.K1  # the bisection runs
+    lo, hi = bisect_root(
+        lambda r: -1.0 if variation(r) < chart.K1 else 1.0, 0.0, cap, -1.0)
+    assert chart.radius == lo > 0.0
+    assert chart.L == variation(lo) < chart.K1 <= variation(hi)
+    assert hi == np.nextafter(lo, np.inf)
 
 
 def test_flow_is_identity_on_a_quadratic():

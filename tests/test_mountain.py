@@ -9,6 +9,7 @@ from critsense.errors import (NoSeparationError, PreconditionError,
                               UsageError)
 from critsense.fields import ScalarField
 from critsense.gallery import _two_gauss_terms, gallery
+from critsense.homindex import boundary_index
 from critsense.mountainpass import mountain_pass_point
 from oracles import brute_pass_value
 
@@ -144,6 +145,34 @@ def test_box_tangency_on_the_edge_the_path_touches():
     assert res.c == pytest.approx(-0.08764, abs=1e-5)
     assert res.c == pytest.approx(float(f.value(np.array([0.0, 0.5]))),
                                   abs=1e-9)
+
+
+def test_pass_tangency_is_a_zero_of_the_boundary_audit():
+    # the pass and the audit find tangential zeros by one bisection, so
+    # the pass point is one of the audit's boundary zeros, bit for bit
+    f = gallery("twogauss_pit")
+    box = Box((-0.9, -0.5), (0.9, 0.5))
+    q1 = refine_newton(f, np.array([0.5, 0.0]))
+    q2 = refine_newton(f, np.array([-0.5, 0.0]))
+    res = mountain_pass_point(f, box, q1, q2)
+    assert res.kind == "BoundaryTangency"
+    zeros = boundary_index(f, box).zeros
+    assert min(float(np.linalg.norm(z.location - res.p3))
+               for z in zeros) == 0.0
+
+
+@pytest.mark.parametrize("domain", [
+    Box((-0.4, -1.0), (1.0, 1.0)),    # p1 on the left edge
+    Ball((0.3, 0.0), 0.7),            # p1 on the circle
+    Box((-0.39, -1.0), (1.0, 1.0)),   # p1 0.01 outside
+], ids=["box_edge", "circle", "outside"])
+def test_a_peak_on_or_outside_the_boundary_is_refused(domain):
+    # the classifier's rule, as classify --point applies it, needs a
+    # point strictly inside: a ring clipped to the domain is no proof
+    with pytest.raises(PreconditionError) as exc:
+        mountain_pass_point(gallery("twogauss"), domain, (-0.4, 0.0),
+                            (0.4, 0.0))
+    assert exc.value.context["point"] == [-0.4, 0.0]
 
 
 def test_flat_ridge_has_no_separating_dip():
