@@ -1,7 +1,8 @@
-"""Scalar fields with analytic or finite-difference derivatives.
+"""Scalar fields with analytic derivatives.
 
-A :class:`ScalarField` bundles an evaluation callable with optional analytic
-gradient/Hessian callables and falls back to central differences otherwise.
+A :class:`ScalarField` bundles an evaluation callable with analytic
+gradient/Hessian callables; asking for a derivative the field was built
+without is a :class:`~critsense.errors.UsageError`.
 All callables are vectorized over leading axes: points have shape
 ``(..., dim)``, values ``(...,)``, gradients ``(..., dim)`` and Hessians
 ``(..., dim, dim)``. Evaluation is pure, so repeated calls at the same point
@@ -16,8 +17,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import UsageError
-
-DEFAULT_FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------- #
@@ -96,10 +95,9 @@ class ScalarField:
     dim : int
         Ambient dimension.
     grad_fn, hess_fn : callable, optional
-        Analytic derivatives with the same batching convention. Missing
-        ones fall back to central differences with step
-        ``h = DEFAULT_FD_STEP * (1 + |s|)``; the Hessian differentiates the
-        gradient, so an analytic gradient sharpens it too.
+        Analytic derivatives with the same batching convention. A field
+        built without one raises :class:`UsageError` when that derivative
+        is asked for.
     jet_fn : callable, optional
         ``jet_fn(s, order)`` returns what :meth:`jet` does from one pass
         that shares work between the parts; each part must have the bits
@@ -113,23 +111,13 @@ class ScalarField:
     jet_fn: Callable[[np.ndarray, int], tuple] | None = None
 
     def value(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        self._check_shape(s)
-        return np.asarray(self.fn(s), dtype=float)
+        return self._evaluate(self.fn, "value", s)
 
     def grad(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        self._check_shape(s)
-        if self.grad_fn is not None:
-            return np.asarray(self.grad_fn(s), dtype=float)
-        return fd_gradient(self.fn, s)
+        return self._evaluate(self.grad_fn, "gradient", s)
 
     def hess(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        self._check_shape(s)
-        if self.hess_fn is not None:
-            return np.asarray(self.hess_fn(s), dtype=float)
-        return self._fd_hess(s)
+        return self._evaluate(self.hess_fn, "Hessian", s)
 
     def jet(self, s, order: int = 1) -> tuple:
         """``(value, grad)`` at ``s``, and for ``order`` 2
@@ -160,62 +148,17 @@ class ScalarField:
         the field itself; ``randfield.BasisField`` stacks members."""
         return self
 
-    def _fd_hess(self, s: np.ndarray) -> np.ndarray:
-        """Differentiated gradient, or second differences of values when
-        there is no gradient."""
-        if self.grad_fn is not None:
-            return _sym(fd_gradient(self.grad_fn, s))
-        return fd_hessian(self.fn, s)
+    def _evaluate(self, fn, name: str, s) -> np.ndarray:
+        if fn is None:
+            raise UsageError(f"field has no {name}; build it with one")
+        s = np.asarray(s, dtype=float)
+        self._check_shape(s)
+        return np.asarray(fn(s), dtype=float)
 
     def _check_shape(self, s: np.ndarray):
         if s.ndim == 0 or s.shape[-1] != self.dim:
             raise UsageError(
                 f"point shape {s.shape} does not end in dim={self.dim}")
-
-
-def _steps(s: np.ndarray) -> np.ndarray:
-    return DEFAULT_FD_STEP * (1.0 + np.linalg.norm(s, axis=-1))
-
-
-def fd_gradient(fn, s: np.ndarray) -> np.ndarray:
-    """Central differences of ``fn`` along each coordinate, stacked on a
-    new last axis: the gradient of a scalar ``fn``, the Jacobian of a
-    vector-valued one."""
-    s = np.asarray(s, dtype=float)
-    hh = _steps(s)
-    cols = []
-    for e in np.eye(s.shape[-1]):
-        step = hh[..., None] * e
-        diff = np.asarray(fn(s + step)) - np.asarray(fn(s - step))
-        # the step is per point; a vector-valued fn adds trailing axes
-        cols.append(diff / (2.0 * hh).reshape(
-            hh.shape + (1,) * (diff.ndim - hh.ndim)))
-    return np.stack(cols, axis=-1)
-
-
-def fd_hessian(fn, s: np.ndarray) -> np.ndarray:
-    """Second differences of values; used only when no gradient exists."""
-    s = np.asarray(s, dtype=float)
-    d = s.shape[-1]
-    hh = _steps(s) * 10.0  # wider stencil: second differences lose precision
-    f0 = np.asarray(fn(s), dtype=float)
-    out = np.empty(s.shape[:-1] + (d, d), dtype=float)
-    eyes = np.eye(d)
-    for i in range(d):
-        ei = eyes[i]
-        step_i = hh[..., None] * ei
-        out[..., i, i] = (np.asarray(fn(s + step_i)) - 2.0 * f0
-                          + np.asarray(fn(s - step_i))) / hh**2
-        for j in range(i + 1, d):
-            ej = eyes[j]
-            step_j = hh[..., None] * ej
-            mixed = (np.asarray(fn(s + step_i + step_j))
-                     - np.asarray(fn(s + step_i - step_j))
-                     - np.asarray(fn(s - step_i + step_j))
-                     + np.asarray(fn(s - step_i - step_j))) / (4.0 * hh**2)
-            out[..., i, j] = mixed
-            out[..., j, i] = mixed
-    return out
 
 
 # ---------------------------------------------------------------- #

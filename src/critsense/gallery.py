@@ -3,8 +3,8 @@
 Static entries are classical surfaces (bowl, saddle, monkey saddle, Peano
 surface, ...). Family entries take a sharpness parameter ``n >= 1`` and come
 with the field they converge to, so the sequence experiments can measure
-convergence against a known limit. Every entry carries analytic gradients;
-Hessians are analytic where cheap and differentiated gradients otherwise.
+convergence against a known limit. Every entry carries analytic gradients
+and Hessians.
 
 Entries tagged ``origin="classical"`` follow published closed forms;
 ``origin="reconstructed"`` entries are minimal families built here to
@@ -57,7 +57,7 @@ def _wrap1d(parts) -> ScalarField:
                        lambda s: parts(s[..., :1])[2][..., None], jet)
 
 
-def _wrap2d(value, grad, hess=None) -> ScalarField:
+def _wrap2d(value, grad, hess) -> ScalarField:
     """2-d field from closed forms in ``(x, y)``, elementwise: ``value``,
     ``grad -> (f_x, f_y)`` and ``hess -> (f_xx, f_xy, f_yy)``. Three
     callables, so a value or gradient call computes nothing more."""
@@ -75,7 +75,7 @@ def _wrap2d(value, grad, hess=None) -> ScalarField:
         out[..., 1, 1] = fyy
         return out
 
-    return ScalarField(fn, 2, gfn, None if hess is None else hfn)
+    return ScalarField(fn, 2, gfn, hfn)
 
 
 def _linear(dim, axis) -> ScalarField:
@@ -223,48 +223,60 @@ def _singlemax(n):
     """g(x, n y)/n with the five-branch g; a single interior maximum,
     converging uniformly to the critical-point-free f(x, y) = y.
 
-    The seam at y = 0 is C1 only; branch interiors are smooth.
+    The seam at y = 0 is C1 only; branch interiors are smooth, and each
+    branch has its own Hessian. With Y = n y: f_x = g_x / n, f_y = g_Y,
+    f_xx = g_xx / n, f_xy = g_xY and f_yy = n g_YY.
     """
-    # value and gradient apart, so neither builds the other's branches
-    def branches(y):
-        return [y <= -1.0, y <= 0.0, y <= 1.0, y <= 2.0]
-
-    def value(x, y):
-        y = n * y
-        b, = bump1_vgh(y, 0)
-        bm, = bump1_vgh(y - 1.0, 0)
-        S = transition_vgh(x)[0]
+    def parts(s, order):
+        # x and y keep the points' last axis, as in _wrap1d
+        x, y = s[..., :1], n * s[..., 1:]
+        b = bump1_vgh(y, order)
+        bm = bump1_vgh(y - 1.0, order)
+        S, Sd1, Sd2 = transition_vgh(x)
         E = np.exp(-x * x)
-        return np.select(branches(y), [
+        conds = [y <= -1.0, y <= 0.0, y <= 1.0, y <= 2.0]
+
+        def pick(branches, default):
+            return np.select(conds, branches, default=default)[..., 0]
+
+        out = (pick([
             y,
-            (1.0 - b) * y + b * E,
-            (1.0 - b) * S + b * E,
-            bm * S + (1.0 - bm) * (y - 1.0),
-        ], default=y - 1.0) / n
-
-    def grad(x, y):
-        y = n * y
-        b, bd1 = bump1_vgh(y, 1)
-        bm, bmd1 = bump1_vgh(y - 1.0, 1)
-        S, Sd1, _ = transition_vgh(x)
-        E = np.exp(-x * x)
+            (1.0 - b[0]) * y + b[0] * E,
+            (1.0 - b[0]) * S + b[0] * E,
+            bm[0] * S + (1.0 - bm[0]) * (y - 1.0),
+        ], y - 1.0) / n,)
+        if order == 0:
+            return out
+        # each part goes into place as picked, freeing its branch arrays
         Ex = -2.0 * x * E
-        conds = branches(y)
-        gx = np.select(conds, [
-            np.zeros_like(x),
-            b * Ex,
-            (1.0 - b) * Sd1 + b * Ex,
-            bm * Sd1,
-        ], default=np.zeros_like(x))
-        gy = np.select(conds, [
-            np.ones_like(x),
-            (1.0 - b) + bd1 * (E - y),
-            bd1 * (E - S),
-            bmd1 * (S - (y - 1.0)) + (1.0 - bm),
-        ], default=np.ones_like(x))
-        return gx / n, gy
+        G = np.empty(y.shape[:-1] + (2,))
+        G[..., 0] = pick([0.0, b[0] * Ex, (1.0 - b[0]) * Sd1 + b[0] * Ex,
+                          bm[0] * Sd1], 0.0) / n
+        G[..., 1] = pick([
+            1.0,
+            (1.0 - b[0]) + b[1] * (E - y),
+            b[1] * (E - S),
+            bm[1] * (S - (y - 1.0)) + (1.0 - bm[0]),
+        ], 1.0)
+        if order == 1:
+            return out + (G,)
+        Exx = (4.0 * x * x - 2.0) * E
+        H = np.empty(y.shape[:-1] + (2, 2))
+        H[..., 0, 0] = pick([0.0, b[0] * Exx, (1.0 - b[0]) * Sd2 + b[0] * Exx,
+                             bm[0] * Sd2], 0.0) / n
+        H[..., 0, 1] = H[..., 1, 0] = pick(
+            [0.0, b[1] * Ex, b[1] * (Ex - Sd1), bm[1] * Sd1], 0.0)
+        H[..., 1, 1] = n * pick([
+            0.0,
+            b[2] * (E - y) - 2.0 * b[1],
+            b[2] * (E - S),
+            bm[2] * (S - (y - 1.0)) - 2.0 * bm[1],
+        ], 0.0)
+        return out + (G, H)
 
-    return _wrap2d(value, grad)
+    return ScalarField(lambda s: parts(s, 0)[0], 2,
+                       lambda s: parts(s, 1)[1], lambda s: parts(s, 2)[2],
+                       parts)
 
 
 def _fig13a(n):
@@ -367,36 +379,57 @@ def _twist(n):
 
     Inside r <= 1/n the field is exactly x^2 - y^2; outside, coordinates
     rotate by R_n(r) = pi exp(-1/(n r - 1)), approaching a half turn. The
-    family converges C1 (not C2) to the plain saddle.
-    """
-    def theta_parts(r):
+    family converges C1 (not C2) to the plain saddle. With
+    F(x, y, th) = cos 2th (x^2 - y^2) - sin 2th 2xy, the Hessian is
+    F_ij + th' (F_ith r_j + F_jth r_i) + (F_thth th'^2 + F_th th'') r_i r_j
+    + F_th th' r_ij. Powers are products: ``**`` rounds differently on a
+    single point's numpy scalars."""
+    def terms(x, y, order):
+        """cos 2th and sin 2th; for order 1 and up also F_th, th', th'',
+        r (1 where r = 0), x^2 - y^2 and 2xy."""
+        r = np.sqrt(x * x + y * y)
         active = n * r > 1.0
         denom = np.where(active, n * r - 1.0, 1.0)
         th = np.where(active, np.pi * np.exp(-1.0 / denom), 0.0)
-        # th underflows to 0 well before denom**2 can; gate on it
+        c2, s2 = np.cos(2.0 * th), np.sin(2.0 * th)
+        if order == 0:
+            return c2, s2
+        # th' = th n / denom^2 and th'' = th n^2 (1 - 2 denom) / denom^4;
+        # th underflows to 0 well before denom**4 can, so gate on it
         safe2 = np.where(th > 0.0, denom * denom, 1.0)
         dth = np.where(th > 0.0, th * n / safe2, 0.0)
-        return th, dth
+        d2th = np.where(th > 0.0, th * (n * n) * (1.0 - 2.0 * denom)
+                        / (safe2 * safe2), 0.0)
+        A, B = x * x - y * y, 2.0 * x * y
+        return (c2, s2, -2.0 * s2 * A - 2.0 * c2 * B, dth, d2th,
+                np.where(r > 0, r, 1.0), A, B)
 
     def fn(x, y):
-        r = np.sqrt(x * x + y * y)
-        th, _ = theta_parts(r)
-        c2, s2 = np.cos(2.0 * th), np.sin(2.0 * th)
+        c2, s2 = terms(x, y, 0)
         return c2 * (x * x - y * y) - s2 * 2.0 * x * y
 
     def grad(x, y):
-        r = np.sqrt(x * x + y * y)
-        th, dth = theta_parts(r)
-        c2, s2 = np.cos(2.0 * th), np.sin(2.0 * th)
-        A = x * x - y * y
-        B = 2.0 * x * y
-        df_dth = -2.0 * s2 * A - 2.0 * c2 * B
-        rsafe = np.where(r > 0, r, 1.0)
-        gx = 2.0 * (c2 * x - s2 * y) + df_dth * dth * x / rsafe
-        gy = -2.0 * (c2 * y + s2 * x) + df_dth * dth * y / rsafe
+        c2, s2, F_th, dth, _, r, _, _ = terms(x, y, 1)
+        gx = 2.0 * (c2 * x - s2 * y) + F_th * dth * x / r
+        gy = -2.0 * (c2 * y + s2 * x) + F_th * dth * y / r
         return gx, gy
 
-    return _wrap2d(fn, grad)
+    def hess(x, y):
+        c2, s2, F_th, dth, d2th, r, A, B = terms(x, y, 2)
+        F_xth = -4.0 * (s2 * x + c2 * y)
+        F_yth = 4.0 * (s2 * y - c2 * x)
+        rx, ry = x / r, y / r
+        radial = -4.0 * (c2 * A - s2 * B) * dth * dth + F_th * d2th
+        bend = F_th * dth / r
+        hxx = (2.0 * c2 + 2.0 * F_xth * dth * rx + radial * rx * rx
+               + bend * (1.0 - rx * rx))
+        hxy = (-2.0 * s2 + (F_xth * ry + F_yth * rx) * dth
+               + (radial - bend) * rx * ry)
+        hyy = (-2.0 * c2 + 2.0 * F_yth * dth * ry + radial * ry * ry
+               + bend * (1.0 - ry * ry))
+        return hxx, hxy, hyy
+
+    return _wrap2d(fn, grad, hess)
 
 
 def _fig8a(n):

@@ -280,8 +280,7 @@ def _perturbed(field: ScalarField, delta: float, direction: np.ndarray) -> Scala
         return field.grad(s) + delta * u
 
     # linear terms leave the Hessian untouched
-    return ScalarField(fn, field.dim, grad_fn=grad,
-                       hess_fn=lambda s: field.hess(s))
+    return ScalarField(fn, field.dim, grad_fn=grad, hess_fn=field.hess)
 
 
 def _has_zero_run(flags: np.ndarray, cyclic: bool) -> bool:
@@ -449,11 +448,45 @@ def _stereographic(u: np.ndarray, pole: float):
                           axis=-1) / q[..., None], q
 
 
+def _chart(field: ScalarField, c, r: float, pole: float) -> ScalarField:
+    """f(c + r sigma(u)) on the chart of :func:`_stereographic` at
+    ``pole``, with J = d sigma / du: rows (2 q delta_kj - 4 u_k u_j)/q^2
+    for k < 2 and -4 pole u_j / q^2, q = 1 + |u|^2. Gradient r J' g
+    (g = grad f); Hessian r^2 J' H_f J + r sum_k g_k d2 sigma_k from one
+    order-2 ``jet`` of f, the sum being -4 (g_i u_j + u_i g_j +
+    delta_ij w)/q^2 + 16 u_i u_j w / q^3, w = u . g[:2] + pole g[2]."""
+    def fn(u):
+        return field.value(c + r * _stereographic(u, pole)[0])
+
+    def grad(u):
+        n, q = _stereographic(u, pole)
+        gf = field.grad(c + r * n)
+        ug = np.sum(u * gf[..., :2], axis=-1) + pole * gf[..., 2]
+        return r * (2.0 * q[..., None] * gf[..., :2]
+                    - 4.0 * u * ug[..., None]) / (q * q)[..., None]
+
+    def hess(u):
+        n, q = _stereographic(u, pole)
+        _, g, H = field.jet(c + r * n, 2)
+        q2 = (q * q)[..., None, None]
+        uu = u[..., :, None] * u[..., None, :]
+        J = np.concatenate([2.0 * q[..., None, None] * np.eye(2) - 4.0 * uu,
+                            -4.0 * pole * u[..., None, :]], axis=-2) / q2
+        w = np.sum(u * g[..., :2], axis=-1) + pole * g[..., 2]
+        gu = g[..., :2, None] * u[..., None, :]
+        bend = (-4.0 * (gu + np.swapaxes(gu, -1, -2)
+                        + w[..., None, None] * np.eye(2)) / q2
+                + 16.0 * uu * (w / (q * q * q))[..., None, None])
+        return r * r * (np.swapaxes(J, -1, -2) @ H @ J) + r * bend
+
+    return ScalarField(fn, 2, grad, hess)
+
+
 def _sphere_zeros(field, domain, normals, g, zero_tol):
     """Tangential zeros on the sphere boundary of a 3-ball: the critical
     points of f on the sphere, from ``find_critical_points`` on two
-    stereographic charts over the disk |u| <= 1.25, whose gradients are
-    J^T grad f. The north chart keeps |u|^2 <= 1 + 1e-6 and the south one
+    stereographic charts (:func:`_chart`) over the disk |u| <= 1.25. The
+    north chart keeps |u|^2 <= 1 + 1e-6 and the south one
     |u|^2 < 1 - 1e-6, so each zero counts once (|u_N| |u_S| = 1), with its
     chart's index. None, for the caller to perturb f, when v_par vanishes
     over a run of the normals' gradients ``g`` or a chart meets a
@@ -469,18 +502,8 @@ def _sphere_zeros(field, domain, normals, g, zero_tol):
     zeros = []
     for pole, keep in ((1.0, lambda q: q <= 2.0 + 1e-6),
                        (-1.0, lambda q: q < 2.0 - 1e-6)):
-        def fn(u, pole=pole):
-            return field.value(c + r * _stereographic(u, pole)[0])
-
-        def grad(u, pole=pole):
-            n, q = _stereographic(u, pole)
-            gf = field.grad(c + r * n)
-            ug = np.sum(u * gf[..., :2], axis=-1) + pole * gf[..., 2]
-            return r * (2.0 * q[..., None] * gf[..., :2]
-                        - 4.0 * u * ug[..., None]) / (q * q)[..., None]
-
         try:
-            pts = find_critical_points(ScalarField(fn, 2, grad_fn=grad),
+            pts = find_critical_points(_chart(field, c, r, pole),
                                        Ball((0.0, 0.0), 1.25),
                                        grid_res=_CHART_GRID)
         except NonIsolatedZeroError:

@@ -4,8 +4,9 @@ Nothing here shares code paths with the package: windings come from a
 dense unwrap, roots from scipy brentq on a fine grid, extrema from plain
 neighbor comparisons, assignments from brute-force permutations,
 distances from one scalar ``np.linalg.norm`` per pair, lattice
-connectivity from breadth-first search over index tuples, and bisection
-midpoints from a plain loop that returns the midpoint.
+connectivity from breadth-first search over index tuples, bisection
+midpoints from a plain loop that returns the midpoint, and derivatives from
+central differences with step ``h = 1e-5 (1 + |s|)``.
 """
 
 from __future__ import annotations
@@ -293,3 +294,48 @@ def per_field_trial(spec, noise_spec, n_list, seed: int, trial: int,
             "match": all(counts_n[k] == counts_G[k] for k in _TRIPLE),
         })
     return rec
+
+
+def _steps(s: np.ndarray) -> np.ndarray:
+    return 1e-5 * (1.0 + np.linalg.norm(s, axis=-1))
+
+
+def fd_gradient(fn, s) -> np.ndarray:
+    """Central differences of ``fn`` along each coordinate, stacked on a
+    new last axis: the gradient of a scalar ``fn``, the Jacobian of a
+    vector-valued one."""
+    s = np.asarray(s, dtype=float)
+    hh = _steps(s)
+    cols = []
+    for e in np.eye(s.shape[-1]):
+        step = hh[..., None] * e
+        diff = np.asarray(fn(s + step)) - np.asarray(fn(s - step))
+        # the step is per point; a vector-valued fn adds trailing axes
+        cols.append(diff / (2.0 * hh).reshape(
+            hh.shape + (1,) * (diff.ndim - hh.ndim)))
+    return np.stack(cols, axis=-1)
+
+
+def fd_hessian(fn, s) -> np.ndarray:
+    """Second differences of the values of ``fn``, on a stencil ten times
+    wider than :func:`fd_gradient`'s, as second differences lose
+    precision."""
+    s = np.asarray(s, dtype=float)
+    d = s.shape[-1]
+    hh = _steps(s) * 10.0
+    f0 = np.asarray(fn(s), dtype=float)
+    out = np.empty(s.shape[:-1] + (d, d), dtype=float)
+    eyes = np.eye(d)
+    for i in range(d):
+        step_i = hh[..., None] * eyes[i]
+        out[..., i, i] = (np.asarray(fn(s + step_i)) - 2.0 * f0
+                          + np.asarray(fn(s - step_i))) / hh**2
+        for j in range(i + 1, d):
+            step_j = hh[..., None] * eyes[j]
+            mixed = (np.asarray(fn(s + step_i + step_j))
+                     - np.asarray(fn(s + step_i - step_j))
+                     - np.asarray(fn(s - step_i + step_j))
+                     + np.asarray(fn(s - step_i - step_j))) / (4.0 * hh**2)
+            out[..., i, j] = mixed
+            out[..., j, i] = mixed
+    return out

@@ -1,10 +1,12 @@
-"""Field plumbing: bump calculus, derivative fallbacks, cross-checks."""
+"""Field plumbing: bump calculus, missing derivatives, cross-checks."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import critsense
 from critsense.domains import Box
 from critsense.errors import UsageError
 from critsense.fields import (ScalarField, bisect_root, bump1_vgh, bump_vgh,
@@ -12,6 +14,8 @@ from critsense.fields import (ScalarField, bisect_root, bump1_vgh, bump_vgh,
                               sym_eigvalsh, transition_vgh)
 from critsense.gallery import entry, gallery, limit_field, names
 from critsense.randfield import BasisField
+
+from oracles import fd_gradient, fd_hessian
 
 
 def _bump_value(s):
@@ -23,11 +27,12 @@ def _transition_value(x):
 
 
 def _fd(f, s, order):
-    """The central difference that ``grad`` or ``hess`` falls back to
-    without the analytic derivative."""
+    """Central differences of the values for ``"grad"``, and the
+    symmetric part of those of the gradient for ``"hess"``."""
     if order == "grad":
-        return ScalarField(f.fn, f.dim).grad(s)
-    return ScalarField(f.fn, f.dim, grad_fn=f.grad_fn).hess(s)
+        return fd_gradient(f.value, s)
+    J = fd_gradient(f.grad, s)
+    return 0.5 * (J + np.swapaxes(J, -1, -2))
 
 
 def test_bump_center_and_support():
@@ -64,12 +69,15 @@ def test_bump_orders_keep_the_bits_of_the_full_call():
 
 def test_bump_vanishes_smoothly_at_rim():
     # value, gradient, and curvature all collapse approaching |s| = 1
-    f = ScalarField(_bump_value, 2)
     for r in (0.9, 0.99, 0.999):
         assert _bump_value(np.array([r, 0.0])) < \
             _bump_value(np.array([r - 0.05, 0.0]))
-    g = f.grad(np.array([0.9999, 0.0]))
+    s = np.array([0.9999, 0.0])
+    _, g, H = bump_vgh(s)
+    assert np.linalg.norm(fd_gradient(_bump_value, s)) < 1e-4
     assert np.linalg.norm(g) < 1e-4
+    assert np.max(np.abs(fd_hessian(_bump_value, s))) < 1e-4
+    assert np.max(np.abs(H)) < 1e-4
 
 
 def test_transition_runs_from_zero_to_minus_one():
@@ -112,6 +120,27 @@ def test_every_gallery_field_matches_finite_differences(name, n):
             err = np.abs(_fd(f, s, order) - exact)
             assert np.all(err <= 1e-5 * np.maximum(1.0, np.abs(exact))), \
                 (order, s)
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 64])
+def test_singlemax_hessian_matches_finite_differences_in_branches(n):
+    # the oracle differentiates in (x, Y = n y), where the bumps have unit
+    # width at every n. Points keep 1e-3 from each branch seam, where the
+    # Hessian jumps, and within 0.75 of the centre of the branch's bump:
+    # toward a bump's rim its derivatives grow so fast that the oracle's
+    # truncation error, not the closed form, sets the error
+    f = gallery("singlemax", n)
+    scale = np.array([1.0, 1.0 / n])
+    rng = np.random.default_rng(n)
+    for lo, hi in ((-3.0, -1.001), (-0.75, -1e-3), (1e-3, 0.75),
+                   (1.001, 1.75), (2.001, 3.0)):
+        t = np.stack([rng.uniform(-1.0, 1.0, 50), rng.uniform(lo, hi, 50)],
+                     axis=-1)
+        exact = f.hess(t * scale)
+        J = fd_gradient(lambda t: f.grad(t * scale), t) / scale
+        fd = 0.5 * (J + np.swapaxes(J, -1, -2))
+        assert np.all(np.abs(fd - exact)
+                      <= 1e-5 * np.maximum(1.0, np.abs(exact))), (lo, hi)
 
 
 def _same_bits(a, b) -> bool:
@@ -222,14 +251,23 @@ def test_row_adder_has_the_bits_of_add_reduce(d):
     assert _same_bits(row_adder(d)(a[9]), np.add.reduce(a[9], axis=-1))
 
 
-def test_fd_fallback_gradient_on_plain_fn():
+def test_missing_derivative_raises_usage_error():
     f = ScalarField(lambda s: np.sin(s[..., 0]) * s[..., 1], 2)
     s = np.array([0.4, -1.2])
-    expect = np.array([np.cos(0.4) * -1.2, np.sin(0.4)])
-    assert np.allclose(f.grad(s), expect, atol=1e-7)
-    H = f.hess(s)
-    assert H.shape == (2, 2)
-    assert np.allclose(H, H.T, atol=1e-6)
+    with pytest.raises(UsageError, match="gradient"):
+        f.grad(s)
+    with pytest.raises(UsageError, match="Hessian"):
+        f.hess(s)
+    with pytest.raises(UsageError, match="Hessian"):
+        ScalarField(f.fn, 2, grad_fn=lambda s: s).jet(s, 2)
+
+
+def test_no_finite_differences_in_the_package():
+    # every derivative is a closed form; central differences live in
+    # the tests' oracles only
+    for path in sorted(Path(critsense.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert "fd_" not in text and "DEFAULT_FD_STEP" not in text, path.name
 
 
 def test_batched_evaluation_shapes():

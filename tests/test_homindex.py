@@ -20,7 +20,8 @@ from critsense.homindex import (boundary_index, classify_by_index,
                                 winding_index_2d)
 from critsense.morse import morse_classify
 
-from oracles import boundary_degree, brute_winding, midpoint_bisection
+from oracles import (boundary_degree, brute_winding, fd_gradient,
+                     midpoint_bisection)
 
 ORIGIN = np.zeros(2)
 
@@ -251,6 +252,23 @@ def test_sphere_zeros_satisfy_the_euler_identity_of_the_sphere():
         assert np.all(gaps[np.triu_indices(len(locs), 1)] >= 1e-6), trial
 
 
+@pytest.mark.parametrize("pole", [1.0, -1.0], ids=["north", "south"])
+def test_sphere_chart_hessian_matches_finite_differences(pole):
+    # the chain-rule Hessian of a chart against central differences of
+    # the chart's gradient, relative where it exceeds 1, over the chart's
+    # whole disk on an off-centre ball
+    f = sample_limit_field(BasisSpec(3, 2, 1.0, 1.0), 123, 7)
+    chart = homindex._chart(f, np.array([3.0, 2.5, 3.6]), 0.8, pole)
+    rng = np.random.default_rng(11)
+    u = rng.uniform(-1.25, 1.25, size=(40, 2))
+    u = u[np.sum(u * u, axis=-1) <= 1.25 ** 2]
+    exact = chart.hess(u)
+    J = fd_gradient(chart.grad, u)
+    err = np.abs(0.5 * (J + np.swapaxes(J, -1, -2)) - exact)
+    assert np.all(err <= 1e-5 * np.maximum(1.0, np.abs(exact)))
+    assert np.max(np.abs(exact)) > 1.0
+
+
 @pytest.mark.parametrize("axis", [0, 2], ids=["x_on_the_seam",
                                                "z_at_the_chart_centres"])
 def test_sphere_chart_seam_counts_each_zero_once(axis):
@@ -258,7 +276,8 @@ def test_sphere_chart_seam_counts_each_zero_once(axis):
     # reach; f = z has them at the poles, the two chart centres
     linear = ScalarField(lambda s: s[..., axis], 3,
                          grad_fn=lambda s: np.broadcast_to(
-                             np.eye(3)[axis], s.shape).copy())
+                             np.eye(3)[axis], s.shape).copy(),
+                         hess_fn=lambda s: np.zeros(s.shape + (3,)))
     res = boundary_index(linear, Ball((0, 0, 0), 1.0))
     assert not res.perturbed
     assert res.total == 0

@@ -112,7 +112,13 @@ def _boxed_pit():
         diff = s[..., None, :] - centers
         return np.sum(-16.0 * terms(s)[..., None] * diff, axis=-2)
 
-    return ScalarField(val, 2, grad_fn=grad)
+    def hess(s):
+        diff = s[..., None, :] - centers
+        outer = diff[..., :, None] * diff[..., None, :]
+        return np.sum(terms(s)[..., None, None]
+                      * (256.0 * outer - 16.0 * np.eye(2)), axis=-3)
+
+    return ScalarField(val, 2, grad_fn=grad, hess_fn=hess)
 
 
 def test_box_domain_tangency_certificate():
