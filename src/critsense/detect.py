@@ -3,11 +3,12 @@
 The detector scans a lattice for cells whose gradient components can all
 plausibly cross zero, refines all candidates together by Newton iteration,
 hands every seed that Newton cannot help (a singular Hessian, a stalled
-line search) to a trust-region pass and a Newton polish, deduplicates, and
-attaches index-based classifications. Cells whose refinement diverges are
-reported, never dropped; cells whose refinement leaves the domain's box
-are listed apart, as escaped. The members of a stacked field go through
-all of it together, every seed on its own member.
+line search) to a Levenberg-Marquardt pass and a Newton polish,
+deduplicates, and attaches index-based classifications. Cells whose
+refinement diverges are reported, never dropped; cells whose refinement
+leaves the domain's box are listed apart, as escaped. The members of a
+stacked field go through all of it together, every seed on its own
+member.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 
 from .domains import Domain, components
 from .errors import NoConvergenceError, UsageError
-from .fields import (ScalarField, near_pairs, row_adder, row_dots,
-                     row_norms, sym_eigvalsh)
+from .fields import ScalarField, near_pairs, row_norms, sym_eigvalsh
 from .morse import morse_classify
 from . import homindex
 
@@ -155,8 +155,9 @@ def refine_newton(field: ScalarField, s0, tol: float = 1e-9,
     gradient calls per step for the batch; every evaluation is row-wise,
     so a seed's outcome does not depend on the rest of the batch, nor on
     the other members of a stack. Seeds that stall above ``tol`` go on
-    together to the rescue (:func:`_rescue`), whose lockstep trust-region
-    pass and Newton polish contract on degenerate zeros (Peano valleys).
+    together to the rescue (:func:`_rescue`), whose lockstep
+    Levenberg-Marquardt pass and Newton polish contract on degenerate
+    zeros (Peano valleys).
 
     One seed returns the refined point or raises NoConvergence with the
     best iterate attached (an escape raises it too). A batch returns one
@@ -255,8 +256,8 @@ def _rescue(field: ScalarField, X: np.ndarray, G: np.ndarray,
     NoConvergenceError each.
 
     Newton stalls at singular Hessians and in curved |grad f| valleys
-    around degenerate zeros. The rescue runs a trust-region least-squares
-    pass over all the seeds, then the Newton polish over those still above
+    around degenerate zeros. The rescue runs a Levenberg-Marquardt pass
+    over all the seeds, then the Newton polish over those still above
     ``tol``: its nonmonotone orbit contracts where line searches cannot.
     The polish starts from the gradients it is handed, so it evaluates
     none where the pass or the Newton phase left a seed.
@@ -278,177 +279,69 @@ def _rescue(field: ScalarField, X: np.ndarray, G: np.ndarray,
         tol=tol) for x, gn in zip(best_x, best_gn.tolist())]
 
 
-def _mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Each ``A[i] @ v[i]`` for ``A`` ``(k, d, d)`` and ``v`` ``(k, d)``,
-    by the BLAS call ``np.dot`` makes for one matrix and vector."""
-    return (A @ v[..., None])[..., 0]
-
-
-_EPS = np.finfo(float).eps
-_XTOL = _FTOL = 2.3e-16
+_LAMBDA_START, _LAMBDA_MAX, _STEP_TOL = 1e-4, 1e16, 2.3e-16
 
 
 def least_squares(field: ScalarField, X: np.ndarray, tol: float,
                   max_nfev: int):
-    """Trust-region least squares on the gradient system from each seed of
-    ``X`` ``(k, d)``, seed j on member j of a stacked ``field``; returns
-    the final iterates and their gradients.
+    """Levenberg-Marquardt on the gradient system F = grad f, J = Hess f
+    from each seed of ``X`` ``(k, d)``, seed j on member j of a stacked
+    ``field``; returns the final iterates and their gradients.
 
-    This is the Levenberg-Marquardt trust-region method of Moré (1978,
-    LNM 630) as SciPy's ``least_squares(method="trf", x_scale="jac")``
-    runs it without bounds: the exact subproblem solved from an SVD of the
-    Jacobian scaled by its column norms, xtol = ftol = 2.3e-16, no gtol,
-    and at most ``max_nfev`` gradient evaluations per seed, so each row
-    gets SciPy's iterates bit for bit. A seed also stops once
-    |grad f| <= ``tol``, where the gradient or Hessian at its iterate is
-    not finite (SciPy raises there), and once it can no longer move.
+    Each step solves (J'J + lam m I) p = -J'F, with m the largest diagonal
+    entry of J'J (Marquardt 1963, SIAM J. Appl. Math. 11:431-441), and is
+    accepted only where it lowers |F|. The damping lam starts at 1e-4 and
+    is divided by 3 after an accepted step and doubled after a rejected
+    one. A seed stops once |F| <= ``tol``, after ``max_nfev`` gradient
+    evaluations, at a singular system, at a step under
+    2.3e-16 (2.3e-16 + |x|), once lam exceeds 1e16, or where its Hessian
+    is not finite.
 
-    Every live seed makes one trial step per tick: one batched SVD for the
-    seeds whose Jacobian changed, one ``grad`` call for the trial points
-    and one ``hess`` call where a step was accepted. Each seed keeps its
-    own radius, LM parameter, scale and count, and only per-row LAPACK and
-    BLAS calls, elementwise ufuncs and row sums touch it, so its bits do
-    not depend on the rest of the batch.
+    Every live seed makes one trial per tick: one batched solve, one
+    ``grad`` call for the trial points and one ``hess`` call where a step
+    was accepted. Only per-row LAPACK and BLAS calls and elementwise
+    ufuncs touch a seed, so its bits do not depend on the rest of the
+    batch.
     """
     X = np.array(X, dtype=float)
-    k, d = X.shape
     F = np.array(field.grad(X), dtype=float)
     J = np.array(field.hess(X), dtype=float)
-    G = _mv(np.swapaxes(J, -1, -2), F)
-    cost = 0.5 * row_dots(F, F)
-    colsum = row_adder(d, signed=False)
-    scale_inv = np.sqrt(colsum(np.swapaxes(J * J, -1, -2)))
-    scale_inv[scale_inv == 0] = 1.0
-    scale = 1.0 / scale_inv
-    delta = row_norms(X * scale_inv)
-    delta[delta == 0] = 1.0
-    alpha = np.zeros(k)
-    nfev = np.ones(k, dtype=int)
-    fresh = np.ones(k, dtype=bool)     # Jacobian changed since its SVD
-    Jh, V = np.empty_like(J), np.empty_like(J)
-    S, UF, Gh = np.empty_like(X), np.empty_like(X), np.empty_like(X)
-    live = np.flatnonzero(np.all(np.isfinite(F), axis=-1)
-                          & np.all(np.isfinite(J), axis=(-2, -1))
-                          & (row_norms(F) > tol))
+    FN = row_norms(F)
+    lam = np.full(len(X), _LAMBDA_START)
+    nfev = np.ones(len(X), dtype=int)
+    eye = np.eye(X.shape[-1])
+    live = np.flatnonzero(np.isfinite(FN) & (FN > tol)
+                          & np.all(np.isfinite(J), axis=(-2, -1)))
     while live.size:
-        new = live[fresh[live]]
-        if new.size:
-            Jh[new] = J[new] * scale[new, None, :]
-            U, S[new], Vt = np.linalg.svd(Jh[new])
-            # V and U' row-major, as the transposes of SciPy's column-major
-            # factors are: np.dot picks its BLAS kernel, and so its bits,
-            # by memory layout
-            V[new] = np.swapaxes(Vt, -1, -2)
-            UF[new] = _mv(np.ascontiguousarray(np.swapaxes(U, -1, -2)),
-                          F[new])
-            Gh[new] = scale[new] * G[new]
-            fresh[new] = False
-        D = delta[live]
-        step_h, alpha[live] = _tr_step(UF[live], S[live], V[live], D,
-                                       alpha[live])
-        Js = _mv(Jh[live], step_h)
-        predicted = -(0.5 * row_dots(Js, Js) + row_dots(step_h, Gh[live]))
+        Jt = np.swapaxes(J[live], -1, -2)
+        A = Jt @ J[live]
+        m = np.maximum(np.max(np.diagonal(A, axis1=-2, axis2=-1), axis=-1),
+                       1e-300)
+        step, ok = _solve(A + (lam[live] * m)[:, None, None] * eye,
+                          -(Jt @ F[live, :, None])[..., 0])
+        ok &= np.all(np.isfinite(step), axis=-1)   # counts as singular
+        live, step = live[ok], step[ok]
+        if not live.size:
+            break
         x = X[live]
-        step = scale[live] * step_h
         xn = x + step
         fn = field.rows(live).grad(xn)
+        fnn = row_norms(fn)
         nfev[live] += 1
-        hn = row_norms(step_h)
-
-        finite = np.all(np.isfinite(fn), axis=-1)
-        cost_new = 0.5 * row_dots(fn, fn)
-        actual = cost[live] - cost_new
-        ratio = np.where(predicted > 0, actual / predicted,
-                         np.where((predicted == actual) & (actual == 0),
-                                  1.0, 0.0))
-        grown = np.where((ratio > 0.75) & (hn > 0.95 * D), D * 2.0, D)
-        D_new = np.where(ratio < 0.25, 0.25 * hn, grown)
-        ended = finite & (((actual < _FTOL * cost[live]) & (ratio > 0.25))
-                          | (row_norms(step)
-                             < _XTOL * (_XTOL + row_norms(x))))
-        go_on = finite & ~ended
-        alpha[live[go_on]] *= D[go_on] / D_new[go_on]
-        delta[live] = np.where(finite, np.where(ended, D, D_new), 0.25 * hn)
-
-        acc = finite & (actual > 0)
+        acc = fnn < FN[live]    # FN is finite, so a NaN trial is rejected
         rows = live[acc]
-        X[rows], F[rows], cost[rows] = xn[acc], fn[acc], cost_new[acc]
-        # a rejected all-NaN trial point leaves the radius NaN, so every
-        # later trial repeats that point: the seed can never move again
-        stuck = ~acc & np.all(np.isnan(xn), axis=-1)
-        done = ended | stuck | (nfev[live] >= max_nfev)
-        done[acc] |= row_norms(fn[acc]) <= tol
+        X[rows], F[rows], FN[rows] = xn[acc], fn[acc], fnn[acc]
+        lam[live] = np.where(acc, lam[live] / 3.0, 2.0 * lam[live])
+        done = ((nfev[live] >= max_nfev) | (lam[live] > _LAMBDA_MAX)
+                | (row_norms(step) < _STEP_TOL * (_STEP_TOL + row_norms(x))))
+        done[acc] |= fnn[acc] <= tol
         moved = acc & ~done
         rows = live[moved]
         if rows.size:
-            Jr = J[rows] = field.rows(rows).hess(X[rows])
-            G[rows] = _mv(np.swapaxes(Jr, -1, -2), F[rows])
-            scale_inv[rows] = np.maximum(
-                np.sqrt(colsum(np.swapaxes(Jr * Jr, -1, -2))),
-                scale_inv[rows])
-            scale[rows] = 1.0 / scale_inv[rows]
-            fresh[rows] = True
-            done[moved] = ~np.all(np.isfinite(Jr), axis=(-2, -1))
+            J[rows] = field.rows(rows).hess(X[rows])
+            done[moved] = ~np.all(np.isfinite(J[rows]), axis=(-2, -1))
         live = live[~done]
     return X, F
-
-
-def _tr_step(uf: np.ndarray, s: np.ndarray, V: np.ndarray,
-             delta: np.ndarray, alpha: np.ndarray):
-    """Each row's step ``p`` with |p| <= ``delta`` minimizing the model
-    |J p + f| from the SVD ``J = U diag(s) V'`` (``uf = U' f``), and its
-    LM parameter: the Gauss-Newton step where J has full rank and the step
-    fits, else Moré's secular-equation iteration on |p(alpha)| = delta,
-    at most 10 steps to 1% accuracy, started from ``alpha``."""
-    n = s.shape[-1]
-    suf = s * uf
-    full = s[:, -1] > _EPS * n * s[:, 0]
-    p = -_mv(V, uf / s)
-    gauss = full & (row_norms(p) <= delta)
-    alpha = np.where(gauss, 0.0, alpha)
-    r = np.flatnonzero(~gauss)
-    if not r.size:
-        return p, alpha
-    suf, s, D, full = suf[r], s[r], delta[r], full[r]
-    upper = row_norms(suf) / D
-    lower = np.zeros(len(r))
-    phi, dphi = _phi(np.zeros(len(r)), suf, s, D)
-    lower[full] = -phi[full] / dphi[full]
-    a = alpha[r]
-    a = np.where(~full & (a == 0), _alpha_guess(lower, upper), a)
-    act = np.arange(len(r))
-    for _ in range(10):
-        lo, up, aa, Da = lower[act], upper[act], a[act], D[act]
-        aa = np.where((aa < lo) | (aa > up), _alpha_guess(lo, up), aa)
-        phi, dphi = _phi(aa, suf[act], s[act], Da)
-        upper[act] = np.where(phi < 0, aa, up)
-        ratio = phi / dphi
-        lower[act] = np.where(aa - ratio > lo, aa - ratio, lo)
-        a[act] = aa - (phi + Da) * ratio / Da
-        act = act[~(np.abs(phi) < 0.01 * Da)]
-        if not act.size:
-            break
-    q = -_mv(V[r], suf / (s ** 2 + a[:, None]))
-    p[r] = q * (D / row_norms(q))[:, None]
-    alpha[r] = a
-    return p, alpha
-
-
-def _alpha_guess(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Moré's restart value max(upper / 1000, sqrt(lower * upper)), with
-    Python's ``max`` order of comparison. The root is ``float_power``,
-    which rounds as libm's scalar ``pow`` does; ``sqrt`` and numpy's SIMD
-    ``power`` differ from it in the last bit on under 1 input in 1,000."""
-    a, b = 0.001 * upper, np.float_power(lower * upper, 0.5)
-    return np.where(b > a, b, a)
-
-
-def _phi(alpha, suf, s, delta):
-    """|p(alpha)| - delta and its alpha derivative, per row."""
-    denom = s ** 2 + alpha[:, None]
-    pn = row_norms(suf / denom)
-    return (pn - delta,
-            -row_adder(s.shape[-1], signed=False)(suf ** 2 / denom ** 3) / pn)
 
 
 def _candidate_cells(g: np.ndarray, inside: np.ndarray) -> np.ndarray:

@@ -80,8 +80,8 @@ def test_refine_newton_escape_ends_the_seed():
 
 def test_rescue_stops_once_the_gradient_meets_tol(monkeypatch):
     # peano's degenerate zero: the Newton phase stalls in the curved
-    # valley and the trust-region rescue decides the seed, which must end
-    # once |grad f| <= tol rather than at max_nfev = 600
+    # valley and the Levenberg-Marquardt rescue decides the seed, which
+    # must end once |grad f| <= tol rather than at max_nfev = 600
     evals, results = [], []
     real = detect.least_squares
 
@@ -128,26 +128,85 @@ def test_rescue_rows_keep_their_bits_alone(monkeypatch):
         assert ag[0].tobytes() == g.tobytes()
 
 
-def test_rescue_takes_scipys_trust_region_steps(monkeypatch):
-    # the oracle: scipy's trf least_squares with the settings the rescue
-    # reproduces reaches the same points, bit for bit (its callback, which
-    # stops at tol, needs scipy 1.16)
-    pytest.importorskip("scipy", minversion="1.16")
-    from scipy.optimize import least_squares as scipy_lsq
+def _tilted_exp():
+    """e^x + x + y^2: the Hessian diag(e^x, 2) is nonsingular and
+    |grad f| >= 1 everywhere, so no seed has a zero to find."""
+    def hess(s):
+        H = np.zeros(s.shape[:-1] + (2, 2))
+        H[..., 0, 0] = np.exp(s[..., 0])
+        H[..., 1, 1] = 2.0
+        return H
 
-    field, X, tol, max_nfev = _peano_stragglers(monkeypatch)
-    X = X[::6]
-    bx, _ = detect.least_squares(field, X, tol, max_nfev)
+    return ScalarField(
+        lambda s: np.exp(s[..., 0]) + s[..., 0] + s[..., 1] ** 2, 2,
+        grad_fn=lambda s: np.stack([np.exp(s[..., 0]) + 1.0,
+                                    2.0 * s[..., 1]], axis=-1),
+        hess_fn=hess)
 
-    def stop_at_tol(intermediate_result):
-        if np.linalg.norm(intermediate_result.fun) <= tol:
-            raise StopIteration
 
-    for x0, x in zip(X, bx):
-        res = scipy_lsq(field.grad, x0, jac=field.hess, method="trf",
-                        x_scale="jac", xtol=2.3e-16, ftol=2.3e-16,
-                        gtol=None, max_nfev=max_nfev, callback=stop_at_tol)
-        assert res.x.tobytes() == x.tobytes()
+class _Pair(ScalarField):
+    """Two fields stacked as members 0 and 1: row j of points ``(k, d)``
+    is evaluated on member ``on[j]``. Both fields evaluate every row and
+    each row keeps its own member's, so a row has that field's bits."""
+
+    def __init__(self, fields, on):
+        self.fields, self.on = fields, np.asarray(on)
+        super().__init__(fields[0].fn, fields[0].dim,
+                         grad_fn=self._pick("grad"),
+                         hess_fn=self._pick("hess"))
+
+    def _pick(self, name):
+        def evaluate(s):
+            a, b = (getattr(f, name)(s) for f in self.fields)
+            return np.where(self.on.reshape(-1, *[1] * (a.ndim - 1)), b, a)
+        return evaluate
+
+    @property
+    def members(self):
+        return 2
+
+    def rows(self, member):
+        return _Pair(self.fields, self.on[member])
+
+
+def test_seed_with_no_zero_ends_at_its_best_iterate(monkeypatch):
+    # the pass descends from (0.5, 0.3) until |grad f| rounds to 1 and
+    # its steps fall under the step tolerance, long before max_nfev, and
+    # warns of nothing on the way
+    f, x0, tol, max_nfev = _tilted_exp(), np.array([[0.5, 0.3]]), 1e-9, 600
+    points = []
+    counted = ScalarField(f.fn, 2, grad_fn=lambda s: (
+        points.append(len(s)) or f.grad(s)), hess_fn=f.hess)
+    with np.errstate(all="raise"):
+        x, g = detect.least_squares(counted, x0, tol, max_nfev)
+    assert 1 < sum(points) <= max_nfev
+    assert np.all(np.isfinite(x))
+    assert np.linalg.norm(g) <= np.linalg.norm(f.grad(x0))
+    assert g.tobytes() == f.grad(x).tobytes()
+
+    # refine_newton hands the pass the Newton phase's stall point and
+    # raises with the best iterate the rescue returned
+    returned = []
+    real = detect.least_squares
+    monkeypatch.setattr(detect, "least_squares", lambda *a: (
+        returned.append(real(*a)) or returned[-1]))
+    with pytest.raises(NoConvergenceError) as exc:
+        refine_newton(f, x0[0], tol=tol)
+    (rx, rg), = returned
+    assert exc.value.context["best"] == rx[0].tolist()
+    assert exc.value.context["grad_norm"] == np.linalg.norm(rg[0]) >= 1.0
+
+    # among peano's stragglers the seed keeps its lone bits, and they
+    # keep theirs
+    peano, X, tol, max_nfev = _peano_stragglers(monkeypatch)
+    stack = _Pair([peano, f], np.arange(len(X) + 1) == 3)
+    X = np.insert(X, 3, x0[0], axis=0)
+    bx, bg = real(stack, X, tol, max_nfev)
+    assert bx[3].tobytes() == x[0].tobytes()
+    assert bg[3].tobytes() == g[0].tobytes()
+    px, pg = real(peano, np.delete(X, 3, axis=0), tol, max_nfev)
+    assert np.delete(bx, 3, axis=0).tobytes() == px.tobytes()
+    assert np.delete(bg, 3, axis=0).tobytes() == pg.tobytes()
 
 
 def test_peano_detection_takes_few_gradient_calls(monkeypatch):
@@ -172,9 +231,9 @@ def test_peano_detection_takes_few_gradient_calls(monkeypatch):
 
 
 def test_immobile_seed_ends_at_the_first_trial(monkeypatch):
-    # gradient (0, 1) with a zero Hessian: H' grad f = 0, so the
-    # trust-region model is flat. The pass's first trial point is NaN,
-    # which ends the seed there, and the polish's Newton system is singular
+    # gradient (0, 1) with a zero Hessian: H' grad f = 0, so the pass's
+    # first step is zero, under the step tolerance, which ends the seed
+    # after that one trial, and the polish's Newton system is singular
     f = ScalarField(lambda s: s[..., 1], 2,
                     grad_fn=lambda s: np.broadcast_to([0.0, 1.0], s.shape),
                     hess_fn=lambda s: np.zeros(s.shape[:-1] + (2, 2)))
@@ -198,8 +257,9 @@ def test_immobile_seed_ends_at_the_first_trial(monkeypatch):
 
 def test_singular_hessian_seed_goes_to_the_rescue(monkeypatch):
     # x^3 + y^2 at (0, 0.3): the Hessian diag(0, 2) is singular, so there
-    # is no Newton step, but H' grad f = (0, 1.2) lets the trust-region
-    # pass move the seed; in a batch its row keeps the lone seed's bits
+    # is no Newton step, but H' grad f = (0, 1.2) lets the
+    # Levenberg-Marquardt pass move the seed; in a batch its row keeps
+    # the lone seed's bits
     seeds = []
     real = detect.least_squares
 
@@ -266,7 +326,7 @@ def test_batched_refinement_matches_one_seed_at_a_time(monkeypatch):
     real = detect._newton_polish
     monkeypatch.setattr(detect, "_newton_polish", lambda f, X, *a: (
         polished.append(len(X)) or real(f, X, *a)))
-    peano, kw = gallery("peano"), {"tol": 1e-20, "max_iter": 200}
+    peano, kw = gallery("peano"), {"tol": 1e-24, "max_iter": 200}
     seeds = np.array([[0.1, 0.1], [-0.3, 0.2], [1e40, 0.0]])
     batch = refine_newton(peano, seeds, **kw)
     assert polished[0] == 3
