@@ -20,7 +20,8 @@ import numpy as np
 
 from .domains import Domain, components
 from .errors import NoConvergenceError, UsageError
-from .fields import ScalarField, near_pairs, row_norms, sym_eigvalsh
+from .fields import ScalarField, near_pairs, row_norms, sym_eigvalsh, \
+    window_pairs
 from .morse import morse_classify
 from . import homindex
 
@@ -149,7 +150,7 @@ def refine_newton(field: ScalarField, s0, tol: float = 1e-9,
 
     Newton steps, each halved up to 24 times until it lowers |grad f|.
     ``box`` is an optional ``(lo, hi)`` pair: an accepted iterate outside
-    it ends the seed as escaped.
+    it, or a rescued point outside it, ends the seed as escaped.
 
     All seeds step in lockstep, with one Hessian call and at most two
     gradient calls per step for the batch; every evaluation is row-wise,
@@ -236,16 +237,23 @@ def _refine_batch(field: ScalarField, X: np.ndarray, tol: float,
         X[live], G[live], GN[live] = x, g, gn
 
         stalled.extend(live[~accepted])
-        if box is not None:  # an escaped seed's outcome stays None
-            accepted &= ~(np.any(x < box[0], axis=-1)
-                          | np.any(x > box[1], axis=-1))
+        accepted &= ~_outside(x, box)   # an escaped seed's outcome stays None
         live = live[accepted]
     rest = np.array([*stalled, *live], dtype=int)
     if rest.size:
         for i, o in zip(rest, _rescue(field.rows(rest), X[rest], G[rest],
                                       GN[rest], tol, max_iter)):
-            out[i] = o
+            # the rescue may polish a seed to a zero outside the box too
+            if isinstance(o, NoConvergenceError) or not _outside(o, box):
+                out[i] = o
     return out
+
+
+def _outside(x: np.ndarray, box) -> np.ndarray:
+    """Rows of ``x`` ``(..., d)`` outside ``box``; none when it is None."""
+    if box is None:
+        return np.zeros(x.shape[:-1], dtype=bool)
+    return np.any(x < box[0], axis=-1) | np.any(x > box[1], axis=-1)
 
 
 def _rescue(field: ScalarField, X: np.ndarray, G: np.ndarray,
@@ -437,7 +445,14 @@ def _classified(field: ScalarField, domain: Domain, mem: np.ndarray,
     gns = row_norms(field.rows(mem).grad(locs))
     order = np.lexsort((*locs.T[::-1], gns, mem))
     mem, locs, gns = mem[order], locs[order], gns[order]
-    i, j, dist = near_pairs(locs, locs, dedupe_radius)
+    # member k's window keys are shifted by k (span + 2 radius), past the
+    # member before by more than the window, so no pair across members is
+    # built; the pad covers the shift's rounding, and distances come from
+    # the real coordinates
+    key = locs[:, 0] + mem * (np.ptp(locs[:, 0]) + 2.0 * dedupe_radius)
+    i, j = window_pairs(key, key, dedupe_radius * (1.0 + 1e-12)
+                        + 4.0 * np.finfo(float).eps * np.max(np.abs(key)))
+    dist = row_norms(locs[i] - locs[j])
     clash = (i < j) & (mem[i] == mem[j]) & (dist < dedupe_radius)
     keep = [True] * len(locs)
     for a, b in zip(i[clash].tolist(), j[clash].tolist()):

@@ -238,25 +238,32 @@ def row_norms(A) -> np.ndarray:
     return np.sqrt(row_dots(A, A))
 
 
+def window_pairs(a: np.ndarray, b: np.ndarray, pad: float):
+    """``(i, j)`` over every pair of keys with ``|a[i] - b[j]| <= pad``,
+    ``i`` ascending: a ``searchsorted`` window of ``pad`` around ``a[i]``
+    on ``b`` sorted."""
+    order = np.argsort(b, kind="stable")
+    keys = b[order]
+    lo = np.searchsorted(keys, a - pad, "left")
+    count = np.searchsorted(keys, a + pad, "right") - lo
+    i = np.repeat(np.arange(len(a)), count)
+    # the k-th candidate of row i is keys[lo[i] + k]
+    k = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+    return i, order[np.repeat(lo, count) + k]
+
+
 def near_pairs(A, B, radius: float):
     """``(i, j, dist)`` over every row pair of ``A`` ``(m, d)`` and ``B``
     ``(n, d)`` with ``dist = row_norms(A[i] - B[j]) <= radius``, ``i``
     ascending; ``dist`` has the bits of ``np.linalg.norm`` on the pair,
     either way round, as negation is exact.
 
-    Candidates come from a ``searchsorted`` window of ``radius`` around
-    ``A[i, 0]`` on ``B`` sorted by its first coordinate. The window is
-    padded by a relative 1e-12: a gap over ``radius`` can round down to
-    exactly ``radius``, and without the pad that pair would be dropped."""
+    Candidates come from a window of ``radius`` around ``A[i, 0]`` on
+    ``B[:, 0]`` (:func:`window_pairs`). The window is padded by a relative
+    1e-12: a gap over ``radius`` can round down to exactly ``radius``, and
+    without the pad that pair would be dropped."""
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    order = np.argsort(B[:, 0], kind="stable")
-    keys, pad = B[order, 0], radius * (1.0 + 1e-12)
-    lo = np.searchsorted(keys, A[:, 0] - pad, "left")
-    count = np.searchsorted(keys, A[:, 0] + pad, "right") - lo
-    i = np.repeat(np.arange(len(A)), count)
-    # the k-th candidate of row i is keys[lo[i] + k]
-    k = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
-    j = order[np.repeat(lo, count) + k]
+    i, j = window_pairs(A[:, 0], B[:, 0], radius * (1.0 + 1e-12))
     dist = row_norms(A[i] - B[j])
     near = dist <= radius
     return i[near], j[near], dist[near]

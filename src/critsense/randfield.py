@@ -13,11 +13,10 @@ trial's streams are drawn from one generator that is re-keyed for each
 stream, not rebuilt: a key and a zero counter fix a Philox state, so
 the bits are those of a freshly keyed generator.
 
-Because stream i is E_i whatever n asks for it, one pass per trial
-serves every n of the table: the noise streams 1..max(n) are drawn in
-fixed-size blocks, each block is scaled once, and a sequential cumsum
-whose first row carries the running sum gives the prefix sums, with the
-bits of adding the E_i one at a time. Memory is one block, whatever n.
+Ghat_n is drawn exactly in law, not by summing n fields: the increments
+of sum_i E_i between the distinct n of a table are independent normals,
+so stream 0 of a trial holds G and stream j the j-th increment, and a
+trial takes 1 + len(set(n_list)) draws whatever n is.
 
 Trials run in passes of up to ``PASS_LIMIT_BYTES // (bytes per trial)``
 trials. A pass makes one detection: the G and every Ghat_n of each of its
@@ -29,6 +28,7 @@ one stack too.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -254,19 +254,18 @@ def _embed(coeffs: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-_BLOCK = 128  # noise streams drawn, scaled and summed together
-
-
 def empirical_mean_field(G: BasisField, noise_spec: BasisSpec, n_list,
                          seed: int, trial: int = 0) -> list:
-    """Ghat_n = G + (1/n) * sum_{i=1..n} E_i, exact in coefficient space,
-    for each n of ``n_list``, in its order.
+    """Ghat_n = G + (1/n) * sum_{i=1..n} E_i, exact in law and in
+    coefficient space, for each n of ``n_list``, in its order.
 
-    Noise stream i draws E_i, so Ghat_10 and Ghat_100 from the same seed
-    share their first ten noise fields. One pass draws streams 1..max(n)
-    in blocks of ``_BLOCK``; each block's first row carries the running
-    sum into a sequential cumsum, so every prefix sum has the bits of
-    adding the E_i one by one.
+    With n_1 < ... < n_k the distinct entries of ``n_list`` and S_0 = 0,
+    the sum S_j of E_1..E_{n_j} is drawn as S_{j-1} + sqrt(n_j - n_{j-1})
+    Z_j, with Z_j the noise field of stream j: the increments of
+    sum_i E_i are independent normals of variance (n_j - n_{j-1}) s^2. So
+    a trial takes one draw per distinct n, whatever n is, and nested n
+    share their increments: Ghat_10 and Ghat_100 of one list share the
+    sum to 10. Too many distinct n fail in ``_TrialStreams.rekey``.
     """
     for n in n_list:
         if n < 1:
@@ -276,28 +275,12 @@ def empirical_mean_field(G: BasisField, noise_spec: BasisSpec, n_list,
                          noise_dim=noise_spec.dim, field_dim=G.dim)
     m = 2 * max(G.degree, noise_spec.degree) + 1
     streams = _TrialStreams(seed, trial)
-    top = max(n_list, default=0)
-    if top:
-        streams.rekey(top)  # an out-of-range stream fails before any draw
-    scale = _scale_tensor(noise_spec)
-    block = np.zeros((_BLOCK + 1,) + scale.shape)
-    means = {}
-    done = 0
-    while done < top:
-        k = min(_BLOCK, top - done)
-        rows = block[:k + 1]
-        for j in range(1, k + 1):
-            streams.rekey(done + j)
-            streams.rng.standard_normal(out=rows[j])
-        rows[1:] *= scale
-        np.cumsum(rows, axis=0, out=rows)
-        for n in n_list:
-            if done < n <= done + k:
-                means[n] = _embed(rows[n - done], m) / n
-        block[0] = rows[k]
-        done += k
+    sums, S, prev = {}, 0.0, 0
+    for j, n in enumerate(sorted(set(n_list)), start=1):
+        S = S + math.sqrt(n - prev) * streams.draw(noise_spec, j)
+        sums[n], prev = S, n
     base = _embed(G.coeffs, m)
-    return [BasisField(base + means[n], G.dim) for n in n_list]
+    return [BasisField(base + _embed(sums[n], m) / n, G.dim) for n in n_list]
 
 
 # ---------------------------------------------------------------- #
@@ -376,8 +359,8 @@ def monte_carlo_convergence(spec: BasisSpec, noise_spec: BasisSpec, n_list,
         raise UsageError("trials must be >= 1", trials=trials)
     n_list = [int(n) for n in n_list]
     for n in n_list:
-        if not 1 <= n < 1 << 20:
-            raise UsageError(f"n_list entry {n} is outside [1, 2**20)",
+        if n < 1:
+            raise UsageError(f"n_list entry {n} is below 1",
                              n_list=n_list, n=n)
     res = grid_res if grid_res is not None else (
         512 if spec.dim == 1 else 64)

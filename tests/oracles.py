@@ -227,9 +227,13 @@ def brute_matching(locs_n, locs_l, radius: float) -> list:
     return pairs
 
 
-def naive_mean_field(G, noise_spec, n: int, seed: int, trial: int = 0):
-    """Coefficients of Ghat_n from adding the n noise fields one at a
-    time, each drawn from a freshly keyed Philox generator."""
+def increment_mean_field(G, noise_spec, n_list, n: int, seed: int,
+                         trial: int = 0):
+    """Coefficients of Ghat_n = G + S_n / n for the n of ``n_list``, with
+    S_n built on its own from S_0 = 0, one increment at a time:
+    S_j = S_{j-1} + sqrt(n_j - n_{j-1}) Z_j over the distinct entries
+    n_1 < ... < n_j = n, each Z_j the noise field drawn from a freshly
+    keyed Philox generator on stream j of the trial."""
     from critsense.randfield import _scale_tensor
 
     def draw(stream):
@@ -248,10 +252,33 @@ def naive_mean_field(G, noise_spec, n: int, seed: int, trial: int = 0):
         return out
 
     m = 2 * max(G.degree, noise_spec.degree) + 1
-    acc = np.zeros((m,) * G.dim)
-    for i in range(1, n + 1):
-        acc += embed(draw(i), m)
-    return embed(G.coeffs, m) + acc / n
+    acc = np.zeros((2 * noise_spec.degree + 1,) * noise_spec.dim)
+    prev = 0
+    for j, nj in enumerate(sorted(set(n_list)), start=1):
+        if nj > n:
+            break
+        acc = acc + np.sqrt(float(nj - prev)) * draw(j)
+        prev = nj
+    return embed(G.coeffs, m) + embed(acc, m) / n
+
+
+def rice_maxima(spec, noise_spec=None, n=None) -> float:
+    """Rice's expected number of local maxima of a 1-d random
+    trigonometric field on [0, 2pi): sqrt(lam4 / lam2), with
+    lam_k = sum_j j^k s_j^2 over the harmonics j and their coefficient
+    variances s_j^2. G has s_j = amplitude (1 + j)^-decay; Ghat_n adds the
+    noise's s_j^2 / n (Rice 1944, Bell Syst. Tech. J. 23:282-332)."""
+    top = max(spec.degree, noise_spec.degree if noise_spec else 0)
+    j = np.arange(1, top + 1)
+
+    def var(s):
+        return np.where(j <= s.degree, (s.amplitude * (1.0 + j)
+                                        ** -s.decay) ** 2, 0.0)
+
+    w = var(spec)
+    if noise_spec is not None:
+        w = w + var(noise_spec) / n
+    return float(np.sqrt(np.sum(j ** 4 * w) / np.sum(j ** 2 * w)))
 
 
 def per_field_trial(spec, noise_spec, n_list, seed: int, trial: int,

@@ -78,6 +78,27 @@ def test_refine_newton_escape_ends_the_seed():
         refine_newton(f, seed, box=box)
 
 
+def test_a_rescued_zero_outside_the_box_is_escaped_not_dropped():
+    # a 1-d random trigonometric field (the earlier README draws' Ghat_1000
+    # of trial 72): the Newton phase stalls near x = 5.68, where |f'| has
+    # a local minimum of 4.8e-6, and the rescue's Newton polish then
+    # jumps to the zero at x = 5301.19, far outside [0, 2 pi]
+    from critsense.randfield import BasisField, standard_domain
+    f = BasisField([-0.2881139068299076, -0.008657879208428051,
+                    -0.031212024706615736, -0.11258166293874858,
+                    0.01665353047511691, 0.017939138301365756,
+                    -0.06295566080865163, 0.0358608590338637,
+                    -0.012273622792510827], 1)
+    dom = standard_domain(1)
+    res = find_critical_points(f, dom, grid_res=512)
+    assert len(res) == 4 and len(res.unresolved) == 3
+    [cell] = res.escaped
+    assert refine_newton(f, np.array(cell)) == pytest.approx([5301.19])
+    lo, hi = dom.bounding_box()
+    box = (lo - (hi - lo) / 512, hi + (hi - lo) / 512)
+    assert refine_newton(f, np.array([cell]), box=box) == [None]
+
+
 def test_rescue_stops_once_the_gradient_meets_tol(monkeypatch):
     # peano's degenerate zero: the Newton phase stalls in the curved
     # valley and the Levenberg-Marquardt rescue decides the seed, which

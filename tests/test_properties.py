@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from critsense import detect
 from critsense.detect import _classified, resolution
 from critsense.domains import Ball, Box
 from critsense.fields import (ScalarField, near_pairs, row_norms,
@@ -206,6 +207,36 @@ def test_dedupe_is_the_brute_greedy_merge(pr, data):
     want = [(k, gn, x.tolist()) for k in sorted(set(mem.tolist()))
             for gn, x in brute_dedupe(field, list(pts[mem == k]), radius)]
     assert [(k, p.grad_norm, p.location.tolist()) for k, p in got] == want
+
+
+@given(dyadic_points(), st.integers(2, 5))
+@settings(max_examples=40, deadline=None)
+def test_stacked_dedupe_pairs_no_two_members(pr, members):
+    # every member holds the same points: the stack's dedupe windows hold
+    # each member's own pairs and no others, and each member keeps what
+    # it keeps alone
+    pts, radius = pr
+    d = pts.shape[1]
+    field, dom = _square_norm(d), Box([-2.0] * d, [2.0] * d)
+    counts, real = [], detect.window_pairs
+
+    def spy(a, b, pad):
+        i, j = real(a, b, pad)
+        counts.append(len(i))
+        return i, j
+
+    detect.window_pairs = spy
+    try:
+        alone = _classified(field, dom, np.zeros(len(pts), dtype=int), pts,
+                            radius, 0.1)
+        stack = _classified(field, dom, np.repeat(np.arange(members),
+                                                  len(pts)),
+                            np.tile(pts, (members, 1)), radius, 0.1)
+    finally:
+        detect.window_pairs = real
+    assert counts == [counts[0], members * counts[0]]
+    assert [(k, p.location.tolist()) for k, p in stack] == [
+        (k, p.location.tolist()) for k in range(members) for _, p in alone]
 
 
 @given(dyadic_points())

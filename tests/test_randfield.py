@@ -14,9 +14,10 @@ from critsense.morse import morse_statistic
 from critsense.randfield import (BasisField, BasisSpec, empirical_mean_field,
                                  monte_carlo_convergence, sample_limit_field,
                                  standard_domain)
-from critsense.randfield import (_BLOCK, _TrialStreams, _axis_tables,
-                                 _draw_coeffs, _scale_tensor)
-from oracles import fd_gradient, naive_mean_field, per_field_trial
+from critsense.randfield import (_TrialStreams, _axis_tables, _draw_coeffs,
+                                 _scale_tensor)
+from oracles import (fd_gradient, increment_mean_field, per_field_trial,
+                     rice_maxima)
 
 SPEC = BasisSpec(dim=1, degree=4, amplitude=1.0, decay=2.0)
 NOISE = BasisSpec(dim=1, degree=4, amplitude=0.6, decay=1.5)
@@ -153,14 +154,16 @@ def test_empirical_mean_is_exact_in_coefficient_space():
 
 
 def test_noise_degree_embedding():
+    # G is zero-padded to the wider noise degree: the padding holds the
+    # mean noise alone
     G = sample_limit_field(BasisSpec(dim=2, degree=1), seed=33)
     wide = BasisSpec(dim=2, degree=2, amplitude=0.5)
     [ghat] = empirical_mean_field(G, wide, [2], seed=33)
     assert ghat.coeffs.shape == (5, 5)
-    e = (_draw_coeffs(wide, 33, 0, 1) + _draw_coeffs(wide, 33, 0, 2)) / 2.0
-    assert np.allclose(ghat.coeffs[:3, :3], G.coeffs + e[:3, :3],
-                       atol=1e-15)
+    e = np.sqrt(2) * _draw_coeffs(wide, 33, 0, 1) / 2
+    assert np.array_equal(ghat.coeffs[:3, :3], G.coeffs + e[:3, :3])
     assert np.array_equal(ghat.coeffs[3:, :], e[3:, :])
+    assert np.array_equal(ghat.coeffs[:, 3:], e[:, 3:])
     with pytest.raises(UsageError):
         empirical_mean_field(G, BasisSpec(dim=1, degree=1), [2], seed=33)
     with pytest.raises(UsageError):
@@ -169,30 +172,78 @@ def test_noise_degree_embedding():
 
 _MEAN_CASES = {
     "unsorted-repeated-one": (SPEC, NOISE, [100, 10, 1000, 10, 1]),
-    "block-edges": (SPEC, NOISE, [_BLOCK - 1, _BLOCK, _BLOCK + 1,
-                                  2 * _BLOCK - 1, 2 * _BLOCK,
-                                  2 * _BLOCK + 1]),
+    # no cap on n: one draw per distinct n, whatever its size
+    "large-n": (SPEC, NOISE, [2**20, 10**9, 1, 2**20 - 1, 2**70]),
     "noise-degree-above": (BasisSpec(1, 2), BasisSpec(1, 5, amplitude=0.5),
-                           [3, _BLOCK + 2]),
+                           [3, 130]),
     "noise-degree-below": (BasisSpec(1, 5), BasisSpec(1, 2, amplitude=0.5),
                            [7, 1]),
     "two-d": (BasisSpec(2, 2), BasisSpec(2, 3, amplitude=0.4, decay=1.0),
-              [40, 1, _BLOCK + 1]),
+              [40, 1, 129]),
     "amplitude-zero": (SPEC, BasisSpec(1, 4, amplitude=0.0),
-                       [5, 1, _BLOCK]),
+                       [5, 1, 128]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MEAN_CASES))
 def test_mean_pass_has_the_bits_of_the_one_at_a_time_sum(case):
+    # one pass over the distinct n serves the list; the oracle builds each
+    # n's sum on its own, one increment at a time
     spec, noise, n_list = _MEAN_CASES[case]
     G = sample_limit_field(spec, seed=777, trial=5)
     got = empirical_mean_field(G, noise, n_list, seed=777, trial=5)
     assert len(got) == len(n_list)
     for n, ghat in zip(n_list, got):
-        want = naive_mean_field(G, noise, n, seed=777, trial=5)
+        want = increment_mean_field(G, noise, n_list, n, seed=777, trial=5)
         assert ghat.coeffs.shape == want.shape
         assert ghat.coeffs.tobytes() == want.tobytes(), n
+
+
+# the two-sided normal quantile of 1e-3
+_Z_1E3 = 3.2905
+
+
+def test_mean_field_increments_have_the_law_of_the_noise_sum():
+    # sum_{i<=n} E_i has independent increments N(0, (n_j - n_{j-1}) s^2)
+    # between the n of the list: standardized, each has mean 0 and unit
+    # variance, and two of them are uncorrelated; over 2,000 seeds
+    n_list, seeds = [10, 100, 1000], range(2000)
+    zero = BasisField(np.zeros(2 * NOISE.degree + 1), 1)
+    sums = np.array([[n * g.coeffs for n, g in zip(
+        n_list, empirical_mean_field(zero, NOISE, n_list, seed=s))]
+        for s in seeds])
+    steps = np.diff(sums, axis=1, prepend=0.0)
+    z = steps / (np.sqrt(np.diff(n_list, prepend=0))[:, None]
+                 * _scale_tensor(NOISE))
+    z = z.transpose(1, 0, 2).reshape(len(n_list), -1)
+    count = z.shape[1]
+    assert count == 2000 * 9
+    for j in range(len(n_list)):
+        assert abs(z[j].mean() * np.sqrt(count)) <= _Z_1E3
+        # chi-square with `count` degrees of freedom, in its normal limit
+        chi2 = np.sum(z[j] ** 2)
+        assert abs(chi2 - count) / np.sqrt(2.0 * count) <= _Z_1E3
+        for k in range(j):
+            assert abs(np.mean(z[j] * z[k]) * np.sqrt(count)) <= _Z_1E3
+
+
+def test_nested_n_share_their_increments():
+    G = sample_limit_field(SPEC, seed=4, trial=2)
+
+    def means(n_list):
+        return {n: g.coeffs.tobytes() for n, g in zip(
+            n_list, empirical_mean_field(G, NOISE, n_list, seed=4, trial=2))}
+
+    # a list's first distinct n draw the same increments in a longer list
+    short, long = means([10, 100]), means([10, 100, 1000])
+    assert short[10] == long[10] and short[100] == long[100]
+    # repeated and unsorted entries give the sorted list's fields
+    assert means([1000, 10, 100, 10, 1000]) == long
+    # Ghat_100 holds the sum to 10 and one increment more
+    g10, g100 = empirical_mean_field(G, NOISE, [10, 100], seed=4, trial=2)
+    step = 100 * (g100.coeffs - G.coeffs) - 10 * (g10.coeffs - G.coeffs)
+    assert np.allclose(step, np.sqrt(90) * _draw_coeffs(NOISE, 4, 2, 2),
+                       rtol=0, atol=1e-12)
 
 
 def test_mean_pass_of_no_n_draws_nothing():
@@ -208,17 +259,16 @@ def _no_trial(*args):
     raise _TrialRan
 
 
-@pytest.mark.parametrize("bad", [0, -3, 1 << 20])
+@pytest.mark.parametrize("bad", [0, -3])
 def test_n_list_is_checked_before_the_first_trial(monkeypatch, bad):
     monkeypatch.setattr(randfield, "_run_trial", _no_trial)
     with pytest.raises(UsageError) as info:
         monte_carlo_convergence(SPEC, NOISE, [10, bad], trials=2, seed=1)
     assert "n_list" in str(info.value) and str(bad) in str(info.value)
     assert info.value.context["n"] == bad
-    # the bounds themselves pass the check and reach the trials
+    # 1 passes the check and reaches the trials, and so does any large n
     with pytest.raises(_TrialRan):
-        monte_carlo_convergence(SPEC, NOISE, [1, (1 << 20) - 1], trials=2,
-                                seed=1)
+        monte_carlo_convergence(SPEC, NOISE, [1, 1 << 40], trials=2, seed=1)
 
 
 def test_degree_one_critical_points_sit_at_the_analytic_phase():
@@ -245,10 +295,10 @@ def test_morse_statistic_positive_across_draws():
 def test_small_table_frozen_frequencies(small_table):
     rows = small_table["per_n"]
     assert [r["n"] for r in rows] == [10, 100]
-    assert (rows[0]["matches"], rows[0]["denominator"]) == (22, 30)
-    assert (rows[1]["matches"], rows[1]["denominator"]) == (26, 30)
-    assert rows[0]["frequency"] == pytest.approx(22 / 30)
-    assert rows[1]["frequency"] == pytest.approx(26 / 30)
+    assert (rows[0]["matches"], rows[0]["denominator"]) == (23, 30)
+    assert (rows[1]["matches"], rows[1]["denominator"]) == (25, 30)
+    assert rows[0]["frequency"] == pytest.approx(23 / 30)
+    assert rows[1]["frequency"] == pytest.approx(25 / 30)
     assert rows[0]["frequency"] <= rows[1]["frequency"]
     assert all(r["failed"] == 0 for r in rows)
     assert small_table["grid_res"] == 512
@@ -318,12 +368,13 @@ def _record(p) -> tuple:
             p.classification, p.near_boundary)
 
 
-@pytest.mark.parametrize("dim,degree,grid,trial", [(1, 4, 512, 72),
-                                                   (2, 2, 32, 1)])
+@pytest.mark.parametrize("dim,degree,grid,trial", [(1, 4, 512, 99),
+                                                   (2, 2, 32, 34)])
 def test_stacked_detection_equals_one_detection_per_member(dim, degree,
                                                            grid, trial):
-    # trial 72's Ghat_1000 leaves unresolved cells at grid 512; in 2-d,
-    # trial 1 leaves unresolved and escaped cells in every member
+    # the first trials from 0 where a member leaves unresolved cells: in
+    # 1-d at grid 512, trial 99's Ghat_10; in 2-d at grid 32, where every
+    # member must also leave escaped cells, trial 34
     G = sample_limit_field(BasisSpec(dim, degree), seed=777, trial=trial)
     fields = [G, *empirical_mean_field(G, BasisSpec(dim, degree, 0.6, 1.5),
                                        [10, 100, 1000], seed=777,
@@ -467,3 +518,21 @@ def test_configs_in_use_pass_the_lattice_guard(monkeypatch, spec, noise,
     with pytest.raises(_TrialRan):
         monte_carlo_convergence(spec, noise, n_list, trials=1, seed=777,
                                 grid_res=grid)
+
+
+def test_mean_maxima_counts_agree_with_rice():
+    # Kac-Rice: G and each Ghat_n are stationary Gaussian fields on the
+    # circle, whose expected number of maxima is sqrt(lam4 / lam2). The
+    # mean N_M of acceptance check 10's 200 trials, of G and of each
+    # Ghat_n, lies within 4 standard errors of it
+    spec, noise, n_list, _ = README_SPEC
+    records = monte_carlo_convergence(spec, noise, n_list, trials=200,
+                                      seed=777)["records"]
+    counts = [[r["counts_G"]["N_M"] for r in records]] + [
+        [r["per_n"][i]["counts"]["N_M"] for r in records]
+        for i in range(len(n_list))]
+    rice = [rice_maxima(spec)] + [rice_maxima(spec, noise, n)
+                                  for n in n_list]
+    for c, want in zip(np.array(counts, dtype=float), rice):
+        z = (c.mean() - want) / (c.std(ddof=1) / np.sqrt(len(c)))
+        assert abs(z) <= 4.0, (want, c.mean(), z)
